@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .folding import CoinvariantWeight
-from .rootsystem import cartan_matrix, _invert_matrix
+from .linalg import inverse, normalize_scalar
+from .rootsystem import cartan_matrix
 
 VARIANT_SPECIAL = "special-not-absolutely-special"
 VARIANT_ABS_SPECIAL = "absolutely-special"
@@ -22,7 +23,7 @@ VARIANT_ABS_SPECIAL = "absolutely-special"
 
 @lru_cache(maxsize=None)
 def _cartan_inv(ctype):
-  return _invert_matrix(cartan_matrix(ctype))
+  return inverse(cartan_matrix(ctype))
 
 
 def gamma_coords(datum, cw):
@@ -63,12 +64,7 @@ class DominantCoinvariant:
         for c in range(ell))
     if any(p < 0 for p in iota_img):
       raise ValueError("class is not dominant")
-    return cls(cw, tuple(_int_if_possible(p) for p in iota_img))
-
-
-def _int_if_possible(x):
-  f = Fraction(x)
-  return int(f) if f.denominator == 1 else f
+    return cls(cw, tuple(normalize_scalar(p) for p in iota_img))
 
 
 def leq(datum, mu, lam):
@@ -258,7 +254,8 @@ def smooth_cells(datum, variant, lam):
   smooth cells: those whose difference from lam is gamma_i + ... + gamma_ell
   with mu supported strictly below i; the absolutely special variant again
   has only the open cell smooth, a fact imported from the literature and
-  marked with provenance "external".
+  marked with provenance "external".  A variant is given only for the
+  ramified family; None selects its default, the special variant.
   """
   lam = _as_class(datum, lam)
   if not lam.is_dominant():
@@ -266,9 +263,14 @@ def smooth_cells(datum, variant, lam):
   if not datum.in_coinvariant_lattice(lam):
     raise ValueError("lam must lie in the coinvariant lattice")
   ramified = datum.is_ramified
-  if variant is None:
-    variant = VARIANT_SPECIAL if ramified else "standard"
-  if ramified and variant not in (VARIANT_SPECIAL, VARIANT_ABS_SPECIAL):
+  if not ramified:
+    if variant is not None:
+      raise ValueError("variant %r applies only to the ramified folding"
+                       % (variant,))
+    variant = "standard"
+  elif variant is None:
+    variant = VARIANT_SPECIAL
+  elif variant not in (VARIANT_SPECIAL, VARIANT_ABS_SPECIAL):
     raise ValueError("unknown variant %r" % (variant,))
   ell = datum.ell
   cells = []

@@ -16,8 +16,7 @@ Output on stdout is deterministic JSON (sorted keys, fractions rendered as
 strings such as "1/2", a schema_version field); progress for long-running
 suites goes to stderr.  Exit code 0 means every requested check passed, 1
 means a verification failure (a JSON witness is still printed), 2 is a
-usage error.  ``--jobs`` is accepted for compatibility; all computations
-run sequentially and deterministically.
+usage error, whose reason is printed as an ``error: ...`` line on stderr.
 """
 
 import argparse
@@ -72,10 +71,19 @@ def _parse_coords(text):
   return tuple(Fraction(part) for part in text.split(","))
 
 
+def _parse_weight(text, rank):
+  """Integral fundamental weight coordinates, one per node."""
+  coords = _parse_coords(text)
+  if len(coords) != rank:
+    raise ValueError("--weight has %d coordinates, expected %d"
+                     % (len(coords), rank))
+  if any(c.denominator != 1 for c in coords):
+    raise ValueError("--weight coordinates must be integers")
+  return tuple(int(c) for c in coords)
+
+
 def _add_common(p):
   p.add_argument("--format", choices=("json", "tsv"), default="json")
-  p.add_argument("--jobs", type=int, default=1,
-                 help="accepted for compatibility; execution is sequential")
 
 
 def _cmd_rootsys(args):
@@ -88,7 +96,7 @@ def _cmd_rootsys(args):
       "highest_root": list(sys_.highest_root),
   }
   if args.weight:
-    wt = tuple(int(c) for c in _parse_coords(args.weight))
+    wt = _parse_weight(args.weight, sys_.rank)
     payload["weight"] = list(wt)
     payload["dimension"] = sys_.weyl_dimension(wt)
     payload["orbit_size"] = len(sys_.weyl_orbit(wt))
@@ -123,15 +131,9 @@ def _cmd_fold(args):
   return 0 if iota_ok else 1
 
 
-def _projected_class(datum, coords):
-  if len(coords) != datum.base.rank:
-    raise SystemExit(2)
-  return datum.project(coords)
-
-
 def _cmd_dominance(args):
   datum = folding.Folding(args.type, args.rank, args.m)
-  lam = _projected_class(datum, _parse_coords(args.lam))
+  lam = datum.project(_parse_coords(args.lam))
   below = cells.dominants_below(datum, lam)
   covers = []
   for mu in below:
@@ -150,7 +152,7 @@ def _cmd_dominance(args):
 
 def _cmd_smooth_locus(args):
   datum = folding.Folding(args.type, args.rank, args.m)
-  lam = _projected_class(datum, _parse_coords(args.lam))
+  lam = datum.project(_parse_coords(args.lam))
   report = cells.smooth_cells(datum, args.variant, lam)
   payload = {
       "family": report.family,

@@ -64,10 +64,6 @@ class MinusculeCrystal:
     return 1 if (b, i) in self.f_table else 0
 
 
-def build_minuscule_crystal(sys, r):
-  return MinusculeCrystal(sys, r)
-
-
 class TensorCrystal:
   """Tensor product of crystals; elements are tuples of factor indices.
 

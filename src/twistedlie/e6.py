@@ -19,6 +19,7 @@ expected to cache it.
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import SparseVector, rank as matrix_rank
@@ -45,7 +46,7 @@ class E6Suite:
   def __init__(self, progress=_noop):
     progress("building the E6 root system and minuscule crystal")
     self.sys = build("E", 6)
-    self.crys1 = crystal_mod.build_minuscule_crystal(self.sys, 1)
+    self.crys1 = crystal_mod.MinusculeCrystal(self.sys, 1)
     self.V1 = reps.minuscule_representation(self.crys1)
     self.tensor3 = reps.tensor_many([self.V1, self.V1, self.V1])
     tcrys = crystal_mod.tensor_crystal(self.crys1, self.crys1, self.crys1)
@@ -304,7 +305,7 @@ def dominance_chain_check():
   for low, high in zip(chain, chain[1:]):
     diff = tuple(h - l for h, l in zip(high, low))
     coords = sys.weight_root_coords(diff)
-    if not all(c >= 0 and c.denominator == 1 for c in map(_as_fraction, coords)):
+    if not all(c >= 0 and c.denominator == 1 for c in map(Fraction, coords)):
       return False
   top_diff = tuple(h - l for h, l in zip(chain[3], chain[2]))
   if tuple(int(c) for c in sys.weight_root_coords(top_diff)) != (0, 1, 1, 2, 1, 0):
@@ -315,15 +316,10 @@ def dominance_chain_check():
       if mu in (low, high):
         continue
       diff = tuple(m - l for m, l in zip(mu, low))
-      coords = [_as_fraction(c) for c in sys.weight_root_coords(diff)]
+      coords = [Fraction(c) for c in sys.weight_root_coords(diff)]
       if all(c >= 0 and c.denominator == 1 for c in coords):
         return False
   return True
-
-
-def _as_fraction(x):
-  from fractions import Fraction
-  return Fraction(x)
 
 
 def numbers_game_poset():
@@ -348,14 +344,14 @@ def numbers_game_poset():
     return sys.weight_root_coords(diff)
 
   def is_leaf(mu):
-    return any(_as_fraction(c) == 0 for c in margin(mu))
+    return any(Fraction(c) == 0 for c in margin(mu))
 
   def legal_moves(mu):
     out = []
     for i in range(1, 7):
       if mu[i - 1] >= 1:
         nu = sys.reflect(i, mu)
-        if all(_as_fraction(c) >= 0 for c in margin(nu)):
+        if all(Fraction(c) >= 0 for c in margin(nu)):
           out.append((i, nu))
     return out
 

@@ -18,13 +18,8 @@ Coordinates:
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import smith_invariant_factors
-from .rootsystem import CartanType, RootSystem, build, cartan_matrix, _invert_matrix
-
-
-def _normalize_scalar(x):
-  f = Fraction(x)
-  return int(f) if f.denominator == 1 else f
+from .linalg import inverse, normalize_scalar, smith_invariant_factors
+from .rootsystem import CartanType, RootSystem, build, cartan_matrix
 
 
 @dataclass(frozen=True)
@@ -36,7 +31,7 @@ class CoinvariantWeight:
 
   def __post_init__(self):
     object.__setattr__(self, "coords",
-                       tuple(_normalize_scalar(c) for c in self.coords))
+                       tuple(normalize_scalar(c) for c in self.coords))
 
   def is_integral(self):
     return all(isinstance(c, int) for c in self.coords)
@@ -174,7 +169,7 @@ class Folding:
     identifies coroots with roots, so the pairing of the restriction against
     betacheck_j is the sum of the coordinates over the j-th fiber.
     """
-    return tuple(_normalize_scalar(sum(coweight[i - 1] for i in self.fiber(j)))
+    return tuple(normalize_scalar(sum(coweight[i - 1] for i in self.fiber(j)))
                  for j in range(1, self.ell + 1))
 
   def _build_project_matrix(self):
@@ -196,7 +191,7 @@ class Folding:
       q.append(self.iota(acheck))
     qmat = tuple(tuple(Fraction(q[j][k]) for j in range(ell))
                  for k in range(ell))
-    qinv = _invert_matrix(qmat)
+    qinv = inverse(qmat)
     p = self._hcartan
     return tuple(tuple(sum(Fraction(p[k][j]) * qinv[j][c] for j in range(ell))
                        for c in range(ell)) for k in range(ell))
@@ -207,6 +202,9 @@ class Folding:
     Input in base fundamental coweight coordinates; output in fundamental
     weight coordinates of H.
     """
+    if len(coweight) != self.base.rank:
+      raise ValueError("coweight has %d coordinates, expected %d"
+                       % (len(coweight), self.base.rank))
     cprime = [sum(coweight[i - 1] for i in self.fiber(j))
               for j in range(1, self.ell + 1)]
     ell = self.ell
@@ -232,7 +230,7 @@ class Folding:
   def class_lift(self, cw):
     """A base coweight (fund coweight coords) whose class is cw."""
     ell = self.ell
-    pinv = _invert_matrix(self._project_matrix)
+    pinv = inverse(self._project_matrix)
     cprime = [sum(pinv[j][k] * Fraction(cw.coords[k]) for k in range(ell))
               for j in range(ell)]
     n = self.base.rank
@@ -312,12 +310,3 @@ class Folding:
       raise ValueError("class lift must be dominant")
     return self.schubert_dimension(dom)
 
-
-def standard_automorphism(family, rank, order):
-  """The standard folding datum for the given base type and order."""
-  return Folding(family, rank, order)
-
-
-def fixed_type(family, rank, order):
-  """Cartan type of the fixed subalgebra of the standard automorphism."""
-  return Folding(family, rank, order).fixed_ctype

@@ -2,9 +2,10 @@
 
 Scalars are python ints, ``fractions.Fraction``, or :class:`GaussianRational`.
 No floating point is used anywhere.  Vectors are sparse maps from opaque,
-totally ordered keys to nonzero scalars; rank computation is fraction-free
-(denominators are cleared, then Bareiss elimination runs over the integers,
-or over Gaussian integers for Q(i) input).
+totally ordered keys to nonzero scalars.  One sparse echelon kernel does
+all exact elimination: ``rank``, coordinates in a span (``span_solver``) and
+matrix inverses (``inverse``).  Integer Smith invariant factors are computed
+separately.
 """
 
 from fractions import Fraction
@@ -222,7 +223,7 @@ ZERO_VECTOR = SparseVector._raw({})
 
 
 def _scalar_kinds(vectors):
-  """Classify scalars: returns True if Gaussian, False if rational.
+  """Check that the scalars are all rational or all Gaussian.
 
   Raises TypeError on a mix of Gaussian and plain rational values, or on
   unsupported scalar types (e.g. float).
@@ -239,84 +240,120 @@ def _scalar_kinds(vectors):
         raise TypeError("unsupported scalar type: %r" % type(v).__name__)
   if saw_gauss and saw_rat:
     raise TypeError("cannot mix Gaussian and plain rational scalars")
-  return saw_gauss
 
 
-def _denominator_lcm(value):
-  if isinstance(value, GaussianRational):
-    a = value.re.denominator
-    b = value.im.denominator
-    return a * b // _gcd(a, b)
-  return Fraction(value).denominator
+def normalize_scalar(x):
+  """A rational scalar as an int when it is integral, else a Fraction."""
+  if type(x) is int:
+    return x
+  f = Fraction(x)
+  return int(f) if f.denominator == 1 else f
 
 
-def _gcd(a, b):
-  while b:
-    a, b = b, a % b
-  return a
+# -- the echelon kernel ------------------------------------------------------
+# An echelon is a list of rows (pivot, row, comb).  Each row is a dict that
+# is 1 at its pivot, the smallest key of its support, and 0 at the pivot of
+# every earlier row; comb is None or the dict of its coefficients over the
+# input vectors.
+
+def _add_scaled(acc, c, vec):
+  """acc += c * vec on dicts, never storing a zero."""
+  for k, v in vec.items():
+    s = acc.get(k, 0) + c * v
+    if s:
+      acc[k] = s
+    else:
+      del acc[k]
 
 
-def _clear_denominators(row, gaussian):
-  lcm = 1
-  for v in row:
-    d = _denominator_lcm(v)
-    lcm = lcm * d // _gcd(lcm, d)
-  if gaussian:
-    return [GaussianRational(v.re * lcm, v.im * lcm) if isinstance(v, GaussianRational)
-            else GaussianRational(Fraction(v) * lcm) for v in row]
-  return [int(Fraction(v) * lcm) for v in row]
+def _reduce(rows, cur, comb):
+  """Reduce the dict ``cur`` in place against the echelon rows, in order,
+  carrying the same steps over to ``comb`` unless it is None."""
+  for pivot, row, row_comb in rows:
+    c = cur.get(pivot)
+    if c:
+      _add_scaled(cur, -c, row)
+      if comb is not None:
+        _add_scaled(comb, -c, row_comb)
+
+
+def _append_row(rows, vec, comb):
+  """Reduce ``vec`` and append it to the echelon unless it reduces to zero.
+
+  Returns whether it was appended.  ``comb`` holds the coefficients of
+  ``vec`` itself over the input vectors, or is None."""
+  cur = dict(vec.items())
+  _reduce(rows, cur, comb)
+  if not cur:
+    return False
+  pivot = min(cur)
+  inv = Fraction(1) / cur[pivot]
+  row = {k: v * inv for k, v in cur.items()}
+  if comb is not None:
+    comb = {k: v * inv for k, v in comb.items()}
+  rows.append((pivot, row, comb))
+  return True
 
 
 def rank(vectors):
-  """Exact rank of a list of sparse vectors.
+  """Exact rank of a list of sparse vectors over Q or Q(i).
 
-  The key set is the sorted union of all supports; rows are scaled to clear
-  denominators and a fraction-free (Bareiss) elimination runs with a
-  deterministic pivot order (columns in increasing key order, rows in input
-  order).  The result does not depend on the input order beyond that
-  determinism -- rank is basis independent.
+  Rows are reduced in input order; the elimination stops once the rank
+  reaches the number of distinct keys.  Raises TypeError on float scalars
+  or on a mix of Gaussian and plain rational ones.
   """
   vecs = [v for v in vectors if v]
   if not vecs:
     return 0
-  gaussian = _scalar_kinds(vecs)
-  keys = sorted(set().union(*[v.support() for v in vecs]))
-  col_of = {k: c for c, k in enumerate(keys)}
+  _scalar_kinds(vecs)
+  n_keys = len(set().union(*[v.keys() for v in vecs]))
   rows = []
   for v in vecs:
-    row = [0] * len(keys)
-    for k, val in v.items():
-      row[col_of[k]] = val
-    rows.append(_clear_denominators(row, gaussian))
-  return _bareiss_rank(rows, gaussian)
-
-
-def _bareiss_rank(rows, gaussian):
-  n_rows = len(rows)
-  n_cols = len(rows[0]) if rows else 0
-  r = 0
-  prev = GaussianRational(1) if gaussian else 1
-  for c in range(n_cols):
-    pivot_row = None
-    for rr in range(r, n_rows):
-      if rows[rr][c]:
-        pivot_row = rr
-        break
-    if pivot_row is None:
-      continue
-    if pivot_row != r:
-      rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-    piv = rows[r][c]
-    for rr in range(r + 1, n_rows):
-      lead = rows[rr][c]
-      for cc in range(c, n_cols):
-        num = piv * rows[rr][cc] - lead * rows[r][cc]
-        rows[rr][cc] = _exact_div(num, prev, gaussian)
-    prev = piv
-    r += 1
-    if r == n_rows:
+    _append_row(rows, v, None)
+    if len(rows) == n_keys:
       break
-  return r
+  return len(rows)
+
+
+def span_solver(basis):
+  """A solver for coordinates over linearly independent sparse vectors.
+
+  Returns ``solve(target)``, which gives the list ``c`` with
+  ``sum(c[b] * basis[b]) == target``, or None when ``target`` lies outside
+  the span.  Raises ValueError when the basis is linearly dependent.
+  """
+  rows = []
+  for b, v in enumerate(basis):
+    if not _append_row(rows, v, {b: 1}):
+      raise ValueError("vectors are linearly dependent")
+  n = len(rows)
+
+  def solve(target):
+    cur = dict(target.items())
+    comb = {}
+    _reduce(rows, cur, comb)
+    if cur:
+      return None
+    return [-comb.get(b, 0) for b in range(n)]
+
+  return solve
+
+
+def inverse(matrix):
+  """Exact inverse of a square matrix, as a tuple of tuples of Fractions.
+
+  Raises ValueError when the matrix is not square or is singular.
+  """
+  n = len(matrix)
+  if any(len(row) != n for row in matrix):
+    raise ValueError("matrix is not square")
+  try:
+    solve = span_solver([SparseVector(enumerate(map(Fraction, row)))
+                         for row in matrix])
+  except ValueError:
+    raise ValueError("matrix is singular") from None
+  return tuple(tuple(Fraction(c) for c in solve(SparseVector.unit(k)))
+               for k in range(n))
 
 
 def smith_invariant_factors(matrix):
@@ -381,13 +418,3 @@ def smith_invariant_factors(matrix):
     top += 1
   return out
 
-
-def _exact_div(num, den, gaussian):
-  if gaussian:
-    return num / den
-  if num == 0:
-    return 0
-  q, rem = divmod(num, den)
-  if rem:
-    raise ArithmeticError("non-exact division in fraction-free elimination")
-  return q

@@ -311,6 +311,8 @@ def hyperspecial_basis(ell, bound):
   degree of the eta-image (2k for families (1), (2), (5); 4k for (3);
   2k+1 for (4)) stays within the bound.
   """
+  if ell < 1:
+    raise ValueError("ell must be at least 1")
   if bound < 2:
     raise ValueError("degree bound must be at least 2")
   out = []
@@ -493,6 +495,8 @@ def eta_bracket_check(ell, bound, trials, seed=0):
   """Randomized Lie-map check: eta([x, y]) = [eta(x), eta(y)] for pairs of
   hyperspecial basis elements (brackets in the matrix model)."""
   import random
+  if trials < 0:
+    raise ValueError("trials must be nonnegative")
   rng = random.Random(seed)
   basis = hyperspecial_basis(ell, bound)
   failures = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .linalg import SparseVector, ZERO_VECTOR
+from .linalg import SparseVector, ZERO_VECTOR, normalize_scalar, span_solver
 
 
 class Representation:
@@ -154,11 +154,6 @@ def minuscule_representation(crys):
   return TableRepresentation(rank, weights, e_act, f_act)
 
 
-def tensor(a, b):
-  """Binary tensor product; keys are pairs."""
-  return ProductRepresentation([a, b])
-
-
 def tensor_many(factors):
   """n-ary tensor product; keys are flat tuples."""
   return ProductRepresentation(factors)
@@ -271,63 +266,7 @@ def _ad_power(rep, op, i, j, m, v):
   return total
 
 
-def verify_representation(rep, cartan):
-  """Boolean wrapper around verify_representation_detailed."""
-  ok, _ = verify_representation_detailed(rep, cartan)
-  return ok
-
-
 # -- subrepresentations ------------------------------------------------------
-
-class _FiberSolver:
-  """Solves for coordinates of ambient vectors in the span of a fiber basis."""
-
-  def __init__(self, vectors):
-    self.vectors = vectors
-    m = len(vectors)
-    # greedy pivot selection by elimination over the ambient keys
-    reduced = []  # list of (pivot_key, vector)
-    for v in vectors:
-      cur = v
-      for pk, pv in reduced:
-        c = cur.get(pk)
-        if c:
-          cur = cur - pv.scale(c)
-      if not cur:
-        raise ValueError("fiber vectors are linearly dependent")
-      pk = min(cur.keys())
-      cur = cur.scale(Fraction(1, 1) / cur.get(pk))
-      reduced.append((pk, cur))
-    self.pivots = [pk for pk, _ in reduced]
-    # invert the m x m matrix of original vectors restricted to pivot keys
-    a = [[Fraction(vectors[b].get(self.pivots[t], 0)) for b in range(m)]
-         for t in range(m)]
-    aug = [row + [Fraction(int(r == c)) for c in range(m)]
-           for r, row in enumerate(a)]
-    for col in range(m):
-      piv = next(r for r in range(col, m) if aug[r][col] != 0)
-      aug[col], aug[piv] = aug[piv], aug[col]
-      pv = aug[col][col]
-      aug[col] = [x / pv for x in aug[col]]
-      for r in range(m):
-        if r != col and aug[r][col]:
-          f = aug[r][col]
-          aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    self.inv = [[aug[r][m + c] for c in range(m)] for r in range(m)]
-
-  def solve(self, target):
-    """Coordinates c with sum_b c[b] * vectors[b] == target, or None."""
-    m = len(self.vectors)
-    rhs = [Fraction(target.get(pk, 0)) for pk in self.pivots]
-    coords = [sum(self.inv[r][c] * rhs[c] for c in range(m)) for r in range(m)]
-    check = ZERO_VECTOR
-    for b in range(m):
-      if coords[b]:
-        check = check + self.vectors[b].scale(coords[b])
-    if check != target:
-      return None
-    return coords
-
 
 def subrepresentation(ambient, hw_vec, component):
   """The subrepresentation generated by a highest weight vector, in the
@@ -361,14 +300,23 @@ def subrepresentation(ambient, hw_vec, component):
 
   def solver_for(wt):
     if wt not in solvers:
-      solvers[wt] = _FiberSolver([vecs[b] for b in fibers[wt]])
+      try:
+        solvers[wt] = span_solver([vecs[b] for b in fibers[wt]])
+      except ValueError:
+        raise ValueError("fiber vectors are linearly dependent") from None
     return solvers[wt]
 
   weights = {b: component.wt(b) for b in range(n_elts)}
   e_act = {i: {} for i in range(1, rank + 1)}
   f_act = {i: {} for i in range(1, rank + 1)}
   for b in range(n_elts):
-    wt = weights[b]
+    # The images of b lie one level above or below it, and elements come in
+    # order of depth, so the solvers two levels up are done with; dropping
+    # them bounds the memory (a dropped solver is rebuilt if needed again).
+    depth = len(component.paths[b])
+    for done in [w for w in solvers
+                 if len(component.paths[fibers[w][0]]) < depth - 1]:
+      del solvers[done]
     for i in range(1, rank + 1):
       for op, table in (("e", e_act), ("f", f_act)):
         img = ambient.apply_e(i, vecs[b]) if op == "e" else \
@@ -378,20 +326,15 @@ def subrepresentation(ambient, hw_vec, component):
         img_wt = ambient.weight(next(iter(img.keys())))
         if img_wt not in fibers:
           raise ValueError("action leaves the crystal weight support")
-        coords = solver_for(img_wt).solve(img)
+        coords = solver_for(img_wt)(img)
         if coords is None:
           raise ValueError("action leaves the span of the fiber basis")
         entry = {}
         for c, bb in zip(coords, fibers[img_wt]):
           if c:
-            entry[bb] = _int_if_integral(c)
+            entry[bb] = normalize_scalar(c)
         table[i][b] = SparseVector._raw(entry)
   return TableRepresentation(rank, weights, e_act, f_act)
-
-
-def _int_if_integral(x):
-  f = Fraction(x)
-  return int(f) if f.denominator == 1 else f
 
 
 # -- lowering operators for arbitrary positive roots -------------------------

@@ -18,6 +18,8 @@ No floating point is used anywhere; all intermediate values are ints or
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import inverse
+
 FAMILIES = "ABCDEFG"
 
 
@@ -101,23 +103,6 @@ def symmetrizer(ctype):
   return tuple(d)
 
 
-def _invert_matrix(m):
-  """Exact inverse of a square matrix, entries Fractions."""
-  n = len(m)
-  a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-       for i in range(n)]
-  for col in range(n):
-    piv = next(r for r in range(col, n) if a[r][col] != 0)
-    a[col], a[piv] = a[piv], a[col]
-    pv = a[col][col]
-    a[col] = [x / pv for x in a[col]]
-    for r in range(n):
-      if r != col and a[r][col] != 0:
-        f = a[r][col]
-        a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-  return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
-
-
 class RootSystem:
   """A finite root system with precomputed positive roots and forms."""
 
@@ -126,7 +111,7 @@ class RootSystem:
     self.rank = ctype.rank
     self.cartan = cartan_matrix(ctype)
     self.d = symmetrizer(ctype)
-    self.cartan_inv = _invert_matrix(self.cartan)
+    self.cartan_inv = inverse(self.cartan)
     self.positive_roots = self._closure()
     self._posroot_set = set(self.positive_roots)
     self.highest_root = self._find_highest_root()

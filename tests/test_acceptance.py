@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import diagram_fixture
 from twistedlie import cells, e6, loops
-from twistedlie.crystal import build_minuscule_crystal, tensor_crystal
+from twistedlie.crystal import MinusculeCrystal, tensor_crystal
 from twistedlie.folding import Folding
 from twistedlie.linalg import SparseVector, rank
 from twistedlie.reps import (highest_weight_check, minuscule_representation,
@@ -240,12 +240,12 @@ class TestCriterion11NumbersGame:
 
 def _crystal_pool():
   pool = [
-      build_minuscule_crystal(build("A", 2), 1),
-      build_minuscule_crystal(build("A", 3), 2),
-      build_minuscule_crystal(build("D", 4), 1),
-      build_minuscule_crystal(build("E", 6), 1),
+      MinusculeCrystal(build("A", 2), 1),
+      MinusculeCrystal(build("A", 3), 2),
+      MinusculeCrystal(build("D", 4), 1),
+      MinusculeCrystal(build("E", 6), 1),
   ]
-  a2 = build_minuscule_crystal(build("A", 2), 1)
+  a2 = MinusculeCrystal(build("A", 2), 1)
   tensor = tensor_crystal(a2, a2, a2)
   return pool, tensor
 
@@ -257,8 +257,8 @@ _TENSOR_ELEMENTS = list(_TENSOR.elements())
 def _rep_pool():
   a2 = build("A", 2)
   d4 = build("D", 4)
-  v_a2 = minuscule_representation(build_minuscule_crystal(a2, 1))
-  v_d4 = minuscule_representation(build_minuscule_crystal(d4, 1))
+  v_a2 = minuscule_representation(MinusculeCrystal(a2, 1))
+  v_d4 = minuscule_representation(MinusculeCrystal(d4, 1))
   prod = tensor_many([v_a2, v_a2])
   return [
       (a2, v_a2, list(v_a2.keys())),

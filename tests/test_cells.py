@@ -118,6 +118,12 @@ class TestSmoothLocus:
       if v.reason != "open-cell":
         assert not v.smooth and v.reason == "not-open-cell"
 
+  def test_unramified_takes_no_variant(self, e6_2):
+    lam = _cw(e6_2, (0, 0, 0, 1))
+    for variant in (VARIANT_SPECIAL, VARIANT_ABS_SPECIAL, "standard"):
+      with pytest.raises(ValueError):
+        smooth_cells(e6_2, variant, lam)
+
   def test_quasi_minuscule_cover_smooth(self, a2_4):
     report = smooth_cells(a2_4, VARIANT_SPECIAL, a2_4.gamma(1))
     reasons = {v.mu.coords: (v.smooth, v.reason) for v in report.cells}

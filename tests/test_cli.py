@@ -153,3 +153,46 @@ class TestUsageErrors:
     with pytest.raises(SystemExit) as err:
       cli.main(["rootsys", "--type", "A", "--rank", "2", "--nope"])
     assert err.value.code == 2
+
+
+# (argv, whether argparse rejects it before a subcommand runs): one
+# malformed input per subcommand at least.
+_MALFORMED = (
+    (["rootsys", "--type", "A", "--rank", "2", "--weight", "1/2,0"], False),
+    (["rootsys", "--type", "A", "--rank", "2", "--weight", "1,0,5"], False),
+    (["rootsys", "--type", "A", "--rank", "2", "--weight", "x,0"], False),
+    (["fold", "--type", "A", "--rank", "3", "--m", "3"], False),
+    (["fold", "--type", "A", "--rank", "3", "--m", "two"], True),
+    (["dominance", "--type", "A", "--rank", "2", "--m", "4",
+      "--lambda", "1"], False),
+    (["smooth-locus", "--type", "A", "--rank", "2", "--m", "4",
+      "--lambda", "1,0,0"], False),
+    (["smooth-locus", "--type", "D", "--rank", "4", "--m", "2",
+      "--lambda", "1,0,0,0", "--variant", "absolutely-special"], False),
+    (["hyperspecial-check", "--ell", "0"], False),
+    (["hyperspecial-check", "--ell", "1", "--degree", "4",
+      "--trials", "-1"], False),
+    (["e6-duality", "--format", "xml"], True),
+    (["levi-extremal", "--format", "xml"], True),
+    (["numbers-game", "--format", "xml"], True),
+    (["numbers-game", "--jobs", "2"], True),
+)
+
+
+@pytest.mark.parametrize("argv,by_argparse", _MALFORMED,
+                         ids=[" ".join(a) for a, _ in _MALFORMED])
+def test_malformed_input_is_usage_error(capsys, argv, by_argparse):
+  try:
+    code = cli.main(argv)
+  except SystemExit as exc:
+    code = exc.code
+  captured = capsys.readouterr()
+  assert code == 2
+  assert captured.out == ""
+  lines = captured.err.splitlines()
+  assert [line for line in lines if "error: " in line] == lines[-1:]
+  if by_argparse:
+    # argparse prints its usage text before the error line
+    assert lines[0].startswith("usage: ")
+  else:
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,7 +1,7 @@
 import pytest
 
 from twistedlie.crystal import (HighestWeightComponent,
-                                build_minuscule_crystal,
+                                MinusculeCrystal,
                                 highest_weight_component, tensor_crystal)
 from twistedlie.rootsystem import build
 
@@ -19,26 +19,26 @@ def e6():
 class TestMinusculeCrystal:
 
   def test_e6_sizes(self, e6):
-    assert len(build_minuscule_crystal(e6, 1)) == 27
-    assert len(build_minuscule_crystal(e6, 6)) == 27
+    assert len(MinusculeCrystal(e6, 1)) == 27
+    assert len(MinusculeCrystal(e6, 6)) == 27
 
   def test_non_minuscule_rejected(self, e6):
     with pytest.raises(ValueError):
-      build_minuscule_crystal(e6, 4)
+      MinusculeCrystal(e6, 4)
 
   def test_highest_element_first(self, e6):
-    c = build_minuscule_crystal(e6, 1)
+    c = MinusculeCrystal(e6, 1)
     assert c.wt(0) == (1, 0, 0, 0, 0, 0)
     assert all(c.e(0, i) is None for i in range(1, 7))
 
   def test_weights_are_an_orbit_with_multiplicity_one(self, e6):
-    c = build_minuscule_crystal(e6, 1)
+    c = MinusculeCrystal(e6, 1)
     weights = [c.wt(b) for b in c.indices()]
     assert len(set(weights)) == 27
     assert set(weights) == set(e6.weyl_orbit((1, 0, 0, 0, 0, 0)))
 
   def test_e_f_inverse(self, e6):
-    c = build_minuscule_crystal(e6, 1)
+    c = MinusculeCrystal(e6, 1)
     for b in c.indices():
       for i in range(1, 7):
         d = c.f(b, i)
@@ -49,7 +49,7 @@ class TestMinusculeCrystal:
           assert c.f(u, i) == b
 
   def test_f_shifts_weight_by_simple_root(self, a2):
-    c = build_minuscule_crystal(a2, 1)
+    c = MinusculeCrystal(a2, 1)
     for b in c.indices():
       for i in (1, 2):
         d = c.f(b, i)
@@ -59,7 +59,7 @@ class TestMinusculeCrystal:
           assert diff == alpha
 
   def test_a2_standard_chain(self, a2):
-    c = build_minuscule_crystal(a2, 1)
+    c = MinusculeCrystal(a2, 1)
     assert len(c) == 3
     b1 = c.f(0, 1)
     b2 = c.f(b1, 2)
@@ -70,7 +70,7 @@ class TestMinusculeCrystal:
 class TestTensorCrystal:
 
   def test_size_and_weights(self, a2):
-    c = build_minuscule_crystal(a2, 1)
+    c = MinusculeCrystal(a2, 1)
     t = tensor_crystal(c, c)
     assert len(t) == 9
     total = [0, 0]
@@ -80,7 +80,7 @@ class TestTensorCrystal:
     assert total == [0, 0]
 
   def test_e_f_partial_inverse(self, a2):
-    c = build_minuscule_crystal(a2, 1)
+    c = MinusculeCrystal(a2, 1)
     t = tensor_crystal(c, c, c)
     for b in t.elements():
       for i in (1, 2):
@@ -93,7 +93,7 @@ class TestTensorCrystal:
 
   def test_eps_phi_weight_identity(self, a2):
     # phi(b, i) - eps(b, i) = <wt(b), acheck_i>
-    c = build_minuscule_crystal(a2, 1)
+    c = MinusculeCrystal(a2, 1)
     t = tensor_crystal(c, c)
     for b in t.elements():
       for i in (1, 2):
@@ -107,7 +107,7 @@ class TestTensorCrystal:
 class TestHighestWeightComponent:
 
   def test_a2_square_decomposition(self, a2):
-    c = build_minuscule_crystal(a2, 1)
+    c = MinusculeCrystal(a2, 1)
     t = tensor_crystal(c, c)
     sym = highest_weight_component(t, (2, 0))
     alt = highest_weight_component(t, (0, 1))
@@ -116,7 +116,7 @@ class TestHighestWeightComponent:
     assert len(sym) + len(alt) == len(t)
 
   def test_canonical_paths(self, a2):
-    c = build_minuscule_crystal(a2, 1)
+    c = MinusculeCrystal(a2, 1)
     t = tensor_crystal(c, c)
     comp = highest_weight_component(t, (2, 0))
     assert comp.paths[0] == ()
@@ -129,21 +129,21 @@ class TestHighestWeightComponent:
       assert b == comp.elements[k]
 
   def test_order_by_depth_then_path(self, a2):
-    c = build_minuscule_crystal(a2, 1)
+    c = MinusculeCrystal(a2, 1)
     t = tensor_crystal(c, c)
     comp = highest_weight_component(t, (2, 0))
     keys = [(len(p), p) for p in comp.paths]
     assert keys == sorted(keys)
 
   def test_rejects_non_highest(self, a2):
-    c = build_minuscule_crystal(a2, 1)
+    c = MinusculeCrystal(a2, 1)
     t = tensor_crystal(c, c)
     lowered = t.f(comp_hw(t), 1)
     with pytest.raises(ValueError):
       HighestWeightComponent(t, lowered)
 
   def test_missing_weight_rejected(self, a2):
-    c = build_minuscule_crystal(a2, 1)
+    c = MinusculeCrystal(a2, 1)
     t = tensor_crystal(c, c)
     with pytest.raises(ValueError):
       highest_weight_component(t, (5, 5))

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistedlie.folding import (CoinvariantWeight, Folding, fixed_type,
-                                standard_automorphism)
+from twistedlie.folding import CoinvariantWeight, Folding
 from twistedlie.rootsystem import cartan_matrix
 
 # (family, rank, order) -> (fixed type, weight-lattice type, component
@@ -36,9 +35,9 @@ class TestFoldingTable:
     datum = Folding(*key)
     assert datum.component_group() == _TABLE[key][2]
 
-  def test_fixed_type_helper(self):
-    assert str(fixed_type("E", 6, 2)) == "F4"
-    assert str(fixed_type("A", 2, 4)) == "A1"
+  def test_fixed_type(self):
+    assert str(Folding("E", 6, 2).fixed_ctype) == "F4"
+    assert str(Folding("A", 2, 4).fixed_ctype) == "A1"
 
   def test_unknown_folding_rejected(self):
     with pytest.raises(ValueError):
@@ -46,8 +45,8 @@ class TestFoldingTable:
     with pytest.raises(ValueError):
       Folding("E", 6, 3)
 
-  def test_standard_automorphism_alias(self):
-    assert standard_automorphism("D", 5, 2).ell == 4
+  def test_ell(self):
+    assert Folding("D", 5, 2).ell == 4
 
 
 class TestTauEta:

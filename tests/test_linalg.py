@@ -1,10 +1,135 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twistedlie.folding import Folding
 from twistedlie.linalg import (GaussianRational, I_UNIT, SparseVector,
-                               ZERO_VECTOR, i_power, rank,
+                               ZERO_VECTOR, i_power, inverse,
+                               normalize_scalar, rank, span_solver,
                                smith_invariant_factors)
+from twistedlie.rootsystem import CartanType, cartan_matrix
+
+
+# -- dense fraction-free (Bareiss) rank: the reference for ``rank`` ------------
+
+def _clear_denominators(row, gaussian):
+  lcm = 1
+  for v in row:
+    if isinstance(v, GaussianRational):
+      d = v.re.denominator * v.im.denominator // gcd(v.re.denominator,
+                                                     v.im.denominator)
+    else:
+      d = Fraction(v).denominator
+    lcm = lcm * d // gcd(lcm, d)
+  if gaussian:
+    return [GaussianRational(v.re * lcm, v.im * lcm)
+            if isinstance(v, GaussianRational)
+            else GaussianRational(Fraction(v) * lcm) for v in row]
+  return [int(Fraction(v) * lcm) for v in row]
+
+
+def _exact_div(num, den, gaussian):
+  if gaussian:
+    return num / den
+  q, rem = divmod(num, den)
+  assert not rem, "non-exact division in fraction-free elimination"
+  return q
+
+
+def bareiss_rank(vectors):
+  """Rank by dense Bareiss elimination over the integers, or over the
+  Gaussian integers for Q(i) input, after clearing denominators row by row
+  (Bareiss, Math. Comp. 22, 1968)."""
+  vecs = [v for v in vectors if v]
+  if not vecs:
+    return 0
+  gaussian = any(isinstance(c, GaussianRational)
+                 for v in vecs for _, c in v.items())
+  keys = sorted(set().union(*[v.support() for v in vecs]))
+  col_of = {k: c for c, k in enumerate(keys)}
+  rows = []
+  for v in vecs:
+    row = [0] * len(keys)
+    for k, val in v.items():
+      row[col_of[k]] = val
+    rows.append(_clear_denominators(row, gaussian))
+  n_rows, n_cols = len(rows), len(keys)
+  r = 0
+  prev = GaussianRational(1) if gaussian else 1
+  for c in range(n_cols):
+    pivot_row = next((rr for rr in range(r, n_rows) if rows[rr][c]), None)
+    if pivot_row is None:
+      continue
+    rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+    piv = rows[r][c]
+    for rr in range(r + 1, n_rows):
+      lead = rows[rr][c]
+      for cc in range(c, n_cols):
+        rows[rr][cc] = _exact_div(piv * rows[rr][cc] - lead * rows[r][cc],
+                                  prev, gaussian)
+    prev = piv
+    r += 1
+    if r == n_rows:
+      break
+  return r
+
+
+_SMALL = st.integers(min_value=-3, max_value=3)
+_SCALARS = {
+    "int": _SMALL,
+    "fraction": st.builds(Fraction, _SMALL,
+                          st.integers(min_value=1, max_value=4)),
+    "gaussian": st.builds(GaussianRational,
+                          st.builds(Fraction, _SMALL,
+                                    st.integers(min_value=1, max_value=3)),
+                          st.integers(min_value=-2, max_value=2)),
+}
+
+
+@st.composite
+def _matrices(draw, kind):
+  """Wide, square and tall matrices of one scalar kind, often with sparse
+  rows and with rows that are combinations of earlier ones."""
+  n_rows = draw(st.integers(min_value=1, max_value=7))
+  n_cols = draw(st.integers(min_value=1, max_value=7))
+  entry = st.one_of(st.just(0), _SCALARS[kind])
+  rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols))
+          for _ in range(n_rows)]
+  for r in range(1, n_rows):
+    if draw(st.booleans()):
+      a, b = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+      ca, cb = draw(_SCALARS[kind]), draw(_SCALARS[kind])
+      rows[r] = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+  if kind == "gaussian":
+    rows = [[GaussianRational(x) if not isinstance(x, GaussianRational)
+             else x for x in row] for row in rows]
+  return [SparseVector(enumerate(row)) for row in rows]
+
+
+# (family, rank) of every type that the perfbench quick workload queries with
+# rootsys, and the six folding data at the ranks it queries with fold.
+_CARTAN_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 7)]
+    + [("C", n) for n in range(2, 7)] + [("D", n) for n in range(4, 8)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+_FOLDINGS = ([("A", n, 2) for n in (3, 5, 7, 9)]
+             + [("A", n, 4) for n in (2, 4, 6, 8)]
+             + [("D", n, 2) for n in (4, 5, 6, 7)]
+             + [("D", 4, 3), ("E", 6, 2)])
+
+
+def _times(a, b):
+  n = len(b)
+  return tuple(tuple(sum(Fraction(a[i][k]) * b[k][j] for k in range(n))
+                     for j in range(n)) for i in range(len(a)))
+
+
+def _identity(n):
+  return tuple(tuple(Fraction(int(i == j)) for j in range(n))
+               for i in range(n))
 
 
 class TestGaussianRational:
@@ -102,6 +227,82 @@ class TestRank:
     vecs = [SparseVector({0: 2, 1: 1}), SparseVector({1: 5}),
             SparseVector({0: 4, 1: 7})]
     assert rank(vecs) == rank(list(reversed(vecs))) == 2
+
+  @pytest.mark.parametrize("kind", sorted(_SCALARS))
+  @settings(max_examples=200, deadline=None)
+  @given(data=st.data())
+  def test_equals_bareiss(self, kind, data):
+    vectors = data.draw(_matrices(kind))
+    assert rank(vectors) == bareiss_rank(vectors)
+
+  def test_stops_at_full_column_rank(self):
+    vecs = [SparseVector({0: 1}), SparseVector({0: 2}), SparseVector({1: 1}),
+            SparseVector({0: 3, 1: 5})]
+    assert rank(vecs) == bareiss_rank(vecs) == 2
+
+
+class TestInverse:
+
+  @pytest.mark.parametrize("family,n", _CARTAN_TYPES)
+  def test_cartan_matrices(self, family, n):
+    cartan = cartan_matrix(CartanType(family, n))
+    inv = inverse(cartan)
+    assert all(type(c) is Fraction for row in inv for c in row)
+    assert _times(cartan, inv) == _identity(n)
+    assert _times(inv, cartan) == _identity(n)
+
+  @pytest.mark.parametrize("family,n,m", _FOLDINGS)
+  def test_folding_projection_matrices(self, family, n, m):
+    mat = Folding(family, n, m)._project_matrix
+    inv = inverse(mat)
+    assert all(type(c) is Fraction for row in inv for c in row)
+    assert _times(mat, inv) == _identity(len(mat))
+
+  def test_singular_rejected(self):
+    with pytest.raises(ValueError, match="singular"):
+      inverse(((1, 2), (2, 4)))
+    with pytest.raises(ValueError, match="singular"):
+      inverse(((0, 0), (0, 1)))
+
+  def test_non_square_rejected(self):
+    with pytest.raises(ValueError, match="square"):
+      inverse(((1, 0, 0), (0, 1, 0)))
+
+
+class TestSpanSolver:
+
+  def test_coordinates(self):
+    a = SparseVector({"x": 1, "y": 2})
+    b = SparseVector({"y": Fraction(1, 2), "z": 1})
+    solve = span_solver([a, b])
+    target = a.scale(3) + b.scale(Fraction(-2, 3))
+    assert solve(target) == [3, Fraction(-2, 3)]
+    assert solve(ZERO_VECTOR) == [0, 0]
+
+  def test_outside_span_is_none(self):
+    solve = span_solver([SparseVector({"x": 1, "y": 2}),
+                         SparseVector({"y": 1, "z": 1})])
+    assert solve(SparseVector({"x": 1})) is None
+    assert solve(SparseVector({"w": 1})) is None
+
+  def test_gaussian_coordinates(self):
+    a = SparseVector({0: GaussianRational(1), 1: I_UNIT})
+    b = SparseVector({1: GaussianRational(2, 1)})
+    solve = span_solver([a, b])
+    assert solve(a.scale(I_UNIT) + b) == [I_UNIT, 1]
+
+  def test_dependent_basis_rejected(self):
+    a = SparseVector({0: 1, 1: 2})
+    with pytest.raises(ValueError, match="dependent"):
+      span_solver([a, a.scale(Fraction(1, 3))])
+
+
+def test_normalize_scalar():
+  assert normalize_scalar(Fraction(4, 2)) == 2
+  assert type(normalize_scalar(Fraction(4, 2))) is int
+  assert normalize_scalar(Fraction(1, 2)) == Fraction(1, 2)
+  assert type(normalize_scalar(3)) is int
+  assert type(normalize_scalar(True)) is int
 
 
 class TestSmithInvariantFactors:

@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from twistedlie.crystal import (build_minuscule_crystal,
-                                highest_weight_component, tensor_crystal)
+from twistedlie.crystal import (MinusculeCrystal, highest_weight_component,
+                                tensor_crystal)
 from twistedlie.linalg import SparseVector
-from twistedlie.reps import (OperatorWord, exp_nilpotent,
+from twistedlie.reps import (OperatorWord, TableRepresentation, exp_nilpotent,
                              highest_weight_check, minuscule_representation,
                              root_lowering_operator, root_poset_path,
-                             subrepresentation, tensor, tensor_many,
-                             verify_representation,
+                             subrepresentation, tensor_many,
                              verify_representation_detailed, weyl_act)
 from twistedlie.rootsystem import build
 
@@ -21,7 +20,7 @@ def a2():
 
 @pytest.fixture(scope="module")
 def a2_v1(a2):
-  return minuscule_representation(build_minuscule_crystal(a2, 1))
+  return minuscule_representation(MinusculeCrystal(a2, 1))
 
 
 class TestMinusculeModel:
@@ -32,9 +31,9 @@ class TestMinusculeModel:
 
   def test_d4_vector_rep(self):
     sys = build("D", 4)
-    rep = minuscule_representation(build_minuscule_crystal(sys, 1))
+    rep = minuscule_representation(MinusculeCrystal(sys, 1))
     assert len(list(rep.keys())) == 8
-    assert verify_representation(rep, sys.cartan)
+    assert verify_representation_detailed(rep, sys.cartan) == (True, None)
 
   def test_weights_and_h_action(self, a2_v1):
     v = SparseVector.unit(0)
@@ -46,7 +45,7 @@ class TestMinusculeModel:
 class TestTensorProduct:
 
   def test_leibniz_on_pair(self, a2, a2_v1):
-    prod = tensor(a2_v1, a2_v1)
+    prod = tensor_many([a2_v1, a2_v1])
     v = SparseVector.unit((0, 0))
     img = prod.apply_f(1, v)
     down = a2_v1.apply_f(1, SparseVector.unit(0))
@@ -56,10 +55,10 @@ class TestTensorProduct:
 
   def test_tensor_relations(self, a2, a2_v1):
     prod = tensor_many([a2_v1, a2_v1])
-    assert verify_representation(prod, a2.cartan)
+    assert verify_representation_detailed(prod, a2.cartan) == (True, None)
 
   def test_weight_additive(self, a2_v1):
-    prod = tensor(a2_v1, a2_v1)
+    prod = tensor_many([a2_v1, a2_v1])
     for key in prod.keys():
       w = prod.weight(key)
       parts = [a2_v1.weight(k) for k in key]
@@ -117,8 +116,8 @@ class TestHighestWeightCheck:
 class TestSubrepresentation:
 
   def test_a2_adjoint_inside_tensor(self, a2):
-    c1 = build_minuscule_crystal(a2, 1)
-    c2 = build_minuscule_crystal(a2, 2)
+    c1 = MinusculeCrystal(a2, 1)
+    c2 = MinusculeCrystal(a2, 2)
     v1 = minuscule_representation(c1)
     v2 = minuscule_representation(c2)
     ambient = tensor_many([v1, v2])
@@ -127,13 +126,13 @@ class TestSubrepresentation:
     hw = SparseVector.unit((0, 0))
     rep = subrepresentation(ambient, hw, comp)
     assert len(list(rep.keys())) == 8
-    assert verify_representation(rep, a2.cartan)
+    assert verify_representation_detailed(rep, a2.cartan) == (True, None)
     zero_fiber = [k for k in rep.keys() if rep.weight(k) == (0, 0)]
     assert len(zero_fiber) == 2
 
   def test_rejects_non_highest_vector(self, a2):
-    c1 = build_minuscule_crystal(a2, 1)
-    c2 = build_minuscule_crystal(a2, 2)
+    c1 = MinusculeCrystal(a2, 1)
+    c2 = MinusculeCrystal(a2, 2)
     ambient = tensor_many([minuscule_representation(c1),
                            minuscule_representation(c2)])
     tcrys = tensor_crystal(c1, c2)
@@ -141,6 +140,51 @@ class TestSubrepresentation:
     bad = ambient.apply_f(1, SparseVector.unit((0, 0)))
     with pytest.raises(ValueError):
       subrepresentation(ambient, bad, comp)
+
+
+  @staticmethod
+  def _adjoint_component(a2):
+    c1, c2 = MinusculeCrystal(a2, 1), MinusculeCrystal(a2, 2)
+    return highest_weight_component(tensor_crystal(c1, c2), (1, 1))
+
+  @staticmethod
+  def _crystal_model(comp, key, extra_e=None):
+    """The 0/1 model on a crystal component with basis keys relabelled by
+    ``key``; ``extra_e`` adds terms to the E_i images of chosen elements."""
+    weights, e_act, f_act = {}, {1: {}, 2: {}}, {1: {}, 2: {}}
+    for b in comp.indices():
+      weights[key(b)] = comp.wt(b)
+      for i in (1, 2):
+        if comp.e(b, i) is not None:
+          e_act[i][key(b)] = SparseVector.unit(key(comp.e(b, i)))
+        if comp.f(b, i) is not None:
+          f_act[i][key(b)] = SparseVector.unit(key(comp.f(b, i)))
+    for (i, b), (extra_key, extra_wt) in (extra_e or {}).items():
+      weights[extra_key] = extra_wt
+      e_act[i][key(b)] = e_act[i][key(b)] + SparseVector.unit(extra_key)
+    return TableRepresentation(2, weights, e_act, f_act)
+
+  def test_dependent_fiber_rejected(self, a2):
+    comp = self._adjoint_component(a2)
+    zero = [b for b in comp.indices() if comp.wt(b) == (0, 0)]
+    assert len(zero) == 2
+    # both weight-zero path vectors land on the same basis line
+    ambient = self._crystal_model(comp, lambda b: min(zero) if b in zero
+                                  else b)
+    with pytest.raises(ValueError, match="fiber vectors are linearly "
+                                         "dependent"):
+      subrepresentation(ambient, SparseVector.unit(0), comp)
+
+  def test_action_outside_fiber_span_rejected(self, a2):
+    comp = self._adjoint_component(a2)
+    low = next(b for b in comp.indices() if comp.wt(b) == (-2, 1))
+    # E_1 of the weight -alpha_1 vector gains a weight-zero term that no
+    # canonical path vector reaches
+    ambient = self._crystal_model(comp, lambda b: b,
+                                  {(1, low): ("stray", (0, 0))})
+    with pytest.raises(ValueError, match="action leaves the span of the "
+                                         "fiber basis"):
+      subrepresentation(ambient, SparseVector.unit(0), comp)
 
 
 class TestRootOperators:
