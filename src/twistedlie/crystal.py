@@ -208,10 +208,10 @@ class HighestWeightComponent:
     return self.f_table.get((b, i))
 
   def eps(self, b, i):
-    return 1 if (b, i) in self.e_table else 0
+    return self.tensor.eps(self.elements[b], i)
 
   def phi(self, b, i):
-    return 1 if (b, i) in self.f_table else 0
+    return self.tensor.phi(self.elements[b], i)
 
 
 def highest_weight_component(tensor, wt):

@@ -14,8 +14,8 @@ tensor power of the 27-dimensional minuscule representation:
   * the dominance chain of coweights below the fourth fundamental coweight,
   * the numbers-game poset fixture generator.
 
-Everything is exact; the suite takes a few minutes to build and callers are
-expected to cache it.
+Everything is exact; the suite takes seconds to build (about 5 s with
+Python 3.11 on a 2-vCPU VM) and callers are expected to cache it.
 """
 
 from collections import Counter

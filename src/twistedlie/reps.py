@@ -3,13 +3,16 @@
 A representation here is a weight-graded basis with sparse raising and
 lowering operators E_i, F_i; the diagonal operators H_i act by the pairing
 of the basis weight against the i-th simple coroot.  All coefficients are
-exact rationals.  The module provides:
+exact rationals.  Each E_i / F_i action is compiled once into a plain table
+{key: {key2: coeff}}, and one loop applies a table to a {key: coeff} dict.
+The module provides:
 
   * the 0/1 model on a minuscule crystal,
-  * tensor products via the Leibniz rule,
+  * tensor products via the Leibniz rule over the factors' tables,
   * exponentials of the nilpotent operators and the resulting simple
     reflection action exp(F_i) exp(-E_i) exp(F_i),
-  * a full defining-relations checker (commutators and Serre relations),
+  * a full defining-relations checker (commutators and Serre relations)
+    that applies each operator word to a basis vector once,
   * extraction of a subrepresentation spanned by canonical-path vectors
     attached to a highest weight component of a tensor crystal,
   * lowering operators attached to arbitrary positive roots via iterated
@@ -20,11 +23,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .linalg import SparseVector, ZERO_VECTOR, normalize_scalar, span_solver
+from .linalg import (SparseVector, ZERO_VECTOR, _add_scaled, normalize_scalar,
+                     span_solver)
+
+
+def _apply(table, vec):
+  """A compiled action {key: {key2: coeff}} applied to a {key: coeff} dict;
+  returns a new dict without zeros."""
+  acc = {}
+  for key, c in vec.items():
+    img = table.get(key)
+    if img:
+      for k2, c2 in img.items():
+        s = acc.get(k2, 0) + c * c2
+        if s:
+          acc[k2] = s
+        else:
+          del acc[k2]
+  return acc
 
 
 class Representation:
-  """Interface: weight-graded basis with sparse E_i / F_i actions."""
+  """Interface: weight-graded basis with sparse E_i / F_i actions.
+
+  Subclasses provide ``keys``, ``weight`` and ``_act(op, i, vec)``, which
+  applies E_i (op "e") or F_i (op "f") to a plain {key: coeff} dict.
+  """
 
   def keys(self):
     raise NotImplementedError
@@ -32,33 +56,20 @@ class Representation:
   def weight(self, key):
     raise NotImplementedError
 
-  def apply_e_key(self, i, key):
-    raise NotImplementedError
-
-  def apply_f_key(self, i, key):
+  def _act(self, op, i, vec):
     raise NotImplementedError
 
   def apply_e(self, i, vec):
-    acc = {}
-    for key, c in vec.items():
-      for k2, c2 in self.apply_e_key(i, key).items():
-        s = acc.get(k2, 0) + c * c2
-        if s:
-          acc[k2] = s
-        else:
-          del acc[k2]
-    return SparseVector._raw(acc)
+    return SparseVector._raw(self._act("e", i, vec.entries))
 
   def apply_f(self, i, vec):
-    acc = {}
-    for key, c in vec.items():
-      for k2, c2 in self.apply_f_key(i, key).items():
-        s = acc.get(k2, 0) + c * c2
-        if s:
-          acc[k2] = s
-        else:
-          del acc[k2]
-    return SparseVector._raw(acc)
+    return SparseVector._raw(self._act("f", i, vec.entries))
+
+  def apply_e_key(self, i, key):
+    return SparseVector._raw(self._act("e", i, {key: 1}))
+
+  def apply_f_key(self, i, key):
+    return SparseVector._raw(self._act("f", i, {key: 1}))
 
   def apply_h(self, i, vec):
     acc = {}
@@ -69,14 +80,30 @@ class Representation:
     return SparseVector._raw(acc)
 
 
+def _plain(images):
+  """An action {key: image} whose images are plain {key2: coeff} dicts.
+  Images may be given as SparseVectors; an action whose images already are
+  plain dicts is kept as given, not copied."""
+  if all(type(img) is dict for img in images.values()):
+    return images
+  return {key: img.entries if isinstance(img, SparseVector) else img
+          for key, img in images.items()}
+
+
 class TableRepresentation(Representation):
-  """A representation with explicit sparse action tables."""
+  """A representation with explicit sparse action tables.
+
+  ``e_act`` and ``f_act`` map i to {key: image}, an image being a
+  SparseVector or a plain {key2: coeff} dict.  Each action is stored once,
+  as one plain-dict table per (op, i).
+  """
 
   def __init__(self, rank, weights, e_act, f_act):
     self.rank = rank
     self._weights = dict(weights)
-    self._e = e_act
-    self._f = f_act
+    self._tables = {(op, i): _plain(images)
+                    for op, act in (("e", e_act), ("f", f_act))
+                    for i, images in act.items()}
 
   def keys(self):
     return self._weights.keys()
@@ -84,11 +111,8 @@ class TableRepresentation(Representation):
   def weight(self, key):
     return self._weights[key]
 
-  def apply_e_key(self, i, key):
-    return self._e.get(i, {}).get(key, ZERO_VECTOR)
-
-  def apply_f_key(self, i, key):
-    return self._f.get(i, {}).get(key, ZERO_VECTOR)
+  def _act(self, op, i, vec):
+    return _apply(self._tables.get((op, i), {}), vec)
 
 
 class ProductRepresentation(Representation):
@@ -97,6 +121,11 @@ class ProductRepresentation(Representation):
   def __init__(self, factors):
     self.factors = list(factors)
     self.rank = self.factors[0].rank
+    # the E_i / F_i images of every factor's basis keys, compiled once
+    self._tables = {
+        (op, i): [{k: img for k in f.keys() if (img := f._act(op, i, {k: 1}))}
+                  for f in self.factors]
+        for op in ("e", "f") for i in range(1, self.rank + 1)}
 
   def keys(self):
     def rec(pos):
@@ -117,24 +146,22 @@ class ProductRepresentation(Representation):
         acc[t] += w[t]
     return tuple(acc)
 
-  def _apply_key(self, op, i, key):
+  def _act(self, op, i, vec):
     acc = {}
-    for pos, (f, k) in enumerate(zip(self.factors, key)):
-      part = f.apply_e_key(i, k) if op == "e" else f.apply_f_key(i, k)
-      for k2, c in part.items():
-        full = key[:pos] + (k2,) + key[pos + 1:]
-        s = acc.get(full, 0) + c
-        if s:
-          acc[full] = s
-        else:
-          del acc[full]
-    return SparseVector._raw(acc)
-
-  def apply_e_key(self, i, key):
-    return self._apply_key("e", i, key)
-
-  def apply_f_key(self, i, key):
-    return self._apply_key("f", i, key)
+    tables = self._tables.get((op, i), ())
+    for key, c in vec.items():
+      for pos, table in enumerate(tables):
+        img = table.get(key[pos])
+        if img:
+          head, tail = key[:pos], key[pos + 1:]
+          for k2, c2 in img.items():
+            full = head + (k2,) + tail
+            s = acc.get(full, 0) + c * c2
+            if s:
+              acc[full] = s
+            else:
+              del acc[full]
+    return acc
 
 
 def minuscule_representation(crys):
@@ -147,10 +174,10 @@ def minuscule_representation(crys):
     for i in range(1, rank + 1):
       up = crys.e(b, i)
       if up is not None:
-        e_act[i][b] = SparseVector.unit(up)
+        e_act[i][b] = {up: 1}
       dn = crys.f(b, i)
       if dn is not None:
-        f_act[i][b] = SparseVector.unit(dn)
+        f_act[i][b] = {dn: 1}
   return TableRepresentation(rank, weights, e_act, f_act)
 
 
@@ -203,67 +230,59 @@ def verify_representation_detailed(rep, cartan):
 
   cartan[i][j] = <alpha_{j+1}, acheck_{i+1}> is the Cartan matrix of the
   acting type.  Returns (ok, witness); the witness names the first failing
-  relation and basis key.  Checked relations, against each unit vector:
-  commutators of the diagonal operators, [E_i, F_j] = delta_ij H_i, the
-  weight equivariance of E_j and F_j under H_i, and both Serre relations.
+  relation and basis key.  Checked relations, against each unit vector v,
+  for each (i, j) in order: [E_i, F_j] = delta_ij H_i, then the weight
+  equivariance of E_j and F_j under H_i; after all pairs, both Serre
+  relations.  H_i is diagonal, so the H_i commute ("HH" is never reported)
+  and [H_i, E_j] = <alpha_j, acheck_i> E_j holds on v iff every key in the
+  support of E_j v has i-th weight coordinate wt(v)_i + <alpha_j, acheck_i>
+  (likewise for F_j).  Each word in the E_i / F_i is applied to v once and
+  shared by the relations that use it.
   """
   n = rep.rank
   for key in rep.keys():
-    v = SparseVector.unit(key)
     wt = rep.weight(key)
+    words = {(): {key: 1}}
+
+    def word(w):
+      """The letters (op, i) of w applied to v in turn, first one first."""
+      out = words.get(w)
+      if out is None:
+        out = words[w] = rep._act(*w[-1], word(w[:-1]))
+      return out
+
     for i in range(1, n + 1):
       for j in range(1, n + 1):
-        # [H_i, H_j] = 0: diagonal operators commute
-        hh1 = rep.apply_h(i, rep.apply_h(j, v))
-        hh2 = rep.apply_h(j, rep.apply_h(i, v))
-        if hh1 != hh2:
-          return False, ("HH", i, j, key)
         # [E_i, F_j] = delta_ij H_i
-        lhs = rep.apply_e(i, rep.apply_f(j, v)) - rep.apply_f(j, rep.apply_e(i, v))
-        rhs = rep.apply_h(i, v) if i == j else ZERO_VECTOR
-        if lhs != rhs:
+        lhs = dict(word((("f", j), ("e", i))))
+        _add_scaled(lhs, -1, word((("e", i), ("f", j))))
+        if i == j and wt[i - 1]:
+          _add_scaled(lhs, -wt[i - 1], {key: 1})
+        if lhs:
           return False, ("EF", i, j, key)
-        # [H_i, E_j] = <alpha_j, acheck_i> E_j
-        ej = rep.apply_e(j, v)
-        lhs = rep.apply_h(i, ej) - ej.scale(wt[i - 1])
-        if lhs != ej.scale(cartan[i - 1][j - 1]):
-          return False, ("HE", i, j, key)
-        # [H_i, F_j] = -<alpha_j, acheck_i> F_j
-        fj = rep.apply_f(j, v)
-        lhs = rep.apply_h(i, fj) - fj.scale(wt[i - 1])
-        if lhs != fj.scale(-cartan[i - 1][j - 1]):
-          return False, ("HF", i, j, key)
+        # [H_i, E_j] = a_ij E_j and [H_i, F_j] = -a_ij F_j
+        a = cartan[i - 1][j - 1]
+        for kind, op, shift in (("HE", "e", a), ("HF", "f", -a)):
+          if any(rep.weight(k2)[i - 1] - wt[i - 1] != shift
+                 for k2 in word(((op, j),))):
+            return False, (kind, i, j, key)
     # Serre relations ad(X_i)^{1 - a_ij}(X_j) = 0 for i != j
     for i in range(1, n + 1):
       for j in range(1, n + 1):
         if i == j:
           continue
         m = 1 - cartan[i - 1][j - 1]
-        if _ad_power(rep, "e", i, j, m, v):
-          return False, ("SerreE", i, j, key)
-        if _ad_power(rep, "f", i, j, m, v):
-          return False, ("SerreF", i, j, key)
+        for kind, op in (("SerreE", "e"), ("SerreF", "f")):
+          total = {}
+          binom = 1
+          for k in range(m + 1):
+            # the k-th binomial term: X_i^(m-k) X_j X_i^k v
+            letters = ((op, i),) * k + ((op, j),) + ((op, i),) * (m - k)
+            _add_scaled(total, (-1) ** k * binom, word(letters))
+            binom = binom * (m - k) // (k + 1)
+          if total:
+            return False, (kind, i, j, key)
   return True, None
-
-
-def _ad_power(rep, op, i, j, m, v):
-  """ad(X_i)^m (X_j) applied to v, expanded by the binomial formula."""
-  apply_i = (lambda w: rep.apply_e(i, w)) if op == "e" else \
-            (lambda w: rep.apply_f(i, w))
-  apply_j = (lambda w: rep.apply_e(j, w)) if op == "e" else \
-            (lambda w: rep.apply_f(j, w))
-  total = ZERO_VECTOR
-  binom = 1
-  for k in range(m + 1):
-    cur = v
-    for _ in range(k):
-      cur = apply_i(cur)
-    cur = apply_j(cur)
-    for _ in range(m - k):
-      cur = apply_i(cur)
-    total = total + cur.scale(((-1) ** k) * binom)
-    binom = binom * (m - k) // (k + 1)
-  return total
 
 
 # -- subrepresentations ------------------------------------------------------
@@ -319,21 +338,17 @@ def subrepresentation(ambient, hw_vec, component):
       del solvers[done]
     for i in range(1, rank + 1):
       for op, table in (("e", e_act), ("f", f_act)):
-        img = ambient.apply_e(i, vecs[b]) if op == "e" else \
-            ambient.apply_f(i, vecs[b])
+        img = ambient._act(op, i, vecs[b].entries)
         if not img:
           continue
-        img_wt = ambient.weight(next(iter(img.keys())))
+        img_wt = ambient.weight(next(iter(img)))
         if img_wt not in fibers:
           raise ValueError("action leaves the crystal weight support")
-        coords = solver_for(img_wt)(img)
+        coords = solver_for(img_wt)(SparseVector._raw(img))
         if coords is None:
           raise ValueError("action leaves the span of the fiber basis")
-        entry = {}
-        for c, bb in zip(coords, fibers[img_wt]):
-          if c:
-            entry[bb] = normalize_scalar(c)
-        table[i][b] = SparseVector._raw(entry)
+        table[i][b] = {bb: normalize_scalar(c)
+                       for c, bb in zip(coords, fibers[img_wt]) if c}
   return TableRepresentation(rank, weights, e_act, f_act)
 
 

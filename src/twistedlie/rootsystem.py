@@ -236,9 +236,17 @@ class RootSystem:
       else:
         return cur
 
+  def _check_weight(self, wt):
+    """wt as a tuple; ValueError unless it has one coordinate per node."""
+    wt = tuple(wt)
+    if len(wt) != self.rank:
+      raise ValueError("weight has %d coordinates, expected %d"
+                       % (len(wt), self.rank))
+    return wt
+
   def weyl_orbit(self, wt):
     """The full Weyl orbit of a weight, as a frozenset of tuples."""
-    start = tuple(wt)
+    start = self._check_weight(wt)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -330,7 +338,7 @@ class RootSystem:
 
   def weyl_dimension(self, lam):
     """Dimension of the irrep with highest weight lam."""
-    lam = tuple(lam)
+    lam = self._check_weight(lam)
     if not self.is_dominant(lam):
       raise ValueError("weight must be dominant")
     n = self.rank

@@ -142,6 +142,16 @@ class TestHighestWeightComponent:
     with pytest.raises(ValueError):
       HighestWeightComponent(t, lowered)
 
+  def test_eps_phi_are_string_lengths_a2(self, a2):
+    c = MinusculeCrystal(a2, 1)
+    comp = highest_weight_component(tensor_crystal(c, c, c), (3, 0))
+    _assert_string_lengths(comp)
+    # V(3 omega_1) has i-strings of length 3, so 0/1 answers would fail
+    assert max(comp.phi(b, 1) for b in comp.indices()) == 3
+
+  def test_eps_phi_are_string_lengths_e6(self, suite):
+    _assert_string_lengths(suite.component)
+
   def test_missing_weight_rejected(self, a2):
     c = MinusculeCrystal(a2, 1)
     t = tensor_crystal(c, c)
@@ -155,3 +165,20 @@ def comp_hw(t):
       if t.wt(b) == (2, 0):
         return b
   raise AssertionError
+
+
+def _string_length(step, b, i):
+  """How many times step(., i) applies from b before it gives None."""
+  n = 0
+  b = step(b, i)
+  while b is not None:
+    n += 1
+    b = step(b, i)
+  return n
+
+
+def _assert_string_lengths(comp):
+  for b in comp.indices():
+    for i in range(1, comp.rank + 1):
+      assert comp.eps(b, i) == _string_length(comp.e, b, i), (b, i)
+      assert comp.phi(b, i) == _string_length(comp.f, b, i), (b, i)

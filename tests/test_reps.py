@@ -1,10 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistedlie.crystal import (MinusculeCrystal, highest_weight_component,
                                 tensor_crystal)
-from twistedlie.linalg import SparseVector
+from twistedlie.linalg import SparseVector, ZERO_VECTOR
 from twistedlie.reps import (OperatorWord, TableRepresentation, exp_nilpotent,
                              highest_weight_check, minuscule_representation,
                              root_lowering_operator, root_poset_path,
@@ -187,6 +189,169 @@ class TestSubrepresentation:
       subrepresentation(ambient, SparseVector.unit(0), comp)
 
 
+class TestRelationCheckerAgainstOracle:
+  """The word-cached relation checker against the per-unit-vector one."""
+
+  @staticmethod
+  def _reps(a2):
+    c1, c2 = MinusculeCrystal(a2, 1), MinusculeCrystal(a2, 2)
+    v1 = minuscule_representation(c1)
+    adjoint = TestSubrepresentation._adjoint_component(a2)
+    d4 = build("D", 4)
+    yield v1, a2.cartan
+    yield minuscule_representation(MinusculeCrystal(d4, 1)), d4.cartan
+    yield tensor_many([v1, v1]), a2.cartan
+    # the 0/1 model on the adjoint crystal is not a representation
+    yield TestSubrepresentation._crystal_model(adjoint, lambda b: b), a2.cartan
+    ambient = tensor_many([v1, minuscule_representation(c2)])
+    yield (subrepresentation(ambient, SparseVector.unit((0, 0)), adjoint),
+           a2.cartan)
+
+  def test_same_verdicts(self, a2):
+    verdicts = []
+    for rep, cartan in self._reps(a2):
+      got = verify_representation_detailed(rep, cartan)
+      assert got == _oracle_verify(rep, cartan)
+      verdicts.append(got[0])
+    assert verdicts == [True, True, True, False, True]
+
+  @staticmethod
+  def _tables(rep, keys):
+    """The weights and E_i / F_i actions of rep, keys in the given order."""
+    nodes = range(1, rep.rank + 1)
+    return ({k: rep.weight(k) for k in keys},
+            {i: {k: rep.apply_e_key(i, k) for k in keys} for i in nodes},
+            {i: {k: rep.apply_f_key(i, k) for k in keys} for i in nodes})
+
+  def _pair_table(self, a2, reverse=False):
+    """A2 V(omega_1) x V(omega_1) as explicit tables, keys in product order
+    or reversed."""
+    v1 = minuscule_representation(MinusculeCrystal(a2, 1))
+    prod = tensor_many([v1, v1])
+    return self._tables(prod, list(prod.keys())[::-1 if reverse else 1])
+
+  # (kind, keys reversed, defect): ("e" | "f", i, key, key2) sets the
+  # coefficient of key2 in the image of key to 2; ("wt", t, key) adds 1 to
+  # coordinate t of the weight of key.  Each gives its kind as the first
+  # failing relation.  "HH" has no case: the H_i act diagonally through
+  # the weights, so they always commute.
+  DEFECTS = (
+      ("EF", False, ("e", 1, (0, 1), (0, 0))),
+      ("HE", True, ("wt", 0, (2, 1))),
+      ("HF", False, ("wt", 0, (0, 1))),
+      ("SerreE", True, ("e", 1, (2, 1), (2, 0))),
+      ("SerreF", False, ("f", 1, (0, 1), (1, 1))),
+  )
+
+  @pytest.mark.parametrize("kind, reverse, defect", DEFECTS,
+                           ids=[d[0] for d in DEFECTS])
+  def test_same_witness_on_injected_defect(self, a2, kind, reverse, defect):
+    weights, e_act, f_act = self._pair_table(a2, reverse)
+    if defect[0] == "wt":
+      _, t, key = defect
+      wt = list(weights[key])
+      wt[t] += 1
+      weights[key] = tuple(wt)
+    else:
+      op, i, key, key2 = defect
+      act = e_act if op == "e" else f_act
+      entries = dict(act[i][key].items())
+      assert key2 in entries
+      entries[key2] = 2
+      act[i][key] = SparseVector(entries)
+    rep = TableRepresentation(2, weights, e_act, f_act)
+    expected = _oracle_verify(rep, a2.cartan)
+    assert not expected[0] and expected[1][0] == kind
+    assert verify_representation_detailed(rep, a2.cartan) == expected
+
+  @pytest.mark.parametrize("reverse", [False, True])
+  def test_same_witness_on_defect_pairs(self, a2, reverse):
+    # a defect in E and one in F, or in two weights, can break two
+    # relations at the same key and (i, j): the witness must still name
+    # the one the oracle checks first
+    weights, e_act, f_act = self._pair_table(a2, reverse)
+    kinds = set()
+
+    def check(rep):
+      expected = _oracle_verify(rep, a2.cartan)
+      assert verify_representation_detailed(rep, a2.cartan) == expected
+      kinds.add(expected[1][0] if expected[1] else None)
+
+    def defective(act, i, key, key2):
+      bad = {j: dict(images) for j, images in act.items()}
+      bad[i][key] = SparseVector({**act[i][key].entries, key2: 2})
+      return bad
+
+    def slots(act):
+      return [(act, i, key, key2) for i in (1, 2) for key in weights
+              for key2 in act[i][key].keys()]
+
+    for e_slot, f_slot in itertools.product(slots(e_act), slots(f_act)):
+      check(TableRepresentation(2, weights, defective(*e_slot),
+                                defective(*f_slot)))
+    for key1, key2 in itertools.combinations(weights, 2):
+      bad = dict(weights)
+      bad[key1] = (bad[key1][0] + 1, bad[key1][1])
+      bad[key2] = (bad[key2][0], bad[key2][1] - 1)
+      check(TableRepresentation(2, bad, e_act, f_act))
+    # E raises weights, F lowers them, and the first failing key is the
+    # first one whose words reach a defect
+    assert kinds == ({"EF", "HE", "SerreE"} if reverse
+                     else {"EF", "HF", "SerreF"})
+
+  @pytest.mark.parametrize("cartan, witness", [
+      (((2, -1), (0, 2)), ("HE", 2, 1, (0, 2))),
+      (((2, 0), (-1, 2)), ("SerreE", 1, 2, (0, 2)))])
+  def test_order_within_a_pair(self, a2, cartan, witness):
+    # Checked against a wrong Cartan entry, the first key of A2
+    # V(omega_1) x V(omega_2) breaks both HE and HF (or both Serre
+    # relations) for the same (i, j); E is checked first.
+    c1, c2 = MinusculeCrystal(a2, 1), MinusculeCrystal(a2, 2)
+    prod = tensor_many([minuscule_representation(c1),
+                        minuscule_representation(c2)])
+    keys = [(0, 2)] + [k for k in prod.keys() if k != (0, 2)]
+    rep = TableRepresentation(2, *self._tables(prod, keys))
+    expected = _oracle_verify(rep, cartan)
+    assert expected == (False, witness)
+    assert verify_representation_detailed(rep, cartan) == expected
+
+
+def _product_vectors(keys):
+  coeffs = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4))
+  return st.dictionaries(st.sampled_from(keys), coeffs, max_size=12).map(
+      SparseVector)
+
+
+class TestCompiledLeibniz:
+  """The compiled tensor action against the per-key Leibniz rule."""
+
+  @staticmethod
+  def _check(prod, vec):
+    for i in range(1, prod.rank + 1):
+      assert prod.apply_e(i, vec) == _oracle_leibniz(prod, "e", i, vec)
+      assert prod.apply_f(i, vec) == _oracle_leibniz(prod, "f", i, vec)
+
+  A2_CUBE = tensor_many(
+      [minuscule_representation(MinusculeCrystal(build("A", 2), 1))] * 3)
+  E6_SQUARE = tensor_many(
+      [minuscule_representation(MinusculeCrystal(build("E", 6), 1))] * 2)
+
+  @settings(max_examples=100, deadline=None)
+  @given(_product_vectors(list(A2_CUBE.keys())))
+  def test_a2_cube(self, vec):
+    self._check(self.A2_CUBE, vec)
+
+  @settings(max_examples=100, deadline=None)
+  @given(_product_vectors(list(E6_SQUARE.keys())))
+  def test_e6_square(self, vec):
+    self._check(self.E6_SQUARE, vec)
+
+  def test_out_of_range_node_acts_by_zero(self):
+    vec = SparseVector.unit((0, 0, 0))
+    assert not self.A2_CUBE.apply_e(3, vec)
+    assert not self.A2_CUBE.apply_f(0, vec)
+
+
 class TestRootOperators:
 
   def test_path_for_simple_root(self, a2):
@@ -239,3 +404,90 @@ def _apply_table(table, vec):
     if img is not None:
       acc = acc + img.scale(c)
   return acc
+
+
+# -- test-only oracles: the per-unit-vector relation checker and the per-key
+# Leibniz rule that the compiled versions replaced ----------------------------
+
+def _oracle_verify(rep, cartan):
+  n = rep.rank
+  for key in rep.keys():
+    v = SparseVector.unit(key)
+    wt = rep.weight(key)
+    for i in range(1, n + 1):
+      for j in range(1, n + 1):
+        # [H_i, H_j] = 0: diagonal operators commute
+        hh1 = rep.apply_h(i, rep.apply_h(j, v))
+        hh2 = rep.apply_h(j, rep.apply_h(i, v))
+        if hh1 != hh2:
+          return False, ("HH", i, j, key)
+        # [E_i, F_j] = delta_ij H_i
+        lhs = rep.apply_e(i, rep.apply_f(j, v)) - rep.apply_f(j, rep.apply_e(i, v))
+        rhs = rep.apply_h(i, v) if i == j else ZERO_VECTOR
+        if lhs != rhs:
+          return False, ("EF", i, j, key)
+        # [H_i, E_j] = <alpha_j, acheck_i> E_j
+        ej = rep.apply_e(j, v)
+        lhs = rep.apply_h(i, ej) - ej.scale(wt[i - 1])
+        if lhs != ej.scale(cartan[i - 1][j - 1]):
+          return False, ("HE", i, j, key)
+        # [H_i, F_j] = -<alpha_j, acheck_i> F_j
+        fj = rep.apply_f(j, v)
+        lhs = rep.apply_h(i, fj) - fj.scale(wt[i - 1])
+        if lhs != fj.scale(-cartan[i - 1][j - 1]):
+          return False, ("HF", i, j, key)
+    # Serre relations ad(X_i)^{1 - a_ij}(X_j) = 0 for i != j
+    for i in range(1, n + 1):
+      for j in range(1, n + 1):
+        if i == j:
+          continue
+        m = 1 - cartan[i - 1][j - 1]
+        if _oracle_ad_power(rep, "e", i, j, m, v):
+          return False, ("SerreE", i, j, key)
+        if _oracle_ad_power(rep, "f", i, j, m, v):
+          return False, ("SerreF", i, j, key)
+  return True, None
+
+
+def _oracle_ad_power(rep, op, i, j, m, v):
+  """ad(X_i)^m (X_j) applied to v, expanded by the binomial formula."""
+  apply_i = (lambda w: rep.apply_e(i, w)) if op == "e" else \
+            (lambda w: rep.apply_f(i, w))
+  apply_j = (lambda w: rep.apply_e(j, w)) if op == "e" else \
+            (lambda w: rep.apply_f(j, w))
+  total = ZERO_VECTOR
+  binom = 1
+  for k in range(m + 1):
+    cur = v
+    for _ in range(k):
+      cur = apply_i(cur)
+    cur = apply_j(cur)
+    for _ in range(m - k):
+      cur = apply_i(cur)
+    total = total + cur.scale(((-1) ** k) * binom)
+    binom = binom * (m - k) // (k + 1)
+  return total
+
+
+def _oracle_leibniz(prod, op, i, vec):
+  """E_i or F_i on a tensor product vector, one basis key and one tensor
+  position at a time, through the factors' per-key images."""
+  acc = {}
+  for key, c in vec.items():
+    part_acc = {}
+    for pos, (f, k) in enumerate(zip(prod.factors, key)):
+      part = f.apply_e_key(i, k) if op == "e" else f.apply_f_key(i, k)
+      for k2, c2 in part.items():
+        full = key[:pos] + (k2,) + key[pos + 1:]
+        s = part_acc.get(full, 0) + c2
+        if s:
+          part_acc[full] = s
+        else:
+          del part_acc[full]
+    for k2, c2 in part_acc.items():
+      s = acc.get(k2, 0) + c * c2
+      if s:
+        acc[k2] = s
+      else:
+        del acc[k2]
+  return SparseVector(acc)

@@ -177,6 +177,18 @@ class TestWeightMachinery:
     g2 = build("G", 2)
     assert g2.weyl_dimension((0, 1)) == 14
 
+  @pytest.mark.parametrize("family, rank, wt", [
+      ("A", 2, (1, 0, 5)), ("E", 6, (1, 0, 0)), ("A", 2, ())])
+  def test_weyl_orbit_rejects_wrong_length(self, family, rank, wt):
+    with pytest.raises(ValueError, match="coordinates, expected %d" % rank):
+      build(family, rank).weyl_orbit(wt)
+
+  @pytest.mark.parametrize("family, rank, wt", [
+      ("A", 2, (1, 0, 5)), ("E", 6, (1, 0, 0)), ("G", 2, (0,))])
+  def test_weyl_dimension_rejects_wrong_length(self, family, rank, wt):
+    with pytest.raises(ValueError, match="coordinates, expected %d" % rank):
+      build(family, rank).weyl_dimension(wt)
+
   def test_freudenthal_dominant_character(self):
     sys = build("E", 6)
     om4 = (0, 0, 0, 1, 0, 0)
