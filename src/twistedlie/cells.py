@@ -3,7 +3,11 @@
 Classes live in the weight lattice of the small group H attached to a
 folding; the simple roots of H are the classes gamma_j of base simple
 coroots.  The order compares differences against nonnegative integral
-combinations of the gamma_j.  The smooth-locus classifier distinguishes the
+combinations of the gamma_j.  Every order question is answered from integer
+gamma offsets: the inverse Cartan matrix of H is kept as an integer matrix
+over one common denominator, so no comparison builds a Fraction.  One box
+walk enumerates the dominant classes below a class, and one pass finds the
+covers among them.  The smooth-locus classifier distinguishes the
 unramified foldings (only the open cell is smooth) from the ramified family
 (base A_{2l}, order 4), where certain quasi-minuscule cover cells are also
 smooth.
@@ -12,9 +16,11 @@ smooth.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import sub
 
 from .folding import CoinvariantWeight
-from .linalg import inverse, normalize_scalar
+from .linalg import inverse
 from .rootsystem import cartan_matrix
 
 VARIANT_SPECIAL = "special-not-absolutely-special"
@@ -22,16 +28,38 @@ VARIANT_ABS_SPECIAL = "absolutely-special"
 
 
 @lru_cache(maxsize=None)
-def _cartan_inv(ctype):
-  return inverse(cartan_matrix(ctype))
+def _gamma_basis(ctype):
+  """The inverse Cartan matrix of ctype as integer rows over one common
+  denominator den: the gamma-coordinates of a class are row . coords / den.
+  """
+  inv = inverse(cartan_matrix(ctype))
+  den = lcm(*(c.denominator for row in inv for c in row))
+  return tuple(tuple(int(c * den) for c in row) for row in inv), den
+
+
+def _scaled(datum, coords):
+  """den times the gamma-coordinates of a class with these coordinates."""
+  rows, _ = _gamma_basis(datum.weight_ctype)
+  return tuple(sum(a * c for a, c in zip(row, coords)) for row in rows)
+
+
+def _offset(datum, low, high):
+  """The gamma-coordinates of high - low as an integer tuple, or None when
+  one of them is not an integer; low and high are ``_scaled`` values."""
+  _, den = _gamma_basis(datum.weight_ctype)
+  y = []
+  for a, b in zip(low, high):
+    q, r = divmod(b - a, den)
+    if r:
+      return None
+    y.append(q)
+  return tuple(y)
 
 
 def gamma_coords(datum, cw):
   """Coordinates of a class in the simple-root (gamma) basis of H."""
-  inv = _cartan_inv(datum.weight_ctype)
-  ell = datum.ell
-  return tuple(sum(inv[i][j] * Fraction(cw.coords[j]) for j in range(ell))
-               for i in range(ell))
+  _, den = _gamma_basis(datum.weight_ctype)
+  return tuple(Fraction(s, den) for s in _scaled(datum, cw.coords))
 
 
 def _as_class(datum, value):
@@ -42,99 +70,86 @@ def _as_class(datum, value):
   return CoinvariantWeight(datum.weight_ctype, tuple(value))
 
 
-@dataclass(frozen=True)
-class DominantCoinvariant:
-  """A dominant class together with its nonnegative pairing witness."""
-
-  value: CoinvariantWeight
-  pairings: tuple
-
-  @classmethod
-  def make(cls, datum, cw):
-    cw = _as_class(datum, cw)
-    # the pairings of the iota image against the folded simple coroots are
-    # exactly the fundamental weight coordinates of the iota image; for the
-    # identification used here these agree with Q * gamma-coordinates
-    y = gamma_coords(datum, cw)
-    ell = datum.ell
-    iota_img = tuple(
-        sum(y[j] * Fraction(datum.iota(tuple(
-            datum.base.cartan[k][datum.fiber(j + 1)[0] - 1]
-            for k in range(datum.base.rank)))[c]) for j in range(ell))
-        for c in range(ell))
-    if any(p < 0 for p in iota_img):
-      raise ValueError("class is not dominant")
-    return cls(cw, tuple(normalize_scalar(p) for p in iota_img))
-
-
 def leq(datum, mu, lam):
   """Whether mu precedes lam: lam - mu a nonnegative integral combination
   of the simple roots gamma_j of H."""
   mu = _as_class(datum, mu)
   lam = _as_class(datum, lam)
-  y = gamma_coords(datum, lam - mu)
-  return all(Fraction(c).denominator == 1 and c >= 0 for c in y)
+  y = _offset(datum, _scaled(datum, mu.coords), _scaled(datum, lam.coords))
+  return y is not None and min(y) >= 0
 
 
 def dominants_below(datum, lam):
-  """All dominant classes below lam, by breadth-first gamma subtraction.
+  """All dominant, lattice-valid classes below lam, largest coordinates
+  first.
 
-  The search walks the integer box 0 <= y <= gamma-coords(lam) (dominant
-  classes have nonnegative gamma coordinates, so nothing dominant lies
-  outside it) and keeps the dominant, lattice-valid points.
+  The walk visits the integer box 0 <= y <= gamma-coords(lam) once
+  (dominant classes have nonnegative gamma coordinates, so nothing dominant
+  lies outside it), subtracting the gamma_j from coordinate tuples, and
+  builds a class only for dominant points.
   """
   lam = _as_class(datum, lam)
   if not lam.is_dominant():
     raise ValueError("lam must be dominant")
-  bounds = [int(c) for c in gamma_coords(datum, lam)]
+  _, den = _gamma_basis(datum.weight_ctype)
+  bounds = [s // den for s in _scaled(datum, lam.coords)]
   ell = datum.ell
-  gammas = [datum.gamma(j) for j in range(1, ell + 1)]
-  seen = {(0,) * ell}
-  frontier = [(0,) * ell]
-  found = []
-  while frontier:
-    nxt = []
-    for y in frontier:
-      mu = lam
-      for j in range(ell):
-        for _ in range(y[j]):
-          mu = mu - gammas[j]
-      if mu.is_dominant() and datum.in_coinvariant_lattice(mu):
-        found.append(mu)
-      for j in range(ell):
-        if y[j] < bounds[j]:
-          y2 = y[:j] + (y[j] + 1,) + y[j + 1:]
-          if y2 not in seen:
-            seen.add(y2)
-            nxt.append(y2)
-    frontier = nxt
-  found.sort(key=lambda c: c.coords, reverse=True)
-  return found
-
-
-def dominants_below_direct(datum, lam):
-  """Box-enumeration oracle for dominants_below (no graph search)."""
-  lam = _as_class(datum, lam)
-  if not lam.is_dominant():
-    raise ValueError("lam must be dominant")
-  bounds = [int(c) for c in gamma_coords(datum, lam)]
-  ell = datum.ell
-  gammas = [datum.gamma(j) for j in range(1, ell + 1)]
+  gammas = [datum.gamma(j).coords for j in range(1, ell + 1)]
   found = []
 
-  def rec(j, mu):
-    if j == ell:
-      if mu.is_dominant() and datum.in_coinvariant_lattice(mu):
-        found.append(mu)
-      return
-    cur = mu
+  def walk(j, mu):
+    g = gammas[j]
     for _ in range(bounds[j] + 1):
-      rec(j + 1, cur)
-      cur = cur - gammas[j]
+      if j + 1 < ell:
+        walk(j + 1, mu)
+      elif min(mu) >= 0:
+        cw = CoinvariantWeight(datum.weight_ctype, mu)
+        if datum.in_coinvariant_lattice(cw):
+          found.append(cw)
+      mu = tuple(map(sub, mu, g))
 
-  rec(0, lam)
+  walk(0, lam.coords)
   found.sort(key=lambda c: c.coords, reverse=True)
   return found
+
+
+def _interval(y):
+  """If y is the indicator of an interval [i..k], return (i, k), else None."""
+  support = [j + 1 for j, c in enumerate(y) if c]
+  if not support or any(y[j - 1] != 1 for j in support):
+    return None
+  i, k = support[0], support[-1]
+  if support != list(range(i, k + 1)):
+    return None
+  return i, k
+
+
+def _closed_form_cover(y, mu):
+  """The paper's cover test on the ramified family, for y = gamma-coords of
+  lam - mu (nonnegative integers) and mu the coordinates of the lower class.
+
+  A cover needs y to be the indicator of an interval [i..k]; a short
+  coefficient y_ell >= 2 therefore never gives one, and y_ell == 1 forces
+  k == ell.  A single gamma_i (including the short root alone, where the
+  two published clauses merge) is always a cover; a longer interval is a
+  cover iff mu vanishes on coordinates i..k.
+  """
+  iv = _interval(y)
+  if iv is None:
+    return False
+  i, k = iv
+  return i == k or all(mu[t] == 0 for t in range(i - 1, k))
+
+
+def is_cover_fast(datum, mu, lam):
+  """Closed-form cover test for foldings whose small side is type B."""
+  htype = datum.weight_ctype
+  if htype.family not in ("B", "A") or (htype.family == "A" and htype.rank != 1):
+    raise ValueError("fast path requires a type B (or rank one) small side")
+  mu = _as_class(datum, mu)
+  lam = _as_class(datum, lam)
+  y = _offset(datum, _scaled(datum, mu.coords), _scaled(datum, lam.coords))
+  return y is not None and min(y) >= 0 and _closed_form_cover(y, mu.coords)
 
 
 def is_cover_brute(datum, mu, lam):
@@ -149,73 +164,6 @@ def is_cover_brute(datum, mu, lam):
   return True
 
 
-def _tail_interval(y, ell):
-  """If y is the indicator of an interval [i..ell], return i, else None."""
-  support = [j + 1 for j in range(ell) if y[j]]
-  if not support or any(y[j] != 1 for j in range(ell) if y[j]):
-    return None
-  i = support[0]
-  if support != list(range(i, ell + 1)):
-    return None
-  return i
-
-
-def _interval(y, ell):
-  """If y is the indicator of an interval [i..k], return (i, k), else None."""
-  support = [j + 1 for j in range(ell) if y[j]]
-  if not support or any(y[j] != 1 for j in range(ell) if y[j]):
-    return None
-  i, k = support[0], support[-1]
-  if support != list(range(i, k + 1)):
-    return None
-  return i, k
-
-
-def is_cover_fast(datum, mu, lam):
-  """Closed-form cover test for foldings whose small side is type B.
-
-  With delta = lam - mu in gamma coordinates and c the coefficient of the
-  short simple root gamma_ell:
-    * c >= 2: never a cover;
-    * c == 1: cover iff delta is the indicator of an interval [i..ell] and
-      either i == ell (with the two published clauses merging: the short
-      coordinate of mu is nonzero, or mu is supported below ell), or
-      mu vanishes on coordinates i..ell;
-    * c == 0: delta must be an interval root gamma_i + .. + gamma_k with
-      k < ell; a single gamma_i is always a cover, a longer interval is a
-      cover iff mu vanishes on coordinates i..k.
-  """
-  htype = datum.weight_ctype
-  if htype.family not in ("B", "A") or (htype.family == "A" and htype.rank != 1):
-    raise ValueError("fast path requires a type B (or rank one) small side")
-  mu = _as_class(datum, mu)
-  lam = _as_class(datum, lam)
-  if mu == lam or not leq(datum, mu, lam):
-    return False
-  ell = datum.ell
-  y = tuple(int(c) for c in gamma_coords(datum, lam - mu))
-  c = y[ell - 1]
-  if c >= 2:
-    return False
-  if c == 1:
-    i = _tail_interval(y, ell)
-    if i is None:
-      return False
-    if i == ell:
-      # difference is the single short root: either the short coordinate of
-      # mu is nonzero, or mu is supported strictly below ell -- both clauses
-      # of the closed form apply, so this is always a cover
-      return True
-    return all(mu.coords[t - 1] == 0 for t in range(i, ell + 1))
-  iv = _interval(y, ell)
-  if iv is None:
-    return False
-  i, k = iv
-  if i == k:
-    return True
-  return all(mu.coords[t - 1] == 0 for t in range(i, k + 1))
-
-
 def is_cover(datum, mu, lam):
   """Cover relation in the dominance order; uses the closed form for the
   ramified family (small side type B with the restricted lattice), the
@@ -223,6 +171,40 @@ def is_cover(datum, mu, lam):
   if datum.is_ramified:
     return is_cover_fast(datum, mu, lam)
   return is_cover_brute(datum, mu, lam)
+
+
+def covers(datum, below):
+  """Every cover among the classes of ``below``, a list returned by
+  ``dominants_below``: the index pairs (a, b), in row-major order, with
+  below[a] covered by below[b].  Each pair agrees with ``is_cover``.
+
+  Each class's gamma offset is computed once.  The ramified family uses the
+  closed form of ``is_cover_fast``.  Otherwise b covers a when a < b and no
+  class of ``below`` lies strictly between them; this equals the exhaustive
+  search of ``is_cover_brute``, because every dominant lattice class under
+  a member of ``below`` is itself in ``below``.
+  """
+  ramified = datum.is_ramified
+  scaled = [_scaled(datum, cw.coords) for cw in below]
+  n = len(below)
+  pairs = []
+  up = [0] * n    # bit b of up[a]: below[a] < below[b]
+  down = [0] * n  # bit a of down[b]: below[a] < below[b]
+  for a in range(n):
+    for b in range(n):
+      y = _offset(datum, scaled[a], scaled[b])
+      if y is None or min(y) < 0 or not any(y):
+        continue
+      if ramified:
+        if _closed_form_cover(y, below[a].coords):
+          pairs.append((a, b))
+      else:
+        up[a] |= 1 << b
+        down[b] |= 1 << a
+  if ramified:
+    return pairs
+  return [(a, b) for a in range(n) for b in range(n)
+          if up[a] >> b & 1 and not up[a] & down[b]]
 
 
 # -- smooth locus ------------------------------------------------------------
@@ -272,7 +254,7 @@ def smooth_cells(datum, variant, lam):
     variant = VARIANT_SPECIAL
   elif variant not in (VARIANT_SPECIAL, VARIANT_ABS_SPECIAL):
     raise ValueError("unknown variant %r" % (variant,))
-  ell = datum.ell
+  top = _scaled(datum, lam.coords)
   cells = []
   for mu in dominants_below(datum, lam):
     if mu == lam:
@@ -285,8 +267,8 @@ def smooth_cells(datum, variant, lam):
       cells.append(CellVerdict(mu, False, "external-only-open-cell",
                                "external"))
       continue
-    y = tuple(int(c) for c in gamma_coords(datum, lam - mu))
-    c = y[ell - 1]
+    y = _offset(datum, _scaled(datum, mu.coords), top)
+    c = y[-1]
     if c % 2 == 0:
       cells.append(CellVerdict(mu, False, "step1-even-short-coefficient",
                                "internal"))
@@ -295,11 +277,12 @@ def smooth_cells(datum, variant, lam):
       cells.append(CellVerdict(mu, False, "step2-odd-short-coefficient",
                                "internal"))
       continue
-    i = _tail_interval(y, ell)
-    if i is not None and all(mu.coords[t - 1] == 0 for t in range(i, ell + 1)):
+    # c == 1, so an interval support of y ends at ell
+    iv = _interval(y)
+    if iv is not None and all(mu.coords[t] == 0
+                              for t in range(iv[0] - 1, datum.ell)):
       cells.append(CellVerdict(mu, True, "quasi-minuscule-cover", "internal"))
-      continue
-    if is_cover_fast(datum, mu, lam):
+    elif _closed_form_cover(y, mu.coords):
       cells.append(CellVerdict(mu, False, "case1-cover-not-quasi-minuscule",
                                "internal"))
     else:

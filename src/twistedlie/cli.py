@@ -134,17 +134,15 @@ def _cmd_fold(args):
 def _cmd_dominance(args):
   datum = folding.Folding(args.type, args.rank, args.m)
   lam = datum.project(_parse_coords(args.lam))
+  if not datum.in_coinvariant_lattice(lam):
+    raise ValueError("lam must lie in the coinvariant lattice")
   below = cells.dominants_below(datum, lam)
-  covers = []
-  for mu in below:
-    for nu in below:
-      if cells.is_cover(datum, mu, nu):
-        covers.append([list(mu.coords), list(nu.coords)])
   payload = {
       "class_type": str(datum.weight_ctype),
       "lambda": list(lam.coords),
       "dominants_below": [list(mu.coords) for mu in below],
-      "covers": covers,
+      "covers": [[list(below[a].coords), list(below[b].coords)]
+                 for a, b in cells.covers(datum, below)],
   }
   _emit(payload, args.format)
   return 0

@@ -109,38 +109,43 @@ class TensorCrystal:
         acc[t] += w[t]
     return tuple(acc)
 
-  def _suffix_eps_phi(self, b, i, pos):
-    """Aggregated (eps, phi) of factors pos..end."""
-    if pos == len(self.factors):
-      return (0, 0)
-    e1 = self.factors[pos].eps(b[pos], i)
-    p1 = self.factors[pos].phi(b[pos], i)
-    e2, p2 = self._suffix_eps_phi(b, i, pos + 1)
-    return (e1 + max(0, e2 - p1), p2 + max(0, p1 - e2))
+  def _eps_phi(self, b, i):
+    """(eps, phi) of the product, folded over the factors right to left."""
+    e2 = p2 = 0
+    for factor, bk in zip(reversed(self.factors), reversed(b)):
+      e1, p1 = factor.eps(bk, i), factor.phi(bk, i)
+      e2, p2 = e1 + max(0, e2 - p1), p2 + max(0, p1 - e2)
+    return e2, p2
 
   def eps(self, b, i):
-    return self._suffix_eps_phi(b, i, 0)[0]
+    return self._eps_phi(b, i)[0]
 
   def phi(self, b, i):
-    return self._suffix_eps_phi(b, i, 0)[1]
+    return self._eps_phi(b, i)[1]
+
+  def _step(self, b, i, raising):
+    """e (raising) or f applied to b, in one right-to-left pass: it acts on
+    the leftmost factor whose phi reaches (e) or exceeds (f) the eps of
+    the factors to its right."""
+    pos = None
+    e2 = 0
+    for k in range(len(self.factors) - 1, -1, -1):
+      factor, bk = self.factors[k], b[k]
+      p1 = factor.phi(bk, i)
+      if p1 > e2 or (raising and p1 == e2):
+        pos = k
+      e2 = factor.eps(bk, i) + max(0, e2 - p1)
+    if pos is None:
+      return None
+    factor = self.factors[pos]
+    img = factor.e(b[pos], i) if raising else factor.f(b[pos], i)
+    return None if img is None else b[:pos] + (img,) + b[pos + 1:]
 
   def f(self, b, i):
-    for pos in range(len(self.factors)):
-      p1 = self.factors[pos].phi(b[pos], i)
-      e2 = self._suffix_eps_phi(b, i, pos + 1)[0]
-      if p1 > e2:
-        img = self.factors[pos].f(b[pos], i)
-        return None if img is None else b[:pos] + (img,) + b[pos + 1:]
-    return None
+    return self._step(b, i, False)
 
   def e(self, b, i):
-    for pos in range(len(self.factors)):
-      p1 = self.factors[pos].phi(b[pos], i)
-      e2 = self._suffix_eps_phi(b, i, pos + 1)[0]
-      if p1 >= e2:
-        img = self.factors[pos].e(b[pos], i)
-        return None if img is None else b[:pos] + (img,) + b[pos + 1:]
-    return None
+    return self._step(b, i, True)
 
 
 def tensor_crystal(*factors):

@@ -1,12 +1,15 @@
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 
-from twistedlie import cells
-from twistedlie.cells import (DominantCoinvariant, VARIANT_ABS_SPECIAL,
-                              VARIANT_SPECIAL, dominants_below,
-                              dominants_below_direct, gamma_coords, is_cover,
+from twistedlie.cells import (VARIANT_ABS_SPECIAL, VARIANT_SPECIAL, covers,
+                              dominants_below, gamma_coords, is_cover,
                               is_cover_brute, is_cover_fast, leq,
                               smooth_cells)
 from twistedlie.folding import CoinvariantWeight, Folding
+from twistedlie.linalg import inverse
+from twistedlie.rootsystem import cartan_matrix
 
 
 def _cw(datum, coords):
@@ -47,11 +50,11 @@ class TestOrder:
       y = gamma_coords(a4_4, a4_4.gamma(j))
       assert y == tuple(int(k == j - 1) for k in range(a4_4.ell))
 
-  def test_dominant_witness(self, a2_4):
-    dom = DominantCoinvariant.make(a2_4, (4,))
-    assert all(p >= 0 for p in dom.pairings)
-    with pytest.raises(ValueError):
-      DominantCoinvariant.make(a2_4, (-2,))
+  def test_leq_rejects_non_integral_offset(self, a2_4):
+    # (4) - (1) is 3/2 gamma_1: comparable over Q but not in the order
+    assert gamma_coords(a2_4, _cw(a2_4, (3,))) == (Fraction(3, 2),)
+    assert not leq(a2_4, _cw(a2_4, (1,)), _cw(a2_4, (4,)))
+    assert leq(a2_4, _cw(a2_4, (0,)), _cw(a2_4, (4,)))
 
 
 class TestDominantsBelow:
@@ -63,8 +66,17 @@ class TestDominantsBelow:
   def test_bfs_equals_direct(self, a4_4, a6_4):
     for datum, lam in ((a4_4, (2, 2)), (a4_4, (0, 4)), (a6_4, (1, 1, 2))):
       lam = _cw(datum, lam)
-      assert dominants_below(datum, lam) == dominants_below_direct(
+      assert dominants_below(datum, lam) == _seed_dominants_below(
           datum, lam)
+
+  def test_off_lattice_class_has_nothing_below(self, a2_4, a4_4):
+    # the lattice condition is kept under gamma subtraction, so a class
+    # outside the lattice (odd short coordinate, or not integral) has no
+    # lattice class below it
+    for datum, lam in ((a2_4, _cw(a2_4, (3,))), (a4_4, _cw(a4_4, (2, 3))),
+                       (a4_4, a4_4.project((Fraction(1, 2), 1, 1, 1)))):
+      assert dominants_below(datum, lam) == []
+      assert _seed_dominants_below(datum, lam) == []
 
   def test_rejects_nondominant(self, a4_4):
     with pytest.raises(ValueError):
@@ -161,3 +173,144 @@ class TestSmoothLocus:
       smooth_cells(a2_4, VARIANT_SPECIAL, _cw(a2_4, (1,)))  # not in lattice
     with pytest.raises(ValueError):
       smooth_cells(a2_4, "no-such-variant", _cw(a2_4, (2,)))
+
+
+# -- the seed's Fraction order, BFS enumerator and cover tests, as oracles ---
+
+@lru_cache(maxsize=None)
+def _seed_cartan_inv(ctype):
+  return inverse(cartan_matrix(ctype))
+
+
+def _seed_gamma_coords(datum, cw):
+  inv = _seed_cartan_inv(datum.weight_ctype)
+  ell = datum.ell
+  return tuple(sum(inv[i][j] * Fraction(cw.coords[j]) for j in range(ell))
+               for i in range(ell))
+
+
+def _seed_leq(datum, mu, lam):
+  y = _seed_gamma_coords(datum, lam - mu)
+  return all(Fraction(c).denominator == 1 and c >= 0 for c in y)
+
+
+def _seed_dominants_below(datum, lam):
+  """Breadth-first gamma subtraction over the box under lam."""
+  bounds = [int(c) for c in _seed_gamma_coords(datum, lam)]
+  ell = datum.ell
+  gammas = [datum.gamma(j) for j in range(1, ell + 1)]
+  seen = {(0,) * ell}
+  frontier = [(0,) * ell]
+  found = []
+  while frontier:
+    nxt = []
+    for y in frontier:
+      mu = lam
+      for j in range(ell):
+        for _ in range(y[j]):
+          mu = mu - gammas[j]
+      if mu.is_dominant() and datum.in_coinvariant_lattice(mu):
+        found.append(mu)
+      for j in range(ell):
+        if y[j] < bounds[j]:
+          y2 = y[:j] + (y[j] + 1,) + y[j + 1:]
+          if y2 not in seen:
+            seen.add(y2)
+            nxt.append(y2)
+    frontier = nxt
+  found.sort(key=lambda c: c.coords, reverse=True)
+  return found
+
+
+def _seed_is_cover_brute(datum, mu, lam):
+  if mu == lam or not _seed_leq(datum, mu, lam):
+    return False
+  for nu in _seed_dominants_below(datum, lam):
+    if nu != mu and nu != lam and _seed_leq(datum, mu, nu):
+      return False
+  return True
+
+
+def _seed_tail_interval(y, ell):
+  support = [j + 1 for j in range(ell) if y[j]]
+  if not support or any(y[j] != 1 for j in range(ell) if y[j]):
+    return None
+  i = support[0]
+  if support != list(range(i, ell + 1)):
+    return None
+  return i
+
+
+def _seed_interval(y, ell):
+  support = [j + 1 for j in range(ell) if y[j]]
+  if not support or any(y[j] != 1 for j in range(ell) if y[j]):
+    return None
+  i, k = support[0], support[-1]
+  if support != list(range(i, k + 1)):
+    return None
+  return i, k
+
+
+def _seed_is_cover_fast(datum, mu, lam):
+  if mu == lam or not _seed_leq(datum, mu, lam):
+    return False
+  ell = datum.ell
+  y = tuple(int(c) for c in _seed_gamma_coords(datum, lam - mu))
+  c = y[ell - 1]
+  if c >= 2:
+    return False
+  if c == 1:
+    i = _seed_tail_interval(y, ell)
+    if i is None:
+      return False
+    if i == ell:
+      return True
+    return all(mu.coords[t - 1] == 0 for t in range(i, ell + 1))
+  iv = _seed_interval(y, ell)
+  if iv is None:
+    return False
+  i, k = iv
+  if i == k:
+    return True
+  return all(mu.coords[t - 1] == 0 for t in range(i, k + 1))
+
+
+def _seed_covers(datum, below):
+  """The CLI's n^2 loop over the seed's is_cover, as index pairs."""
+  test = _seed_is_cover_fast if datum.is_ramified else _seed_is_cover_brute
+  return [(a, b) for a, mu in enumerate(below)
+          for b, nu in enumerate(below) if test(datum, mu, nu)]
+
+
+_FOLDINGS = (("A", 2, 4), ("A", 4, 4), ("A", 6, 4), ("A", 3, 2), ("A", 5, 2),
+             ("D", 4, 2), ("D", 5, 2), ("D", 4, 3), ("E", 6, 2))
+
+# every base fundamental coweight on every folding, the README inputs, and
+# a few larger closures that the seed oracle still checks quickly
+_DIFFERENTIAL = tuple(
+    (family, rank, order, tuple(int(k == i) for k in range(rank)))
+    for family, rank, order in _FOLDINGS for i in range(rank)) + (
+        ("A", 2, 4, (2, 0)), ("A", 4, 4, (1, 1, 1, 1)),
+        ("A", 6, 4, (1, 1, 1, 1, 1, 1)), ("D", 4, 2, (1, 1, 1, 1)),
+        ("D", 4, 3, (1, 1, 1, 1)), ("E", 6, 2, (1, 0, 0, 0, 0, 1)))
+
+
+@lru_cache(maxsize=None)
+def _folding(family, rank, order):
+  return Folding(family, rank, order)
+
+
+@pytest.mark.parametrize("family,rank,order,coweight", _DIFFERENTIAL,
+                         ids=["%s%d/m%d %s" % (f, n, m, ",".join(map(str, c)))
+                              for f, n, m, c in _DIFFERENTIAL])
+def test_enumerator_and_cover_pass_match_seed(family, rank, order, coweight):
+  datum = _folding(family, rank, order)
+  lam = datum.project(coweight)
+  below = dominants_below(datum, lam)
+  assert below == _seed_dominants_below(datum, lam)
+  assert covers(datum, below) == _seed_covers(datum, below)
+  for mu in below:
+    assert gamma_coords(datum, mu) == _seed_gamma_coords(datum, mu)
+    for nu in below:
+      assert leq(datum, mu, nu) == _seed_leq(datum, mu, nu)
+

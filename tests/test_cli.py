@@ -94,6 +94,14 @@ class TestDominance:
     data = json.loads(out)
     assert data["lambda"] == [2]
 
+  def test_e6_all_ones_finishes(self, capsys):
+    code, out = _run(capsys, ["dominance", "--type", "E", "--rank", "6",
+                              "--m", "2", "--lambda", "1,1,1,1,1,1"])
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["dominants_below"]) == 157
+    assert len(data["covers"]) == 275
+
 
 class TestSmoothLocus:
 
@@ -165,6 +173,8 @@ _MALFORMED = (
     (["fold", "--type", "A", "--rank", "3", "--m", "two"], True),
     (["dominance", "--type", "A", "--rank", "2", "--m", "4",
       "--lambda", "1"], False),
+    (["dominance", "--type", "A", "--rank", "4", "--m", "4",
+      "--lambda", "1/2,1,1,1"], False),
     (["smooth-locus", "--type", "A", "--rank", "2", "--m", "4",
       "--lambda", "1,0,0"], False),
     (["smooth-locus", "--type", "D", "--rank", "4", "--m", "2",

@@ -182,3 +182,37 @@ def _assert_string_lengths(comp):
     for i in range(1, comp.rank + 1):
       assert comp.eps(b, i) == _string_length(comp.e, b, i), (b, i)
       assert comp.phi(b, i) == _string_length(comp.f, b, i), (b, i)
+
+
+# -- the seed's recursive signature rule, kept as an oracle ------------------
+
+def _oracle_suffix(t, b, i, pos):
+  """Aggregated (eps, phi) of factors pos..end, by recursion."""
+  if pos == len(t.factors):
+    return (0, 0)
+  e1 = t.factors[pos].eps(b[pos], i)
+  p1 = t.factors[pos].phi(b[pos], i)
+  e2, p2 = _oracle_suffix(t, b, i, pos + 1)
+  return (e1 + max(0, e2 - p1), p2 + max(0, p1 - e2))
+
+
+def _oracle_step(t, b, i, raising):
+  for pos in range(len(t.factors)):
+    p1 = t.factors[pos].phi(b[pos], i)
+    e2 = _oracle_suffix(t, b, i, pos + 1)[0]
+    if (p1 >= e2) if raising else (p1 > e2):
+      factor = t.factors[pos]
+      img = factor.e(b[pos], i) if raising else factor.f(b[pos], i)
+      return None if img is None else b[:pos] + (img,) + b[pos + 1:]
+  return None
+
+
+@pytest.mark.parametrize("family,rank,copies", [("A", 2, 3), ("E", 6, 2)])
+def test_tensor_operators_match_recursive_oracle(family, rank, copies):
+  c = MinusculeCrystal(build(family, rank), 1)
+  t = tensor_crystal(*([c] * copies))
+  for b in t.elements():
+    for i in range(1, rank + 1):
+      assert (t.eps(b, i), t.phi(b, i)) == _oracle_suffix(t, b, i, 0)
+      assert t.e(b, i) == _oracle_step(t, b, i, True)
+      assert t.f(b, i) == _oracle_step(t, b, i, False)
