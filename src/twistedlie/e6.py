@@ -14,8 +14,9 @@ tensor power of the 27-dimensional minuscule representation:
   * the dominance chain of coweights below the fourth fundamental coweight,
   * the numbers-game poset fixture generator.
 
-Everything is exact; the suite takes seconds to build (about 5 s with
-Python 3.11 on a 2-vCPU VM) and callers are expected to cache it.
+Everything is exact; the suite takes seconds to build (2-3 s with Python
+3.11 on a 2-vCPU VM, most of it the tensor cube's lowering operators) and
+callers are expected to cache it.
 """
 
 from collections import Counter
@@ -94,14 +95,23 @@ class E6Suite:
     self._vzero = v
     return v
 
+  def zero_fiber_reflections(self):
+    """The simple reflections s_1, ..., s_6 restricted to the weight-zero
+    fiber, which each of them preserves, as tables {b: image of b}; 270
+    ``weyl_act`` columns in all."""
+    return [{b: reps.weyl_act(self.subrep, i, SparseVector.unit(b)).entries
+             for b in self.zero_fiber} for i in range(1, 7)]
+
   def orbit_up_to_sign(self):
     """Weyl orbit of the weight-zero vector under the simple reflection
-    operators, with vectors identified up to global sign."""
+    operators, with vectors identified up to global sign.  The reflections
+    act as sparse matrices on the weight-zero fiber."""
     if self._orbit is not None:
       return self._orbit
     v = self.build_vzero()
     if not v:
       raise ValueError("the weight-zero vector vanished")
+    reflections = self.zero_fiber_reflections()
 
     def canon(vec):
       a = vec.canonical()
@@ -115,8 +125,8 @@ class E6Suite:
       self.progress("orbit size so far: %d" % len(seen))
       nxt = []
       for vec in frontier:
-        for i in range(1, 7):
-          img = reps.weyl_act(self.subrep, i, vec)
+        for table in reflections:
+          img = SparseVector._raw(reps._apply(table, vec.entries))
           key, _ = canon(img)
           if key not in seen:
             seen[key] = img

@@ -142,23 +142,6 @@ class Folding:
     """Folded simple root beta_j in fixed-type fundamental weight coords."""
     return self.restrict_root(self._beta_base_root(j))
 
-  def beta_check(self, j):
-    """Folded simple coroot betacheck_j in base simple-coroot coords."""
-    n = self.base.rank
-    fib = set(self.fiber(j))
-    return tuple(1 if (i + 1) in fib else 0 for i in range(n))
-
-  def lambda_check(self, j):
-    """Folded fundamental coweight in base fundamental coweight coords."""
-    n = self.base.rank
-    fib = self.fiber(j)
-    if self.is_ramified:
-      if j == self.ell:
-        return tuple(Fraction(1, 2) if (i + 1) in fib else Fraction(0)
-                     for i in range(n))
-      return tuple(1 if (i + 1) in fib else 0 for i in range(n))
-    return tuple(1 if (i + 1) in fib else 0 for i in range(n))
-
   # -- the iota map and projection to coinvariants ------------------------
 
   def iota(self, coweight):

@@ -3,12 +3,19 @@
 Scalars are python ints, ``fractions.Fraction``, or :class:`GaussianRational`.
 No floating point is used anywhere.  Vectors are sparse maps from opaque,
 totally ordered keys to nonzero scalars.  One sparse echelon kernel does
-all exact elimination: ``rank``, coordinates in a span (``span_solver``) and
-matrix inverses (``inverse``).  Integer Smith invariant factors are computed
-separately.
+all elimination: ``rank``, coordinates in a span (``span_solver``) and
+matrix inverses (``inverse``).  For a basis with int entries,
+``span_solver`` runs the same kernel modulo the prime 2^61 - 1, rebuilds
+each int target's coordinates as fractions and returns them only after an
+exact integer check; anything else (a Fraction or Gaussian basis or target,
+a basis dependent modulo the prime, a failed reconstruction or check) is
+answered by the exact echelon.  Every answer is exact.  Integer Smith
+invariant factors are computed separately.
 """
 
+import operator
 from fractions import Fraction
+from math import lcm
 
 _RATIONAL_TYPES = (int, Fraction)
 
@@ -254,43 +261,62 @@ def normalize_scalar(x):
 # An echelon is a list of rows (pivot, row, comb).  Each row is a dict that
 # is 1 at its pivot, the smallest key of its support, and 0 at the pivot of
 # every earlier row; comb is None or the dict of its coefficients over the
-# input vectors.
+# input vectors.  With a prime ``p`` the same steps run on int entries
+# modulo p; with None they are exact.
 
-def _add_scaled(acc, c, vec):
-  """acc += c * vec on dicts, never storing a zero."""
-  for k, v in vec.items():
-    s = acc.get(k, 0) + c * v
-    if s:
-      acc[k] = s
-    else:
-      del acc[k]
+def _add_scaled(acc, c, vec, p=None):
+  """acc += c * vec on dicts (modulo p unless it is None), never storing
+  a zero."""
+  if p is None:
+    for k, v in vec.items():
+      s = acc.get(k, 0) + c * v
+      if s:
+        acc[k] = s
+      else:
+        del acc[k]
+  else:
+    for k, v in vec.items():
+      s = (acc.get(k, 0) + c * v) % p
+      if s:
+        acc[k] = s
+      else:
+        del acc[k]
 
 
-def _reduce(rows, cur, comb):
+def _reduce(rows, cur, comb, p=None):
   """Reduce the dict ``cur`` in place against the echelon rows, in order,
   carrying the same steps over to ``comb`` unless it is None."""
   for pivot, row, row_comb in rows:
     c = cur.get(pivot)
     if c:
-      _add_scaled(cur, -c, row)
+      _add_scaled(cur, -c, row, p)
       if comb is not None:
-        _add_scaled(comb, -c, row_comb)
+        _add_scaled(comb, -c, row_comb, p)
 
 
-def _append_row(rows, vec, comb):
+def _append_row(rows, vec, comb, p=None):
   """Reduce ``vec`` and append it to the echelon unless it reduces to zero.
 
   Returns whether it was appended.  ``comb`` holds the coefficients of
   ``vec`` itself over the input vectors, or is None."""
-  cur = dict(vec.items())
-  _reduce(rows, cur, comb)
+  if p is None:
+    cur = dict(vec.items())
+  else:
+    cur = {k: r for k, v in vec.items() if (r := v % p)}
+  _reduce(rows, cur, comb, p)
   if not cur:
     return False
   pivot = min(cur)
-  inv = Fraction(1) / cur[pivot]
-  row = {k: v * inv for k, v in cur.items()}
-  if comb is not None:
-    comb = {k: v * inv for k, v in comb.items()}
+  if p is None:
+    inv = Fraction(1) / cur[pivot]
+    row = {k: v * inv for k, v in cur.items()}
+    if comb is not None:
+      comb = {k: v * inv for k, v in comb.items()}
+  else:
+    inv = pow(cur[pivot], -1, p)
+    row = {k: v * inv % p for k, v in cur.items()}
+    if comb is not None:
+      comb = {k: v * inv % p for k, v in comb.items()}
   rows.append((pivot, row, comb))
   return True
 
@@ -315,26 +341,124 @@ def rank(vectors):
   return len(rows)
 
 
+# -- the modular front end of span_solver -------------------------------------
+# For a basis with int entries the echelon runs modulo _PRIME.  The prime
+# only proposes coordinates: they are recovered as fractions with
+# numerator and denominator below _BOUND in absolute value (Wang, Guy and
+# Davenport, SIGSAM Bull. 16, 1982) and returned only after an exact
+# integer check.  Since 2 * (_BOUND - 1)**2 < _PRIME, a fraction within the
+# bounds is the only one with its residue.
+
+_PRIME = (1 << 61) - 1
+_BOUND = 1 << 30
+
+
+def _modular_coordinates(basis):
+  """Columns for reading coordinates modulo _PRIME off pivot entries.
+
+  Returns (pivots, cols) such that any v = sum(c[b] * basis[b]) has
+  c[b] = sum(v[pivots[r]] * cols[b][r]) mod _PRIME, or None when the basis
+  is linearly dependent modulo _PRIME."""
+  rows = []
+  for b, v in enumerate(basis):
+    if not _append_row(rows, v, {b: 1}, _PRIME):
+      return None
+  n = len(rows)
+  pivots = [pivot for pivot, _, _ in rows]
+  # back substitution: u_r = row_r - sum_{s > r} row_r[pivot_s] * u_s is 1
+  # at pivot_r and 0 at every other pivot; full[r] holds its coefficients
+  full = [None] * n
+  for r in range(n - 1, -1, -1):
+    _, row, comb = rows[r]
+    acc = [comb.get(b, 0) for b in range(n)]
+    for s in range(r + 1, n):
+      c = row.get(pivots[s])
+      if c:
+        acc = [a - c * f for a, f in zip(acc, full[s])]
+    full[r] = [a % _PRIME for a in acc]
+  return pivots, list(zip(*full))
+
+
+def _rational(u):
+  """The fraction with |numerator|, denominator < _BOUND that is congruent
+  to u modulo _PRIME, or None (half-extended Euclid)."""
+  if u < _BOUND:
+    return u
+  if _PRIME - u < _BOUND:
+    return u - _PRIME
+  r0, r1, s0, s1 = _PRIME, u, 0, 1
+  while r1 >= _BOUND:
+    q = r0 // r1
+    r0, r1 = r1, r0 - q * r1
+    s0, s1 = s1, s0 - q * s1
+  if abs(s1) >= _BOUND:
+    return None
+  return Fraction(r1, s1)
+
+
+def _certified(basis, pivots, cols, target):
+  """The coordinates of an int ``target`` read modulo _PRIME, if they pass
+  the exact check D*target == sum((D*c[b]) * basis[b]) with D their common
+  denominator; None otherwise."""
+  values = [target.get(pivot, 0) for pivot in pivots]
+  coords = []
+  for col in cols:
+    c = _rational(sum(map(operator.mul, values, col)) % _PRIME)
+    if c is None:
+      return None
+    coords.append(c)
+  den = lcm(*(c.denominator for c in coords))
+  acc = {k: den * v for k, v in target.items()}
+  for c, vec in zip(coords, basis):
+    if c:
+      _add_scaled(acc, -(den // c.denominator) * c.numerator, vec.entries)
+  return None if acc else coords
+
+
 def span_solver(basis):
   """A solver for coordinates over linearly independent sparse vectors.
 
   Returns ``solve(target)``, which gives the list ``c`` with
   ``sum(c[b] * basis[b]) == target``, or None when ``target`` lies outside
   the span.  Raises ValueError when the basis is linearly dependent.
+
+  A basis with plain int entries is eliminated modulo a prime, and an int
+  target's coordinates are read modulo the prime, rebuilt as fractions and
+  returned only if they pass an exact integer check.  Any other basis or
+  target, a basis dependent modulo the prime (it may still be independent
+  over Q) and a failed reconstruction or check go to the exact echelon,
+  built once on first use, which gives the answer.
   """
-  rows = []
-  for b, v in enumerate(basis):
-    if not _append_row(rows, v, {b: 1}):
-      raise ValueError("vectors are linearly dependent")
-  n = len(rows)
+  basis = list(basis)
+  modular = None
+  if all(type(x) is int for v in basis for x in v.entries.values()):
+    modular = _modular_coordinates(basis)
+  rows = None
+
+  def echelon():
+    nonlocal rows
+    if rows is None:
+      rows = []
+      for b, v in enumerate(basis):
+        if not _append_row(rows, v, {b: 1}):
+          raise ValueError("vectors are linearly dependent")
+    return rows
+
+  if modular is None:
+    echelon()
 
   def solve(target):
+    if modular is not None and all(type(x) is int
+                                   for x in target.entries.values()):
+      coords = _certified(basis, *modular, target)
+      if coords is not None:
+        return coords
     cur = dict(target.items())
     comb = {}
-    _reduce(rows, cur, comb)
+    _reduce(echelon(), cur, comb)
     if cur:
       return None
-    return [-comb.get(b, 0) for b in range(n)]
+    return [-comb.get(b, 0) for b in range(len(basis))]
 
   return solve
 

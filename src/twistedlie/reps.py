@@ -12,7 +12,8 @@ The module provides:
   * exponentials of the nilpotent operators and the resulting simple
     reflection action exp(F_i) exp(-E_i) exp(F_i),
   * a full defining-relations checker (commutators and Serre relations)
-    that applies each operator word to a basis vector once,
+    that applies each operator word to a basis vector once, on tables
+    scaled to integers,
   * extraction of a subrepresentation spanned by canonical-path vectors
     attached to a highest weight component of a tensor crystal,
   * lowering operators attached to arbitrary positive roots via iterated
@@ -21,7 +22,8 @@ The module provides:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import partial
+from math import factorial, lcm
 
 from .linalg import (SparseVector, ZERO_VECTOR, _add_scaled, normalize_scalar,
                      span_solver)
@@ -225,6 +227,45 @@ def highest_weight_check(rep, vec, lam):
 
 # -- relation checking -------------------------------------------------------
 
+def _integer_tables(tables):
+  """Each table {key: {key2: coeff}} times the lcm D of its rational
+  coefficients' denominators, so that those are integers; returns (scales,
+  scaled) with scales[(op, i)] = D.  A scaled image is the flat tuple
+  (key2, coeff, key2, coeff, ...): it takes about a quarter of the memory of
+  a small dict, and the scaled copy lives beside the tables for the whole
+  check."""
+  scales, scaled = {}, {}
+  for name, table in tables.items():
+    coeffs = {c for img in table.values() for c in img.values()}
+    d = lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
+    scales[name] = d
+    # one object per distinct coefficient, shared by all its entries
+    ints = {}
+    for c in coeffs:
+      v = c * d
+      ints[c] = v.numerator if isinstance(v, Fraction) else v
+    scaled[name] = {key: tuple(x for k2, c in img.items()
+                               for x in (k2, ints[c]))
+                    for key, img in table.items()}
+  return scales, scaled
+
+
+def _apply_flat(table, vec):
+  """``_apply`` for a table whose images are flat tuples."""
+  acc = {}
+  for key, c in vec.items():
+    img = table.get(key)
+    if img:
+      it = iter(img)
+      for k2, c2 in zip(it, it):
+        s = acc.get(k2, 0) + c * c2
+        if s:
+          acc[k2] = s
+        else:
+          del acc[k2]
+  return acc
+
+
 def verify_representation_detailed(rep, cartan):
   """Check the defining relations on every basis vector.
 
@@ -238,8 +279,22 @@ def verify_representation_detailed(rep, cartan):
   support of E_j v has i-th weight coordinate wt(v)_i + <alpha_j, acheck_i>
   (likewise for F_j).  Each word in the E_i / F_i is applied to v once and
   shared by the relations that use it.
+
+  A TableRepresentation is checked on its tables scaled to integers, each
+  (op, i) table by the lcm D(op, i) of its denominators.  Both words of
+  [E_i, F_j] hold one E_i and one F_j, and all terms of a Serre relation
+  hold the same letters, so each relation is only multiplied by a nonzero
+  constant once the H_i term is multiplied by D(e, i) * D(f, i): the
+  verdict and the witness do not change.
   """
   n = rep.rank
+  letters = [(op, i) for op in ("e", "f") for i in range(1, n + 1)]
+  if isinstance(rep, TableRepresentation):
+    scales, tables = _integer_tables(rep._tables)
+    act = {w: partial(_apply_flat, tables.get(w, {})) for w in letters}
+  else:
+    scales = {}
+    act = {w: partial(rep._act, *w) for w in letters}
   for key in rep.keys():
     wt = rep.weight(key)
     words = {(): {key: 1}}
@@ -248,7 +303,7 @@ def verify_representation_detailed(rep, cartan):
       """The letters (op, i) of w applied to v in turn, first one first."""
       out = words.get(w)
       if out is None:
-        out = words[w] = rep._act(*w[-1], word(w[:-1]))
+        out = words[w] = act[w[-1]](word(w[:-1]))
       return out
 
     for i in range(1, n + 1):
@@ -257,7 +312,8 @@ def verify_representation_detailed(rep, cartan):
         lhs = dict(word((("f", j), ("e", i))))
         _add_scaled(lhs, -1, word((("e", i), ("f", j))))
         if i == j and wt[i - 1]:
-          _add_scaled(lhs, -wt[i - 1], {key: 1})
+          h = wt[i - 1] * scales.get(("e", i), 1) * scales.get(("f", i), 1)
+          _add_scaled(lhs, -h, {key: 1})
         if lhs:
           return False, ("EF", i, j, key)
         # [H_i, E_j] = a_ij E_j and [H_i, F_j] = -a_ij F_j
@@ -316,6 +372,12 @@ def subrepresentation(ambient, hw_vec, component):
   for b in range(n_elts):
     fibers.setdefault(component.wt(b), []).append(b)
   solvers = {}
+  shared = {}
+
+  def scalar(c):
+    """c normalised, one object per value: the tables repeat few values."""
+    v = normalize_scalar(c)
+    return shared.setdefault(v, v)
 
   def solver_for(wt):
     if wt not in solvers:
@@ -347,7 +409,7 @@ def subrepresentation(ambient, hw_vec, component):
         coords = solver_for(img_wt)(SparseVector._raw(img))
         if coords is None:
           raise ValueError("action leaves the span of the fiber basis")
-        table[i][b] = {bb: normalize_scalar(c)
+        table[i][b] = {bb: scalar(c)
                        for c, bb in zip(coords, fibers[img_wt]) if c}
   return TableRepresentation(rank, weights, e_act, f_act)
 

@@ -236,12 +236,15 @@ class RootSystem:
       else:
         return cur
 
-  def _check_weight(self, wt):
-    """wt as a tuple; ValueError unless it has one coordinate per node."""
+  def _check_weight(self, wt, integral=False):
+    """wt as a tuple; ValueError unless it has one coordinate per node and,
+    when ``integral``, integer coordinates."""
     wt = tuple(wt)
     if len(wt) != self.rank:
       raise ValueError("weight has %d coordinates, expected %d"
                        % (len(wt), self.rank))
+    if integral and any(Fraction(c).denominator != 1 for c in wt):
+      raise ValueError("weight must be integral")
     return wt
 
   def weyl_orbit(self, wt):
@@ -290,7 +293,7 @@ class RootSystem:
 
   def _freudenthal_table(self, lam):
     """Multiplicities of all dominant weights of the irrep with h.w. lam."""
-    lam = tuple(lam)
+    lam = self._check_weight(lam, integral=True)
     if lam in self._freudenthal_cache:
       return self._freudenthal_cache[lam]
     n = self.rank
@@ -330,7 +333,8 @@ class RootSystem:
   def freudenthal_multiplicity(self, lam, mu):
     """Multiplicity of the weight mu in the irrep with highest weight lam."""
     table = self._freudenthal_table(lam)
-    return table.get(self.dominant_representative(tuple(mu)), 0)
+    mu = self._check_weight(mu, integral=True)
+    return table.get(self.dominant_representative(mu), 0)
 
   def weight_multiplicities(self, lam):
     """Dict of dominant weight -> multiplicity for highest weight lam."""
@@ -338,7 +342,7 @@ class RootSystem:
 
   def weyl_dimension(self, lam):
     """Dimension of the irrep with highest weight lam."""
-    lam = self._check_weight(lam)
+    lam = self._check_weight(lam, integral=True)
     if not self.is_dominant(lam):
       raise ValueError("weight must be dominant")
     n = self.rank
@@ -360,30 +364,10 @@ class RootSystem:
     return all(self.coroot_pairing(wt, root) <= 1
                for root in self.positive_roots)
 
-  # -- serialization --------------------------------------------------------
-
-  def to_dict(self):
-    return {
-        "family": self.ctype.family,
-        "rank": self.rank,
-        "cartan": [list(row) for row in self.cartan],
-        "symmetrizer": list(self.d),
-        "positive_roots": [list(r) for r in self.positive_roots],
-        "highest_root": list(self.highest_root),
-    }
-
 
 def build(family, rank):
   """Construct the root system of the given Cartan type."""
   return RootSystem(CartanType(family, rank))
-
-
-def from_dict(data):
-  """Rebuild a root system from its serialized form, with consistency check."""
-  sys = build(data["family"], data["rank"])
-  if [list(r) for r in sys.cartan] != data["cartan"]:
-    raise ValueError("serialized Cartan matrix does not match type")
-  return sys
 
 
 # -- Weyl group elements -----------------------------------------------------

@@ -6,7 +6,7 @@ import diagram_fixture
 from twistedlie import e6
 from twistedlie.e6 import (OMEGA2, OMEGA4, SWEEP_LETTERS,
                            dominance_chain_check, numbers_game_poset)
-from twistedlie.reps import highest_weight_check
+from twistedlie.reps import _apply, highest_weight_check, weyl_act
 
 
 class TestSuiteConstruction:
@@ -43,6 +43,33 @@ class TestWeightZeroVector:
 
   def test_orbit_up_to_sign(self, suite):
     assert len(suite.orbit_up_to_sign()) == 240
+
+  def test_zero_fiber_reflections(self, suite):
+    zero = set(suite.zero_fiber)
+    for table in suite.zero_fiber_reflections():
+      assert set(table) == zero
+      for b, img in table.items():
+        assert set(img) <= zero
+        # s_i squares to the identity on weight zero
+        assert _apply(table, img) == {b: 1}
+
+  def test_matrix_orbit_equals_weyl_act_orbit(self, suite):
+    # the breadth-first search that applies weyl_act to every orbit vector
+    canon = lambda vec: min(vec.canonical(), (-vec).canonical())
+    v = suite.build_vzero()
+    seen = {canon(v): v}
+    frontier = [v]
+    while frontier:
+      nxt = []
+      for vec in frontier:
+        for i in range(1, 7):
+          img = weyl_act(suite.subrep, i, vec)
+          key = canon(img)
+          if key not in seen:
+            seen[key] = img
+            nxt.append(img)
+      frontier = nxt
+    assert suite.orbit_up_to_sign() == list(seen.values())
 
   def test_orbit_rank_fills_zero_fiber(self, suite):
     assert suite.orbit_rank() == 45

@@ -2,9 +2,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twistedlie import linalg
 from twistedlie.folding import Folding
 from twistedlie.linalg import (GaussianRational, I_UNIT, SparseVector,
                                ZERO_VECTOR, i_power, inverse,
@@ -295,6 +296,114 @@ class TestSpanSolver:
     a = SparseVector({0: 1, 1: 2})
     with pytest.raises(ValueError, match="dependent"):
       span_solver([a, a.scale(Fraction(1, 3))])
+
+
+@st.composite
+def _int_solves(draw):
+  """An int basis, independent over Q, with int targets: combinations of
+  it with rational coordinates (the combination divided by the gcd of its
+  entries) and arbitrary vectors, which mostly lie outside the span.
+  Entries stay small, so every coordinate is within the reconstruction
+  bound."""
+  n_keys = draw(st.integers(min_value=1, max_value=6))
+  entry = st.one_of(st.just(0), _SMALL)
+  rows = draw(st.lists(st.lists(entry, min_size=n_keys, max_size=n_keys),
+                       min_size=1, max_size=n_keys))
+  basis = [SparseVector(enumerate(row)) for row in rows]
+  assume(rank(basis) == len(basis))
+  targets = []
+  for _ in range(draw(st.integers(min_value=1, max_value=3))):
+    coeffs = draw(st.lists(st.integers(min_value=-50, max_value=50),
+                           min_size=len(rows), max_size=len(rows)))
+    combo = [sum(c * row[k] for c, row in zip(coeffs, rows))
+             for k in range(n_keys)]
+    g = gcd(*combo) or 1
+    targets.append(SparseVector(enumerate(x // g for x in combo)))
+  targets.append(SparseVector(enumerate(
+      draw(st.lists(entry, min_size=n_keys, max_size=n_keys)))))
+  return basis, targets
+
+
+class TestModularSpanSolver:
+  """The certified modular front end of ``span_solver`` against the exact
+  echelon, which a basis with Fraction entries always takes."""
+
+  @staticmethod
+  def _echelon_solver(basis):
+    return span_solver([SparseVector({k: Fraction(v) for k, v in b.items()})
+                        for b in basis])
+
+  @settings(max_examples=300, deadline=None)
+  @given(_int_solves())
+  def test_equals_echelon(self, case):
+    basis, targets = case
+    modular = linalg._modular_coordinates(basis)
+    assert modular is not None
+    solve, exact = span_solver(basis), self._echelon_solver(basis)
+    outside = 0
+    for target in targets:
+      want = exact(target)
+      outside += want is None
+      assert linalg._certified(basis, *modular, target) == want
+      assert solve(target) == want
+    # the combinations lie in the span
+    assert outside <= 1
+
+  @given(st.integers(min_value=-(1 << 30) + 1, max_value=(1 << 30) - 1),
+         st.integers(min_value=1, max_value=(1 << 30) - 1))
+  def test_rational_reconstruction(self, num, den):
+    p = linalg._PRIME
+    assert linalg._rational(num * pow(den, -1, p) % p) == Fraction(num, den)
+
+  def test_independent_over_q_but_dependent_mod_p(self):
+    p = linalg._PRIME
+    basis = [SparseVector({0: 1, 1: 1}), SparseVector({0: 1, 1: 1 + p})]
+    assert linalg._modular_coordinates(basis) is None
+    solve = span_solver(basis)
+    assert solve(SparseVector({0: 2, 1: 2 + p})) == [1, 1]
+    assert solve(SparseVector({0: 1})) == [Fraction(p + 1, p),
+                                           Fraction(-1, p)]
+    assert solve(SparseVector({2: 1})) is None
+
+  def test_coordinates_above_the_bound(self):
+    p = linalg._PRIME
+    basis = [SparseVector({0: 1, 1: 1}), SparseVector({1: 1, 2: 3})]
+    modular = linalg._modular_coordinates(basis)
+    solve = span_solver(basis)
+    # 2**31 has no reconstruction; p + 5 reconstructs to the wrong 5
+    for big in (1 << 31, p + 5, -(1 << 40)):
+      target = basis[0].scale(big) + basis[1].scale(3)
+      assert linalg._certified(basis, *modular, target) is None
+      assert solve(target) == [big, 3]
+    # a denominator above the bound
+    q = (1 << 31) - 1
+    basis = [SparseVector({0: q, 1: 2 * q})]
+    target = SparseVector({0: 1, 1: 2})
+    assert linalg._certified(basis, *linalg._modular_coordinates(basis),
+                             target) is None
+    assert span_solver(basis)(target) == [Fraction(1, q)]
+
+  def test_outside_the_span_is_checked(self):
+    basis = [SparseVector({0: 1, 1: 2}), SparseVector({1: 1, 2: 1})]
+    modular = linalg._modular_coordinates(basis)
+    # agrees with the basis at both pivots, but not at key 2
+    target = SparseVector({0: 1, 1: 5})
+    assert linalg._certified(basis, *modular, target) is None
+    assert span_solver(basis)(target) is None
+    assert span_solver(basis)(SparseVector({0: 1, 1: 5, 2: 3})) == [1, 3]
+
+  def test_non_int_target_takes_the_echelon(self):
+    basis = [SparseVector({0: 2, 1: 1})]
+    solve = span_solver(basis)
+    assert solve(SparseVector({0: Fraction(1, 3), 1: Fraction(1, 6)})) == \
+        [Fraction(1, 6)]
+    assert solve(SparseVector({0: Fraction(1, 3)})) is None
+
+  def test_dependent_int_basis_rejected(self):
+    a, b = SparseVector({0: 1, 1: 2}), SparseVector({1: 1, 2: -1})
+    for basis in ([a, a.scale(2)], [a, b, a + b.scale(3)]):
+      with pytest.raises(ValueError, match="dependent"):
+        span_solver(basis)
 
 
 def test_normalize_scalar():

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from twistedlie.crystal import (MinusculeCrystal, highest_weight_component,
                                 tensor_crystal)
-from twistedlie.linalg import SparseVector, ZERO_VECTOR
-from twistedlie.reps import (OperatorWord, TableRepresentation, exp_nilpotent,
-                             highest_weight_check, minuscule_representation,
-                             root_lowering_operator, root_poset_path,
-                             subrepresentation, tensor_many,
+from twistedlie.linalg import GaussianRational, SparseVector, ZERO_VECTOR
+from twistedlie.reps import (OperatorWord, Representation,
+                             TableRepresentation, _integer_tables,
+                             exp_nilpotent, highest_weight_check,
+                             minuscule_representation, root_lowering_operator,
+                             root_poset_path, subrepresentation, tensor_many,
                              verify_representation_detailed, weyl_act)
 from twistedlie.rootsystem import build
 
@@ -243,9 +244,8 @@ class TestRelationCheckerAgainstOracle:
       ("SerreF", False, ("f", 1, (0, 1), (1, 1))),
   )
 
-  @pytest.mark.parametrize("kind, reverse, defect", DEFECTS,
-                           ids=[d[0] for d in DEFECTS])
-  def test_same_witness_on_injected_defect(self, a2, kind, reverse, defect):
+  def _defective(self, a2, reverse, defect):
+    """The pair table with one defect injected."""
     weights, e_act, f_act = self._pair_table(a2, reverse)
     if defect[0] == "wt":
       _, t, key = defect
@@ -259,10 +259,73 @@ class TestRelationCheckerAgainstOracle:
       assert key2 in entries
       entries[key2] = 2
       act[i][key] = SparseVector(entries)
-    rep = TableRepresentation(2, weights, e_act, f_act)
+    return TableRepresentation(2, weights, e_act, f_act)
+
+  @pytest.mark.parametrize("kind, reverse, defect", DEFECTS,
+                           ids=[d[0] for d in DEFECTS])
+  def test_same_witness_on_injected_defect(self, a2, kind, reverse, defect):
+    rep = self._defective(a2, reverse, defect)
     expected = _oracle_verify(rep, a2.cartan)
     assert not expected[0] and expected[1][0] == kind
     assert verify_representation_detailed(rep, a2.cartan) == expected
+
+  # -- the check on integer-scaled tables -------------------------------
+
+  @staticmethod
+  def _rescaled(rep, lam=lambda t: Fraction(t % 5 + 1, t % 3 + 2),
+                a=lambda i: Fraction(i + 1, 2 * i + 1)):
+    """rep in the basis w = lam(t) v for its t-th key v, with E_i scaled by
+    a(i) and F_i by 1 / a(i): the same relations hold or fail at the same
+    keys, but the coefficients change (by default to Fractions in every
+    table)."""
+    lams = {k: lam(t) for t, k in enumerate(rep.keys())}
+
+    def images(op, i):
+      s = a(i) if op == "e" else Fraction(1) / a(i)
+      out = {}
+      for k in lams:
+        img = rep._act(op, i, {k: 1})
+        if img:
+          out[k] = {k2: s * lams[k] * c / lams[k2] for k2, c in img.items()}
+      return out
+
+    nodes = range(1, rep.rank + 1)
+    return TableRepresentation(rep.rank, {k: rep.weight(k) for k in lams},
+                               {i: images("e", i) for i in nodes},
+                               {i: images("f", i) for i in nodes})
+
+  def _three_checks(self, rep, cartan):
+    """The checker on the scaled tables, on the unscaled ones and the
+    oracle agree; returns their verdict."""
+    scales, tables = _integer_tables(rep._tables)
+    assert all(d > 1 for d in scales.values())
+    assert all(type(c) is int for table in tables.values()
+               for img in table.values() for c in img[1::2])
+    expected = _oracle_verify(rep, cartan)
+    assert verify_representation_detailed(_Unscaled(rep), cartan) == expected
+    assert verify_representation_detailed(rep, cartan) == expected
+    return expected
+
+  def test_scaled_tables_same_verdicts(self, a2):
+    verdicts = [self._three_checks(self._rescaled(rep), cartan)[0]
+                for rep, cartan in self._reps(a2)]
+    assert verdicts == [True, True, True, False, True]
+
+  @pytest.mark.parametrize("kind, reverse, defect", DEFECTS,
+                           ids=[d[0] for d in DEFECTS])
+  def test_scaled_tables_same_witness(self, a2, kind, reverse, defect):
+    rep = self._rescaled(self._defective(a2, reverse, defect))
+    expected = self._three_checks(rep, a2.cartan)
+    assert not expected[0] and expected[1][0] == kind
+
+  def test_gaussian_tables(self, a2, a2_v1):
+    # A2 V(omega_1) in the basis i^t v_t: the Gaussian coefficients are
+    # left as they are
+    rep = self._rescaled(a2_v1, lam=lambda t: GaussianRational(1, t),
+                         a=lambda i: 1)
+    assert set(_integer_tables(rep._tables)[0].values()) == {1}
+    assert verify_representation_detailed(rep, a2.cartan) == \
+        _oracle_verify(rep, a2.cartan) == (True, None)
 
   @pytest.mark.parametrize("reverse", [False, True])
   def test_same_witness_on_defect_pairs(self, a2, reverse):
@@ -314,6 +377,24 @@ class TestRelationCheckerAgainstOracle:
     expected = _oracle_verify(rep, cartan)
     assert expected == (False, witness)
     assert verify_representation_detailed(rep, cartan) == expected
+
+
+class _Unscaled(Representation):
+  """A TableRepresentation seen only through the Representation interface,
+  so that the relation checker applies its Fraction tables unscaled."""
+
+  def __init__(self, rep):
+    self.rep = rep
+    self.rank = rep.rank
+
+  def keys(self):
+    return self.rep.keys()
+
+  def weight(self, key):
+    return self.rep.weight(key)
+
+  def _act(self, op, i, vec):
+    return self.rep._act(op, i, vec)
 
 
 def _product_vectors(keys):

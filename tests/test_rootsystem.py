@@ -189,6 +189,31 @@ class TestWeightMachinery:
     with pytest.raises(ValueError, match="coordinates, expected %d" % rank):
       build(family, rank).weyl_dimension(wt)
 
+  @pytest.mark.parametrize("family, rank, wt", [
+      ("A", 2, (Fraction(1, 2), 0)), ("A", 2, (0.5, 0)),
+      ("E", 6, (0, 0, 0, Fraction(3, 2), 0, 0)), ("G", 2, (1, Fraction(1, 3)))])
+  def test_non_integral_weights_rejected(self, family, rank, wt):
+    sys = build(family, rank)
+    zero = (0,) * rank
+    for call in (lambda: sys.weyl_dimension(wt),
+                 lambda: sys.weight_multiplicities(wt),
+                 lambda: sys.freudenthal_multiplicity(wt, wt),
+                 lambda: sys.freudenthal_multiplicity(zero, wt)):
+      with pytest.raises(ValueError, match="integral"):
+        call()
+
+  def test_weyl_orbit_of_a_rational_weight(self):
+    sys = build("A", 2)
+    half = Fraction(1, 2)
+    assert sys.weyl_orbit((half, 0)) == {(half, 0), (-half, half),
+                                         (0, -half)}
+
+  def test_integral_fractions_accepted(self):
+    sys = build("A", 2)
+    one = Fraction(1)
+    assert sys.weyl_dimension((one, one)) == 8
+    assert sys.freudenthal_multiplicity((one, one), (0, 0)) == 2
+
   def test_freudenthal_dominant_character(self):
     sys = build("E", 6)
     om4 = (0, 0, 0, 1, 0, 0)
