@@ -1,52 +1,50 @@
 """Minuscule crystals, tensor products, and highest weight components.
 
-A minuscule crystal is realized on the minimal coset representatives
-W^J (J the node complement): the raising operator at i sends w to s_i w
-when that shortens w, and the lowering operator sends w to s_i w when that
-lengthens w while staying J-minimal.  Tensor products use the signature
-rule; a highest weight component is extracted by lowering from a chosen
-highest weight element, with a canonical raising path recorded for every
+A finite crystal is stored as tables: a weight per element and the
+lowering operators f_i as a table of (element, node) -> element.  The
+raising operators are the inverted table, and eps_i / phi_i are the lengths
+of the i-strings read off the tables, which is valid because such a crystal
+is closed under every e_i and f_i.
+
+The crystal of a minuscule fundamental weight omega_r is the Weyl orbit of
+omega_r: f_i sends a weight mu to s_i mu = mu - alpha_i exactly when
+<mu, alpha_i^vee> = 1.  Tensor products use the signature rule; a highest
+weight component is extracted by lowering from a chosen highest weight
+element, level by level, with a canonical raising path recorded for every
 element.
 """
 
-from .rootsystem import compose, minimal_coset_reps, simple_reflection
 
+class TableCrystal:
+  """A finite crystal on the indices 0..n-1, given by its weights and its
+  table {(b, i): f_i b}.  e_i is the table inverted; eps_i and phi_i are
+  the lengths of the i-strings in the table, the true values for a crystal
+  closed under every e_i and f_i, as the subclasses are."""
 
-class MinusculeCrystal:
-  """The crystal of a minuscule fundamental weight.
-
-  Elements are indexed 0..n-1 in breadth-first (length, discovery) order;
-  index 0 is the highest weight element (the identity coset).
-  """
-
-  def __init__(self, sys, r):
-    if not sys.is_minuscule(r):
-      raise ValueError("node %d is not minuscule for %s" % (r, sys.ctype))
-    self.sys = sys
-    self.node = r
-    J = set(range(1, sys.rank + 1)) - {r}
-    self.elements = minimal_coset_reps(sys, J)
-    self._index = {w.matrix: k for k, w in enumerate(self.elements)}
-    omega = tuple(int(i == r - 1) for i in range(sys.rank))
-    self.weights = [w.act(omega) for w in self.elements]
-    self.e_table = {}
-    self.f_table = {}
-    for k, w in enumerate(self.elements):
-      for i in range(1, sys.rank + 1):
-        u = compose(sys, simple_reflection(sys, i), w)
-        j = self._index.get(u.matrix)
-        if j is None:
-          continue
-        if self.elements[j].length > w.length:
-          self.f_table[(k, i)] = j
-        else:
-          self.e_table[(k, i)] = j
+  def __init__(self, rank, weights, f_table):
+    self.rank = rank
+    self.weights = weights
+    self.f_table = f_table
+    self.e_table = {(c, i): b for (b, i), c in f_table.items()}
+    # the string lengths per node and element, walked down from the top of
+    # every string
+    self._eps = {i: [0] * len(weights) for i in range(1, rank + 1)}
+    self._phi = {i: [0] * len(weights) for i in range(1, rank + 1)}
+    for (b, i) in f_table:
+      if (b, i) in self.e_table:
+        continue
+      string = [b]
+      while (string[-1], i) in f_table:
+        string.append(f_table[(string[-1], i)])
+      for k, c in enumerate(string):
+        self._eps[i][c] = k
+        self._phi[i][c] = len(string) - 1 - k
 
   def __len__(self):
-    return len(self.elements)
+    return len(self.weights)
 
   def indices(self):
-    return range(len(self.elements))
+    return range(len(self.weights))
 
   def wt(self, b):
     return self.weights[b]
@@ -58,10 +56,37 @@ class MinusculeCrystal:
     return self.f_table.get((b, i))
 
   def eps(self, b, i):
-    return 1 if (b, i) in self.e_table else 0
+    return self._eps[i][b]
 
   def phi(self, b, i):
-    return 1 if (b, i) in self.f_table else 0
+    return self._phi[i][b]
+
+
+class MinusculeCrystal(TableCrystal):
+  """The crystal of a minuscule fundamental weight.
+
+  Elements are the weights of the Weyl orbit of omega_r, indexed 0..n-1 in
+  breadth-first order (by depth, then discovery, the nodes scanned in
+  increasing order); index 0 is the highest weight element.
+  """
+
+  def __init__(self, sys, r):
+    if not sys.is_minuscule(r):
+      raise ValueError("node %d is not minuscule for %s" % (r, sys.ctype))
+    omega = tuple(int(i == r - 1) for i in range(sys.rank))
+    weights = [omega]
+    index = {omega: 0}
+    f_table = {}
+    # the loop also visits the weights appended while it runs
+    for k, mu in enumerate(weights):
+      for i in range(1, sys.rank + 1):
+        if mu[i - 1] == 1:
+          nu = sys.reflect(i, mu)
+          if nu not in index:
+            index[nu] = len(weights)
+            weights.append(nu)
+          f_table[(k, i)] = index[nu]
+    super().__init__(sys.rank, weights, f_table)
 
 
 class TensorCrystal:
@@ -77,8 +102,7 @@ class TensorCrystal:
     if not factors:
       raise ValueError("need at least one factor")
     self.factors = list(factors)
-    self.rank = self.factors[0].sys.rank if hasattr(self.factors[0], "sys") \
-        else self.factors[0].rank
+    self.rank = self.factors[0].rank
 
   def __len__(self):
     n = 1
@@ -152,71 +176,50 @@ def tensor_crystal(*factors):
   return TensorCrystal(factors)
 
 
-class HighestWeightComponent:
+class HighestWeightComponent(TableCrystal):
   """The connected component generated by a highest weight element of a
   tensor crystal, with canonical raising paths.
 
   Elements are indexed in (depth, path) order; the canonical path of an
   element is built by always raising at the smallest available node, and
   satisfies b = f_{path[0]} f_{path[1]} ... f_{path[-1]} (highest weight).
+  The component is found level by level with one f_i per element and node:
+  an element's canonical node is the least node with a preimage in the
+  level above, and that preimage is its parent.
   """
 
   def __init__(self, tensor, hw):
-    self.tensor = tensor
-    self.rank = tensor.rank
-    if any(tensor.eps(hw, i) for i in range(1, self.rank + 1)):
+    rank = tensor.rank
+    if any(tensor.eps(hw, i) for i in range(1, rank + 1)):
       raise ValueError("element is not of highest weight")
+    self.tensor = tensor
     self.hw = hw
-    paths = {hw: ()}
-    frontier = [hw]
-    while frontier:
-      nxt = []
-      for b in frontier:
-        for i in range(1, self.rank + 1):
-          c = tensor.f(b, i)
-          if c is not None and c not in paths:
-            istar = min(j for j in range(1, self.rank + 1)
-                        if tensor.e(c, j) is not None)
-            parent = tensor.e(c, istar)
-            paths[c] = (istar,) + paths[parent]
-            nxt.append(c)
-      frontier = nxt
-    order = sorted(paths, key=lambda b: (len(paths[b]), paths[b]))
-    self.elements = order
-    self.paths = [paths[b] for b in order]
-    self._index = {b: k for k, b in enumerate(order)}
-    self.weights = [tensor.wt(b) for b in order]
-    self.e_table = {}
-    self.f_table = {}
-    for k, b in enumerate(order):
-      for i in range(1, self.rank + 1):
-        c = tensor.f(b, i)
-        if c is not None and c in self._index:
-          self.f_table[(k, i)] = self._index[c]
-        c = tensor.e(b, i)
-        if c is not None and c in self._index:
-          self.e_table[(k, i)] = self._index[c]
-
-  def __len__(self):
-    return len(self.elements)
-
-  def indices(self):
-    return range(len(self.elements))
-
-  def wt(self, b):
-    return self.weights[b]
-
-  def e(self, b, i):
-    return self.e_table.get((b, i))
-
-  def f(self, b, i):
-    return self.f_table.get((b, i))
-
-  def eps(self, b, i):
-    return self.tensor.eps(self.elements[b], i)
-
-  def phi(self, b, i):
-    return self.tensor.phi(self.elements[b], i)
+    self.elements = [hw]
+    self.paths = [()]
+    index = {hw: 0}
+    f_table = {}
+    start = 0
+    while start < len(self.elements):
+      stop = len(self.elements)
+      images = {}
+      found = {}
+      for k in range(start, stop):
+        for i in range(1, rank + 1):
+          c = tensor.f(self.elements[k], i)
+          if c is not None:
+            images[(k, i)] = c
+            if c not in found or i < found[c][0]:
+              found[c] = (i, k)
+      # the parents' paths come in order, so (node, parent) orders the paths
+      for c in sorted(found, key=found.get):
+        i, k = found[c]
+        index[c] = len(self.elements)
+        self.elements.append(c)
+        self.paths.append((i,) + self.paths[k])
+      for key, c in images.items():
+        f_table[key] = index[c]
+      start = stop
+    super().__init__(rank, [tensor.wt(b) for b in self.elements], f_table)
 
 
 def highest_weight_component(tensor, wt):

@@ -168,7 +168,7 @@ class ProductRepresentation(Representation):
 
 def minuscule_representation(crys):
   """The 0/1 model on a minuscule crystal: operators permute basis lines."""
-  rank = crys.sys.rank
+  rank = crys.rank
   weights = {b: crys.wt(b) for b in crys.indices()}
   e_act = {i: {} for i in range(1, rank + 1)}
   f_act = {i: {} for i in range(1, rank + 1)}
@@ -399,8 +399,13 @@ def subrepresentation(ambient, hw_vec, component):
                  if len(component.paths[fibers[w][0]]) < depth - 1]:
       del solvers[done]
     for i in range(1, rank + 1):
+      down = component.f(b, i)
       for op, table in (("e", e_act), ("f", f_act)):
-        img = ambient._act(op, i, vecs[b].entries)
+        if op == "f" and down is not None and component.paths[down][0] == i:
+          # b is the canonical parent of down, so F_i vecs[b] is vecs[down]
+          img = vecs[down].entries
+        else:
+          img = ambient._act(op, i, vecs[b].entries)
         if not img:
           continue
         img_wt = ambient.weight(next(iter(img)))

@@ -421,17 +421,6 @@ def compose(sys, a, b):
   return WeylElement(mat, a.word + b.word)
 
 
-def weyl_length(sys, w):
-  """Number of positive roots sent to negative roots by w."""
-  count = 0
-  for root in sys.positive_roots:
-    img_wt = w.act(sys.root_weight(root))
-    img = sys.weight_root_coords(img_wt)
-    if all(c <= 0 for c in img):
-      count += 1
-  return count
-
-
 def minimal_coset_reps(sys, J):
   """Minimal length coset representatives for W / W_J.
 

@@ -3,7 +3,8 @@ import pytest
 from twistedlie.crystal import (HighestWeightComponent,
                                 MinusculeCrystal,
                                 highest_weight_component, tensor_crystal)
-from twistedlie.rootsystem import build
+from twistedlie.rootsystem import (build, compose, minimal_coset_reps,
+                                   simple_reflection)
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +217,137 @@ def test_tensor_operators_match_recursive_oracle(family, rank, copies):
       assert (t.eps(b, i), t.phi(b, i)) == _oracle_suffix(t, b, i, 0)
       assert t.e(b, i) == _oracle_step(t, b, i, True)
       assert t.f(b, i) == _oracle_step(t, b, i, False)
+
+
+# -- the seed constructions, kept as oracles ----------------------------------
+
+def _seed_minuscule(sys, r):
+  """The minuscule crystal on the minimal coset representatives W^J (J the
+  node complement): s_i w is f_i w when it is longer, e_i w when shorter.
+  Returns weights, e_table, f_table and the 0/1 eps and phi."""
+  elements = minimal_coset_reps(sys, set(range(1, sys.rank + 1)) - {r})
+  index = {w.matrix: k for k, w in enumerate(elements)}
+  omega = tuple(int(i == r - 1) for i in range(sys.rank))
+  reflections = [simple_reflection(sys, i) for i in range(1, sys.rank + 1)]
+  e_table, f_table = {}, {}
+  for k, w in enumerate(elements):
+    for i, s in enumerate(reflections, 1):
+      j = index.get(compose(sys, s, w).matrix)
+      if j is None:
+        continue
+      if elements[j].length > w.length:
+        f_table[(k, i)] = j
+      else:
+        e_table[(k, i)] = j
+  keys = [(b, i) for b in range(len(elements))
+          for i in range(1, sys.rank + 1)]
+  return ([w.act(omega) for w in elements], e_table, f_table,
+          {key: int(key in e_table) for key in keys},
+          {key: int(key in f_table) for key in keys})
+
+
+def _seed_component(tensor, hw):
+  """The seed's component builder: breadth-first by f, the canonical node
+  and parent of each new element found by e, then both tables by f and e.
+  Returns elements, paths, weights, e_table, f_table, eps and phi, the last
+  two read from the tensor crystal."""
+  rank = tensor.rank
+  paths = {hw: ()}
+  frontier = [hw]
+  while frontier:
+    nxt = []
+    for b in frontier:
+      for i in range(1, rank + 1):
+        c = tensor.f(b, i)
+        if c is not None and c not in paths:
+          istar = min(j for j in range(1, rank + 1)
+                      if tensor.e(c, j) is not None)
+          paths[c] = (istar,) + paths[tensor.e(c, istar)]
+          nxt.append(c)
+    frontier = nxt
+  order = sorted(paths, key=lambda b: (len(paths[b]), paths[b]))
+  index = {b: k for k, b in enumerate(order)}
+  e_table, f_table = {}, {}
+  for k, b in enumerate(order):
+    for i in range(1, rank + 1):
+      for op, table in ((tensor.f, f_table), (tensor.e, e_table)):
+        c = op(b, i)
+        if c is not None and c in index:
+          table[(k, i)] = index[c]
+  keys = [(k, i) for k in range(len(order)) for i in range(1, rank + 1)]
+  return (order, [paths[b] for b in order], [tensor.wt(b) for b in order],
+          e_table, f_table,
+          {(k, i): tensor.eps(order[k], i) for k, i in keys},
+          {(k, i): tensor.phi(order[k], i) for k, i in keys})
+
+
+def _eps_phi(crys):
+  keys = [(b, i) for b in crys.indices() for i in range(1, crys.rank + 1)]
+  return ({key: crys.eps(*key) for key in keys},
+          {key: crys.phi(*key) for key in keys})
+
+
+def _minuscule_nodes():
+  for family, ranks in (("A", range(1, 9)), ("B", range(2, 7)),
+                        ("C", range(2, 7)), ("D", range(4, 8)),
+                        ("E", (6, 7))):
+    for rank in ranks:
+      sys = build(family, rank)
+      for r in range(1, rank + 1):
+        if sys.is_minuscule(r):
+          yield sys, r
+
+
+def test_minuscule_crystals_match_seed_coset_build():
+  nodes = list(_minuscule_nodes())
+  assert len(nodes) == 61
+  for sys, r in nodes:
+    c = MinusculeCrystal(sys, r)
+    got = (c.weights, c.e_table, c.f_table) + _eps_phi(c)
+    assert got == _seed_minuscule(sys, r), (sys.ctype, r)
+
+
+# the tensor crystals (family, rank, minuscule node, copies) of the quick
+# benchmark workload
+_QUICK_CRYSTALS = (("E", 6, 1, 2), ("E", 7, 7, 2), ("D", 5, 5, 3),
+                   ("A", 4, 2, 3))
+
+
+def _assert_matches_seed_component(comp):
+  got = ((comp.elements, comp.paths, comp.weights, comp.e_table,
+          comp.f_table) + _eps_phi(comp))
+  assert got == _seed_component(comp.tensor, comp.hw), comp.hw
+
+
+@pytest.mark.parametrize("family,rank,node,copies", _QUICK_CRYSTALS)
+def test_components_match_seed_builder(family, rank, node, copies):
+  factor = MinusculeCrystal(build(family, rank), node)
+  tensor = tensor_crystal(*[factor] * copies)
+  highest = [b for b in tensor.elements()
+             if all(tensor.eps(b, i) == 0 for i in range(1, rank + 1))]
+  components = [HighestWeightComponent(tensor, hw) for hw in highest]
+  assert sum(len(comp) for comp in components) == len(tensor)
+  for comp in components:
+    _assert_matches_seed_component(comp)
+
+
+def test_e6_component_matches_seed_builder(suite):
+  _assert_matches_seed_component(suite.component)
+
+
+def test_component_calls_f_once_per_element_and_node():
+  factor = MinusculeCrystal(build("D", 5), 5)
+  tensor = tensor_crystal(factor, factor, factor)
+  calls = {"e": 0, "f": 0}
+
+  def counted(op, step):
+    def wrapped(b, i):
+      calls[op] += 1
+      return step(b, i)
+    return wrapped
+
+  tensor.e = counted("e", tensor.e)
+  tensor.f = counted("f", tensor.f)
+  comp = HighestWeightComponent(tensor, (0, 0, 0))
+  assert len(comp) == 672
+  assert calls == {"e": 0, "f": len(comp) * 5}

@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction
 
@@ -132,6 +133,27 @@ class TestSubrepresentation:
     assert verify_representation_detailed(rep, a2.cartan) == (True, None)
     zero_fiber = [k for k in rep.keys() if rep.weight(k) == (0, 0)]
     assert len(zero_fiber) == 2
+
+  def test_each_action_applied_once(self, a2):
+    c1 = MinusculeCrystal(a2, 1)
+    ambient = tensor_many([minuscule_representation(c1)] * 3)
+    comp = highest_weight_component(tensor_crystal(c1, c1, c1), (3, 0))
+    calls = collections.Counter()
+    act = ambient._act
+
+    def counted(op, i, vec):
+      calls[(op, i, frozenset(vec.items()))] += 1
+      return act(op, i, vec)
+
+    ambient._act = counted
+    rep = subrepresentation(ambient, SparseVector.unit((0, 0, 0)), comp)
+    assert verify_representation_detailed(rep, a2.cartan) == (True, None)
+    # the highest weight check applies each E_i to the hw vector beforehand
+    hw = frozenset({(0, 0, 0): 1}.items())
+    calls.subtract({("e", i, hw): 1 for i in (1, 2)})
+    # one application per (op, i, element): the path vectors are distinct
+    assert len(calls) == 2 * 2 * len(comp)
+    assert set(calls.values()) == {1}
 
   def test_rejects_non_highest_vector(self, a2):
     c1 = MinusculeCrystal(a2, 1)

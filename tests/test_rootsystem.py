@@ -4,7 +4,7 @@ import pytest
 
 from twistedlie.rootsystem import (CartanType, build, cartan_matrix, compose,
                                    identity_element, minimal_coset_reps,
-                                   simple_reflection, symmetrizer, weyl_length)
+                                   simple_reflection, symmetrizer)
 
 
 class TestCartanMatrices:
@@ -249,14 +249,6 @@ class TestWeylElements:
     for i in range(1, 5):
       s = simple_reflection(sys, i)
       assert compose(sys, s, s) == identity_element(sys)
-
-  def test_length_via_inversions(self):
-    sys = build("A", 2)
-    s1 = simple_reflection(sys, 1)
-    s2 = simple_reflection(sys, 2)
-    w = compose(sys, s1, s2)
-    assert weyl_length(sys, w) == 2
-    assert weyl_length(sys, identity_element(sys)) == 0
 
   def test_braid_relation(self):
     sys = build("A", 2)
