@@ -224,13 +224,11 @@ class HighestWeightComponent(TableCrystal):
 
 def highest_weight_component(tensor, wt):
   """The component of the lexicographically least highest weight element of
-  the given weight."""
-  best = None
+  the given weight.  ``tensor.elements()`` comes in lexicographic order, so
+  that is the first one found."""
+  target = tuple(wt)
   for b in tensor.elements():
-    if tensor.wt(b) == tuple(wt) and \
+    if tensor.wt(b) == target and \
        all(tensor.eps(b, i) == 0 for i in range(1, tensor.rank + 1)):
-      if best is None or b < best:
-        best = b
-  if best is None:
-    raise ValueError("no highest weight element of weight %r" % (wt,))
-  return HighestWeightComponent(tensor, best)
+      return HighestWeightComponent(tensor, b)
+  raise ValueError("no highest weight element of weight %r" % (wt,))

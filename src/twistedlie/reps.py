@@ -11,13 +11,15 @@ The module provides:
   * tensor products via the Leibniz rule over the factors' tables,
   * exponentials of the nilpotent operators and the resulting simple
     reflection action exp(F_i) exp(-E_i) exp(F_i),
-  * a full defining-relations checker (commutators and Serre relations)
-    that applies each operator word to a basis vector once, on tables
-    scaled to integers,
+  * a full defining-relations checker (commutators and Serre relations):
+    the operator words the relations use are compiled once into a
+    prefix-closed word plan, which one loop applies to each basis vector,
+    on tables scaled to integers,
   * extraction of a subrepresentation spanned by canonical-path vectors
     attached to a highest weight component of a tensor crystal,
   * lowering operators attached to arbitrary positive roots via iterated
-    commutators along a root-poset path.
+    commutators along a root-poset path, applied one distinct word suffix
+    at a time.
 """
 
 from dataclasses import dataclass
@@ -49,7 +51,10 @@ class Representation:
   """Interface: weight-graded basis with sparse E_i / F_i actions.
 
   Subclasses provide ``keys``, ``weight`` and ``_act(op, i, vec)``, which
-  applies E_i (op "e") or F_i (op "f") to a plain {key: coeff} dict.
+  applies E_i (op "e") or F_i (op "f") to a plain {key: coeff} dict and
+  returns a new dict.  That dict should hold no zero coefficient: the
+  ``apply_*`` methods wrap it as a SparseVector unchecked.  The relation
+  checker drops zeros itself.
   """
 
   def keys(self):
@@ -83,12 +88,13 @@ class Representation:
 
 
 def _plain(images):
-  """An action {key: image} whose images are plain {key2: coeff} dicts.
-  Images may be given as SparseVectors; an action whose images already are
-  plain dicts is kept as given, not copied."""
-  if all(type(img) is dict for img in images.values()):
+  """An action {key: image} whose images are plain {key2: coeff} dicts
+  without zero coefficients.  Images may be given as SparseVectors or
+  dicts; an action whose images already are such dicts is kept as given,
+  not copied."""
+  if all(type(img) is dict and all(img.values()) for img in images.values()):
     return images
-  return {key: img.entries if isinstance(img, SparseVector) else img
+  return {key: {k2: c for k2, c in img.items() if c}
           for key, img in images.items()}
 
 
@@ -266,6 +272,57 @@ def _apply_flat(table, vec):
   return acc
 
 
+def _word_plan(cartan):
+  """The words in the E_i / F_i that the relations apply to a basis vector,
+  compiled into one prefix-closed plan.
+
+  A word is a tuple of letters (op, i), applied first letter first.  Step
+  s >= 1 of the plan applies the letter steps[s - 1][0] to the image of
+  step steps[s - 1][1] < s; step 0 is the basis vector itself.  Returns
+  (steps, single, ef, serre):
+    * single[(op, j)]: the step of the letter (op, j) alone;
+    * ef[i - 1][j - 1]: the steps of E_i F_j and F_j E_i;
+    * serre: for each i != j in order, (i, j, kind, terms), terms being the
+      (coefficient, step) pairs of ad(X_i)^{1 - a_ij}(X_j) expanded by the
+      binomial formula.
+  """
+  n = len(cartan)
+  index = {(): 0}
+  steps = []
+
+  def add(word):
+    if word not in index:
+      parent = add(word[:-1])
+      index[word] = len(steps) + 1
+      steps.append((word[-1], parent))
+    return index[word]
+
+  single = {(op, j): add(((op, j),)) for op in ("e", "f")
+            for j in range(1, n + 1)}
+  ef = [[(add((("f", j), ("e", i))), add((("e", i), ("f", j))))
+         for j in range(1, n + 1)] for i in range(1, n + 1)]
+  serre = []
+  for i in range(1, n + 1):
+    for j in range(1, n + 1):
+      if i == j:
+        continue
+      m = 1 - cartan[i - 1][j - 1]
+      for kind, op in (("SerreE", "e"), ("SerreF", "f")):
+        terms = []
+        binom = 1
+        for k in range(m + 1):
+          # the k-th binomial term: X_i^(m-k) X_j X_i^k v
+          word = ((op, i),) * k + ((op, j),) + ((op, i),) * (m - k)
+          terms.append(((-1) ** k * binom, add(word)))
+          binom = binom * (m - k) // (k + 1)
+        serre.append((i, j, kind, terms))
+  return steps, single, ef, serre
+
+
+def _strip_zeros(act, vec):
+  return {k: c for k, c in act(vec).items() if c}
+
+
 def verify_representation_detailed(rep, cartan):
   """Check the defining relations on every basis vector.
 
@@ -277,67 +334,83 @@ def verify_representation_detailed(rep, cartan):
   relations.  H_i is diagonal, so the H_i commute ("HH" is never reported)
   and [H_i, E_j] = <alpha_j, acheck_i> E_j holds on v iff every key in the
   support of E_j v has i-th weight coordinate wt(v)_i + <alpha_j, acheck_i>
-  (likewise for F_j).  Each word in the E_i / F_i is applied to v once and
-  shared by the relations that use it.
+  (likewise for F_j).
+
+  The words in the E_i / F_i that the relations use are compiled once into
+  a prefix-closed plan (``_word_plan``); for each v one loop over the plan
+  applies every word to v, each step one letter to an earlier step's image.
+  The images hold no zero coefficients, so a two-term relation, such as
+  [E_i, F_j] = 0 for i != j or a Serre relation with a_ij = 0, holds iff
+  its two images are equal dicts.  The weights of E_j v (F_j v) are first
+  compared whole with wt(v) + alpha_j (wt(v) - alpha_j); only when that
+  fails is each i tested in turn, so the witness is the same.
 
   A TableRepresentation is checked on its tables scaled to integers, each
   (op, i) table by the lcm D(op, i) of its denominators.  Both words of
   [E_i, F_j] hold one E_i and one F_j, and all terms of a Serre relation
   hold the same letters, so each relation is only multiplied by a nonzero
   constant once the H_i term is multiplied by D(e, i) * D(f, i): the
-  verdict and the witness do not change.
+  verdict and the witness do not change.  Any other representation is
+  applied through its ``_act``, with zero coefficients dropped.
   """
   n = rep.rank
-  letters = [(op, i) for op in ("e", "f") for i in range(1, n + 1)]
+  steps, single, ef, serre = _word_plan(cartan)
   if isinstance(rep, TableRepresentation):
     scales, tables = _integer_tables(rep._tables)
-    act = {w: partial(_apply_flat, tables.get(w, {})) for w in letters}
+    act = {w: partial(_apply_flat, tables.get(w, {})) for w in single}
   else:
     scales = {}
-    act = {w: partial(rep._act, *w) for w in letters}
+    act = {w: partial(_strip_zeros, partial(rep._act, *w)) for w in single}
+  plan = [(act[letter], parent) for letter, parent in steps]
+  hscale = [scales.get(("e", i), 1) * scales.get(("f", i), 1)
+            for i in range(1, n + 1)]
+  # alpha_j in weight coordinates: the j-th column of the Cartan matrix
+  roots = [tuple(cartan[t][j] for t in range(n)) for j in range(n)]
+  weight = rep.weight
   for key in rep.keys():
-    wt = rep.weight(key)
-    words = {(): {key: 1}}
-
-    def word(w):
-      """The letters (op, i) of w applied to v in turn, first one first."""
-      out = words.get(w)
-      if out is None:
-        out = words[w] = act[w[-1]](word(w[:-1]))
-      return out
-
+    wt = weight(key)
+    vals = [{key: 1}]
+    for fn, parent in plan:
+      v = vals[parent]
+      vals.append(fn(v) if v else v)
+    # the (op, j) whose images miss the weight wt +- alpha_j somewhere
+    off = set()
+    for op, sign in (("e", 1), ("f", -1)):
+      for j in range(1, n + 1):
+        target = tuple(w + sign * a for w, a in zip(wt, roots[j - 1]))
+        if any(weight(k2) != target for k2 in vals[single[(op, j)]]):
+          off.add((op, j))
     for i in range(1, n + 1):
       for j in range(1, n + 1):
         # [E_i, F_j] = delta_ij H_i
-        lhs = dict(word((("f", j), ("e", i))))
-        _add_scaled(lhs, -1, word((("e", i), ("f", j))))
+        a, b = ef[i - 1][j - 1]
         if i == j and wt[i - 1]:
-          h = wt[i - 1] * scales.get(("e", i), 1) * scales.get(("f", i), 1)
-          _add_scaled(lhs, -h, {key: 1})
-        if lhs:
+          lhs = dict(vals[a])
+          _add_scaled(lhs, -1, vals[b])
+          _add_scaled(lhs, -wt[i - 1] * hscale[i - 1], {key: 1})
+          if lhs:
+            return False, ("EF", i, j, key)
+        elif vals[a] != vals[b]:
           return False, ("EF", i, j, key)
         # [H_i, E_j] = a_ij E_j and [H_i, F_j] = -a_ij F_j
-        a = cartan[i - 1][j - 1]
-        for kind, op, shift in (("HE", "e", a), ("HF", "f", -a)):
-          if any(rep.weight(k2)[i - 1] - wt[i - 1] != shift
-                 for k2 in word(((op, j),))):
+        shift = cartan[i - 1][j - 1]
+        for kind, op, sign in (("HE", "e", 1), ("HF", "f", -1)):
+          if (op, j) in off and any(
+              weight(k2)[i - 1] - wt[i - 1] != sign * shift
+              for k2 in vals[single[(op, j)]]):
             return False, (kind, i, j, key)
     # Serre relations ad(X_i)^{1 - a_ij}(X_j) = 0 for i != j
-    for i in range(1, n + 1):
-      for j in range(1, n + 1):
-        if i == j:
-          continue
-        m = 1 - cartan[i - 1][j - 1]
-        for kind, op in (("SerreE", "e"), ("SerreF", "f")):
-          total = {}
-          binom = 1
-          for k in range(m + 1):
-            # the k-th binomial term: X_i^(m-k) X_j X_i^k v
-            letters = ((op, i),) * k + ((op, j),) + ((op, i),) * (m - k)
-            _add_scaled(total, (-1) ** k * binom, word(letters))
-            binom = binom * (m - k) // (k + 1)
-          if total:
-            return False, (kind, i, j, key)
+    for i, j, kind, terms in serre:
+      if len(terms) == 2:
+        if vals[terms[0][1]] != vals[terms[1][1]]:
+          return False, (kind, i, j, key)
+      else:
+        total = {}
+        for c, s in terms:
+          if vals[s]:
+            _add_scaled(total, c, vals[s])
+        if total:
+          return False, (kind, i, j, key)
   return True, None
 
 
@@ -390,19 +463,24 @@ def subrepresentation(ambient, hw_vec, component):
   weights = {b: component.wt(b) for b in range(n_elts)}
   e_act = {i: {} for i in range(1, rank + 1)}
   f_act = {i: {} for i in range(1, rank + 1)}
+  depth = 0
   for b in range(n_elts):
     # The images of b lie one level above or below it, and elements come in
-    # order of depth, so the solvers two levels up are done with; dropping
-    # them bounds the memory (a dropped solver is rebuilt if needed again).
-    depth = len(component.paths[b])
-    for done in [w for w in solvers
-                 if len(component.paths[fibers[w][0]]) < depth - 1]:
-      del solvers[done]
+    # order of depth, so when a level starts the solvers two levels up are
+    # done with; dropping them bounds the memory (a dropped solver is
+    # rebuilt if needed again).
+    if len(component.paths[b]) > depth:
+      depth = len(component.paths[b])
+      for done in [w for w in solvers
+                   if len(component.paths[fibers[w][0]]) < depth - 1]:
+        del solvers[done]
     for i in range(1, rank + 1):
       down = component.f(b, i)
       for op, table in (("e", e_act), ("f", f_act)):
+        child = None
         if op == "f" and down is not None and component.paths[down][0] == i:
           # b is the canonical parent of down, so F_i vecs[b] is vecs[down]
+          child = down
           img = vecs[down].entries
         else:
           img = ambient._act(op, i, vecs[b].entries)
@@ -411,7 +489,14 @@ def subrepresentation(ambient, hw_vec, component):
         img_wt = ambient.weight(next(iter(img)))
         if img_wt not in fibers:
           raise ValueError("action leaves the crystal weight support")
-        coords = solver_for(img_wt)(SparseVector._raw(img))
+        # built even when no solve follows: it checks that the fiber's
+        # vectors are independent
+        solve = solver_for(img_wt)
+        if child is not None and img_wt == weights[child]:
+          # a vector of the fiber basis has the unit coordinates of itself
+          table[i][b] = {child: scalar(1)}
+          continue
+        coords = solve(SparseVector._raw(img))
         if coords is None:
           raise ValueError("action leaves the span of the fiber basis")
         table[i][b] = {bb: scalar(c)
@@ -432,13 +517,20 @@ class OperatorWord:
   terms: tuple
 
   def apply(self, rep, vec):
+    """The sum of the terms applied to vec, added in term order.  Terms
+    share suffixes, so each distinct suffix word[k:] is applied once; a
+    suffix that gives zero is not extended."""
+    images = {(): vec}
     total = ZERO_VECTOR
     for sign, word in self.terms:
-      cur = vec
-      for i in reversed(word):
-        cur = rep.apply_f(i, cur)
-        if not cur:
-          break
+      # the longest suffix applied before, then the letters in front of it
+      k = 0
+      while word[k:] not in images:
+        k += 1
+      cur = images[word[k:]]
+      while cur and k:
+        k -= 1
+        cur = images[word[k:]] = rep.apply_f(word[k], cur)
       if cur:
         total = total + (cur if sign > 0 else -cur)
     return total

@@ -156,8 +156,10 @@ class TestHighestWeightComponent:
   def test_missing_weight_rejected(self, a2):
     c = MinusculeCrystal(a2, 1)
     t = tensor_crystal(c, c)
-    with pytest.raises(ValueError):
-      highest_weight_component(t, (5, 5))
+    # no element of the weight, and elements of the weight but none highest
+    for wt in ((5, 5), (0, -2)):
+      with pytest.raises(ValueError, match="no highest weight element"):
+        highest_weight_component(t, wt)
 
 
 def comp_hw(t):
@@ -351,3 +353,27 @@ def test_component_calls_f_once_per_element_and_node():
   comp = HighestWeightComponent(tensor, (0, 0, 0))
   assert len(comp) == 672
   assert calls == {"e": 0, "f": len(comp) * 5}
+
+
+def _oracle_least_highest(tensor):
+  """The seed's full scan: for each weight, the least element of that
+  weight with every eps zero."""
+  least = {}
+  for b in tensor.elements():
+    if all(tensor.eps(b, i) == 0 for i in range(1, tensor.rank + 1)):
+      wt = tensor.wt(b)
+      if wt not in least or b < least[wt]:
+        least[wt] = b
+  return least
+
+
+@pytest.mark.parametrize("family,rank,node,copies",
+                         _QUICK_CRYSTALS + (("E", 6, 1, 3),))
+def test_highest_weight_component_is_least_element(family, rank, node,
+                                                   copies):
+  factor = MinusculeCrystal(build(family, rank), node)
+  tensor = tensor_crystal(*[factor] * copies)
+  least = _oracle_least_highest(tensor)
+  assert len(least) > 1
+  for wt, hw in least.items():
+    assert highest_weight_component(tensor, wt).hw == hw

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from twistedlie.crystal import (MinusculeCrystal, highest_weight_component,
                                 tensor_crystal)
-from twistedlie.linalg import GaussianRational, SparseVector, ZERO_VECTOR
+from twistedlie import reps as reps_module
+from twistedlie.linalg import (GaussianRational, SparseVector, ZERO_VECTOR,
+                               span_solver)
 from twistedlie.reps import (OperatorWord, Representation,
                              TableRepresentation, _integer_tables,
                              exp_nilpotent, highest_weight_check,
@@ -134,7 +136,7 @@ class TestSubrepresentation:
     zero_fiber = [k for k in rep.keys() if rep.weight(k) == (0, 0)]
     assert len(zero_fiber) == 2
 
-  def test_each_action_applied_once(self, a2):
+  def test_each_action_applied_once(self, a2, monkeypatch):
     c1 = MinusculeCrystal(a2, 1)
     ambient = tensor_many([minuscule_representation(c1)] * 3)
     comp = highest_weight_component(tensor_crystal(c1, c1, c1), (3, 0))
@@ -145,7 +147,20 @@ class TestSubrepresentation:
       calls[(op, i, frozenset(vec.items()))] += 1
       return act(op, i, vec)
 
+    solves = collections.Counter()
+    built = collections.Counter()
+
+    def counted_solver(basis):
+      built[ambient.weight(next(iter(basis[0].keys())))] += 1
+      solve = span_solver(basis)
+
+      def counted_solve(target):
+        solves[target] += 1
+        return solve(target)
+      return counted_solve
+
     ambient._act = counted
+    monkeypatch.setattr(reps_module, "span_solver", counted_solver)
     rep = subrepresentation(ambient, SparseVector.unit((0, 0, 0)), comp)
     assert verify_representation_detailed(rep, a2.cartan) == (True, None)
     # the highest weight check applies each E_i to the hw vector beforehand
@@ -154,6 +169,12 @@ class TestSubrepresentation:
     # one application per (op, i, element): the path vectors are distinct
     assert len(calls) == 2 * 2 * len(comp)
     assert set(calls.values()) == {1}
+    # one solve per nonzero image, except the F_i image of each element's
+    # canonical parent, which is the element's own path vector
+    images = sum(len(table) for table in rep._tables.values())
+    assert sum(solves.values()) == images - (len(comp) - 1)
+    # and every fiber's basis is checked for independence, once
+    assert built == collections.Counter(set(comp.weights))
 
   def test_rejects_non_highest_vector(self, a2):
     c1 = MinusculeCrystal(a2, 1)
@@ -198,6 +219,19 @@ class TestSubrepresentation:
                                   else b)
     with pytest.raises(ValueError, match="fiber vectors are linearly "
                                          "dependent"):
+      subrepresentation(ambient, SparseVector.unit(0), comp)
+
+  def test_path_vector_of_wrong_weight_rejected(self, a2):
+    c1 = MinusculeCrystal(a2, 1)
+    comp = highest_weight_component(tensor_crystal(c1, c1, c1), (3, 0))
+    lowest = len(comp) - 1
+    assert comp.wt(lowest) == (0, -3)
+    # the lowest path vector, reached only as the F_2 image of its canonical
+    # parent, is given the weight of the highest one in the ambient
+    ambient = self._crystal_model(comp, lambda b: b)
+    ambient._weights[lowest] = (3, 0)
+    with pytest.raises(ValueError, match="action leaves the span of the "
+                                         "fiber basis"):
       subrepresentation(ambient, SparseVector.unit(0), comp)
 
   def test_action_outside_fiber_span_rejected(self, a2):
@@ -268,20 +302,7 @@ class TestRelationCheckerAgainstOracle:
 
   def _defective(self, a2, reverse, defect):
     """The pair table with one defect injected."""
-    weights, e_act, f_act = self._pair_table(a2, reverse)
-    if defect[0] == "wt":
-      _, t, key = defect
-      wt = list(weights[key])
-      wt[t] += 1
-      weights[key] = tuple(wt)
-    else:
-      op, i, key, key2 = defect
-      act = e_act if op == "e" else f_act
-      entries = dict(act[i][key].items())
-      assert key2 in entries
-      entries[key2] = 2
-      act[i][key] = SparseVector(entries)
-    return TableRepresentation(2, weights, e_act, f_act)
+    return _inject(2, self._pair_table(a2, reverse), defect)
 
   @pytest.mark.parametrize("kind, reverse, defect", DEFECTS,
                            ids=[d[0] for d in DEFECTS])
@@ -400,6 +421,104 @@ class TestRelationCheckerAgainstOracle:
     assert expected == (False, witness)
     assert verify_representation_detailed(rep, cartan) == expected
 
+  # -- A3 and D4: nodes that are not adjacent ---------------------------
+
+  # (family, rank, minuscule nodes of the factors, number of defects): the
+  # defects are every coefficient and every weight coordinate of the table,
+  # one at a time, in both key orders
+  SWEEPS = (("A", 3, (1, 1), 192), ("D", 4, (1,), 96))
+
+  @pytest.mark.parametrize("family, rank, nodes, count", SWEEPS,
+                           ids=["A3", "D4"])
+  def test_same_witness_on_every_single_defect(self, family, rank, nodes,
+                                               count):
+    # On A2 every pair of nodes is adjacent; here [E_i, F_j] = 0 and the
+    # Serre relations with a_ij = 0 fail too, and are checked by comparing
+    # two images.  Each defect is checked on the integer tables, unscaled
+    # through _act, and rescaled to Fractions.
+    sys = build(family, rank)
+    prod = tensor_many([minuscule_representation(MinusculeCrystal(sys, r))
+                        for r in nodes])
+    kinds = set()
+    defects = 0
+    for reverse in (False, True):
+      tables = self._tables(prod, list(prod.keys())[::-1 if reverse else 1])
+      weights, e_act, f_act = tables
+      slots = [(op, i, key, key2)
+               for op, act in (("e", e_act), ("f", f_act))
+               for i in act for key in weights for key2 in act[i][key].keys()]
+      slots += [("wt", t, key) for key in weights for t in range(rank)]
+      for defect in slots:
+        rep = _inject(rank, tables, defect)
+        expected = _oracle_verify(rep, sys.cartan)
+        assert not expected[0]
+        assert verify_representation_detailed(rep, sys.cartan) == expected
+        assert verify_representation_detailed(_Unscaled(rep),
+                                              sys.cartan) == expected
+        assert verify_representation_detailed(self._rescaled(rep),
+                                              sys.cartan) == expected
+        kind, i, j, _ = expected[1]
+        kinds.add((kind, i != j and sys.cartan[i - 1][j - 1] == 0))
+        defects += 1
+    assert defects == count
+    # every kind, and each with a_ij = 0; D4 V(omega_1) breaks no Serre
+    # relation between adjacent nodes first
+    expected_kinds = {(kind, zero) for kind in
+                      ("EF", "HE", "HF", "SerreE", "SerreF")
+                      for zero in (False, True)}
+    if family == "D":
+      expected_kinds -= {("SerreE", False), ("SerreF", False)}
+    assert kinds == expected_kinds
+
+  def test_explicit_zero_coefficients_ignored(self, a2):
+    # an _act that leaves an explicit zero coefficient gets the verdict of
+    # the same action without it
+    cases = list(self._reps(a2))
+    cases += [(self._defective(a2, reverse, defect), a2.cartan)
+              for _, reverse, defect in self.DEFECTS]
+    for rep, cartan in cases:
+      expected = _oracle_verify(rep, cartan)
+      assert verify_representation_detailed(_ZeroPadded(rep),
+                                            cartan) == expected
+
+  def test_table_drops_zero_coefficients(self, a2, a2_v1):
+    weights, e_act, f_act = self._tables(a2_v1, list(a2_v1.keys()))
+
+    def padded(act):
+      return {i: {k: {**img.entries, "zero": 0} for k, img in images.items()}
+              for i, images in act.items()}
+
+    rep = TableRepresentation(2, {**weights, "zero": (0, 0)}, padded(e_act),
+                              padded(f_act))
+    assert all(c for table in rep._tables.values()
+               for img in table.values() for c in img.values())
+    for key in weights:
+      for i in (1, 2):
+        assert rep.apply_e_key(i, key) == a2_v1.apply_e_key(i, key)
+        assert rep.apply_f_key(i, key) == a2_v1.apply_f_key(i, key)
+    assert verify_representation_detailed(rep, a2.cartan) == (True, None)
+
+
+def _inject(rank, tables, defect):
+  """The tables (weights, e_act, f_act) as a TableRepresentation with one
+  defect: ("e" | "f", i, key, key2) sets the coefficient of key2 in the
+  image of key to 2; ("wt", t, key) adds 1 to coordinate t of the weight
+  of key."""
+  weights, e_act, f_act = tables
+  if defect[0] == "wt":
+    _, t, key = defect
+    wt = list(weights[key])
+    wt[t] += 1
+    weights = {**weights, key: tuple(wt)}
+  else:
+    op, i, key, key2 = defect
+    act = {j: dict(images) for j, images in
+           (e_act if op == "e" else f_act).items()}
+    assert key2 in act[i][key].keys()
+    act[i][key] = SparseVector({**act[i][key].entries, key2: 2})
+    e_act, f_act = (act, f_act) if op == "e" else (e_act, act)
+  return TableRepresentation(rank, weights, e_act, f_act)
+
 
 class _Unscaled(Representation):
   """A TableRepresentation seen only through the Representation interface,
@@ -417,6 +536,16 @@ class _Unscaled(Representation):
 
   def _act(self, op, i, vec):
     return self.rep._act(op, i, vec)
+
+
+class _ZeroPadded(_Unscaled):
+  """A representation whose ``_act`` also gives the first basis key an
+  explicit zero coefficient when the image lacks that key."""
+
+  def _act(self, op, i, vec):
+    img = self.rep._act(op, i, vec)
+    probe = next(iter(self.rep.keys()))
+    return img if probe in img else {**img, probe: 0}
 
 
 def _product_vectors(keys):
@@ -498,6 +627,66 @@ class TestRootOperators:
   def test_operator_word_signs(self, a2_v1):
     word = OperatorWord(((1, (1,)), (-1, (1,))))
     assert not word.apply(a2_v1, SparseVector.unit(0))
+
+  def test_apply_equals_per_term_loop_a2(self, a2):
+    c1, c2 = MinusculeCrystal(a2, 1), MinusculeCrystal(a2, 2)
+    v1, v2 = minuscule_representation(c1), minuscule_representation(c2)
+    adjoint = subrepresentation(
+        tensor_many([v1, v2]), SparseVector.unit((0, 0)),
+        highest_weight_component(tensor_crystal(c1, c2), (1, 1)))
+    words = [root_lowering_operator(a2, gamma) for gamma in a2.positive_roots]
+    # a Serre element with a repeated term, and a term that is a suffix of
+    # an earlier one
+    words.append(OperatorWord(((1, (1, 2, 1)), (-1, (2, 1, 1)),
+                               (-1, (2, 1, 1)), (1, (1, 1, 2)), (1, (2, 1)))))
+    for rep in (v1, tensor_many([v1, v1]), adjoint):
+      for word in words:
+        for key in rep.keys():
+          vec = SparseVector.unit(key)
+          assert word.apply(rep, vec) == _oracle_word_apply(word, rep, vec)
+
+  def test_apply_equals_per_term_loop_e6(self, suite):
+    # the two long-root operators of the E6 suite, as build_vzero applies
+    # them; each distinct nonzero suffix is applied once
+    counted = _CountedLowering(suite.subrep)
+    vec = SparseVector.unit(0)
+    for gamma in ((1, 1, 2, 3, 2, 1), suite.sys.highest_root):
+      word = root_lowering_operator(suite.sys, gamma)
+      counted.calls = 0
+      got = word.apply(counted, vec)
+      suffixes = {w[k:] for _, w in word.terms for k in range(len(w))}
+      assert counted.calls <= len(suffixes)
+      per_term = _CountedLowering(suite.subrep)
+      assert got == _oracle_word_apply(word, per_term, vec)
+      assert counted.calls < per_term.calls
+      vec = got
+    assert vec == suite.build_vzero()
+
+
+class _CountedLowering:
+  """A representation's lowering operators, counting the calls."""
+
+  def __init__(self, rep):
+    self.rep = rep
+    self.calls = 0
+
+  def apply_f(self, i, vec):
+    self.calls += 1
+    return self.rep.apply_f(i, vec)
+
+
+def _oracle_word_apply(word, rep, vec):
+  """OperatorWord.apply as a per-term loop, each word applied in full."""
+  total = ZERO_VECTOR
+  for sign, letters in word.terms:
+    cur = vec
+    for i in reversed(letters):
+      cur = rep.apply_f(i, cur)
+      if not cur:
+        break
+    if cur:
+      total = total + (cur if sign > 0 else -cur)
+  return total
 
 
 def _apply_table(table, vec):
