@@ -1,7 +1,7 @@
-"""Build the 2925-dimensional representation of E6 inside the triple
-tensor power of the 27-dimensional one and run the verification suite.
+"""Build the 2925-dimensional representation of E6 inside the exterior
+cube of the 27-dimensional one and run the verification suite.
 
-This takes a minute or two; progress is printed as it goes.
+This takes a few seconds; progress is printed as it goes.
 
 Run as: python demos/e6_duality_demo.py
 """

@@ -86,11 +86,16 @@ def dominants_below(datum, lam):
   The walk visits the integer box 0 <= y <= gamma-coords(lam) once
   (dominant classes have nonnegative gamma coordinates, so nothing dominant
   lies outside it), subtracting the gamma_j from coordinate tuples, and
-  builds a class only for dominant points.
+  builds a class only for dominant points.  lam must be dominant and lie
+  in the coinvariant lattice; gamma subtraction keeps a class outside the
+  lattice outside it, so such a lam has nothing below it and is rejected
+  rather than answered with an empty list.
   """
   lam = _as_class(datum, lam)
   if not lam.is_dominant():
     raise ValueError("lam must be dominant")
+  if not datum.in_coinvariant_lattice(lam):
+    raise ValueError("lam must lie in the coinvariant lattice")
   _, den = _gamma_basis(datum.weight_ctype)
   bounds = [s // den for s in _scaled(datum, lam.coords)]
   ell = datum.ell

@@ -8,7 +8,8 @@ exact rationals.  Each E_i / F_i action is compiled once into a plain table
 The module provides:
 
   * the 0/1 model on a minuscule crystal,
-  * tensor products via the Leibniz rule over the factors' tables,
+  * tensor products via the Leibniz rule over the factors' tables, and
+    exterior powers, whose keys are strictly increasing tuples,
   * exponentials of the nilpotent operators and the resulting simple
     reflection action exp(F_i) exp(-E_i) exp(F_i),
   * a full defining-relations checker (commutators and Serre relations):
@@ -22,9 +23,11 @@ The module provides:
     at a time.
 """
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from math import factorial, lcm
 
 from .linalg import (SparseVector, ZERO_VECTOR, _add_scaled, normalize_scalar,
@@ -165,6 +168,44 @@ class ProductRepresentation(Representation):
           for k2, c2 in img.items():
             full = head + (k2,) + tail
             s = acc.get(full, 0) + c * c2
+            if s:
+              acc[full] = s
+            else:
+              del acc[full]
+    return acc
+
+
+class ExteriorPower(ProductRepresentation):
+  """The k-th exterior power of a representation.
+
+  The key (k_1, ..., k_k), strictly increasing in the factor's key order,
+  stands for the wedge k_1 ^ ... ^ k_k.  Operators act by the Leibniz rule
+  at each position, as in the tensor power: an image key that already
+  occurs elsewhere in the tuple gives zero, and any other is moved to its
+  sorted place, with sign (-1)^(number of positions it moves).
+  """
+
+  def __init__(self, factor, k):
+    super().__init__([factor] * k)
+
+  def keys(self):
+    return combinations(sorted(self.factors[0].keys()), len(self.factors))
+
+  def _act(self, op, i, vec):
+    acc = {}
+    tables = self._tables.get((op, i), ())
+    for key, c in vec.items():
+      for pos, table in enumerate(tables):
+        img = table.get(key[pos])
+        if img:
+          rest = key[:pos] + key[pos + 1:]
+          for k2, c2 in img.items():
+            if k2 in rest:
+              continue
+            at = bisect(rest, k2)
+            full = rest[:at] + (k2,) + rest[at:]
+            s = acc.get(full, 0) + (c * c2 if (at - pos) % 2 == 0
+                                    else -c * c2)
             if s:
               acc[full] = s
             else:

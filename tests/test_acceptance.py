@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import diagram_fixture
+from wedge_fixture import antisymmetrise
 from twistedlie import cells, e6, loops
 from twistedlie.crystal import MinusculeCrystal, tensor_crystal
 from twistedlie.folding import Folding
@@ -68,7 +69,14 @@ class TestCriterion02DominantCharacter:
 class TestCriterion03WeightZeroOrbit:
 
   def test_highest_weight_vector(self, suite):
-    assert highest_weight_check(suite.tensor3, suite.hw_vec, OMEGA4)
+    # the suite's vector in the exterior cube of V(omega_1), and its
+    # antisymmetrisation in the tensor cube
+    assert highest_weight_check(suite.wedge3, suite.hw_vec, OMEGA4)
+    assert len(suite.hw_vec) == 1
+    tensor_hw = antisymmetrise(suite.hw_vec)
+    assert len(tensor_hw) == 6
+    assert highest_weight_check(tensor_many([suite.V1] * 3), tensor_hw,
+                                OMEGA4)
 
   def test_vzero_orbit_and_rank(self, suite):
     assert suite.build_vzero()

@@ -72,11 +72,17 @@ class TestDominantsBelow:
   def test_off_lattice_class_has_nothing_below(self, a2_4, a4_4):
     # the lattice condition is kept under gamma subtraction, so a class
     # outside the lattice (odd short coordinate, or not integral) has no
-    # lattice class below it
+    # lattice class below it (the seed's search finds none); the
+    # enumerator rejects it, as smooth_cells does
     for datum, lam in ((a2_4, _cw(a2_4, (3,))), (a4_4, _cw(a4_4, (2, 3))),
                        (a4_4, a4_4.project((Fraction(1, 2), 1, 1, 1)))):
-      assert dominants_below(datum, lam) == []
       assert _seed_dominants_below(datum, lam) == []
+      with pytest.raises(ValueError,
+                         match="lam must lie in the coinvariant lattice"):
+        dominants_below(datum, lam)
+      with pytest.raises(ValueError,
+                         match="lam must lie in the coinvariant lattice"):
+        smooth_cells(datum, None, lam)
 
   def test_rejects_nondominant(self, a4_4):
     with pytest.raises(ValueError):

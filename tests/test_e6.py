@@ -1,19 +1,63 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 import diagram_fixture
+from wedge_fixture import antisymmetrise
 
 from twistedlie import e6
 from twistedlie.e6 import (OMEGA2, OMEGA4, SWEEP_LETTERS,
                            dominance_chain_check, numbers_game_poset)
-from twistedlie.reps import _apply, highest_weight_check, weyl_act
+from twistedlie.linalg import SparseVector
+from twistedlie.reps import (_apply, highest_weight_check, subrepresentation,
+                             tensor_many, weyl_act)
+
+
+@pytest.fixture(scope="module")
+def tensor_oracle(suite):
+  """The suite's subrepresentation built inside the tensor cube of
+  V(omega_1) instead of its exterior cube: (cube, highest weight vector,
+  subrepresentation)."""
+  cube = tensor_many([suite.V1] * 3)
+  hw_vec = antisymmetrise(suite.hw_vec)
+  return cube, hw_vec, subrepresentation(cube, hw_vec, suite.component)
+
+
+def _fraction_orbit(suite):
+  """The orbit up to sign by breadth-first search on the zero-fiber
+  reflection tables, in Fraction arithmetic."""
+  canon = lambda vec: min(vec.canonical(), (-vec).canonical())
+  reflections = suite.zero_fiber_reflections()
+  v = suite.build_vzero()
+  seen = {canon(v): v}
+  frontier = [v]
+  while frontier:
+    nxt = []
+    for vec in frontier:
+      for table in reflections:
+        img = SparseVector._raw(_apply(table, vec.entries))
+        if canon(img) not in seen:
+          seen[canon(img)] = img
+          nxt.append(img)
+    frontier = nxt
+  return list(seen.values())
 
 
 class TestSuiteConstruction:
 
-  def test_highest_weight_vector(self, suite):
-    assert highest_weight_check(suite.tensor3, suite.hw_vec, OMEGA4)
-    assert len(list(suite.hw_vec.keys())) == 6
+  def test_highest_weight_vector(self, suite, tensor_oracle):
+    cube, tensor_hw, _ = tensor_oracle
+    assert highest_weight_check(suite.wedge3, suite.hw_vec, OMEGA4)
+    assert len(suite.hw_vec) == 1
+    assert highest_weight_check(cube, tensor_hw, OMEGA4)
+    assert len(tensor_hw) == 6
+
+  def test_subrep_equals_tensor_cube_build(self, suite, tensor_oracle):
+    _, _, oracle = tensor_oracle
+    assert repr(suite.subrep._tables) == repr(oracle._tables)
+    assert repr(suite.subrep._weights) == repr(oracle._weights)
 
   def test_component_size(self, suite):
     assert len(suite.component) == 2925
@@ -70,6 +114,34 @@ class TestWeightZeroVector:
             nxt.append(img)
       frontier = nxt
     assert suite.orbit_up_to_sign() == list(seen.values())
+
+  def test_primitive_key(self):
+    half = Fraction(1, 2)
+    key, c, num = e6._primitive(half, {3: 4, 0: -6})
+    assert (c, num) == (1, {3: 2, 0: -3})
+    # the same vector written with another numerator, and its negative
+    assert e6._primitive(Fraction(1), {3: 2, 0: -3})[0] == key
+    assert e6._primitive(-half, {3: 4, 0: -6})[0] == key
+    assert e6._primitive(half, {3: -4, 0: -6})[0] != key
+    assert e6._primitive(Fraction(1, 3), {3: 4, 0: -6})[0] != key
+
+  def test_orbit_entries_normalised(self, suite):
+    # the breadth-first search on the reflection tables in Fractions holds
+    # some integral Fractions; the integer orbit gives the same vectors in
+    # the same order, each entry an int when integral, otherwise a Fraction
+    want = _fraction_orbit(suite)
+    got = suite.orbit_up_to_sign()
+    assert len(got) == len(want)
+    integral = 0
+    for g, w in zip(got, want):
+      assert list(g.keys()) == list(w.keys())
+      for key, c in w.items():
+        if c.denominator == 1:
+          integral += 1
+          assert type(g.get(key)) is int and g.get(key) == c
+        else:
+          assert type(g.get(key)) is Fraction and g.get(key) == c
+    assert integral
 
   def test_orbit_rank_fills_zero_fiber(self, suite):
     assert suite.orbit_rank() == 45

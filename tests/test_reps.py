@@ -1,16 +1,18 @@
 import collections
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wedge_fixture import antisymmetrise
 from twistedlie.crystal import (MinusculeCrystal, highest_weight_component,
                                 tensor_crystal)
 from twistedlie import reps as reps_module
 from twistedlie.linalg import (GaussianRational, SparseVector, ZERO_VECTOR,
                                span_solver)
-from twistedlie.reps import (OperatorWord, Representation,
+from twistedlie.reps import (ExteriorPower, OperatorWord, Representation,
                              TableRepresentation, _integer_tables,
                              exp_nilpotent, highest_weight_check,
                              minuscule_representation, root_lowering_operator,
@@ -582,6 +584,92 @@ class TestCompiledLeibniz:
     vec = SparseVector.unit((0, 0, 0))
     assert not self.A2_CUBE.apply_e(3, vec)
     assert not self.A2_CUBE.apply_f(0, vec)
+
+
+def _v1(family, rank):
+  sys = build(family, rank)
+  return sys, minuscule_representation(MinusculeCrystal(sys, 1))
+
+
+def _wedge_cases():
+  """(label, exterior power, factor, k, cartan) with k = 2 and 3 for the
+  first fundamental representations of A2, A3 and D4 and the tensor square
+  of A2's as factors."""
+  factors = []
+  for family, rank in (("A", 2), ("A", 3), ("D", 4)):
+    sys, v1 = _v1(family, rank)
+    factors.append(("%s%d" % (family, rank), v1, sys.cartan))
+  sys, v1 = _v1("A", 2)
+  factors.append(("A2(x)A2", tensor_many([v1, v1]), sys.cartan))
+  return [("%s^%d" % (label, k), ExteriorPower(factor, k), factor, k, cartan)
+          for label, factor, cartan in factors for k in (2, 3)]
+
+
+_WEDGES = _wedge_cases()
+_each_wedge = pytest.mark.parametrize("label,wedge,factor,k,cartan", _WEDGES,
+                                      ids=[w[0] for w in _WEDGES])
+
+
+class TestExteriorPower:
+  """The exterior power model against the tensor power, through the
+  antisymmetrisation map, which is injective and must commute with every
+  E_i and F_i."""
+
+  @_each_wedge
+  def test_dimension_and_keys(self, label, wedge, factor, k, cartan):
+    keys = list(wedge.keys())
+    assert len(keys) == math.comb(len(list(factor.keys())), k)
+    assert all(list(key) == sorted(set(key)) for key in keys)
+
+  @_each_wedge
+  def test_relations(self, label, wedge, factor, k, cartan):
+    assert verify_representation_detailed(wedge, cartan) == (True, None)
+
+  @_each_wedge
+  def test_images_are_sorted_keys(self, label, wedge, factor, k, cartan):
+    keys = set(wedge.keys())
+    for key in keys:
+      for i in range(1, wedge.rank + 1):
+        assert set(wedge.apply_e_key(i, key).keys()) <= keys
+        assert set(wedge.apply_f_key(i, key).keys()) <= keys
+
+  @_each_wedge
+  @settings(max_examples=40, deadline=None)
+  @given(data=st.data())
+  def test_antisymmetrisation_is_equivariant(self, label, wedge, factor, k,
+                                             cartan, data):
+    vec = data.draw(_product_vectors(list(wedge.keys())))
+    prod = tensor_many([factor] * k)
+    up = antisymmetrise(vec)
+    for i in range(1, wedge.rank + 1):
+      assert antisymmetrise(wedge.apply_e(i, vec)) == prod.apply_e(i, up)
+      assert antisymmetrise(wedge.apply_f(i, vec)) == prod.apply_f(i, up)
+
+  def test_repeated_key_vanishes(self):
+    # A2 V(omega_1): F_1 e0 = e1 and F_2 e1 = e2
+    _, v1 = _v1("A", 2)
+    wedge2 = ExteriorPower(v1, 2)
+    assert not wedge2.apply_f_key(1, (0, 1))
+    assert not wedge2.apply_e_key(2, (1, 2))
+    assert wedge2.apply_f_key(1, (0, 2)) == SparseVector.unit((1, 2))
+    # F_2 moves the 1 of (0, 1) to 2 without passing a key, the
+    # E_1 of (1, 2) moves it to 0 in front of 2
+    assert wedge2.apply_f_key(2, (0, 1)) == SparseVector.unit((0, 2))
+    assert wedge2.apply_e_key(1, (1, 2)) == SparseVector.unit((0, 2))
+    # the top power of the three-dimensional representation is trivial
+    wedge3 = ExteriorPower(v1, 3)
+    for i in (1, 2):
+      assert not wedge3.apply_e_key(i, (0, 1, 2))
+      assert not wedge3.apply_f_key(i, (0, 1, 2))
+
+  def test_sign_of_a_moved_key(self):
+    # in A2 V(omega_1) (x) V(omega_1), F_1 (0, 0) = (1, 0) + (0, 1) and
+    # F_1 (0, 2) = (1, 2); the image (1, 0) of the first key of
+    # (0, 0) ^ (0, 2) passes (0, 2), so it takes a sign
+    _, v1 = _v1("A", 2)
+    wedge = ExteriorPower(tensor_many([v1, v1]), 2)
+    assert wedge.apply_f_key(1, ((0, 0), (0, 2))) == SparseVector({
+        ((0, 2), (1, 0)): -1, ((0, 1), (0, 2)): 1, ((0, 0), (1, 2)): 1})
 
 
 class TestRootOperators:
