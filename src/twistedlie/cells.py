@@ -3,25 +3,29 @@
 Classes live in the weight lattice of the small group H attached to a
 folding; the simple roots of H are the classes gamma_j of base simple
 coroots.  The order compares differences against nonnegative integral
-combinations of the gamma_j.  Every order question is answered from integer
-gamma offsets: the inverse Cartan matrix of H is kept as an integer matrix
-over one common denominator, so no comparison builds a Fraction.  One box
-walk enumerates the dominant classes below a class, and one pass finds the
-covers among them.  The smooth-locus classifier distinguishes the
-unramified foldings (only the open cell is smooth) from the ramified family
-(base A_{2l}, order 4), where certain quasi-minuscule cover cells are also
-smooth.
+combinations of the gamma_j.  Every comparison of two classes is answered
+from integer gamma offsets: the inverse Cartan matrix of H is kept as an
+integer matrix over one common denominator, so no comparison builds a
+Fraction.  One box walk enumerates the dominant classes below a class, and
+one pass finds the covers among them.  That pass never compares all pairs
+of classes: a cover of dominant weights differs by a positive root
+(Stembridge, "The partial order of dominant weights", Adv. Math. 136,
+1998), so it steps from each class by the positive roots of H and looks the
+results up among the enumerated classes.  The smooth-locus classifier
+distinguishes the unramified foldings (only the open cell is smooth) from
+the ramified family (base A_{2l}, order 4), where certain quasi-minuscule
+cover cells are also smooth.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import sub
+from operator import add, le, sub
 
 from .folding import CoinvariantWeight
 from .linalg import inverse
-from .rootsystem import cartan_matrix
+from .rootsystem import RootSystem, cartan_matrix
 
 VARIANT_SPECIAL = "special-not-absolutely-special"
 VARIANT_ABS_SPECIAL = "absolutely-special"
@@ -178,38 +182,52 @@ def is_cover(datum, mu, lam):
   return is_cover_brute(datum, mu, lam)
 
 
-def covers(datum, below):
-  """Every cover among the classes of ``below``, a list returned by
-  ``dominants_below``: the index pairs (a, b), in row-major order, with
-  below[a] covered by below[b].  Each pair agrees with ``is_cover``.
+@lru_cache(maxsize=None)
+def _root_steps(ctype):
+  """The positive roots alpha of ctype by height, as triples (alpha in
+  simple-root (gamma) coordinates, alpha in fundamental-weight
+  coordinates, the positive roots strictly below alpha).  A root below
+  alpha has a smaller height, so it comes before alpha."""
+  system = RootSystem(ctype)
+  roots = system.positive_roots
+  return tuple((alpha, system.root_weight(alpha),
+                tuple(beta for beta in roots[:k] if all(map(le, beta, alpha))))
+               for k, alpha in enumerate(roots))
 
-  Each class's gamma offset is computed once.  The ramified family uses the
-  closed form of ``is_cover_fast``.  Otherwise b covers a when a < b and no
-  class of ``below`` lies strictly between them; this equals the exhaustive
-  search of ``is_cover_brute``, because every dominant lattice class under
-  a member of ``below`` is itself in ``below``.
+
+def covers(datum, below):
+  """Every cover among the classes of ``below``: the index pairs (a, b), in
+  row-major order, with below[a] covered by below[b].  Each pair agrees
+  with ``is_cover``.
+
+  ``below`` must be a list returned by ``dominants_below``: every dominant
+  lattice class under one of its members is itself a member, so a cover
+  inside ``below`` is a cover of the dominance order.  A cover of dominant
+  weights differs by a positive root (Stembridge, "The partial order of
+  dominant weights", Adv. Math. 136, 1998), and the paper's closed form on
+  the ramified family accepts only interval steps gamma_i + ... + gamma_k,
+  each a positive root of H.  So the candidates for b are the classes
+  below[a] + alpha, alpha in the positive roots of H, looked up by their
+  coordinates.  The ramified family accepts a candidate by the closed form
+  of ``is_cover_fast``; otherwise below[a] + alpha is a cover iff no
+  positive root beta < alpha has below[a] + beta in ``below``, since the
+  first step of a chain from below[a] to a class strictly between would be
+  such a beta.
   """
+  index = {cw.coords: a for a, cw in enumerate(below)}
+  roots = _root_steps(datum.weight_ctype)
   ramified = datum.is_ramified
-  scaled = [_scaled(datum, cw.coords) for cw in below]
-  n = len(below)
   pairs = []
-  up = [0] * n    # bit b of up[a]: below[a] < below[b]
-  down = [0] * n  # bit a of down[b]: below[a] < below[b]
-  for a in range(n):
-    for b in range(n):
-      y = _offset(datum, scaled[a], scaled[b])
-      if y is None or min(y) < 0 or not any(y):
-        continue
-      if ramified:
-        if _closed_form_cover(y, below[a].coords):
-          pairs.append((a, b))
-      else:
-        up[a] |= 1 << b
-        down[b] |= 1 << a
-  if ramified:
-    return pairs
-  return [(a, b) for a in range(n) for b in range(n)
-          if up[a] >> b & 1 and not up[a] & down[b]]
+  for a, cw in enumerate(below):
+    mu = cw.coords
+    up = {alpha: index.get(tuple(map(add, mu, step)))
+          for alpha, step, _ in roots}
+    hits = sorted(
+        up[alpha] for alpha, _, lower in roots if up[alpha] is not None
+        and (_closed_form_cover(alpha, mu) if ramified
+             else all(up[beta] is None for beta in lower)))
+    pairs.extend((a, b) for b in hits)
+  return pairs
 
 
 # -- smooth locus ------------------------------------------------------------

@@ -39,6 +39,9 @@ OMEGA4 = (0, 0, 0, 1, 0, 0)
 #: between the fourth fundamental weight and the second.
 SWEEP_LETTERS = (1, 2, 3, 3, 4, 4, 4, 5, 5, 6)
 
+#: |W(E6)|, a bound on the size of any Weyl orbit.
+WEYL_ORDER = 51840
+
 
 def _noop(msg):
   pass
@@ -126,7 +129,9 @@ class E6Suite:
     table times the lcm L_i of its denominators.  An orbit vector is kept
     as c * num, num an int dict whose entries have gcd 1, so s_i maps it to
     (c / L_i) * (L_i s_i) num, and the vectors +-v share the key built from
-    num up to sign and |c|."""
+    num up to sign and |c|.  A search that holds more vectors than the Weyl
+    group has elements raises ArithmeticError: its key failed to identify
+    equal vectors."""
     if self._orbit is not None:
       return self._orbit
     v = self.build_vzero()
@@ -153,6 +158,9 @@ class E6Suite:
           if key not in seen:
             seen[key] = (c2, num2)
             nxt.append((c2, num2))
+            if len(seen) > WEYL_ORDER:
+              raise ArithmeticError(
+                  "orbit exceeds |W(E6)| = %d vectors" % WEYL_ORDER)
       frontier = nxt
     self._orbit = [
         SparseVector._raw({k: normalize_scalar(c * x) for k, x in num.items()})

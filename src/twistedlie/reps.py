@@ -230,11 +230,6 @@ def minuscule_representation(crys):
   return TableRepresentation(rank, weights, e_act, f_act)
 
 
-def tensor_many(factors):
-  """n-ary tensor product; keys are flat tuples."""
-  return ProductRepresentation(factors)
-
-
 def exp_nilpotent(apply_fn, vec, sign=1, max_power=200):
   """exp of a nilpotent operator applied to a vector:
   sum_k sign^k op^k(vec) / k! until the power vanishes."""

@@ -17,6 +17,7 @@ No floating point is used anywhere; all intermediate values are ints or
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import inverse
 
@@ -111,11 +112,14 @@ class RootSystem:
     self.rank = ctype.rank
     self.cartan = cartan_matrix(ctype)
     self.d = symmetrizer(ctype)
-    self.cartan_inv = inverse(self.cartan)
     self.positive_roots = self._closure()
     self._posroot_set = set(self.positive_roots)
     self.highest_root = self._find_highest_root()
     self._freudenthal_cache = {}
+
+  @cached_property
+  def cartan_inv(self):
+    return inverse(self.cartan)
 
   # -- basic coordinate plumbing ------------------------------------------
 

@@ -13,8 +13,9 @@ from twistedlie import cells, e6, loops
 from twistedlie.crystal import MinusculeCrystal, tensor_crystal
 from twistedlie.folding import Folding
 from twistedlie.linalg import SparseVector, rank
-from twistedlie.reps import (highest_weight_check, minuscule_representation,
-                             tensor_many, verify_representation_detailed)
+from twistedlie.reps import (ProductRepresentation, highest_weight_check,
+                             minuscule_representation,
+                             verify_representation_detailed)
 from twistedlie.rootsystem import build
 
 OMEGA1 = (1, 0, 0, 0, 0, 0)
@@ -75,8 +76,8 @@ class TestCriterion03WeightZeroOrbit:
     assert len(suite.hw_vec) == 1
     tensor_hw = antisymmetrise(suite.hw_vec)
     assert len(tensor_hw) == 6
-    assert highest_weight_check(tensor_many([suite.V1] * 3), tensor_hw,
-                                OMEGA4)
+    assert highest_weight_check(ProductRepresentation([suite.V1] * 3),
+                                tensor_hw, OMEGA4)
 
   def test_vzero_orbit_and_rank(self, suite):
     assert suite.build_vzero()
@@ -276,7 +277,7 @@ def _rep_pool():
   d4 = build("D", 4)
   v_a2 = minuscule_representation(MinusculeCrystal(a2, 1))
   v_d4 = minuscule_representation(MinusculeCrystal(d4, 1))
-  prod = tensor_many([v_a2, v_a2])
+  prod = ProductRepresentation([v_a2, v_a2])
   return [
       (a2, v_a2, list(v_a2.keys())),
       (d4, v_d4, list(v_d4.keys())),

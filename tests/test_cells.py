@@ -1,15 +1,18 @@
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
-from twistedlie.cells import (VARIANT_ABS_SPECIAL, VARIANT_SPECIAL, covers,
+from twistedlie import cells
+from twistedlie.cells import (VARIANT_ABS_SPECIAL, VARIANT_SPECIAL,
+                              _closed_form_cover, _offset, _scaled, covers,
                               dominants_below, gamma_coords, is_cover,
                               is_cover_brute, is_cover_fast, leq,
                               smooth_cells)
 from twistedlie.folding import CoinvariantWeight, Folding
 from twistedlie.linalg import inverse
-from twistedlie.rootsystem import cartan_matrix
+from twistedlie.rootsystem import RootSystem, cartan_matrix
 
 
 def _cw(datum, coords):
@@ -320,3 +323,86 @@ def test_enumerator_and_cover_pass_match_seed(family, rank, order, coweight):
     for nu in below:
       assert leq(datum, mu, nu) == _seed_leq(datum, mu, nu)
 
+
+
+# -- the pairwise cover pass, as an oracle -----------------------------------
+
+def _pairwise_covers(datum, below):
+  """The cover pass that computes a gamma offset for every ordered pair of
+  classes: the closed form on the ramified family, otherwise b covers a
+  when a < b and no class of ``below`` lies strictly between them."""
+  ramified = datum.is_ramified
+  scaled = [_scaled(datum, cw.coords) for cw in below]
+  n = len(below)
+  pairs = []
+  up = [0] * n    # bit b of up[a]: below[a] < below[b]
+  down = [0] * n  # bit a of down[b]: below[a] < below[b]
+  for a in range(n):
+    for b in range(n):
+      y = _offset(datum, scaled[a], scaled[b])
+      if y is None or min(y) < 0 or not any(y):
+        continue
+      if ramified:
+        if _closed_form_cover(y, below[a].coords):
+          pairs.append((a, b))
+      else:
+        up[a] |= 1 << b
+        down[b] |= 1 << a
+  if ramified:
+    return pairs
+  return [(a, b) for a in range(n) for b in range(n)
+          if up[a] >> b & 1 and not up[a] & down[b]]
+
+
+def _grid(datum):
+  """Every lattice class with coordinates in {0, 1, 2} (ell <= 3) or in
+  {0, 1} (ell = 4), with the classes below it."""
+  values = (0, 1, 2) if datum.ell <= 3 else (0, 1)
+  for coords in product(values, repeat=datum.ell):
+    lam = _cw(datum, coords)
+    if datum.in_coinvariant_lattice(lam):
+      yield lam, dominants_below(datum, lam)
+
+
+@pytest.mark.parametrize("family,rank,order", _FOLDINGS,
+                         ids=["%s%d/m%d" % key for key in _FOLDINGS])
+def test_cover_pass_matches_pairwise_oracle(family, rank, order):
+  datum = _folding(family, rank, order)
+  for lam, below in _grid(datum):
+    assert covers(datum, below) == _pairwise_covers(datum, below), lam
+
+
+@pytest.mark.parametrize("family,rank,order", _FOLDINGS,
+                         ids=["%s%d/m%d" % key for key in _FOLDINGS])
+def test_every_cover_is_a_positive_root_step(family, rank, order):
+  # Stembridge's theorem on the unramified family, the interval steps of
+  # the closed form on the ramified family: the candidates of ``covers``
+  datum = _folding(family, rank, order)
+  roots = set(RootSystem(datum.weight_ctype).positive_roots)
+  found = 0
+  for lam, below in _grid(datum):
+    for a, b in _pairwise_covers(datum, below):
+      assert gamma_coords(datum, below[b] - below[a]) in roots, (lam, a, b)
+      found += 1
+  assert found
+
+
+def test_ramified_covers_come_from_the_closed_form(monkeypatch):
+  # on the grid the betweenness rule finds the same ramified covers as the
+  # paper's closed form, so only the calls show which one ``covers`` asks
+  calls = []
+
+  def recorded(y, mu):
+    calls.append(y)
+    return _closed_form_cover(y, mu)
+
+  monkeypatch.setattr(cells, "_closed_form_cover", recorded)
+  datum = _folding("A", 6, 4)
+  for _, below in _grid(datum):
+    assert covers(datum, below) == _pairwise_covers(datum, below)
+  assert calls
+  calls.clear()
+  datum = _folding("A", 5, 2)
+  for _, below in _grid(datum):
+    covers(datum, below)
+  assert not calls

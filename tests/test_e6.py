@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 
 import pytest
 
@@ -11,8 +11,9 @@ from twistedlie import e6
 from twistedlie.e6 import (OMEGA2, OMEGA4, SWEEP_LETTERS,
                            dominance_chain_check, numbers_game_poset)
 from twistedlie.linalg import SparseVector
-from twistedlie.reps import (_apply, highest_weight_check, subrepresentation,
-                             tensor_many, weyl_act)
+from twistedlie.reps import (ProductRepresentation, _apply,
+                             highest_weight_check, subrepresentation,
+                             weyl_act)
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +21,7 @@ def tensor_oracle(suite):
   """The suite's subrepresentation built inside the tensor cube of
   V(omega_1) instead of its exterior cube: (cube, highest weight vector,
   subrepresentation)."""
-  cube = tensor_many([suite.V1] * 3)
+  cube = ProductRepresentation([suite.V1] * 3)
   hw_vec = antisymmetrise(suite.hw_vec)
   return cube, hw_vec, subrepresentation(cube, hw_vec, suite.component)
 
@@ -124,6 +125,21 @@ class TestWeightZeroVector:
     assert e6._primitive(-half, {3: 4, 0: -6})[0] == key
     assert e6._primitive(half, {3: -4, 0: -6})[0] != key
     assert e6._primitive(Fraction(1, 3), {3: 4, 0: -6})[0] != key
+
+  def test_orbit_search_is_bounded(self, suite, monkeypatch):
+    # a key that never identifies two vectors makes the search grow without
+    # end; it stops once it holds more vectors than W(E6) has elements
+    primitive = e6._primitive
+    fresh = count()
+
+    def unique_key(c, num):
+      _, c, num = primitive(c, num)
+      return next(fresh), c, num
+
+    monkeypatch.setattr(e6, "_primitive", unique_key)
+    monkeypatch.setattr(suite, "_orbit", None)
+    with pytest.raises(ArithmeticError, match="51840"):
+      suite.orbit_up_to_sign()
 
   def test_orbit_entries_normalised(self, suite):
     # the breadth-first search on the reflection tables in Fractions holds

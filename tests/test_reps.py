@@ -12,11 +12,12 @@ from twistedlie.crystal import (MinusculeCrystal, highest_weight_component,
 from twistedlie import reps as reps_module
 from twistedlie.linalg import (GaussianRational, SparseVector, ZERO_VECTOR,
                                span_solver)
-from twistedlie.reps import (ExteriorPower, OperatorWord, Representation,
+from twistedlie.reps import (ExteriorPower, OperatorWord,
+                             ProductRepresentation, Representation,
                              TableRepresentation, _integer_tables,
                              exp_nilpotent, highest_weight_check,
                              minuscule_representation, root_lowering_operator,
-                             root_poset_path, subrepresentation, tensor_many,
+                             root_poset_path, subrepresentation,
                              verify_representation_detailed, weyl_act)
 from twistedlie.rootsystem import build
 
@@ -53,7 +54,7 @@ class TestMinusculeModel:
 class TestTensorProduct:
 
   def test_leibniz_on_pair(self, a2, a2_v1):
-    prod = tensor_many([a2_v1, a2_v1])
+    prod = ProductRepresentation([a2_v1, a2_v1])
     v = SparseVector.unit((0, 0))
     img = prod.apply_f(1, v)
     down = a2_v1.apply_f(1, SparseVector.unit(0))
@@ -62,11 +63,11 @@ class TestTensorProduct:
     assert img.get((0, key_down)) == 1
 
   def test_tensor_relations(self, a2, a2_v1):
-    prod = tensor_many([a2_v1, a2_v1])
+    prod = ProductRepresentation([a2_v1, a2_v1])
     assert verify_representation_detailed(prod, a2.cartan) == (True, None)
 
   def test_weight_additive(self, a2_v1):
-    prod = tensor_many([a2_v1, a2_v1])
+    prod = ProductRepresentation([a2_v1, a2_v1])
     for key in prod.keys():
       w = prod.weight(key)
       parts = [a2_v1.weight(k) for k in key]
@@ -128,7 +129,7 @@ class TestSubrepresentation:
     c2 = MinusculeCrystal(a2, 2)
     v1 = minuscule_representation(c1)
     v2 = minuscule_representation(c2)
-    ambient = tensor_many([v1, v2])
+    ambient = ProductRepresentation([v1, v2])
     tcrys = tensor_crystal(c1, c2)
     comp = highest_weight_component(tcrys, (1, 1))
     hw = SparseVector.unit((0, 0))
@@ -140,7 +141,7 @@ class TestSubrepresentation:
 
   def test_each_action_applied_once(self, a2, monkeypatch):
     c1 = MinusculeCrystal(a2, 1)
-    ambient = tensor_many([minuscule_representation(c1)] * 3)
+    ambient = ProductRepresentation([minuscule_representation(c1)] * 3)
     comp = highest_weight_component(tensor_crystal(c1, c1, c1), (3, 0))
     calls = collections.Counter()
     act = ambient._act
@@ -181,8 +182,8 @@ class TestSubrepresentation:
   def test_rejects_non_highest_vector(self, a2):
     c1 = MinusculeCrystal(a2, 1)
     c2 = MinusculeCrystal(a2, 2)
-    ambient = tensor_many([minuscule_representation(c1),
-                           minuscule_representation(c2)])
+    ambient = ProductRepresentation([minuscule_representation(c1),
+                                     minuscule_representation(c2)])
     tcrys = tensor_crystal(c1, c2)
     comp = highest_weight_component(tcrys, (1, 1))
     bad = ambient.apply_f(1, SparseVector.unit((0, 0)))
@@ -259,10 +260,10 @@ class TestRelationCheckerAgainstOracle:
     d4 = build("D", 4)
     yield v1, a2.cartan
     yield minuscule_representation(MinusculeCrystal(d4, 1)), d4.cartan
-    yield tensor_many([v1, v1]), a2.cartan
+    yield ProductRepresentation([v1, v1]), a2.cartan
     # the 0/1 model on the adjoint crystal is not a representation
     yield TestSubrepresentation._crystal_model(adjoint, lambda b: b), a2.cartan
-    ambient = tensor_many([v1, minuscule_representation(c2)])
+    ambient = ProductRepresentation([v1, minuscule_representation(c2)])
     yield (subrepresentation(ambient, SparseVector.unit((0, 0)), adjoint),
            a2.cartan)
 
@@ -286,7 +287,7 @@ class TestRelationCheckerAgainstOracle:
     """A2 V(omega_1) x V(omega_1) as explicit tables, keys in product order
     or reversed."""
     v1 = minuscule_representation(MinusculeCrystal(a2, 1))
-    prod = tensor_many([v1, v1])
+    prod = ProductRepresentation([v1, v1])
     return self._tables(prod, list(prod.keys())[::-1 if reverse else 1])
 
   # (kind, keys reversed, defect): ("e" | "f", i, key, key2) sets the
@@ -415,8 +416,8 @@ class TestRelationCheckerAgainstOracle:
     # V(omega_1) x V(omega_2) breaks both HE and HF (or both Serre
     # relations) for the same (i, j); E is checked first.
     c1, c2 = MinusculeCrystal(a2, 1), MinusculeCrystal(a2, 2)
-    prod = tensor_many([minuscule_representation(c1),
-                        minuscule_representation(c2)])
+    prod = ProductRepresentation([minuscule_representation(c1),
+                                  minuscule_representation(c2)])
     keys = [(0, 2)] + [k for k in prod.keys() if k != (0, 2)]
     rep = TableRepresentation(2, *self._tables(prod, keys))
     expected = _oracle_verify(rep, cartan)
@@ -439,8 +440,8 @@ class TestRelationCheckerAgainstOracle:
     # two images.  Each defect is checked on the integer tables, unscaled
     # through _act, and rescaled to Fractions.
     sys = build(family, rank)
-    prod = tensor_many([minuscule_representation(MinusculeCrystal(sys, r))
-                        for r in nodes])
+    prod = ProductRepresentation(
+        [minuscule_representation(MinusculeCrystal(sys, r)) for r in nodes])
     kinds = set()
     defects = 0
     for reverse in (False, True):
@@ -565,9 +566,9 @@ class TestCompiledLeibniz:
       assert prod.apply_e(i, vec) == _oracle_leibniz(prod, "e", i, vec)
       assert prod.apply_f(i, vec) == _oracle_leibniz(prod, "f", i, vec)
 
-  A2_CUBE = tensor_many(
+  A2_CUBE = ProductRepresentation(
       [minuscule_representation(MinusculeCrystal(build("A", 2), 1))] * 3)
-  E6_SQUARE = tensor_many(
+  E6_SQUARE = ProductRepresentation(
       [minuscule_representation(MinusculeCrystal(build("E", 6), 1))] * 2)
 
   @settings(max_examples=100, deadline=None)
@@ -600,7 +601,7 @@ def _wedge_cases():
     sys, v1 = _v1(family, rank)
     factors.append(("%s%d" % (family, rank), v1, sys.cartan))
   sys, v1 = _v1("A", 2)
-  factors.append(("A2(x)A2", tensor_many([v1, v1]), sys.cartan))
+  factors.append(("A2(x)A2", ProductRepresentation([v1, v1]), sys.cartan))
   return [("%s^%d" % (label, k), ExteriorPower(factor, k), factor, k, cartan)
           for label, factor, cartan in factors for k in (2, 3)]
 
@@ -639,7 +640,7 @@ class TestExteriorPower:
   def test_antisymmetrisation_is_equivariant(self, label, wedge, factor, k,
                                              cartan, data):
     vec = data.draw(_product_vectors(list(wedge.keys())))
-    prod = tensor_many([factor] * k)
+    prod = ProductRepresentation([factor] * k)
     up = antisymmetrise(vec)
     for i in range(1, wedge.rank + 1):
       assert antisymmetrise(wedge.apply_e(i, vec)) == prod.apply_e(i, up)
@@ -667,7 +668,7 @@ class TestExteriorPower:
     # F_1 (0, 2) = (1, 2); the image (1, 0) of the first key of
     # (0, 0) ^ (0, 2) passes (0, 2), so it takes a sign
     _, v1 = _v1("A", 2)
-    wedge = ExteriorPower(tensor_many([v1, v1]), 2)
+    wedge = ExteriorPower(ProductRepresentation([v1, v1]), 2)
     assert wedge.apply_f_key(1, ((0, 0), (0, 2))) == SparseVector({
         ((0, 2), (1, 0)): -1, ((0, 1), (0, 2)): 1, ((0, 0), (1, 2)): 1})
 
@@ -720,14 +721,14 @@ class TestRootOperators:
     c1, c2 = MinusculeCrystal(a2, 1), MinusculeCrystal(a2, 2)
     v1, v2 = minuscule_representation(c1), minuscule_representation(c2)
     adjoint = subrepresentation(
-        tensor_many([v1, v2]), SparseVector.unit((0, 0)),
+        ProductRepresentation([v1, v2]), SparseVector.unit((0, 0)),
         highest_weight_component(tensor_crystal(c1, c2), (1, 1)))
     words = [root_lowering_operator(a2, gamma) for gamma in a2.positive_roots]
     # a Serre element with a repeated term, and a term that is a suffix of
     # an earlier one
     words.append(OperatorWord(((1, (1, 2, 1)), (-1, (2, 1, 1)),
                                (-1, (2, 1, 1)), (1, (1, 1, 2)), (1, (2, 1)))))
-    for rep in (v1, tensor_many([v1, v1]), adjoint):
+    for rep in (v1, ProductRepresentation([v1, v1]), adjoint):
       for word in words:
         for key in rep.keys():
           vec = SparseVector.unit(key)
