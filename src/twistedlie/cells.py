@@ -6,12 +6,13 @@ coroots.  The order compares differences against nonnegative integral
 combinations of the gamma_j.  Every comparison of two classes is answered
 from integer gamma offsets: the inverse Cartan matrix of H is kept as an
 integer matrix over one common denominator, so no comparison builds a
-Fraction.  One box walk enumerates the dominant classes below a class, and
-one pass finds the covers among them.  That pass never compares all pairs
-of classes: a cover of dominant weights differs by a positive root
-(Stembridge, "The partial order of dominant weights", Adv. Math. 136,
-1998), so it steps from each class by the positive roots of H and looks the
-results up among the enumerated classes.  The smooth-locus classifier
+Fraction.  Comparable dominant weights are joined by a chain of dominant
+weights whose steps are positive roots (Stembridge, "The partial order of
+dominant weights", Adv. Math. 136, 1998).  So the dominant classes below a
+class come from the positive-root search of the root system of H, and one
+pass finds the covers among them by stepping from each class by the
+positive roots of H and looking the results up among the enumerated
+classes, never comparing all pairs of classes.  The smooth-locus classifier
 distinguishes the unramified foldings (only the open cell is smooth) from
 the ramified family (base A_{2l}, order 4), where certain quasi-minuscule
 cover cells are also smooth.
@@ -21,14 +22,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add, le, sub
+from operator import add, le
 
 from .folding import CoinvariantWeight
-from .linalg import inverse
-from .rootsystem import RootSystem, cartan_matrix
+from .rootsystem import RootSystem
 
 VARIANT_SPECIAL = "special-not-absolutely-special"
 VARIANT_ABS_SPECIAL = "absolutely-special"
+
+
+@lru_cache(maxsize=None)
+def _system(ctype):
+  """The root system of H, shared by the enumerator and the cover pass."""
+  return RootSystem(ctype)
 
 
 @lru_cache(maxsize=None)
@@ -36,7 +42,7 @@ def _gamma_basis(ctype):
   """The inverse Cartan matrix of ctype as integer rows over one common
   denominator den: the gamma-coordinates of a class are row . coords / den.
   """
-  inv = inverse(cartan_matrix(ctype))
+  inv = _system(ctype).cartan_inv
   den = lcm(*(c.denominator for row in inv for c in row))
   return tuple(tuple(int(c * den) for c in row) for row in inv), den
 
@@ -87,37 +93,21 @@ def dominants_below(datum, lam):
   """All dominant, lattice-valid classes below lam, largest coordinates
   first.
 
-  The walk visits the integer box 0 <= y <= gamma-coords(lam) once
-  (dominant classes have nonnegative gamma coordinates, so nothing dominant
-  lies outside it), subtracting the gamma_j from coordinate tuples, and
-  builds a class only for dominant points.  lam must be dominant and lie
-  in the coinvariant lattice; gamma subtraction keeps a class outside the
-  lattice outside it, so such a lam has nothing below it and is rejected
-  rather than answered with an empty list.
+  The gamma_j are the simple roots of H and lie in the coinvariant
+  lattice, so these are the weights of ``RootSystem.dominant_weights_below``
+  in the root system of H.  lam must be dominant and lie in the lattice;
+  gamma subtraction keeps a class outside the lattice outside it, so such a
+  lam has nothing below it and is rejected rather than answered with an
+  empty list.
   """
   lam = _as_class(datum, lam)
   if not lam.is_dominant():
     raise ValueError("lam must be dominant")
   if not datum.in_coinvariant_lattice(lam):
     raise ValueError("lam must lie in the coinvariant lattice")
-  _, den = _gamma_basis(datum.weight_ctype)
-  bounds = [s // den for s in _scaled(datum, lam.coords)]
-  ell = datum.ell
-  gammas = [datum.gamma(j).coords for j in range(1, ell + 1)]
-  found = []
-
-  def walk(j, mu):
-    g = gammas[j]
-    for _ in range(bounds[j] + 1):
-      if j + 1 < ell:
-        walk(j + 1, mu)
-      elif min(mu) >= 0:
-        cw = CoinvariantWeight(datum.weight_ctype, mu)
-        if datum.in_coinvariant_lattice(cw):
-          found.append(cw)
-      mu = tuple(map(sub, mu, g))
-
-  walk(0, lam.coords)
+  htype = datum.weight_ctype
+  found = [CoinvariantWeight(htype, mu)
+           for _, mu in _system(htype).dominant_weights_below(lam.coords)]
   found.sort(key=lambda c: c.coords, reverse=True)
   return found
 
@@ -188,7 +178,7 @@ def _root_steps(ctype):
   simple-root (gamma) coordinates, alpha in fundamental-weight
   coordinates, the positive roots strictly below alpha).  A root below
   alpha has a smaller height, so it comes before alpha."""
-  system = RootSystem(ctype)
+  system = _system(ctype)
   roots = system.positive_roots
   return tuple((alpha, system.root_weight(alpha),
                 tuple(beta for beta in roots[:k] if all(map(le, beta, alpha))))

@@ -68,7 +68,10 @@ def _progress(msg):
 
 
 def _parse_coords(text):
-  return tuple(Fraction(part) for part in text.split(","))
+  try:
+    return tuple(Fraction(part) for part in text.split(","))
+  except ZeroDivisionError:
+    raise ValueError("zero denominator in coordinates %r" % text) from None
 
 
 def _parse_weight(text, rank):
@@ -134,8 +137,6 @@ def _cmd_fold(args):
 def _cmd_dominance(args):
   datum = folding.Folding(args.type, args.rank, args.m)
   lam = datum.project(_parse_coords(args.lam))
-  if not datum.in_coinvariant_lattice(lam):
-    raise ValueError("lam must lie in the coinvariant lattice")
   below = cells.dominants_below(datum, lam)
   payload = {
       "class_type": str(datum.weight_ctype),

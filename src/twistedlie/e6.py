@@ -337,31 +337,25 @@ def dominance_chain_check():
   """Verify the coweight chain 0 < w2 < w1+w6 < w4 is saturated.
 
   E6 is self-dual, so coweights are handled with the weight machinery.
-  Checks: consecutive differences are nonnegative integral combinations of
-  simple (co)roots, the top difference has the expected coordinates, and no
+  Checks, from the dominant weights below each entry: every entry lies
+  below the next, the top difference has the expected coordinates, and no
   dominant element sits strictly between consecutive entries.
   """
   sys = build("E", 6)
   chain = [(0,) * 6, OMEGA2, tuple(a + b for a, b in zip(OMEGA1,
            (0, 0, 0, 0, 0, 1))), OMEGA4]
+
+  def below(mu):
+    return {nu for _, nu in sys.dominant_weights_below(mu)}
+
   for low, high in zip(chain, chain[1:]):
-    diff = tuple(h - l for h, l in zip(high, low))
-    coords = sys.weight_root_coords(diff)
-    if not all(c >= 0 and c.denominator == 1 for c in map(Fraction, coords)):
+    under = below(high)
+    if low not in under:
+      return False
+    if any(low in below(mu) for mu in under - {low, high}):
       return False
   top_diff = tuple(h - l for h, l in zip(chain[3], chain[2]))
-  if tuple(int(c) for c in sys.weight_root_coords(top_diff)) != (0, 1, 1, 2, 1, 0):
-    return False
-  # no dominant weight strictly between consecutive chain entries
-  for low, high in zip(chain, chain[1:]):
-    for _, mu in sys._dominant_candidates(high):
-      if mu in (low, high):
-        continue
-      diff = tuple(m - l for m, l in zip(mu, low))
-      coords = [Fraction(c) for c in sys.weight_root_coords(diff)]
-      if all(c >= 0 and c.denominator == 1 for c in coords):
-        return False
-  return True
+  return tuple(sys.weight_root_coords(top_diff)) == (0, 1, 1, 2, 1, 0)
 
 
 def numbers_game_poset():

@@ -18,6 +18,7 @@ No floating point is used anywhere; all intermediate values are ints or
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 from .linalg import inverse
 
@@ -269,31 +270,33 @@ class RootSystem:
 
   # -- multiplicities and dimensions ---------------------------------------
 
-  def _dominant_candidates(self, lam):
-    """Dominant mu with lam - mu a nonnegative integral sum of simple roots."""
-    lam = tuple(lam)
+  def dominant_weights_below(self, lam):
+    """The dominant mu with lam - mu a nonnegative integral sum of simple
+    roots, as sorted pairs (height of lam - mu, mu).
+
+    A search down from lam that subtracts every positive root and keeps the
+    dominant results, so it visits only the weights it returns: comparable
+    dominant weights are joined by a chain of dominant weights whose steps
+    are positive roots (Stembridge, "The partial order of dominant weights",
+    Adv. Math. 136, 1998).
+    """
+    lam = self._check_weight(lam)
     if not self.is_dominant(lam):
       raise ValueError("weight must be dominant")
-    la = self.weight_root_coords(lam)
-    bounds = [int(x) for x in la]  # floor; coords of dominant weights are >= 0
-    n = self.rank
-    out = []
-
-    def rec(pos, c):
-      if pos == n:
-        mu = tuple(lam[i] - sum(c[j] * self.cartan[i][j] for j in range(n))
-                   for i in range(n))
-        if self.is_dominant(mu):
-          out.append((sum(c), mu))
-        return
-      for v in range(bounds[pos] + 1):
-        c[pos] = v
-        rec(pos + 1, c)
-      c[pos] = 0
-
-    rec(0, [0] * n)
-    out.sort()
-    return out
+    steps = [(sum(alpha), self.root_weight(alpha))
+             for alpha in self.positive_roots]
+    height = {lam: 0}
+    frontier = [lam]
+    while frontier:
+      nxt = []
+      for mu in frontier:
+        for h, step in steps:
+          nu = tuple(map(sub, mu, step))
+          if min(nu) >= 0 and nu not in height:
+            height[nu] = height[mu] + h
+            nxt.append(nu)
+      frontier = nxt
+    return sorted((h, mu) for mu, h in height.items())
 
   def _freudenthal_table(self, lam):
     """Multiplicities of all dominant weights of the irrep with h.w. lam."""
@@ -306,7 +309,7 @@ class RootSystem:
     norm_top = self.inner(lam_rho, lam_rho)
     mults = {}
     lam_alpha = self.weight_root_coords(lam)
-    for height, mu in self._dominant_candidates(lam):
+    for height, mu in self.dominant_weights_below(lam):
       if height == 0:
         mults[mu] = 1
         continue

@@ -325,6 +325,26 @@ def test_enumerator_and_cover_pass_match_seed(family, rank, order, coweight):
 
 
 
+@pytest.mark.parametrize("family,rank,order", _FOLDINGS,
+                         ids=["%s%d/m%d" % key for key in _FOLDINGS])
+def test_gammas_are_the_simple_roots_of_h(family, rank, order):
+  # dominants_below searches the root system of H, so gamma_j must be the
+  # j-th simple root of H: column j of its Cartan matrix
+  datum = _folding(family, rank, order)
+  cartan = cartan_matrix(datum.weight_ctype)
+  for j in range(1, datum.ell + 1):
+    assert datum.gamma(j).coords == tuple(row[j - 1] for row in cartan)
+
+
+@pytest.mark.parametrize("family,rank,order,count", (
+    ("D", 6, 2, 1998), ("A", 8, 4, 3495)))
+def test_large_closure_sizes(family, rank, order, count):
+  # both the box walk and the root search list this many classes below the
+  # base coweight (2, ..., 2)
+  datum = _folding(family, rank, order)
+  assert len(dominants_below(datum, datum.project((2,) * rank))) == count
+
+
 # -- the pairwise cover pass, as an oracle -----------------------------------
 
 def _pairwise_covers(datum, below):

@@ -169,12 +169,17 @@ _MALFORMED = (
     (["rootsys", "--type", "A", "--rank", "2", "--weight", "1/2,0"], False),
     (["rootsys", "--type", "A", "--rank", "2", "--weight", "1,0,5"], False),
     (["rootsys", "--type", "A", "--rank", "2", "--weight", "x,0"], False),
+    (["rootsys", "--type", "A", "--rank", "2", "--weight", "1/0,0"], False),
     (["fold", "--type", "A", "--rank", "3", "--m", "3"], False),
     (["fold", "--type", "A", "--rank", "3", "--m", "two"], True),
     (["dominance", "--type", "A", "--rank", "2", "--m", "4",
       "--lambda", "1"], False),
     (["dominance", "--type", "A", "--rank", "4", "--m", "4",
       "--lambda", "1/2,1,1,1"], False),
+    (["dominance", "--type", "A", "--rank", "2", "--m", "4",
+      "--lambda", "1/0,0"], False),
+    (["smooth-locus", "--type", "A", "--rank", "2", "--m", "4",
+      "--lambda", "1/0,0"], False),
     (["smooth-locus", "--type", "A", "--rank", "2", "--m", "4",
       "--lambda", "1,0,0"], False),
     (["smooth-locus", "--type", "D", "--rank", "4", "--m", "2",

@@ -224,6 +224,15 @@ class TestDominanceChain:
   def test_chain_is_saturated(self):
     assert dominance_chain_check()
 
+  @pytest.mark.parametrize("second", ((1, 0, 0, 0, 0, 0),
+                                      (1, 0, 0, 0, 0, 1)),
+                           ids=["w1", "w1+w6"])
+  def test_broken_chain_is_rejected(self, monkeypatch, second):
+    # w1 is not above 0 (it lies outside the root lattice); w1+w6 in place
+    # of w2 leaves w2 strictly between 0 and w1+w6
+    monkeypatch.setattr(e6, "OMEGA2", second)
+    assert not dominance_chain_check()
+
 
 class TestNumbersGamePoset:
 

@@ -242,6 +242,64 @@ class TestWeightMachinery:
     assert all(a3.is_minuscule(r) for r in (1, 2, 3))
 
 
+def _box_dominant_candidates(self, lam):
+  """The box walk that dominant_weights_below replaced, as an oracle."""
+  lam = tuple(lam)
+  if not self.is_dominant(lam):
+    raise ValueError("weight must be dominant")
+  la = self.weight_root_coords(lam)
+  bounds = [int(x) for x in la]  # floor; coords of dominant weights are >= 0
+  n = self.rank
+  out = []
+
+  def rec(pos, c):
+    if pos == n:
+      mu = tuple(lam[i] - sum(c[j] * self.cartan[i][j] for j in range(n))
+                 for i in range(n))
+      if self.is_dominant(mu):
+        out.append((sum(c), mu))
+      return
+    for v in range(bounds[pos] + 1):
+      c[pos] = v
+      rec(pos + 1, c)
+    c[pos] = 0
+
+  rec(0, [0] * n)
+  out.sort()
+  return out
+
+
+_SMALL_TYPES = ([("A", n) for n in range(1, 6)] + [("B", n) for n in (2, 3, 4)]
+                + [("C", n) for n in (2, 3, 4)] + [("D", 4), ("D", 5), ("F", 4),
+                                                   ("G", 2)])
+_BELOW_CASES = tuple(
+    (family, rank, tuple(k * int(j == i) for j in range(rank)))
+    for family, rank in _SMALL_TYPES for i in range(rank) for k in (1, 2)
+) + tuple(("E", 6, tuple(int(j == i) for j in range(6))) for i in range(6))
+
+
+class TestDominantWeightsBelow:
+
+  @pytest.mark.parametrize("family,rank,lam", _BELOW_CASES,
+                           ids=["%s%d %s" % (f, n, ",".join(map(str, lam)))
+                                for f, n, lam in _BELOW_CASES])
+  def test_matches_box_walk(self, family, rank, lam):
+    sys_ = build(family, rank)
+    assert sys_.dominant_weights_below(lam) == _box_dominant_candidates(
+        sys_, lam)
+
+  def test_rational_weight(self):
+    sys_ = build("B", 2)
+    lam = (Fraction(3, 2), 1)
+    assert sys_.dominant_weights_below(lam) == _box_dominant_candidates(
+        sys_, lam)
+
+  @pytest.mark.parametrize("lam", ((1, -1), (1, 0, 0)))
+  def test_rejects_bad_weights(self, lam):
+    with pytest.raises(ValueError):
+      build("A", 2).dominant_weights_below(lam)
+
+
 class TestWeylElements:
 
   def test_simple_reflection_order_two(self):
