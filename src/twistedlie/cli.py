@@ -37,17 +37,11 @@ def _jsonable(value):
     return str(value) if value.denominator != 1 else int(value)
   if isinstance(value, str):
     return value
-  if isinstance(value, folding.CoinvariantWeight):
-    return {"type": str(value.htype), "coords": _jsonable(value.coords)}
   if isinstance(value, (list, tuple)):
     return [_jsonable(v) for v in value]
   if isinstance(value, dict):
     return {str(k): _jsonable(v) for k, v in value.items()}
-  if hasattr(value, "__dict__") or hasattr(value, "__dataclass_fields__"):
-    fields = getattr(value, "__dataclass_fields__", None)
-    if fields:
-      return {name: _jsonable(getattr(value, name)) for name in fields}
-  return str(value)
+  raise TypeError("cannot render %r as JSON" % type(value).__name__)
 
 
 def _emit(payload, fmt):

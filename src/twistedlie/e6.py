@@ -23,8 +23,7 @@ it.
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .linalg import SparseVector, normalize_scalar, rank as matrix_rank
 from . import crystal as crystal_mod
@@ -41,6 +40,9 @@ SWEEP_LETTERS = (1, 2, 3, 3, 4, 4, 4, 5, 5, 6)
 
 #: |W(E6)|, a bound on the size of any Weyl orbit.
 WEYL_ORDER = 51840
+
+#: The sweep reports at most this many counterexample words.
+MAX_COUNTEREXAMPLES = 5
 
 
 def _noop(msg):
@@ -250,7 +252,7 @@ class E6Suite:
     word is Levi-extremal."""
     return (not self.word_vector(word)) or self.is_levi_extremal(word)
 
-  def levi_extremal_sweep(self, max_counterexamples=5):
+  def levi_extremal_sweep(self):
     """Sweep all arrangements of the ten-letter multiset, sharing suffixes.
 
     Verifies that every arrangement with nonzero vector is Levi-extremal.
@@ -262,17 +264,8 @@ class E6Suite:
     accepted ancestor is retested in full (including its commutation class)
     and becomes a counterexample only if that fails too.
     """
-    counts = Counter(SWEEP_LETTERS)
-    total = 1
-    rem = 0
-    for c in counts.values():
-      for _ in range(c):
-        rem += 1
-        total *= rem
-      f = 1
-      for t in range(1, c + 1):
-        f *= t
-      total //= f
+    total = factorial(len(SWEEP_LETTERS)) // prod(
+        factorial(c) for c in Counter(SWEEP_LETTERS).values())
     counterexamples = []
     stats = {"nodes": 0, "accepted": 0, "fallback": 0}
 
@@ -291,7 +284,7 @@ class E6Suite:
         # full test, which also searches the commutation class of the word
         stats["fallback"] += 1
         if not self.is_levi_extremal(suffix):
-          if len(counterexamples) < max_counterexamples:
+          if len(counterexamples) < MAX_COUNTEREXAMPLES:
             counterexamples.append(suffix)
         return
       for i in sorted(counts):
@@ -324,11 +317,6 @@ class E6Suite:
         "chain_ok": dominance_chain_check(),
         "poset_ok": numbers_game_poset() is not None,
     }
-
-
-@lru_cache(maxsize=1)
-def build_suite():
-  return E6Suite()
 
 
 # -- light checks that do not need the heavy suite ---------------------------

@@ -66,42 +66,35 @@ class Folding:
       eta = tuple(min(i, n + 1 - i) for i in range(1, n + 1))
       fixed = CartanType("C", self.ell) if self.ell >= 2 else CartanType("A", 1)
       weight = fixed
-      h = (0,) * n
     elif f == "A" and m == 4 and n >= 2 and n % 2 == 0:
       self.ell = n // 2
       tau = tuple(n + 1 - i for i in range(1, n + 1))
       eta = tuple(min(i, n + 1 - i) for i in range(1, n + 1))
       fixed = CartanType("C", self.ell) if self.ell >= 2 else CartanType("A", 1)
       weight = CartanType("B", self.ell) if self.ell >= 2 else CartanType("A", 1)
-      h = tuple(1 if i in (self.ell, self.ell + 1) else 0
-                for i in range(1, n + 1))
     elif f == "D" and m == 2 and n >= 4:
       self.ell = n - 1
       tau = tuple(i if i <= n - 2 else (2 * n - 1 - i) for i in range(1, n + 1))
       eta = tuple(min(i, n - 1) for i in range(1, n + 1))
       fixed = CartanType("B", self.ell)
       weight = fixed
-      h = (0,) * n
     elif f == "D" and n == 4 and m == 3:
       self.ell = 2
       tau = (3, 2, 4, 1)
       eta = (1, 2, 1, 1)
       fixed = CartanType("G", 2)
       weight = fixed
-      h = (0,) * n
     elif f == "E" and n == 6 and m == 2:
       self.ell = 4
       tau = (6, 2, 5, 4, 3, 1)
       eta = (4, 1, 3, 2, 3, 4)
       fixed = CartanType("F", 4)
       weight = fixed
-      h = (0,) * n
     else:
       raise ValueError("no standard folding for (%s%d, %d)" % (f, n, m))
     self.base_type = base_type
     self.tau = tau
     self.eta = eta
-    self.h = h
     self.fixed_ctype = fixed
     self.weight_ctype = weight
     self.is_ramified = (f == "A" and m == 4)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +162,17 @@ class TestUsageErrors:
     with pytest.raises(SystemExit) as err:
       cli.main(["rootsys", "--type", "A", "--rank", "2", "--nope"])
     assert err.value.code == 2
+
+
+class TestJsonable:
+
+  def test_fractions_render_as_strings_or_ints(self):
+    payload = {"half": Fraction(1, 2), "two": Fraction(4, 2), 3: (None,)}
+    assert cli._jsonable(payload) == {"half": "1/2", "two": 2, "3": [None]}
+
+  def test_unsupported_value_raises(self):
+    with pytest.raises(TypeError):
+      cli._jsonable(object())
 
 
 # (argv, whether argparse rejects it before a subcommand runs): one

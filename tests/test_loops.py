@@ -1,16 +1,29 @@
+import random
+
 import pytest
 
-from twistedlie.linalg import GaussianRational, I_UNIT
-from twistedlie.loops import (LoopElement, bracket, cartan_vector,
-                              eta_apply, eta_bracket_check, eta_c_apply,
-                              eta_k_apply, expected_eta_image,
+import loop_element_fixture as oracle
+from twistedlie.linalg import GaussianRational, I_UNIT, SparseVector
+from twistedlie.loops import (_all_basis_keys, bracket, cartan_vector,
+                              degrees, eta_apply, eta_bracket_check,
+                              eta_c_apply, eta_k_apply, expected_eta_image,
                               fixed_degree_dimension, hyperspecial_basis,
                               is_sigma_fixed, is_tau_fixed, root_vector,
                               sigma_apply, tau_apply, verify_hyperspecial)
 
 
 def _elt(bkey, deg, coeff=1):
-  return LoopElement({(bkey, deg): coeff})
+  return SparseVector({(bkey, deg): coeff})
+
+
+def _old(x):
+  """A loop element as the oracle's LoopElement."""
+  return oracle.LoopElement(dict(x.items()))
+
+
+def _same(x, old):
+  """The SparseVector ``x`` equals the oracle's LoopElement ``old``."""
+  return dict(x.items()) == old.terms
 
 
 class TestLoopElement:
@@ -20,18 +33,26 @@ class TestLoopElement:
     b = _elt(("E", 1, 2), 0, 2)
     assert (a + a) == b
     assert not (a - a)
-    assert (-a) + a == LoopElement({})
+    assert (-a) + a == SparseVector({})
     assert a.scale(GaussianRational(0, 1)) == _elt(("E", 1, 2), 0, I_UNIT)
 
   def test_degrees_and_sparse(self):
     x = _elt(("E", 1, 2), 0) + _elt(("h", 1), 3)
-    assert x.degrees() == [0, 3]
-    assert set(x.to_sparse().support()) == {(("E", 1, 2), 0), (("h", 1), 3)}
+    assert degrees(x) == [0, 3]
+    assert x.support() == {(("E", 1, 2), 0), (("h", 1), 3)}
 
   def test_root_and_cartan_vectors(self):
     assert root_vector(1, 1, 2) == ("E", 1, 3)
     assert root_vector(-1, 1, 2) == ("E", 3, 1)
     assert cartan_vector(2) == ("h", 2)
+
+  def test_coefficients_stay_int_until_a_twist_phase(self):
+    for _, _, elt in hyperspecial_basis(2, 6):
+      for x in (elt, tau_apply(2, elt), eta_apply(2, elt),
+                bracket(elt, eta_c_apply(elt))):
+        assert all(type(c) is int for _, c in x.items())
+      img = sigma_apply(2, elt)
+      assert all(isinstance(c, GaussianRational) for _, c in img.items())
 
 
 class TestBracket:
@@ -60,7 +81,7 @@ class TestBracket:
     x = _elt(("E", 1, 2), 2)
     y = _elt(("E", 2, 1), 3)
     out = bracket(x, y)
-    assert out.degrees() == [5]
+    assert degrees(out) == [5]
 
 
 class TestAutomorphisms:
@@ -110,7 +131,7 @@ class TestAutomorphisms:
     # h_1 - h_2 in degree one is tau-fixed (tau swaps the coroots and
     # flips odd powers) with ad-h eigenvalue zero: degrees double
     x = _elt(("h", 1), 1) - _elt(("h", 2), 1)
-    assert eta_k_apply(1, x).degrees() == [2]
+    assert degrees(eta_k_apply(1, x)) == [2]
 
 
 class TestEtaImages:
@@ -133,7 +154,7 @@ class TestEtaImages:
       assert is_tau_fixed(2, elt)
       img = eta_apply(2, elt)
       assert is_sigma_fixed(2, img)
-      assert all(deg >= 0 for deg in img.degrees())
+      assert all(deg >= 0 for deg in degrees(img))
 
 
 class TestVerification:
@@ -162,3 +183,112 @@ class TestVerification:
   def test_bound_validation(self):
     with pytest.raises(ValueError):
       hyperspecial_basis(1, 1)
+
+
+# -- the LoopElement model as the oracle --------------------------------------
+
+ELLS = (1, 2, 3, 4)
+UNITS = (1, -1, I_UNIT, -I_UNIT)
+
+
+def _keys_and_degrees(ell):
+  return [(bkey, deg) for bkey in _all_basis_keys(ell)
+          for deg in range(-3, 4)]
+
+
+class TestAgainstLoopElementModel:
+
+  @pytest.mark.parametrize("ell", ELLS)
+  def test_basis_and_closed_forms(self, ell):
+    new = hyperspecial_basis(ell, 8)
+    old = oracle.hyperspecial_basis(ell, 8)
+    assert [(f, d) for f, d, _ in new] == [(f, d) for f, d, _ in old]
+    for (family, desc, x), (_, _, y) in zip(new, old):
+      assert _same(x, y)
+      assert _same(expected_eta_image(ell, family, desc),
+                   oracle.expected_eta_image(ell, family, desc))
+
+  @pytest.mark.parametrize("ell", ELLS)
+  def test_maps_on_basis_elements(self, ell):
+    for _, _, x in hyperspecial_basis(ell, 8):
+      old = _old(x)
+      assert _same(tau_apply(ell, x), oracle.tau_apply(ell, old))
+      assert _same(sigma_apply(ell, x), oracle.sigma_apply(ell, old))
+      assert _same(eta_c_apply(x), oracle.eta_c_apply(old))
+      assert _same(eta_k_apply(ell, x), oracle.eta_k_apply(ell, old))
+      assert _same(eta_apply(ell, x), oracle.eta_apply(ell, old))
+
+  @pytest.mark.parametrize("ell", ELLS)
+  def test_maps_on_every_key(self, ell):
+    for key in _keys_and_degrees(ell):
+      x = SparseVector.unit(key)
+      old = _old(x)
+      assert _same(tau_apply(ell, x), oracle.tau_apply(ell, old))
+      assert _same(sigma_apply(ell, x), oracle.sigma_apply(ell, old))
+      assert _same(eta_c_apply(x), oracle.eta_c_apply(old))
+      fixed = x + tau_apply(ell, x)
+      assert _same(eta_k_apply(ell, fixed),
+                   oracle.eta_k_apply(ell, _old(fixed)))
+
+  @pytest.mark.parametrize("ell", ELLS)
+  def test_bracket_on_random_pairs(self, ell):
+    rng = random.Random(ell)
+    elements = [x for _, _, x in hyperspecial_basis(ell, 8)]
+    # Gaussian coefficients too: sigma-images of basis elements
+    elements += [sigma_apply(ell, x) for x in elements[::3]]
+    for _ in range(150):
+      x, y = rng.choice(elements), rng.choice(elements)
+      assert _same(bracket(x, y), oracle.bracket(_old(x), _old(y)))
+      s = x + y.scale(rng.choice(UNITS))
+      assert _same(bracket(s, y), oracle.bracket(_old(s), _old(y)))
+
+  @pytest.mark.parametrize("ell", ELLS)
+  def test_fixed_degree_dimension(self, ell):
+    for degree in range(8):
+      assert (fixed_degree_dimension(ell, degree)
+              == oracle.fixed_degree_dimension(ell, degree))
+
+  @pytest.mark.parametrize("ell", ELLS)
+  @pytest.mark.parametrize("bound", (4, 6, 8))
+  def test_verify_hyperspecial(self, ell, bound):
+    report = verify_hyperspecial(ell, bound)
+    assert report == oracle.verify_hyperspecial(ell, bound)
+    assert report["passed"]
+
+
+def _norm(c):
+  return c.norm() if isinstance(c, GaussianRational) else c * c
+
+
+class TestMapsInjective:
+  """Each map sends distinct keys to distinct keys and multiplies each
+  coefficient by a unit, so its image dict needs no accumulation and no
+  zero filter."""
+
+  @staticmethod
+  def _image_keys(apply, vectors):
+    keys = []
+    for x in vectors:
+      img = apply(x)
+      assert len(img) == len(x)
+      assert (sorted(_norm(c) for _, c in img.items())
+              == sorted(_norm(c) for _, c in x.items()))
+      keys.extend(img.keys())
+    assert len(set(keys)) == len(keys)
+    return keys
+
+  @pytest.mark.parametrize("ell", ELLS)
+  def test_injective_on_keys_and_degrees(self, ell):
+    units = [SparseVector.unit(key) for key in _keys_and_degrees(ell)]
+    for apply in (lambda x: tau_apply(ell, x), lambda x: sigma_apply(ell, x),
+                  eta_c_apply):
+      assert len(self._image_keys(apply, units)) == len(units)
+    # eta_k needs tau-fixed inputs: the tau-orbit sums, which cover every
+    # key that occurs in a tau-fixed element
+    orbits = {}
+    for x in units:
+      fixed = x + tau_apply(ell, x)
+      if fixed:
+        orbits[fixed.support()] = fixed
+    image = self._image_keys(lambda x: eta_k_apply(ell, x), orbits.values())
+    assert len(image) == len(set().union(*orbits))
