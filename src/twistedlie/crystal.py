@@ -65,27 +65,16 @@ class TableCrystal:
 class MinusculeCrystal(TableCrystal):
   """The crystal of a minuscule fundamental weight.
 
-  Elements are the weights of the Weyl orbit of omega_r, indexed 0..n-1 in
-  breadth-first order (by depth, then discovery, the nodes scanned in
-  increasing order); index 0 is the highest weight element.
+  Elements and f_table are ``RootSystem.orbit_graph(omega_r)``: the orbit
+  breadth-first from index 0, the highest weight element.  Orbit coordinates
+  lie in {-1, 0, 1}, so each lowering step s_i mu is f_i mu.
   """
 
   def __init__(self, sys, r):
     if not sys.is_minuscule(r):
       raise ValueError("node %d is not minuscule for %s" % (r, sys.ctype))
     omega = tuple(int(i == r - 1) for i in range(sys.rank))
-    weights = [omega]
-    index = {omega: 0}
-    f_table = {}
-    # the loop also visits the weights appended while it runs
-    for k, mu in enumerate(weights):
-      for i in range(1, sys.rank + 1):
-        if mu[i - 1] == 1:
-          nu = sys.reflect(i, mu)
-          if nu not in index:
-            index[nu] = len(weights)
-            weights.append(nu)
-          f_table[(k, i)] = index[nu]
+    weights, f_table = sys.orbit_graph(omega)
     super().__init__(sys.rank, weights, f_table)
 
 

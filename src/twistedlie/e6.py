@@ -174,11 +174,6 @@ class E6Suite:
     subrepresentation."""
     return matrix_rank(self.orbit_up_to_sign())
 
-  def orbit_spans_zero_fiber(self):
-    """Whether the orbit of the weight-zero vector spans the full
-    weight-zero fiber."""
-    return self.orbit_rank() == len(self.zero_fiber)
-
   # -- the Levi-extremal sweep ---------------------------------------------
 
   def _is_extremal(self, vec):
@@ -246,11 +241,6 @@ class E6Suite:
               nxt.append(w2)
       frontier = nxt
     return False
-
-  def word_ok(self, word):
-    """The sweep property for a single word: the vector vanishes or the
-    word is Levi-extremal."""
-    return (not self.word_vector(word)) or self.is_levi_extremal(word)
 
   def levi_extremal_sweep(self):
     """Sweep all arrangements of the ten-letter multiset, sharing suffixes.

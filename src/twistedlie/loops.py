@@ -385,8 +385,10 @@ def verify_hyperspecial(ell, bound):
   independent = rank(images) == len(images)
   degree_counts_ok = True
   degree_counts = {}
+  # the dimension reads the degree only through the phase i^d
+  dims = [fixed_degree_dimension(ell, r) for r in range(min(4, bound + 1))]
   for d in range(0, bound + 1):
-    expected = fixed_degree_dimension(ell, d)
+    expected = dims[d % 4]
     got = per_degree.get(d, 0)
     degree_counts[d] = {"expected": expected, "got": got}
     # the enumeration only guarantees full coverage for degrees whose

@@ -75,12 +75,6 @@ class Representation:
   def apply_f(self, i, vec):
     return SparseVector._raw(self._act("f", i, vec.entries))
 
-  def apply_e_key(self, i, key):
-    return SparseVector._raw(self._act("e", i, {key: 1}))
-
-  def apply_f_key(self, i, key):
-    return SparseVector._raw(self._act("f", i, {key: 1}))
-
   def apply_h(self, i, vec):
     acc = {}
     for key, c in vec.items():
@@ -230,7 +224,11 @@ def minuscule_representation(crys):
   return TableRepresentation(rank, weights, e_act, f_act)
 
 
-def exp_nilpotent(apply_fn, vec, sign=1, max_power=200):
+# exp_nilpotent gives up on an operator whose powers outlast this bound
+_MAX_NILPOTENT_POWER = 200
+
+
+def exp_nilpotent(apply_fn, vec, sign=1):
   """exp of a nilpotent operator applied to a vector:
   sum_k sign^k op^k(vec) / k! until the power vanishes."""
   total = vec
@@ -238,7 +236,7 @@ def exp_nilpotent(apply_fn, vec, sign=1, max_power=200):
   k = 0
   while cur:
     k += 1
-    if k > max_power:
+    if k > _MAX_NILPOTENT_POWER:
       raise ArithmeticError("operator does not appear nilpotent")
     cur = apply_fn(cur)
     if cur:

@@ -3,8 +3,7 @@ import pytest
 from twistedlie.crystal import (HighestWeightComponent,
                                 MinusculeCrystal,
                                 highest_weight_component, tensor_crystal)
-from twistedlie.rootsystem import (build, compose, minimal_coset_reps,
-                                   simple_reflection)
+from twistedlie.rootsystem import build, minimal_coset_reps
 
 
 @pytest.fixture(scope="module")
@@ -223,27 +222,65 @@ def test_tensor_operators_match_recursive_oracle(family, rank, copies):
 
 # -- the seed constructions, kept as oracles ----------------------------------
 
+def _reflection_matrix(sys, i):
+  """s_i acting on fundamental-weight coordinates."""
+  n = sys.rank
+  return tuple(tuple(int(j == k) - (sys.cartan[j][i - 1] if k == i - 1 else 0)
+                     for k in range(n)) for j in range(n))
+
+
+def _matmul(a, b):
+  return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+               for row in a)
+
+
+def _matrix_coset_reps(sys, J):
+  """The seed's minimal coset representatives for W / W_J, as (matrix,
+  reduced word) pairs in breadth-first order: a search that lowers rho_J one
+  simple reflection at a time and multiplies the Weyl-group matrices."""
+  n = sys.rank
+  lam = tuple(0 if i in J else 1 for i in range(1, n + 1))
+  start = (tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), ())
+  seen = {lam}
+  order = [start]
+  frontier = [(lam, start)]
+  while frontier:
+    nxt = []
+    for mu, (mat, word) in frontier:
+      for i in range(1, n + 1):
+        if mu[i - 1] > 0:
+          nu = sys.reflect(i, mu)
+          if nu not in seen:
+            w = (_matmul(_reflection_matrix(sys, i), mat), (i,) + word)
+            seen.add(nu)
+            order.append(w)
+            nxt.append((nu, w))
+    frontier = nxt
+  return order
+
+
 def _seed_minuscule(sys, r):
   """The minuscule crystal on the minimal coset representatives W^J (J the
   node complement): s_i w is f_i w when it is longer, e_i w when shorter.
   Returns weights, e_table, f_table and the 0/1 eps and phi."""
-  elements = minimal_coset_reps(sys, set(range(1, sys.rank + 1)) - {r})
-  index = {w.matrix: k for k, w in enumerate(elements)}
+  elements = _matrix_coset_reps(sys, set(range(1, sys.rank + 1)) - {r})
+  index = {mat: k for k, (mat, _) in enumerate(elements)}
   omega = tuple(int(i == r - 1) for i in range(sys.rank))
-  reflections = [simple_reflection(sys, i) for i in range(1, sys.rank + 1)]
+  reflections = [_reflection_matrix(sys, i) for i in range(1, sys.rank + 1)]
   e_table, f_table = {}, {}
-  for k, w in enumerate(elements):
+  for k, (mat, word) in enumerate(elements):
     for i, s in enumerate(reflections, 1):
-      j = index.get(compose(sys, s, w).matrix)
+      j = index.get(_matmul(s, mat))
       if j is None:
         continue
-      if elements[j].length > w.length:
+      if len(elements[j][1]) > len(word):
         f_table[(k, i)] = j
       else:
         e_table[(k, i)] = j
   keys = [(b, i) for b in range(len(elements))
           for i in range(1, sys.rank + 1)]
-  return ([w.act(omega) for w in elements], e_table, f_table,
+  return ([tuple(sum(x * y for x, y in zip(row, omega)) for row in mat)
+           for mat, _ in elements], e_table, f_table,
           {key: int(key in e_table) for key in keys},
           {key: int(key in f_table) for key in keys})
 
@@ -307,6 +344,21 @@ def test_minuscule_crystals_match_seed_coset_build():
     c = MinusculeCrystal(sys, r)
     got = (c.weights, c.e_table, c.f_table) + _eps_phi(c)
     assert got == _seed_minuscule(sys, r), (sys.ctype, r)
+
+
+_COSET_TYPES = ([("A", n) for n in range(1, 6)] + [("B", n) for n in (2, 3, 4)]
+                + [("C", n) for n in (2, 3, 4)] + [("D", 4), ("D", 5), ("F", 4),
+                                                   ("G", 2)])
+
+
+@pytest.mark.parametrize("family,rank", _COSET_TYPES,
+                         ids=["%s%d" % t for t in _COSET_TYPES])
+def test_coset_words_match_matrix_search(family, rank):
+  sys = build(family, rank)
+  nodes = set(range(1, rank + 1))
+  for J in (set(), nodes - {1}, nodes - {rank}, {1}):
+    words = [word for _, word in _matrix_coset_reps(sys, J)]
+    assert minimal_coset_reps(sys, J) == words, J
 
 
 # the tensor crystals (family, rank, minuscule node, copies) of the quick

@@ -249,6 +249,12 @@ class TestAgainstLoopElementModel:
               == oracle.fixed_degree_dimension(ell, degree))
 
   @pytest.mark.parametrize("ell", ELLS)
+  def test_fixed_degree_dimension_depends_on_degree_mod_4(self, ell):
+    for degree in range(12):
+      assert (fixed_degree_dimension(ell, degree)
+              == fixed_degree_dimension(ell, degree % 4))
+
+  @pytest.mark.parametrize("ell", ELLS)
   @pytest.mark.parametrize("bound", (4, 6, 8))
   def test_verify_hyperspecial(self, ell, bound):
     report = verify_hyperspecial(ell, bound)

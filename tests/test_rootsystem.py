@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistedlie.rootsystem import (CartanType, build, cartan_matrix, compose,
-                                   identity_element, minimal_coset_reps,
-                                   simple_reflection, symmetrizer)
+from twistedlie.rootsystem import (CartanType, build, cartan_matrix,
+                                   minimal_coset_reps, symmetrizer)
 
 
 class TestCartanMatrices:
@@ -300,21 +299,86 @@ class TestDominantWeightsBelow:
       build("A", 2).dominant_weights_below(lam)
 
 
+def _all_reflections_orbit(sys_, wt):
+  """The seed's weyl_orbit, kept as an oracle: a breadth-first search that
+  applies every simple reflection to every weight found."""
+  start = tuple(wt)
+  seen = {start}
+  frontier = [start]
+  while frontier:
+    nxt = []
+    for mu in frontier:
+      for i in range(1, sys_.rank + 1):
+        img = sys_.reflect(i, mu)
+        if img not in seen:
+          seen.add(img)
+          nxt.append(img)
+    frontier = nxt
+  return frozenset(seen)
+
+
+def _orbit_weights(sys_):
+  """omega_i, 2 omega_i and s_1 of each."""
+  for i in range(sys_.rank):
+    for k in (1, 2):
+      wt = tuple(k * int(j == i) for j in range(sys_.rank))
+      yield wt
+      yield sys_.reflect(1, wt)
+
+
+_ORBIT_TYPES = _SMALL_TYPES + [("A", 6), ("B", 5), ("C", 5), ("D", 6)]
+_RANK4_TYPES = [t for t in _SMALL_TYPES if t[1] <= 4]
+
+
+class TestOrbitGraph:
+
+  @pytest.mark.parametrize("family,rank", _ORBIT_TYPES,
+                           ids=["%s%d" % t for t in _ORBIT_TYPES])
+  def test_weyl_orbit_matches_all_reflections_search(self, family, rank):
+    sys_ = build(family, rank)
+    for wt in _orbit_weights(sys_):
+      assert sys_.weyl_orbit(wt) == _all_reflections_orbit(sys_, wt), wt
+
+  @pytest.mark.parametrize("family,rank", _RANK4_TYPES,
+                           ids=["%s%d" % t for t in _RANK4_TYPES])
+  def test_rational_weights_match_all_reflections_search(self, family, rank):
+    sys_ = build(family, rank)
+    for wt in ((Fraction(1, 2),) + (0,) * (rank - 1),
+               tuple(Fraction(j + 1, 3) * (-1) ** j for j in range(rank))):
+      assert sys_.weyl_orbit(wt) == _all_reflections_orbit(sys_, wt), wt
+
+  @pytest.mark.parametrize("family,rank", _SMALL_TYPES + [("E", 6)],
+                           ids=["%s%d" % t for t in _SMALL_TYPES + [("E", 6)]])
+  def test_graph_is_the_lowering_steps_breadth_first(self, family, rank):
+    sys_ = build(family, rank)
+    for lam in _orbit_weights(sys_):
+      if not sys_.is_dominant(lam):
+        continue
+      weights, table = sys_.orbit_graph(lam)
+      assert weights[0] == lam
+      assert len(set(weights)) == len(weights)
+      assert set(weights) == _all_reflections_orbit(sys_, lam)
+      assert set(table) == {(k, i) for k, mu in enumerate(weights)
+                            for i in range(1, rank + 1) if mu[i - 1] > 0}
+      for (k, i), j in table.items():
+        assert weights[j] == sys_.reflect(i, weights[k])
+      # breadth-first: the first step into a weight comes from the least
+      # index, and the depths so read never decrease along the list
+      depth = [0]
+      for (k, i), j in sorted(table.items()):
+        if j == len(depth):
+          depth.append(depth[k] + 1)
+      assert len(depth) == len(weights)
+      assert depth == sorted(depth)
+
+  @pytest.mark.parametrize("lam", ((1, -1), (0, Fraction(-1, 2)), (1, 0, 0),
+                                   (1,)))
+  def test_rejects_bad_weights(self, lam):
+    with pytest.raises(ValueError):
+      build("A", 2).orbit_graph(lam)
+
+
 class TestWeylElements:
-
-  def test_simple_reflection_order_two(self):
-    sys = build("D", 4)
-    for i in range(1, 5):
-      s = simple_reflection(sys, i)
-      assert compose(sys, s, s) == identity_element(sys)
-
-  def test_braid_relation(self):
-    sys = build("A", 2)
-    s1 = simple_reflection(sys, 1)
-    s2 = simple_reflection(sys, 2)
-    lhs = compose(sys, s1, compose(sys, s2, s1))
-    rhs = compose(sys, s2, compose(sys, s1, s2))
-    assert lhs == rhs
 
   def test_minimal_coset_reps_d4(self):
     sys = build("D", 4)
