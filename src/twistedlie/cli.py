@@ -167,11 +167,8 @@ def _cmd_smooth_locus(args):
 def _cmd_e6_duality(args):
   suite = e6.E6Suite(progress=_progress)
   card = suite.scorecard()
-  ok = (card["vzero_nonzero"] and card["orbit_size"] == 240
-        and card["rank"] == 45 and card["levi_extremal_ok"]
-        and card["chain_ok"] and card["poset_ok"])
   _emit(card, args.format)
-  return 0 if ok else 1
+  return 0 if e6.scorecard_ok(card) else 1
 
 
 def _cmd_levi_extremal(args):

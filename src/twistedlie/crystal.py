@@ -65,16 +65,19 @@ class TableCrystal:
 class MinusculeCrystal(TableCrystal):
   """The crystal of a minuscule fundamental weight.
 
-  Elements and f_table are ``RootSystem.orbit_graph(omega_r)``: the orbit
-  breadth-first from index 0, the highest weight element.  Orbit coordinates
-  lie in {-1, 0, 1}, so each lowering step s_i mu is f_i mu.
+  Elements and f_table are read from ``RootSystem.orbit_graph(omega_r)``:
+  the orbit breadth-first from index 0, the highest weight element, and its
+  lowering steps.  Orbit coordinates lie in {-1, 0, 1}, so each lowering
+  step s_i mu is f_i mu.
   """
 
   def __init__(self, sys, r):
     if not sys.is_minuscule(r):
       raise ValueError("node %d is not minuscule for %s" % (r, sys.ctype))
     omega = tuple(int(i == r - 1) for i in range(sys.rank))
-    weights, f_table = sys.orbit_graph(omega)
+    weights, steps = sys.orbit_graph(omega)
+    f_table = {(k, i): row[k] for k in range(len(weights))
+               for i, row in enumerate(steps, 1) if row[k] is not None}
     super().__init__(sys.rank, weights, f_table)
 
 

@@ -44,6 +44,12 @@ WEYL_ORDER = 51840
 #: The sweep reports at most this many counterexample words.
 MAX_COUNTEREXAMPLES = 5
 
+#: The size of the orbit up to sign of the weight-zero vector, and its rank
+#: in the 45-dimensional weight-zero fiber, that the duality statement
+#: predicts.
+ORBIT_SIZE = 240
+ORBIT_RANK = 45
+
 
 def _noop(msg):
   pass
@@ -117,9 +123,10 @@ class E6Suite:
 
   def zero_fiber_reflections(self):
     """The simple reflections s_1, ..., s_6 restricted to the weight-zero
-    fiber, which each of them preserves, as tables {b: image of b}; 270
-    ``weyl_act`` columns in all."""
-    return [{b: reps.weyl_act(self.subrep, i, SparseVector.unit(b)).entries
+    fiber, which each of them preserves, as pair tables {b: image of b}
+    (see ``reps``); 270 ``weyl_act`` columns in all."""
+    return [{b: reps._pairs(reps.weyl_act(self.subrep, i,
+                                          SparseVector.unit(b)))
              for b in self.zero_fiber} for i in range(1, 7)]
 
   def orbit_up_to_sign(self):
@@ -128,8 +135,9 @@ class E6Suite:
     order.
 
     The reflections act on the weight-zero fiber as integer matrices: each
-    table times the lcm L_i of its denominators.  An orbit vector is kept
-    as c * num, num an int dict whose entries have gcd 1, so s_i maps it to
+    table times the lcm L_i of its denominators, by
+    ``reps._integer_tables``.  An orbit vector is kept as c * num, num an
+    int dict whose entries have gcd 1, so s_i maps it to
     (c / L_i) * (L_i s_i) num, and the vectors +-v share the key built from
     num up to sign and |c|.  A search that holds more vectors than the Weyl
     group has elements raises ArithmeticError: its key failed to identify
@@ -139,13 +147,9 @@ class E6Suite:
     v = self.build_vzero()
     if not v:
       raise ValueError("the weight-zero vector vanished")
-    scaled = []
-    for table in self.zero_fiber_reflections():
-      scale = lcm(*(Fraction(c).denominator for img in table.values()
-                    for c in img.values()))
-      scaled.append((scale, {b: {b2: int(c * scale) for b2, c in img.items()}
-                             for b, img in table.items()}))
-
+    scales, tables = reps._integer_tables(
+        dict(enumerate(self.zero_fiber_reflections())))
+    scaled = [(scales[t], tables[t]) for t in tables]
     d = lcm(*(Fraction(c).denominator for c in v.entries.values()))
     key0, c0, num0 = _primitive(Fraction(1, d),
                                 {k: int(x * d) for k, x in v.items()})
@@ -307,6 +311,15 @@ class E6Suite:
         "chain_ok": dominance_chain_check(),
         "poset_ok": numbers_game_poset() is not None,
     }
+
+
+def scorecard_ok(card):
+  """Whether a scorecard reproduces the duality statement: a nonzero
+  weight-zero vector whose orbit has the predicted size and rank, and every
+  other check passed."""
+  return (card["vzero_nonzero"] and card["orbit_size"] == ORBIT_SIZE
+          and card["rank"] == ORBIT_RANK and card["levi_extremal_ok"]
+          and card["chain_ok"] and card["poset_ok"])
 
 
 # -- light checks that do not need the heavy suite ---------------------------

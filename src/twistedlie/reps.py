@@ -3,9 +3,10 @@
 A representation here is a weight-graded basis with sparse raising and
 lowering operators E_i, F_i; the diagonal operators H_i act by the pairing
 of the basis weight against the i-th simple coroot.  All coefficients are
-exact rationals.  Each E_i / F_i action is compiled once into a plain table
-{key: {key2: coeff}}, and one loop applies a table to a {key: coeff} dict.
-The module provides:
+exact rationals.  Each E_i / F_i action is compiled once into a table
+{key: pairs}, pairs being the tuple of nonzero (key2, coeff) pairs of the
+image of the unit vector on key, and one loop applies a table to a
+{key: coeff} dict.  The module provides:
 
   * the 0/1 model on a minuscule crystal,
   * tensor products via the Leibniz rule over the factors' tables, and
@@ -34,14 +35,24 @@ from .linalg import (SparseVector, ZERO_VECTOR, _add_scaled, normalize_scalar,
                      span_solver)
 
 
+def _pairs(image):
+  """An image as a tuple of nonzero (key2, coeff) pairs.  It may be given
+  as a SparseVector, a dict or a pair tuple; a pair tuple without zeros is
+  kept as given, not copied."""
+  if type(image) is tuple and all(c for _, c in image):
+    return image
+  items = image if type(image) is tuple else image.items()
+  return tuple((k2, c) for k2, c in items if c)
+
+
 def _apply(table, vec):
-  """A compiled action {key: {key2: coeff}} applied to a {key: coeff} dict;
+  """A compiled action {key: pairs} applied to a {key: coeff} dict;
   returns a new dict without zeros."""
   acc = {}
   for key, c in vec.items():
     img = table.get(key)
     if img:
-      for k2, c2 in img.items():
+      for k2, c2 in img:
         s = acc.get(k2, 0) + c * c2
         if s:
           acc[k2] = s
@@ -56,8 +67,8 @@ class Representation:
   Subclasses provide ``keys``, ``weight`` and ``_act(op, i, vec)``, which
   applies E_i (op "e") or F_i (op "f") to a plain {key: coeff} dict and
   returns a new dict.  That dict should hold no zero coefficient: the
-  ``apply_*`` methods wrap it as a SparseVector unchecked.  The relation
-  checker drops zeros itself.
+  ``apply_*`` methods wrap it as a SparseVector unchecked.  ``table``
+  compiles an action, dropping zeros.
   """
 
   def keys(self):
@@ -68,6 +79,12 @@ class Representation:
 
   def _act(self, op, i, vec):
     raise NotImplementedError
+
+  def table(self, op, i):
+    """E_i (op "e") or F_i (op "f") compiled as {key: pairs} over the keys
+    whose unit vector has a nonzero image."""
+    return {key: img for key in self.keys()
+            if (img := _pairs(self._act(op, i, {key: 1})))}
 
   def apply_e(self, i, vec):
     return SparseVector._raw(self._act("e", i, vec.entries))
@@ -84,29 +101,20 @@ class Representation:
     return SparseVector._raw(acc)
 
 
-def _plain(images):
-  """An action {key: image} whose images are plain {key2: coeff} dicts
-  without zero coefficients.  Images may be given as SparseVectors or
-  dicts; an action whose images already are such dicts is kept as given,
-  not copied."""
-  if all(type(img) is dict and all(img.values()) for img in images.values()):
-    return images
-  return {key: {k2: c for k2, c in img.items() if c}
-          for key, img in images.items()}
-
-
 class TableRepresentation(Representation):
   """A representation with explicit sparse action tables.
 
-  ``e_act`` and ``f_act`` map i to {key: image}, an image being a
-  SparseVector or a plain {key2: coeff} dict.  Each action is stored once,
-  as one plain-dict table per (op, i).
+  ``e_act`` and ``f_act`` map i to {key: image}, an image being anything
+  ``_pairs`` takes.  Each action is stored once, as one table {key: pairs}
+  per (op, i) that leaves out the keys with zero image; pair tuples without
+  zeros are stored as given.
   """
 
   def __init__(self, rank, weights, e_act, f_act):
     self.rank = rank
     self._weights = dict(weights)
-    self._tables = {(op, i): _plain(images)
+    self._tables = {(op, i): {key: pairs for key, img in images.items()
+                              if (pairs := _pairs(img))}
                     for op, act in (("e", e_act), ("f", f_act))
                     for i, images in act.items()}
 
@@ -116,8 +124,11 @@ class TableRepresentation(Representation):
   def weight(self, key):
     return self._weights[key]
 
+  def table(self, op, i):
+    return self._tables.get((op, i), {})
+
   def _act(self, op, i, vec):
-    return _apply(self._tables.get((op, i), {}), vec)
+    return _apply(self.table(op, i), vec)
 
 
 class ProductRepresentation(Representation):
@@ -127,10 +138,8 @@ class ProductRepresentation(Representation):
     self.factors = list(factors)
     self.rank = self.factors[0].rank
     # the E_i / F_i images of every factor's basis keys, compiled once
-    self._tables = {
-        (op, i): [{k: img for k in f.keys() if (img := f._act(op, i, {k: 1}))}
-                  for f in self.factors]
-        for op in ("e", "f") for i in range(1, self.rank + 1)}
+    self._tables = {(op, i): [f.table(op, i) for f in self.factors]
+                    for op in ("e", "f") for i in range(1, self.rank + 1)}
 
   def keys(self):
     def rec(pos):
@@ -159,7 +168,7 @@ class ProductRepresentation(Representation):
         img = table.get(key[pos])
         if img:
           head, tail = key[:pos], key[pos + 1:]
-          for k2, c2 in img.items():
+          for k2, c2 in img:
             full = head + (k2,) + tail
             s = acc.get(full, 0) + c * c2
             if s:
@@ -193,7 +202,7 @@ class ExteriorPower(ProductRepresentation):
         img = table.get(key[pos])
         if img:
           rest = key[:pos] + key[pos + 1:]
-          for k2, c2 in img.items():
+          for k2, c2 in img:
             if k2 in rest:
               continue
             at = bisect(rest, k2)
@@ -209,19 +218,13 @@ class ExteriorPower(ProductRepresentation):
 
 def minuscule_representation(crys):
   """The 0/1 model on a minuscule crystal: operators permute basis lines."""
-  rank = crys.rank
-  weights = {b: crys.wt(b) for b in crys.indices()}
-  e_act = {i: {} for i in range(1, rank + 1)}
-  f_act = {i: {} for i in range(1, rank + 1)}
-  for b in crys.indices():
-    for i in range(1, rank + 1):
-      up = crys.e(b, i)
-      if up is not None:
-        e_act[i][b] = {up: 1}
-      dn = crys.f(b, i)
-      if dn is not None:
-        f_act[i][b] = {dn: 1}
-  return TableRepresentation(rank, weights, e_act, f_act)
+  nodes = range(1, crys.rank + 1)
+  e_act, f_act = ({i: {b: ((c, 1),) for b in crys.indices()
+                       if (c := step(b, i)) is not None} for i in nodes}
+                  for step in (crys.e, crys.f))
+  return TableRepresentation(crys.rank,
+                             {b: crys.wt(b) for b in crys.indices()},
+                             e_act, f_act)
 
 
 # exp_nilpotent gives up on an operator whose powers outlast this bound
@@ -268,15 +271,12 @@ def highest_weight_check(rep, vec, lam):
 # -- relation checking -------------------------------------------------------
 
 def _integer_tables(tables):
-  """Each table {key: {key2: coeff}} times the lcm D of its rational
+  """Each pair table {key: pairs} times the lcm D of its rational
   coefficients' denominators, so that those are integers; returns (scales,
-  scaled) with scales[(op, i)] = D.  A scaled image is the flat tuple
-  (key2, coeff, key2, coeff, ...): it takes about a quarter of the memory of
-  a small dict, and the scaled copy lives beside the tables for the whole
-  check."""
+  scaled) with scales[name] = D and scaled[name] a pair table."""
   scales, scaled = {}, {}
   for name, table in tables.items():
-    coeffs = {c for img in table.values() for c in img.values()}
+    coeffs = {c for img in table.values() for _, c in img}
     d = lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
     scales[name] = d
     # one object per distinct coefficient, shared by all its entries
@@ -284,26 +284,9 @@ def _integer_tables(tables):
     for c in coeffs:
       v = c * d
       ints[c] = v.numerator if isinstance(v, Fraction) else v
-    scaled[name] = {key: tuple(x for k2, c in img.items()
-                               for x in (k2, ints[c]))
+    scaled[name] = {key: tuple((k2, ints[c]) for k2, c in img)
                     for key, img in table.items()}
   return scales, scaled
-
-
-def _apply_flat(table, vec):
-  """``_apply`` for a table whose images are flat tuples."""
-  acc = {}
-  for key, c in vec.items():
-    img = table.get(key)
-    if img:
-      it = iter(img)
-      for k2, c2 in zip(it, it):
-        s = acc.get(k2, 0) + c * c2
-        if s:
-          acc[k2] = s
-        else:
-          del acc[k2]
-  return acc
 
 
 def _word_plan(cartan):
@@ -353,10 +336,6 @@ def _word_plan(cartan):
   return steps, single, ef, serre
 
 
-def _strip_zeros(act, vec):
-  return {k: c for k, c in act(vec).items() if c}
-
-
 def verify_representation_detailed(rep, cartan):
   """Check the defining relations on every basis vector.
 
@@ -379,25 +358,19 @@ def verify_representation_detailed(rep, cartan):
   compared whole with wt(v) + alpha_j (wt(v) - alpha_j); only when that
   fails is each i tested in turn, so the witness is the same.
 
-  A TableRepresentation is checked on its tables scaled to integers, each
-  (op, i) table by the lcm D(op, i) of its denominators.  Both words of
-  [E_i, F_j] hold one E_i and one F_j, and all terms of a Serre relation
-  hold the same letters, so each relation is only multiplied by a nonzero
-  constant once the H_i term is multiplied by D(e, i) * D(f, i): the
-  verdict and the witness do not change.  Any other representation is
-  applied through its ``_act``, with zero coefficients dropped.
+  The check runs on the tables ``rep.table(op, i)`` scaled to integers,
+  each by the lcm D(op, i) of its denominators.  Both words of [E_i, F_j]
+  hold one E_i and one F_j, and all terms of a Serre relation hold the same
+  letters, so each relation is only multiplied by a nonzero constant once
+  the H_i term is multiplied by D(e, i) * D(f, i): the verdict and the
+  witness do not change.
   """
   n = rep.rank
   steps, single, ef, serre = _word_plan(cartan)
-  if isinstance(rep, TableRepresentation):
-    scales, tables = _integer_tables(rep._tables)
-    act = {w: partial(_apply_flat, tables.get(w, {})) for w in single}
-  else:
-    scales = {}
-    act = {w: partial(_strip_zeros, partial(rep._act, *w)) for w in single}
-  plan = [(act[letter], parent) for letter, parent in steps]
-  hscale = [scales.get(("e", i), 1) * scales.get(("f", i), 1)
-            for i in range(1, n + 1)]
+  scales, tables = _integer_tables({w: rep.table(*w) for w in single})
+  plan = [(partial(_apply, tables[letter]), parent)
+          for letter, parent in steps]
+  hscale = [scales[("e", i)] * scales[("f", i)] for i in range(1, n + 1)]
   # alpha_j in weight coordinates: the j-th column of the Cartan matrix
   roots = [tuple(cartan[t][j] for t in range(n)) for j in range(n)]
   weight = rep.weight
@@ -528,13 +501,13 @@ def subrepresentation(ambient, hw_vec, component):
         solve = solver_for(img_wt)
         if child is not None and img_wt == weights[child]:
           # a vector of the fiber basis has the unit coordinates of itself
-          table[i][b] = {child: scalar(1)}
+          table[i][b] = ((child, scalar(1)),)
           continue
         coords = solve(SparseVector._raw(img))
         if coords is None:
           raise ValueError("action leaves the span of the fiber basis")
-        table[i][b] = {bb: scalar(c)
-                       for c, bb in zip(coords, fibers[img_wt]) if c}
+        table[i][b] = tuple((bb, scalar(c))
+                            for c, bb in zip(coords, fibers[img_wt]) if c)
   return TableRepresentation(rank, weights, e_act, f_act)
 
 

@@ -255,24 +255,27 @@ class RootSystem:
   def orbit_graph(self, lam):
     """The Weyl orbit of a dominant weight lam, breadth-first from lam (by
     depth, then discovery, the nodes scanned in increasing order), as
-    (weights, table) with table[(k, i)] the index of s_i weights[k] whenever
-    <weights[k], acheck_i> > 0: lowering steps that reach the whole orbit."""
+    (weights, steps) with steps[i - 1][k] the index of s_i weights[k] when
+    <weights[k], acheck_i> > 0 and None otherwise: lowering steps that
+    reach the whole orbit, one list per node."""
     lam = self._check_weight(lam)
     if not self.is_dominant(lam):
       raise ValueError("weight must be dominant")
     weights = [lam]
     index = {lam: 0}
-    table = {}
+    steps = [[] for _ in range(self.rank)]
     # the loop also visits the weights appended while it runs
-    for k, mu in enumerate(weights):
-      for i in range(1, self.rank + 1):
+    for mu in weights:
+      for i, row in enumerate(steps, 1):
+        j = None
         if mu[i - 1] > 0:
           nu = self.reflect(i, mu)
           if nu not in index:
             index[nu] = len(weights)
             weights.append(nu)
-          table[(k, i)] = index[nu]
-    return weights, table
+          j = index[nu]
+        row.append(j)
+    return weights, steps
 
   def weyl_orbit(self, wt):
     """The full Weyl orbit of a weight, as a frozenset of tuples."""
@@ -397,9 +400,12 @@ def minimal_coset_reps(sys, J):
   of the weight whose step first reached it.  Kept only for the benchmark's
   span list: it can go once a benchmark change drops that target."""
   rho_j = tuple(0 if i in J else 1 for i in range(1, sys.rank + 1))
+  weights, steps = sys.orbit_graph(rho_j)
   words = [()]
-  # table keys come in discovery order, so a new index is the next word
-  for (k, i), j in sys.orbit_graph(rho_j)[1].items():
-    if j == len(words):
-      words.append((i,) + words[k])
+  # steps in (k, i) order come in discovery order, so a new index is the
+  # next word
+  for k in range(len(weights)):
+    for i, row in enumerate(steps, 1):
+      if row[k] == len(words):
+        words.append((i,) + words[k])
   return words

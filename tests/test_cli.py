@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistedlie import cli
+from twistedlie import cli, e6
 
 
 def _run(capsys, argv):
@@ -73,6 +73,44 @@ class TestFold:
     code, _ = _run(capsys, ["fold", "--type", "A", "--rank", "4",
                             "--m", "2"])
     assert code == 2
+
+
+class TestE6Verdict:
+  """The verdict of e6-duality, on scorecards given without the suite."""
+
+  PASSING = {"vzero_nonzero": True, "orbit_size": 240, "rank": 45,
+             "levi_extremal_ok": True, "chain_ok": True, "poset_ok": True}
+  FAILING = (("vzero_nonzero", False), ("orbit_size", 239), ("rank", 44),
+             ("levi_extremal_ok", False), ("chain_ok", False),
+             ("poset_ok", False))
+
+  @staticmethod
+  def _run_with(capsys, monkeypatch, card):
+    class Suite:
+      def __init__(self, progress):
+        pass
+
+      def scorecard(self):
+        return card
+
+    monkeypatch.setattr(e6, "E6Suite", Suite)
+    code, out = _run(capsys, ["e6-duality"])
+    data = json.loads(out)
+    assert data.pop("schema_version") == 1
+    assert data == card
+    return code
+
+  def test_passing_scorecard(self, capsys, monkeypatch):
+    assert (e6.ORBIT_SIZE, e6.ORBIT_RANK) == (240, 45)
+    assert e6.scorecard_ok(self.PASSING) is True
+    assert self._run_with(capsys, monkeypatch, self.PASSING) == 0
+
+  @pytest.mark.parametrize("field, value", FAILING,
+                           ids=[f for f, _ in FAILING])
+  def test_each_failing_field(self, capsys, monkeypatch, field, value):
+    card = {**self.PASSING, field: value}
+    assert e6.scorecard_ok(card) is False
+    assert self._run_with(capsys, monkeypatch, card) == 1
 
 
 class TestDominance:

@@ -14,7 +14,7 @@ from twistedlie.linalg import (GaussianRational, SparseVector, ZERO_VECTOR,
                                span_solver)
 from twistedlie.reps import (ExteriorPower, OperatorWord,
                              ProductRepresentation, Representation,
-                             TableRepresentation, _integer_tables,
+                             TableRepresentation, _integer_tables, _pairs,
                              exp_nilpotent, highest_weight_check,
                              minuscule_representation, root_lowering_operator,
                              root_poset_path, subrepresentation,
@@ -343,12 +343,13 @@ class TestRelationCheckerAgainstOracle:
                                {i: images("f", i) for i in nodes})
 
   def _three_checks(self, rep, cartan):
-    """The checker on the scaled tables, on the unscaled ones and the
+    """The checker on the stored tables, on the tables compiled from
+    ``_act`` (through _Unscaled; both are scaled to integers) and the
     oracle agree; returns their verdict."""
     scales, tables = _integer_tables(rep._tables)
     assert all(d > 1 for d in scales.values())
     assert all(type(c) is int for table in tables.values()
-               for img in table.values() for c in img[1::2])
+               for img in table.values() for _, c in img)
     expected = _oracle_verify(rep, cartan)
     assert verify_representation_detailed(_Unscaled(rep), cartan) == expected
     assert verify_representation_detailed(rep, cartan) == expected
@@ -496,7 +497,7 @@ class TestRelationCheckerAgainstOracle:
     rep = TableRepresentation(2, {**weights, "zero": (0, 0)}, padded(e_act),
                               padded(f_act))
     assert all(c for table in rep._tables.values()
-               for img in table.values() for c in img.values())
+               for img in table.values() for _, c in img)
     for key in weights:
       for i in (1, 2):
         unit = SparseVector.unit(key)
@@ -527,8 +528,10 @@ def _inject(rank, tables, defect):
 
 
 class _Unscaled(Representation):
-  """A TableRepresentation seen only through the Representation interface,
-  so that the relation checker applies its Fraction tables unscaled."""
+  """A TableRepresentation seen only through the Representation interface:
+  the relation checker runs it through the tables that
+  ``Representation.table`` compiles from its ``_act``, not through the
+  stored ones."""
 
   def __init__(self, rep):
     self.rep = rep
@@ -558,6 +561,43 @@ def _product_vectors(keys):
   coeffs = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4))
   return st.dictionaries(st.sampled_from(keys), coeffs, max_size=12).map(
       SparseVector)
+
+
+class TestPairTables:
+  """Compiled actions are tables {key: pairs} of nonzero (key2, coeff)
+  pairs."""
+
+  def test_pairs_keeps_tuples_without_zeros(self):
+    clean = ((0, 1), (2, Fraction(1, 2)))
+    assert _pairs(clean) is clean
+    assert _pairs(()) == ()
+    with_zero = {0: 1, 1: 0, 2: Fraction(1, 2)}
+    assert _pairs(tuple(with_zero.items())) == clean
+    assert _pairs(with_zero) == clean
+    assert _pairs(SparseVector._raw(with_zero)) == clean
+    assert _pairs({1: 0}) == ()
+
+  @pytest.mark.parametrize("power", [ProductRepresentation, ExteriorPower],
+                           ids=["tensor", "exterior"])
+  def test_table_equals_stored_table(self, a2_v1, power):
+    # A2 V(omega_1)^(x2) or ^(^2): the tables compiled from _act equal
+    # those a TableRepresentation stores from the apply_e / apply_f images
+    rep = (power([a2_v1, a2_v1]) if power is ProductRepresentation
+           else power(a2_v1, 2))
+    keys = list(rep.keys())
+    nodes = range(1, rep.rank + 1)
+    stored = TableRepresentation(
+        rep.rank, {k: rep.weight(k) for k in keys},
+        {i: {k: rep.apply_e(i, SparseVector.unit(k)) for k in keys}
+         for i in nodes},
+        {i: {k: rep.apply_f(i, SparseVector.unit(k)) for k in keys}
+         for i in nodes})
+    for op in ("e", "f"):
+      for i in nodes:
+        assert rep.table(op, i)
+        assert rep.table(op, i) == stored.table(op, i)
+    # the factor tables of the product are the factor's stored tables
+    assert rep._tables[("f", 1)][0] is a2_v1.table("f", 1)
 
 
 class TestCompiledLeibniz:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -354,10 +355,15 @@ class TestOrbitGraph:
     for lam in _orbit_weights(sys_):
       if not sys_.is_dominant(lam):
         continue
-      weights, table = sys_.orbit_graph(lam)
+      weights, steps = sys_.orbit_graph(lam)
       assert weights[0] == lam
       assert len(set(weights)) == len(weights)
       assert set(weights) == _all_reflections_orbit(sys_, lam)
+      # one list per node, one entry per weight, None where no step
+      assert len(steps) == rank
+      assert all(len(row) == len(weights) for row in steps)
+      table = {(k, i): j for i, row in enumerate(steps, 1)
+               for k, j in enumerate(row) if j is not None}
       assert set(table) == {(k, i) for k, mu in enumerate(weights)
                             for i in range(1, rank + 1) if mu[i - 1] > 0}
       for (k, i), j in table.items():
@@ -370,6 +376,19 @@ class TestOrbitGraph:
           depth.append(depth[k] + 1)
       assert len(depth) == len(weights)
       assert depth == sorted(depth)
+
+  def test_weyl_orbit_memory_e7(self):
+    # E7 omega_4 has 10,080 weights; the orbit and its lowering steps fit
+    # in 3.5 MB, where a dict keyed by (weight index, node) took 5 MB
+    sys_ = build("E", 7)
+    tracemalloc.start()
+    try:
+      orbit = sys_.weyl_orbit((0, 0, 0, 1, 0, 0, 0))
+      peak = tracemalloc.get_traced_memory()[1]
+    finally:
+      tracemalloc.stop()
+    assert len(orbit) == 10080
+    assert peak < 3.5e6
 
   @pytest.mark.parametrize("lam", ((1, -1), (0, Fraction(-1, 2)), (1, 0, 0),
                                    (1,)))
