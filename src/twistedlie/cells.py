@@ -194,28 +194,23 @@ def covers(datum, below):
   lattice class under one of its members is itself a member, so a cover
   inside ``below`` is a cover of the dominance order.  A cover of dominant
   weights differs by a positive root (Stembridge, "The partial order of
-  dominant weights", Adv. Math. 136, 1998), and the paper's closed form on
-  the ramified family accepts only interval steps gamma_i + ... + gamma_k,
-  each a positive root of H.  So the candidates for b are the classes
-  below[a] + alpha, alpha in the positive roots of H, looked up by their
-  coordinates.  The ramified family accepts a candidate by the closed form
-  of ``is_cover_fast``; otherwise below[a] + alpha is a cover iff no
-  positive root beta < alpha has below[a] + beta in ``below``, since the
-  first step of a chain from below[a] to a class strictly between would be
-  such a beta.
+  dominant weights", Adv. Math. 136, 1998).  So the candidates for b are
+  the classes below[a] + alpha, alpha in the positive roots of H, looked up
+  by their coordinates, and below[a] + alpha is a cover iff no positive
+  root beta < alpha has below[a] + beta in ``below``, since the first step
+  of a chain from below[a] to a class strictly between would be such a
+  beta.  On the ramified family this rule gives the covers of the paper's
+  closed form (``is_cover_fast``), its test oracle.
   """
   index = {cw.coords: a for a, cw in enumerate(below)}
   roots = _root_steps(datum.weight_ctype)
-  ramified = datum.is_ramified
   pairs = []
   for a, cw in enumerate(below):
-    mu = cw.coords
-    up = {alpha: index.get(tuple(map(add, mu, step)))
+    up = {alpha: index.get(tuple(map(add, cw.coords, step)))
           for alpha, step, _ in roots}
-    hits = sorted(
-        up[alpha] for alpha, _, lower in roots if up[alpha] is not None
-        and (_closed_form_cover(alpha, mu) if ramified
-             else all(up[beta] is None for beta in lower)))
+    hits = sorted(up[alpha] for alpha, _, lower in roots
+                  if up[alpha] is not None
+                  and all(up[beta] is None for beta in lower))
     pairs.extend((a, b) for b in hits)
   return pairs
 

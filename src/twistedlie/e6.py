@@ -11,7 +11,9 @@ fills: C(27, 3) = 2925):
     operators, its Weyl orbit up to sign, and the rank of that orbit inside
     the weight-zero fiber,
   * the Levi-extremal sweep over all arrangements of the ten-letter
-    lowering multiset,
+    lowering multiset, one suffix-sharing search that decides every word:
+    a word it reaches without a split is decided by the words it reached
+    alike, through the rearrangements by commuting swaps,
   * the dominance chain of coweights below the fourth fundamental coweight,
   * the numbers-game poset fixture generator.
 
@@ -186,115 +188,74 @@ class E6Suite:
     wt = self.subrep.weight(next(iter(vec.keys())))
     return wt in self.extremal_weights
 
-  def word_vector(self, word):
-    """The word f_{word[0]} ... f_{word[-1]} applied (right to left) to the
-    highest weight vector of the subrepresentation."""
-    vec = SparseVector.unit(0)
-    for i in reversed(word):
-      vec = self.subrep.apply_f(i, vec)
-      if not vec:
-        break
-    return vec
-
-  def _splits(self, word):
-    """Whether some split of this exact arrangement has its suffix
-    producing an extremal vector and its prefix supported on a proper node
-    subset.  Returns None when the full vector vanishes."""
-    n = len(word)
-    # suffix vectors: word[k:] applied to the highest weight vector
-    suffix_vecs = [None] * (n + 1)
-    suffix_vecs[n] = SparseVector.unit(0)
-    for pos in range(n - 1, -1, -1):
-      suffix_vecs[pos] = self.subrep.apply_f(word[pos], suffix_vecs[pos + 1])
-    if not suffix_vecs[0]:
-      return None
-    for k in range(1, n + 1):
-      prefix_support = set(word[:k])
-      if len(prefix_support) < 6 and self._is_extremal(suffix_vecs[k]):
-        return True
-    return False
-
-  def _commutes(self, i, j):
-    return self.sys.cartan[i - 1][j - 1] == 0
-
-  def is_levi_extremal(self, word):
-    """Test for a word with nonzero vector: the notion is a property of
-    the vector, so any arrangement obtained by swapping adjacent commuting
-    lowering operators (which leaves the vector unchanged) may witness it.
-    A witness is a split whose suffix produces an extremal vector and whose
-    prefix is supported on a proper node subset.  Words with vanishing
-    vector return False (the notion only applies to nonzero vectors)."""
-    first = self._splits(word)
-    if first is None or first:
-      return bool(first)
-    # walk the commutation class of the word looking for an arrangement
-    # that splits; any member produces the same vector
-    seen = {tuple(word)}
-    frontier = [tuple(word)]
-    while frontier:
-      nxt = []
-      for w in frontier:
-        for p in range(len(w) - 1):
-          a, b = w[p], w[p + 1]
-          if a != b and self._commutes(a, b):
-            w2 = w[:p] + (b, a) + w[p + 2:]
-            if w2 not in seen:
-              seen.add(w2)
-              if self._splits(w2):
-                return True
-              nxt.append(w2)
-      frontier = nxt
+  def _rearranges_outside(self, word, unaccepted):
+    """Whether some rearrangement of word by swaps of adjacent commuting
+    letters lies outside the set unaccepted."""
+    seen = {word}
+    stack = [word]
+    while stack:
+      w = stack.pop()
+      for p in range(len(w) - 1):
+        a, b = w[p], w[p + 1]
+        if a != b and self.sys.cartan[a - 1][b - 1] == 0:
+          w2 = w[:p] + (b, a) + w[p + 2:]
+          if w2 not in unaccepted:
+            return True
+          if w2 not in seen:
+            seen.add(w2)
+            stack.append(w2)
     return False
 
   def levi_extremal_sweep(self):
     """Sweep all arrangements of the ten-letter multiset, sharing suffixes.
 
-    Verifies that every arrangement with nonzero vector is Levi-extremal.
-    A search node is (remaining multiset, suffix vector).  If the suffix
-    vector is extremal and the remaining letters use a proper node subset,
-    every arrangement through this node qualifies and the subtree is
-    accepted; a vanishing suffix vector exempts the subtree (those words
-    produce the zero vector); an exhausted word with nonzero vector and no
-    accepted ancestor is retested in full (including its commutation class)
-    and becomes a counterexample only if that fails too.
+    Verifies that every arrangement with nonzero vector is Levi-extremal:
+    some split of a rearrangement by swaps of adjacent commuting letters
+    (which keep the vector) has its suffix producing an extremal vector and
+    its prefix supported on a proper node subset.  A search node is
+    (remaining multiset, suffix vector).  If the suffix vector is extremal
+    and the remaining letters use a proper node subset, every arrangement
+    through this node splits and the subtree is accepted; a vanishing
+    suffix vector exempts the subtree (those words produce the zero
+    vector).  The search reaches every other word with its nonzero vector
+    and records it, so a recorded word is exactly one with no split, and
+    its rearrangements, which share its vector, are swept too: it is
+    Levi-extremal iff one of them is not recorded.
     """
     total = factorial(len(SWEEP_LETTERS)) // prod(
         factorial(c) for c in Counter(SWEEP_LETTERS).values())
-    counterexamples = []
-    stats = {"nodes": 0, "accepted": 0, "fallback": 0}
+    reached = []
+    nodes = accepted = 0
 
     def dfs(counts, vec, suffix):
-      stats["nodes"] += 1
+      nonlocal nodes, accepted
+      nodes += 1
       if not vec:
         # all completions give the zero vector and are exempt
         return
-      if sum(counts.values()) > 0:
-        support = [i for i in counts if counts[i] > 0]
-        if len(set(support)) < 6 and self._is_extremal(vec):
-          stats["accepted"] += 1
-          return
-      if sum(counts.values()) == 0:
-        # no ancestor accepted this arrangement directly: fall back to the
-        # full test, which also searches the commutation class of the word
-        stats["fallback"] += 1
-        if not self.is_levi_extremal(suffix):
-          if len(counterexamples) < MAX_COUNTEREXAMPLES:
-            counterexamples.append(suffix)
+      support = [i for i in counts if counts[i] > 0]
+      if not support:
+        reached.append(suffix)
         return
-      for i in sorted(counts):
-        if counts[i] > 0:
-          counts[i] -= 1
-          dfs(counts, self.subrep.apply_f(i, vec), (i,) + suffix)
-          counts[i] += 1
+      if len(support) < 6 and self._is_extremal(vec):
+        accepted += 1
+        return
+      for i in sorted(support):
+        counts[i] -= 1
+        dfs(counts, self.subrep.apply_f(i, vec), (i,) + suffix)
+        counts[i] += 1
 
     dfs(Counter(SWEEP_LETTERS), SparseVector.unit(0), ())
+    unaccepted = set(reached)
+    counterexamples = [w for w in reached
+                       if not self._rearranges_outside(w, unaccepted)]
     return {
         "total_words": total,
         "all_levi_extremal": not counterexamples,
-        "counterexamples": counterexamples,
-        "search_nodes": stats["nodes"],
-        "accepted_subtrees": stats["accepted"],
-        "fallback_words": stats["fallback"],
+        "counterexamples": counterexamples[:MAX_COUNTEREXAMPLES],
+        "search_nodes": nodes,
+        "accepted_subtrees": accepted,
+        "fallback_words": len(reached),
     }
 
   # -- the scorecard --------------------------------------------------------

@@ -362,9 +362,12 @@ def verify_hyperspecial(ell, bound):
   images = []
   per_degree = {}
   for family, desc, elt in basis:
-    problems = []
     if not is_tau_fixed(ell, elt):
-      problems.append("not-tau-fixed")
+      # eta is defined only on tau-fixed elements
+      mismatches.append({"family": family, "descriptor": desc,
+                         "problems": ["not-tau-fixed"]})
+      continue
+    problems = []
     img = eta_apply(ell, elt)
     if any(deg < 0 for (_, deg) in img.keys()):
       problems.append("negative-degree-image")
@@ -409,16 +412,22 @@ def verify_hyperspecial(ell, bound):
 def eta_bracket_check(ell, bound, trials):
   """Randomized Lie-map check: eta([x, y]) = [eta(x), eta(y)] for pairs of
   hyperspecial basis elements (brackets in the matrix model), drawn by a
-  fixed random.Random(0)."""
+  fixed random.Random(0).  A pair with an element that is not tau-fixed
+  fails."""
   import random
   if trials < 0:
     raise ValueError("trials must be nonnegative")
   rng = random.Random(0)
-  basis = hyperspecial_basis(ell, bound)
+  # eta is defined only on tau-fixed elements
+  pool = [(desc, x, is_tau_fixed(ell, x))
+          for _, desc, x in hyperspecial_basis(ell, bound)]
   failures = []
   for _ in range(trials):
-    _, da, a = rng.choice(basis)
-    _, db, b = rng.choice(basis)
+    da, a, a_fixed = rng.choice(pool)
+    db, b, b_fixed = rng.choice(pool)
+    if not (a_fixed and b_fixed):
+      failures.append((da, db))
+      continue
     lhs = eta_apply(ell, bracket(a, b))
     rhs = bracket(eta_apply(ell, a), eta_apply(ell, b))
     if lhs != rhs:

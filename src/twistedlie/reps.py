@@ -545,29 +545,27 @@ class OperatorWord:
 
 def root_poset_path(sys, gamma):
   """The lexicographically least sequence (i_1, ..., i_h) whose partial sums
-  climb through positive roots from alpha_{i_1} up to gamma."""
+  climb through positive roots from alpha_{i_1} up to gamma.
+
+  Positive roots beta <= gamma are joined by a chain of positive roots
+  with simple-root steps, so the greedy walk that always adds the least
+  simple root keeping the partial sum a positive root below gamma never
+  gets stuck."""
   gamma = tuple(gamma)
   if not sys.is_positive_root(gamma):
     raise ValueError("not a positive root")
-  n = sys.rank
-  height = sum(gamma)
-
-  def rec(current, prefix):
-    if len(prefix) == height:
-      return prefix if current == gamma else None
-    for i in range(1, n + 1):
-      if current[i - 1] < gamma[i - 1]:
-        nxt = current[:i - 1] + (current[i - 1] + 1,) + current[i:]
-        if sys.is_positive_root(nxt):
-          got = rec(nxt, prefix + (i,))
-          if got is not None:
-            return got
-    return None
-
-  path = rec((0,) * n, ())
-  if path is None:
-    raise AssertionError("no saturated chain found in the root poset")
-  return path
+  current = (0,) * sys.rank
+  path = []
+  while current != gamma:
+    for i in range(1, sys.rank + 1):
+      nxt = current[:i - 1] + (current[i - 1] + 1,) + current[i:]
+      if nxt[i - 1] <= gamma[i - 1] and sys.is_positive_root(nxt):
+        break
+    else:
+      raise AssertionError("no saturated chain found in the root poset")
+    current = nxt
+    path.append(i)
+  return tuple(path)
 
 
 def root_lowering_operator(sys, gamma):

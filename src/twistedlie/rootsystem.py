@@ -32,7 +32,7 @@ class CartanType:
 
   def __post_init__(self):
     f, n = self.family, self.rank
-    if f not in FAMILIES:
+    if len(f) != 1 or f not in FAMILIES:
       raise ValueError("unknown family %r" % (f,))
     ok = ((f == "A" and n >= 1) or
           (f in "BC" and n >= 1) or

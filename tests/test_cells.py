@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import add
 
 import pytest
 
@@ -407,22 +408,48 @@ def test_every_cover_is_a_positive_root_step(family, rank, order):
   assert found
 
 
-def test_ramified_covers_come_from_the_closed_form(monkeypatch):
-  # on the grid the betweenness rule finds the same ramified covers as the
-  # paper's closed form, so only the calls show which one ``covers`` asks
-  calls = []
+def _closed_form_covers(datum, below):
+  """The pairs that the paper's closed form accepts among the interval
+  steps gamma_i + ... + gamma_k above each class of ``below``, the only
+  steps it accepts, in row-major order."""
+  index = {cw.coords: a for a, cw in enumerate(below)}
+  ell = datum.ell
+  gammas = [datum.gamma(k).coords for k in range(1, ell + 1)]
+  pairs = []
+  for a, mu in enumerate(below):
+    for i in range(ell):
+      nu = mu.coords
+      for k in range(i, ell):
+        nu = tuple(map(add, nu, gammas[k]))
+        y = tuple(int(i <= t <= k) for t in range(ell))
+        b = index.get(nu)
+        if b is not None and _closed_form_cover(y, mu.coords):
+          pairs.append((a, b))
+  return sorted(pairs)
 
-  def recorded(y, mu):
-    calls.append(y)
-    return _closed_form_cover(y, mu)
 
-  monkeypatch.setattr(cells, "_closed_form_cover", recorded)
-  datum = _folding("A", 6, 4)
-  for _, below in _grid(datum):
-    assert covers(datum, below) == _pairwise_covers(datum, below)
-  assert calls
-  calls.clear()
-  datum = _folding("A", 5, 2)
-  for _, below in _grid(datum):
-    covers(datum, below)
-  assert not calls
+def _ramified_inputs(rank, top):
+  """The lattice classes with coordinates in 0..top on A_rank/m4, with the
+  classes below each."""
+  datum = _folding("A", rank, 4)
+  for coords in product(range(top + 1), repeat=datum.ell):
+    lam = _cw(datum, coords)
+    if datum.in_coinvariant_lattice(lam):
+      yield datum, lam, dominants_below(datum, lam)
+
+
+def test_ramified_covers_come_from_the_closed_form():
+  # the positive-root rule of ``covers`` against the paper's closed form:
+  # on every pair by the pairwise oracle where that is quick (96 inputs),
+  # on the interval steps on A8 with coordinates up to 3 (128 inputs)
+  checked = 0
+  for rank, top in ((2, 3), (4, 3), (6, 3), (8, 2)):
+    for datum, lam, below in _ramified_inputs(rank, top):
+      assert covers(datum, below) == _pairwise_covers(datum, below), lam
+      checked += 1
+  assert checked == 96
+  checked = 0
+  for datum, lam, below in _ramified_inputs(8, 3):
+    assert covers(datum, below) == _closed_form_covers(datum, below), lam
+    checked += 1
+  assert checked == 128

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistedlie import cli, e6
+from twistedlie import cli, e6, loops
+from twistedlie.linalg import SparseVector
 
 
 def _run(capsys, argv):
@@ -175,6 +176,20 @@ class TestHyperspecial:
     assert data["mismatches"] == []
     assert data["bracket_failures"] == []
 
+  def test_element_not_tau_fixed_fails_the_check(self, capsys, monkeypatch):
+    # a verification failure (exit 1) with its witness, not a usage error
+    bad = SparseVector({(("E", 1, 2), 0): 1})
+    basis = loops.hyperspecial_basis(1, 4)
+    monkeypatch.setattr(loops, "hyperspecial_basis",
+                        lambda ell, bound: basis + [("injected", (9,), bad)])
+    code, out = _run(capsys, ["hyperspecial-check", "--ell", "1",
+                              "--degree", "4", "--trials", "20"])
+    assert code == 1
+    data = json.loads(out)
+    assert not data["passed"]
+    assert {"family": "injected", "descriptor": [9],
+            "problems": ["not-tau-fixed"]} in data["mismatches"]
+
 
 class TestNumbersGame:
 
@@ -220,6 +235,8 @@ _MALFORMED = (
     (["rootsys", "--type", "A", "--rank", "2", "--weight", "1,0,5"], False),
     (["rootsys", "--type", "A", "--rank", "2", "--weight", "x,0"], False),
     (["rootsys", "--type", "A", "--rank", "2", "--weight", "1/0,0"], False),
+    (["rootsys", "--type", "BC", "--rank", "3"], False),
+    (["rootsys", "--type", "", "--rank", "3"], False),
     (["fold", "--type", "A", "--rank", "3", "--m", "3"], False),
     (["fold", "--type", "A", "--rank", "3", "--m", "two"], True),
     (["dominance", "--type", "A", "--rank", "2", "--m", "4",

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import count, permutations
+from math import factorial, prod
 
 import pytest
 
@@ -8,10 +10,11 @@ import diagram_fixture
 from wedge_fixture import antisymmetrise
 
 from twistedlie import e6
-from twistedlie.e6 import (OMEGA2, OMEGA4, SWEEP_LETTERS,
-                           dominance_chain_check, numbers_game_poset)
+from twistedlie.e6 import (MAX_COUNTEREXAMPLES, OMEGA2, OMEGA4,
+                           SWEEP_LETTERS, dominance_chain_check,
+                           numbers_game_poset)
 from twistedlie.linalg import SparseVector
-from twistedlie.reps import (ProductRepresentation, _apply,
+from twistedlie.reps import (OperatorWord, ProductRepresentation, _apply,
                              highest_weight_check, subrepresentation,
                              weyl_act)
 
@@ -163,7 +166,126 @@ class TestWeightZeroVector:
     assert suite.orbit_rank() == 45 == len(suite.zero_fiber)
 
 
+# -- the vector-based sweep, as an oracle -------------------------------------
+
+def _word_vector(suite, word):
+  """The word f_{word[0]} ... f_{word[-1]} applied (right to left) to the
+  highest weight vector of the subrepresentation."""
+  return OperatorWord(((1, tuple(word)),)).apply(suite.subrep,
+                                                 SparseVector.unit(0))
+
+
+def _oracle_is_extremal(suite, vec):
+  if not vec:
+    return False
+  return suite.subrep.weight(next(iter(vec.keys()))) in suite.extremal_weights
+
+
+def _oracle_splits(suite, word):
+  """Whether some split of this exact arrangement has its suffix producing
+  an extremal vector and its prefix supported on a proper node subset;
+  None when the full vector vanishes."""
+  n = len(word)
+  suffix_vecs = [None] * (n + 1)
+  suffix_vecs[n] = SparseVector.unit(0)
+  for pos in range(n - 1, -1, -1):
+    suffix_vecs[pos] = suite.subrep.apply_f(word[pos], suffix_vecs[pos + 1])
+  if not suffix_vecs[0]:
+    return None
+  for k in range(1, n + 1):
+    if (len(set(word[:k])) < 6
+        and _oracle_is_extremal(suite, suffix_vecs[k])):
+      return True
+  return False
+
+
+def _commutation_class(suite, word):
+  """Every rearrangement of word by swaps of adjacent commuting letters,
+  breadth-first from word."""
+  seen = [tuple(word)]
+  found = set(seen)
+  for w in seen:
+    for p in range(len(w) - 1):
+      a, b = w[p], w[p + 1]
+      if a != b and suite.sys.cartan[a - 1][b - 1] == 0:
+        w2 = w[:p] + (b, a) + w[p + 2:]
+        if w2 not in found:
+          found.add(w2)
+          seen.append(w2)
+  return seen
+
+
+def _oracle_is_levi_extremal(suite, word):
+  """Some member of the commutation class of a word with nonzero vector
+  splits; False when the vector vanishes."""
+  first = _oracle_splits(suite, word)
+  if first is None or first:
+    return bool(first)
+  return any(_oracle_splits(suite, w)
+             for w in _commutation_class(suite, word))
+
+
+def _oracle_sweep(suite, cap=MAX_COUNTEREXAMPLES):
+  """The sweep that retests every word reached without an accepting
+  ancestor on vectors, over its whole commutation class."""
+  total = factorial(len(SWEEP_LETTERS)) // prod(
+      factorial(c) for c in Counter(SWEEP_LETTERS).values())
+  counterexamples = []
+  stats = {"nodes": 0, "accepted": 0, "fallback": 0}
+
+  def dfs(counts, vec, suffix):
+    stats["nodes"] += 1
+    if not vec:
+      return
+    if sum(counts.values()) > 0:
+      support = [i for i in counts if counts[i] > 0]
+      if len(set(support)) < 6 and _oracle_is_extremal(suite, vec):
+        stats["accepted"] += 1
+        return
+    if sum(counts.values()) == 0:
+      stats["fallback"] += 1
+      if not _oracle_is_levi_extremal(suite, suffix):
+        if len(counterexamples) < cap:
+          counterexamples.append(suffix)
+      return
+    for i in sorted(counts):
+      if counts[i] > 0:
+        counts[i] -= 1
+        dfs(counts, suite.subrep.apply_f(i, vec), (i,) + suffix)
+        counts[i] += 1
+
+  dfs(Counter(SWEEP_LETTERS), SparseVector.unit(0), ())
+  return {
+      "total_words": total,
+      "all_levi_extremal": not counterexamples,
+      "counterexamples": counterexamples,
+      "search_nodes": stats["nodes"],
+      "accepted_subtrees": stats["accepted"],
+      "fallback_words": stats["fallback"],
+  }
+
+
+#: Reduced sets of extremal weights, as filters on the orbit of omega_4: one
+#: where every word still passes with 392 words left to the fallback, one
+#: with 12 counterexamples among 472.
+_REDUCED = {
+    "every-third": lambda weights: weights[::3],
+    "x6-nonpositive": lambda weights: [w for w in weights if w[5] <= 0],
+}
+
+
 class TestLeviExtremal:
+
+  def _decides_like_oracle(self, suite, word):
+    # the sweep's rule on one class: with the members that have no split as
+    # the unaccepted set, a rearrangement outside it exists iff the oracle
+    # finds the word Levi-extremal
+    members = _commutation_class(suite, word)
+    unaccepted = {w for w in members if not _oracle_splits(suite, w)}
+    got = (word not in unaccepted
+           or suite._rearranges_outside(word, unaccepted))
+    assert got == _oracle_is_levi_extremal(suite, word)
+    return got
 
   def test_special_case_words(self, suite):
     # the six fixed letters followed by any arrangement of the remaining
@@ -171,12 +293,15 @@ class TestLeviExtremal:
     base = (4, 2, 4, 5, 3, 4)
     for perm in permutations((1, 3, 5, 6)):
       word = base + perm
-      assert not suite.word_vector(word) or suite.is_levi_extremal(word)
+      assert (not _word_vector(suite, word)
+              or self._decides_like_oracle(suite, word))
 
   def test_commutation_fallback_word(self, suite):
+    # no split of this arrangement itself, one of a rearrangement
     word = (6, 5, 4, 3, 1, 2, 4, 5, 3, 4)
-    assert suite.word_vector(word)
-    assert suite.is_levi_extremal(word)
+    assert _word_vector(suite, word)
+    assert _oracle_splits(suite, word) is False
+    assert self._decides_like_oracle(suite, word)
 
   def test_extremality_matches_fiber_size(self, suite):
     # weight-based extremality agrees with the direct crystal criterion
@@ -190,7 +315,7 @@ class TestLeviExtremal:
       letters = list(SWEEP_LETTERS)
       rng.shuffle(letters)
       word = tuple(letters[:rng.randrange(0, 11)])
-      vec = suite.word_vector(word)
+      vec = _word_vector(suite, word)
       if not vec:
         continue
       wt = suite.subrep.weight(next(iter(vec.keys())))
@@ -199,6 +324,28 @@ class TestLeviExtremal:
       assert weight_test == direct_test
       if weight_test:
         assert len(list(vec.keys())) == 1
+
+  def test_sweep_matches_oracle(self, suite):
+    report = suite.levi_extremal_sweep()
+    assert report == _oracle_sweep(suite)
+    assert report == {
+        "total_words": 151200, "all_levi_extremal": True,
+        "counterexamples": [], "search_nodes": 163,
+        "accepted_subtrees": 25, "fallback_words": 32}
+
+  @pytest.mark.parametrize("name", sorted(_REDUCED))
+  def test_sweep_matches_oracle_on_reduced_weights(self, suite, monkeypatch,
+                                                  name):
+    monkeypatch.setattr(suite, "extremal_weights",
+                        _REDUCED[name](list(suite.extremal_weights)))
+    assert suite.levi_extremal_sweep() == _oracle_sweep(suite)
+    # every counterexample, in search order, past the cap: a cap of the
+    # number of words keeps them all
+    everything = _oracle_sweep(suite, cap=151200)
+    monkeypatch.setattr(e6, "MAX_COUNTEREXAMPLES", 151200)
+    assert suite.levi_extremal_sweep() == everything
+    found = len(everything["counterexamples"])
+    assert found == (12 if name == "x6-nonpositive" else 0)
 
   def test_sweep(self, suite):
     report = suite.levi_extremal_sweep()

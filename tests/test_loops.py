@@ -3,6 +3,7 @@ import random
 import pytest
 
 import loop_element_fixture as oracle
+from twistedlie import loops
 from twistedlie.linalg import GaussianRational, I_UNIT, SparseVector
 from twistedlie.loops import (_all_basis_keys, bracket, cartan_vector,
                               degrees, eta_apply, eta_bracket_check,
@@ -183,6 +184,21 @@ class TestVerification:
   def test_bound_validation(self):
     with pytest.raises(ValueError):
       hyperspecial_basis(1, 1)
+
+  def test_element_not_tau_fixed_is_a_witness(self, monkeypatch):
+    # eta is undefined on the injected element: the verifier reports it
+    # instead of raising, and the bracket check fails its pairs
+    bad = _elt(("E", 1, 2), 0)
+    assert not is_tau_fixed(1, bad)
+    basis = hyperspecial_basis(1, 4)
+    monkeypatch.setattr(loops, "hyperspecial_basis",
+                        lambda ell, bound: basis + [("injected", (9,), bad)])
+    report = verify_hyperspecial(1, 4)
+    assert not report["passed"]
+    assert {"family": "injected", "descriptor": (9,),
+            "problems": ["not-tau-fixed"]} in report["mismatches"]
+    failures = eta_bracket_check(1, 4, 200)
+    assert failures and all((9,) in pair for pair in failures)
 
 
 # -- the LoopElement model as the oracle --------------------------------------

@@ -721,7 +721,57 @@ class TestExteriorPower:
                       ((0, 0), (1, 2)): 1})
 
 
+def _searched_root_poset_path(sys, gamma):
+  """The lexicographically least climbing sequence by backtracking
+  search."""
+  n = sys.rank
+  height = sum(gamma)
+
+  def rec(current, prefix):
+    if len(prefix) == height:
+      return prefix if current == gamma else None
+    for i in range(1, n + 1):
+      if current[i - 1] < gamma[i - 1]:
+        nxt = current[:i - 1] + (current[i - 1] + 1,) + current[i:]
+        if sys.is_positive_root(nxt):
+          got = rec(nxt, prefix + (i,))
+          if got is not None:
+            return got
+    return None
+
+  return rec((0,) * n, ())
+
+
+_ROOT_POSET_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 8)]
+    + [("C", n) for n in range(2, 8)] + [("D", n) for n in range(4, 8)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
 class TestRootOperators:
+
+  def test_greedy_path_equals_search(self):
+    # every positive root of 27 types, 751 in all
+    checked = 0
+    for family, rank in _ROOT_POSET_TYPES:
+      sys = build(family, rank)
+      for gamma in sys.positive_roots:
+        assert root_poset_path(sys, gamma) == _searched_root_poset_path(
+            sys, tuple(gamma)), (family, rank, gamma)
+        checked += 1
+    assert checked == 751
+
+  def test_path_without_a_step_is_an_internal_error(self):
+    # a system whose only positive root is gamma leaves the walk no step
+    class Stub:
+      rank = 2
+
+      @staticmethod
+      def is_positive_root(root):
+        return tuple(root) == (1, 1)
+
+    with pytest.raises(AssertionError):
+      root_poset_path(Stub, (1, 1))
 
   def test_path_for_simple_root(self, a2):
     assert root_poset_path(a2, (1, 0)) == (1,)

@@ -30,6 +30,11 @@ class TestCartanMatrices:
     assert c[0][2] == c[2][3] == c[3][4] == c[4][5] == -1
     assert c[0][1] == c[1][2] == 0
 
+  @pytest.mark.parametrize("family", ("BC", "", "AB", "a", "H"))
+  def test_family_is_one_known_letter(self, family):
+    with pytest.raises(ValueError, match="unknown family"):
+      CartanType(family, 3)
+
   def test_symmetrizers(self):
     assert symmetrizer(CartanType("B", 3)) == (2, 2, 1)
     assert symmetrizer(CartanType("C", 3)) == (1, 1, 2)
