@@ -19,7 +19,6 @@ cover cells are also smooth.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add, le
@@ -64,12 +63,6 @@ def _offset(datum, low, high):
       return None
     y.append(q)
   return tuple(y)
-
-
-def gamma_coords(datum, cw):
-  """Coordinates of a class in the simple-root (gamma) basis of H."""
-  _, den = _gamma_basis(datum.weight_ctype)
-  return tuple(Fraction(s, den) for s in _scaled(datum, cw.coords))
 
 
 def _as_class(datum, value):

@@ -96,7 +96,7 @@ def _cmd_rootsys(args):
     wt = _parse_weight(args.weight, sys_.rank)
     payload["weight"] = list(wt)
     payload["dimension"] = sys_.weyl_dimension(wt)
-    payload["orbit_size"] = len(sys_.weyl_orbit(wt))
+    payload["orbit_size"] = sys_.orbit_size(wt)
   _emit(payload, args.format)
   return 0
 

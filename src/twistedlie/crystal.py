@@ -14,6 +14,9 @@ element, level by level, with a canonical raising path recorded for every
 element.
 """
 
+from itertools import product
+from math import prod
+
 
 class TableCrystal:
   """A finite crystal on the indices 0..n-1, given by its weights and its
@@ -97,24 +100,12 @@ class TensorCrystal:
     self.rank = self.factors[0].rank
 
   def __len__(self):
-    n = 1
-    for f in self.factors:
-      n *= len(f)
-    return n
+    return prod(map(len, self.factors))
 
   def elements(self):
-    # iterate with the leftmost factor slowest for a stable order
-    sizes = [len(f) for f in self.factors]
-    total = 1
-    for s in sizes:
-      total *= s
-    for code in range(total):
-      out = []
-      c = code
-      for s in reversed(sizes):
-        out.append(c % s)
-        c //= s
-      yield tuple(reversed(out))
+    """The index tuples in lexicographic order, the leftmost factor
+    slowest."""
+    return product(*(f.indices() for f in self.factors))
 
   def wt(self, b):
     n = self.rank

@@ -52,6 +52,12 @@ MAX_COUNTEREXAMPLES = 5
 ORBIT_SIZE = 240
 ORBIT_RANK = 45
 
+#: The numbers-game poset of the published figure: its nodes, its starred
+#: leaves and its edges.
+POSET_NODES = 16
+POSET_STARS = 10
+POSET_EDGES = 16
+
 
 def _noop(msg):
   pass
@@ -80,10 +86,11 @@ class E6Suite:
     self.crys1 = crystal_mod.MinusculeCrystal(self.sys, 1)
     self.V1 = reps.minuscule_representation(self.crys1)
     self.wedge3 = reps.ExteriorPower(self.V1, 3)
-    tcrys = crystal_mod.tensor_crystal(self.crys1, self.crys1, self.crys1)
     progress("extracting the 2925-element highest weight component")
-    self.component = crystal_mod.highest_weight_component(tcrys, OMEGA4)
-    self.hw_vec = self._build_hw_vector()
+    hw = self._hw_keys()
+    self.component = crystal_mod.HighestWeightComponent(
+        crystal_mod.TensorCrystal([self.crys1] * 3), hw)
+    self.hw_vec = SparseVector.unit(hw)
     progress("building the subrepresentation in the canonical-path basis")
     self.subrep = reps.subrepresentation(self.wedge3, self.hw_vec,
                                          self.component)
@@ -94,15 +101,16 @@ class E6Suite:
     self._orbit = None
     self.progress = progress
 
-  def _build_hw_vector(self):
-    """The highest weight vector of weight omega_4 inside the exterior cube:
-    the wedge of the crystal elements of weights omega_1, omega_1 - alpha_1
-    and omega_1 - alpha_1 - alpha_3, whose keys come in increasing order."""
+  def _hw_keys(self):
+    """The crystal elements of weights omega_1, omega_1 - alpha_1 and
+    omega_1 - alpha_1 - alpha_3, in increasing order: the highest weight
+    element of weight omega_4 in the cube of the crystal, and the key of the
+    highest weight vector, their wedge, in the exterior cube."""
     k0 = 0
     k1 = self.crys1.f(k0, 1)
     k13 = self.crys1.f(k1, 3)
     assert k0 < k1 < k13
-    return SparseVector.unit((k0, k1, k13))
+    return (k0, k1, k13)
 
   # -- the weight-zero vector and its orbit --------------------------------
 
@@ -264,13 +272,17 @@ class E6Suite:
     vzero = self.build_vzero()
     orbit = self.orbit_up_to_sign()
     sweep = self.levi_extremal_sweep()
+    poset = numbers_game_poset()
+    nodes = poset["nodes"]
     return {
         "vzero_nonzero": bool(vzero),
         "orbit_size": len(orbit),
         "rank": self.orbit_rank(),
         "levi_extremal_ok": sweep["all_levi_extremal"],
         "chain_ok": dominance_chain_check(),
-        "poset_ok": numbers_game_poset() is not None,
+        "poset_ok": (len(nodes), sum(star for _, star in nodes),
+                     len(poset["edges"]))
+                    == (POSET_NODES, POSET_STARS, POSET_EDGES),
     }
 
 

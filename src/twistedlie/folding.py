@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import inverse, normalize_scalar, smith_invariant_factors
-from .rootsystem import CartanType, RootSystem, build, cartan_matrix
+from .rootsystem import CartanType, build, cartan_matrix
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,6 @@ class CoinvariantWeight:
 
   def is_dominant(self):
     return all(c >= 0 for c in self.coords)
-
-  def __sub__(self, other):
-    if self.htype != other.htype:
-      raise ValueError("mismatched types")
-    return CoinvariantWeight(self.htype, tuple(
-        a - b for a, b in zip(self.coords, other.coords)))
 
   def __add__(self, other):
     if self.htype != other.htype:
@@ -263,26 +257,3 @@ class Folding:
     elif f == "D" and self.order == 2:
       out.append(tuple(int(k == self.ell - 1) for k in range(n)))
     return out
-
-  # -- dimensions ----------------------------------------------------------
-
-  def schubert_dimension(self, coweight):
-    """Dimension 2<rho, lam> of the cell attached to a dominant base
-    coweight (fundamental coweight coordinates)."""
-    if any(c < 0 for c in coweight):
-      raise ValueError("coweight must be dominant")
-    # 2 rho is the sum of the positive roots, and the pairing of a root
-    # against a fundamental-coweight vector reads off simple root coefficients
-    total = 0
-    for root in self.base.positive_roots:
-      total += sum(root[i] * coweight[i] for i in range(self.base.rank))
-    return total
-
-  def class_dimension(self, cw):
-    """Dimension of the cell attached to a dominant coinvariant class."""
-    lift = self.class_lift(cw)
-    dom = tuple(lift)
-    if any(c < 0 for c in dom):
-      raise ValueError("class lift must be dominant")
-    return self.schubert_dimension(dom)
-

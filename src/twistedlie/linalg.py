@@ -73,9 +73,6 @@ class GaussianRational:
 
   __rmul__ = __mul__
 
-  def conjugate(self):
-    return GaussianRational(self.re, -self.im)
-
   def norm(self):
     """The rational norm re^2 + im^2."""
     return self.re * self.re + self.im * self.im

@@ -28,7 +28,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, lcm
 
 from .linalg import (SparseVector, ZERO_VECTOR, _add_scaled, normalize_scalar,
@@ -92,14 +92,6 @@ class Representation:
   def apply_f(self, i, vec):
     return SparseVector._raw(self._act("f", i, vec.entries))
 
-  def apply_h(self, i, vec):
-    acc = {}
-    for key, c in vec.items():
-      w = self.weight(key)[i - 1]
-      if w:
-        acc[key] = c * w
-    return SparseVector._raw(acc)
-
 
 class TableRepresentation(Representation):
   """A representation with explicit sparse action tables.
@@ -142,14 +134,7 @@ class ProductRepresentation(Representation):
                     for op in ("e", "f") for i in range(1, self.rank + 1)}
 
   def keys(self):
-    def rec(pos):
-      if pos == len(self.factors):
-        yield ()
-        return
-      for head in self.factors[pos].keys():
-        for rest in rec(pos + 1):
-          yield (head,) + rest
-    return rec(0)
+    return product(*(f.keys() for f in self.factors))
 
   def weight(self, key):
     n = self.rank

@@ -18,9 +18,10 @@ No floating point is used anywhere; all intermediate values are ints or
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from operator import sub
 
-from .linalg import inverse
+from .linalg import inverse, normalize_scalar
 
 FAMILIES = "ABCDEFG"
 
@@ -115,7 +116,8 @@ class RootSystem:
     self.d = symmetrizer(ctype)
     self.positive_roots = self._closure()
     self._posroot_set = set(self.positive_roots)
-    self.highest_root = self._find_highest_root()
+    # the only root of greatest height, last in (height, coords) order
+    self.highest_root = self.positive_roots[-1]
     self._freudenthal_cache = {}
 
   @cached_property
@@ -167,12 +169,10 @@ class RootSystem:
 
   def coroot_pairing(self, wt, root):
     """<wt, rootcheck> = 2 (wt, root) / (root, root)."""
-    val = Fraction(2 * self.root_inner(root, wt), self.root_norm(root))
-    if val.denominator == 1:
-      return int(val)
-    return val
+    return normalize_scalar(Fraction(2 * self.root_inner(root, wt),
+                                     self.root_norm(root)))
 
-  # -- positive roots and the root poset ----------------------------------
+  # -- positive roots -----------------------------------------------------
 
   def _closure(self):
     n = self.rank
@@ -192,38 +192,6 @@ class RootSystem:
 
   def is_positive_root(self, root):
     return tuple(root) in self._posroot_set
-
-  def _find_highest_root(self):
-    n = self.rank
-    tops = []
-    for root in self.positive_roots:
-      if not any(self._add_simple(root, i) in self._posroot_set
-                 for i in range(1, n + 1)):
-        tops.append(root)
-    if len(tops) != 1:
-      raise AssertionError("root poset must have a unique maximum")
-    return tops[0]
-
-  @staticmethod
-  def _add_simple(root, i):
-    out = list(root)
-    out[i - 1] += 1
-    return tuple(out)
-
-  def root_poset(self):
-    """Cover relations of the positive-root poset.
-
-    Returns (nodes, covers) with nodes the positive roots sorted by
-    (height, coords) and covers a sorted list of (gamma, gamma + alpha_i, i).
-    """
-    covers = []
-    for root in self.positive_roots:
-      for i in range(1, self.rank + 1):
-        up = self._add_simple(root, i)
-        if up in self._posroot_set:
-          covers.append((root, up, i))
-    covers.sort(key=lambda e: (sum(e[0]), e[0], e[2]))
-    return list(self.positive_roots), covers
 
   # -- orbits and dominance ------------------------------------------------
 
@@ -282,6 +250,18 @@ class RootSystem:
     start = self.dominant_representative(self._check_weight(wt))
     return frozenset(self.orbit_graph(start)[0])
 
+  def orbit_size(self, wt):
+    """The number of weights in the Weyl orbit of wt, without building it:
+    |W| / |W_J|, J the nodes where the dominant representative vanishes.
+    Each order is the product of (ht alpha + 1) / ht alpha over the positive
+    roots of its system (Macdonald, "The Poincare series of a Coxeter
+    group", Math. Ann. 199, 1972), so the quotient runs over the positive
+    roots not supported on J."""
+    mu = self.dominant_representative(self._check_weight(wt))
+    heights = [sum(alpha) for alpha in self.positive_roots
+               if any(a and c for a, c in zip(alpha, mu))]
+    return prod(h + 1 for h in heights) // prod(heights)
+
   # -- multiplicities and dimensions ---------------------------------------
 
   def dominant_weights_below(self, lam):
@@ -318,7 +298,6 @@ class RootSystem:
     if lam in self._freudenthal_cache:
       return self._freudenthal_cache[lam]
     n = self.rank
-    rho = (1,) * n
     lam_rho = tuple(a + 1 for a in lam)
     norm_top = self.inner(lam_rho, lam_rho)
     mults = {}
@@ -356,10 +335,6 @@ class RootSystem:
     table = self._freudenthal_table(lam)
     mu = self._check_weight(mu, integral=True)
     return table.get(self.dominant_representative(mu), 0)
-
-  def weight_multiplicities(self, lam):
-    """Dict of dominant weight -> multiplicity for highest weight lam."""
-    return dict(self._freudenthal_table(lam))
 
   def weyl_dimension(self, lam):
     """Dimension of the irrep with highest weight lam."""

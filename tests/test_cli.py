@@ -32,6 +32,13 @@ class TestRootsys:
     assert data["dimension"] == 2925
     assert data["orbit_size"] == 720
 
+  def test_e8_regular_orbit_is_not_enumerated(self, capsys):
+    # 696,729,600 weights: the size comes from the closed form
+    code, out = _run(capsys, ["rootsys", "--type", "E", "--rank", "8",
+                              "--weight", "1,1,1,1,1,1,1,1"])
+    assert code == 0
+    assert json.loads(out)["orbit_size"] == 696729600
+
   def test_deterministic_output(self, capsys):
     _, first = _run(capsys, ["rootsys", "--type", "F", "--rank", "4"])
     _, second = _run(capsys, ["rootsys", "--type", "F", "--rank", "4"])
@@ -112,6 +119,40 @@ class TestE6Verdict:
     card = {**self.PASSING, field: value}
     assert e6.scorecard_ok(card) is False
     assert self._run_with(capsys, monkeypatch, card) == 1
+
+
+def _drop_edge(poset):
+  return {"nodes": poset["nodes"], "edges": poset["edges"][:-1]}
+
+
+def _drop_star(poset):
+  nodes = list(poset["nodes"])
+  k = max(k for k, (_, star) in enumerate(nodes) if star)
+  nodes[k] = (nodes[k][0], False)
+  return {"nodes": nodes, "edges": poset["edges"]}
+
+
+def _drop_node(poset):
+  last = len(poset["nodes"]) - 1
+  return {"nodes": poset["nodes"][:-1],
+          "edges": [e for e in poset["edges"] if last not in e[:2]]}
+
+
+class TestPosetDefect:
+  """The real suite and scorecard, with a defect injected into the output
+  of the real numbers-game generator."""
+
+  @pytest.mark.parametrize("defect", (_drop_edge, _drop_star, _drop_node),
+                           ids=("edge", "star", "node"))
+  def test_defect_fails_the_verdict(self, capsys, monkeypatch, suite, defect):
+    real = e6.numbers_game_poset
+    monkeypatch.setattr(e6, "numbers_game_poset", lambda: defect(real()))
+    monkeypatch.setattr(e6, "E6Suite", lambda progress: suite)
+    code, out = _run(capsys, ["e6-duality"])
+    assert code == 1
+    data = json.loads(out)
+    assert data.pop("schema_version") == 1
+    assert data == {**TestE6Verdict.PASSING, "poset_ok": False}
 
 
 class TestDominance:

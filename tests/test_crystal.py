@@ -3,6 +3,8 @@ import pytest
 from twistedlie.crystal import (HighestWeightComponent,
                                 MinusculeCrystal,
                                 highest_weight_component, tensor_crystal)
+from twistedlie.e6 import OMEGA4
+from twistedlie.linalg import SparseVector
 from twistedlie.rootsystem import build, minimal_coset_reps
 
 
@@ -387,6 +389,47 @@ def test_components_match_seed_builder(family, rank, node, copies):
 
 def test_e6_component_matches_seed_builder(suite):
   _assert_matches_seed_component(suite.component)
+
+
+def test_e6_highest_element_is_the_scanned_one(suite):
+  # the suite builds its component from the keys of its highest weight
+  # vector; the scan for the least highest element of weight omega_4 finds
+  # the same element
+  tensor = tensor_crystal(*[suite.crys1] * 3)
+  assert suite.component.hw == highest_weight_component(tensor, OMEGA4).hw
+  assert suite.component.hw == (0, 1, 2)
+  assert suite.hw_vec == SparseVector.unit(suite.component.hw)
+
+
+def _seed_elements(tensor):
+  """The seed's enumerator, kept as an oracle: every code below the product
+  of the factor sizes, written in mixed radix with the leftmost factor
+  slowest."""
+  sizes = [len(f) for f in tensor.factors]
+  total = 1
+  for s in sizes:
+    total *= s
+  for code in range(total):
+    out = []
+    c = code
+    for s in reversed(sizes):
+      out.append(c % s)
+      c //= s
+    yield tuple(reversed(out))
+
+
+# the quick crystals, A2 V(omega_1)^3, and factors of unequal sizes
+_ENUMERATED = tuple((f, n, (r,) * k) for f, n, r, k in _QUICK_CRYSTALS) + (
+    ("A", 2, (1, 1, 1)), ("D", 5, (1, 5, 4)))
+
+
+@pytest.mark.parametrize("family,rank,nodes", _ENUMERATED)
+def test_elements_match_seed_enumerator(family, rank, nodes):
+  sys = build(family, rank)
+  tensor = tensor_crystal(*[MinusculeCrystal(sys, r) for r in nodes])
+  got = list(tensor.elements())
+  assert got == list(_seed_elements(tensor))
+  assert len(tensor) == len(got) == len(set(got))
 
 
 def test_component_calls_f_once_per_element_and_node():

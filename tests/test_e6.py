@@ -389,6 +389,14 @@ class TestNumbersGamePoset:
     assert len(poset["edges"]) == 16
     assert sum(1 for _, star in poset["nodes"] if star) == 10
 
+  def test_figure_counts_match_transcription(self):
+    # e6's counts of the figure, which the scorecard checks, against the
+    # tests' transcription of it
+    assert e6.POSET_NODES == len(diagram_fixture.NODES) == 16
+    assert e6.POSET_STARS == sum(star for _, star in diagram_fixture.NODES)
+    assert e6.POSET_STARS == 10
+    assert e6.POSET_EDGES == len(diagram_fixture.EDGES) == 16
+
   def test_nodes_match_figures(self):
     poset = numbers_game_poset()
     got = {tuple(w): star for w, star in poset["nodes"]}

@@ -170,26 +170,6 @@ class TestDiscreteInvariants:
       assert len(datum.level_one_set()) == order
 
 
-class TestDimensions:
-
-  def test_schubert_dimension_is_twice_rho_pairing(self):
-    datum = Folding("A", 2, 4)
-    # lift of 2*gamma_1 is the sum of the two fundamental coweights'
-    # worth along node 1; <2rho, acheck_1 + acheck_2> = 4
-    assert datum.schubert_dimension((1, 1)) == 4
-
-  def test_class_dimension(self):
-    datum = Folding("A", 2, 4)
-    lam = CoinvariantWeight(datum.weight_ctype, (4,))
-    assert datum.class_dimension(lam) == datum.schubert_dimension(
-        datum.class_lift(lam))
-
-  def test_dimension_rejects_nondominant(self):
-    datum = Folding("A", 5, 2)
-    with pytest.raises(ValueError):
-      datum.schubert_dimension((-1, 0, 0, 0, 0))
-
-
 class TestCoinvariantWeight:
 
   def test_arithmetic(self):
@@ -197,7 +177,6 @@ class TestCoinvariantWeight:
     a = CoinvariantWeight(t, (1, 2, 0))
     b = CoinvariantWeight(t, (0, 1, 1))
     assert (a + b).coords == (1, 3, 1)
-    assert (a - b).coords == (1, 1, -1)
 
   def test_normalizes_integral_fractions(self):
     t = Folding("A", 5, 2).weight_ctype

@@ -47,8 +47,8 @@ class TestMinusculeModel:
   def test_weights_and_h_action(self, a2_v1):
     v = SparseVector.unit(0)
     assert a2_v1.weight(0) == (1, 0)
-    assert a2_v1.apply_h(1, v) == v
-    assert not a2_v1.apply_h(2, v)
+    assert _apply_h(a2_v1, 1, v) == v
+    assert not _apply_h(a2_v1, 2, v)
 
 
 class TestTensorProduct:
@@ -65,6 +65,24 @@ class TestTensorProduct:
   def test_tensor_relations(self, a2, a2_v1):
     prod = ProductRepresentation([a2_v1, a2_v1])
     assert verify_representation_detailed(prod, a2.cartan) == (True, None)
+
+  @pytest.mark.parametrize("family,rank,nodes", (
+      ("E", 6, (1, 1)), ("E", 7, (7, 7)), ("D", 5, (5, 5, 5)),
+      ("A", 4, (2, 2, 2)), ("A", 2, (1, 1, 1)), ("D", 5, (1, 5, 4))))
+  def test_keys_match_seed_enumerator(self, family, rank, nodes):
+    # the quick benchmark's crystals, A2 V(omega_1)^3 and factors of
+    # unequal sizes
+    sys = build(family, rank)
+    prod = ProductRepresentation(
+        [minuscule_representation(MinusculeCrystal(sys, r)) for r in nodes])
+    assert list(prod.keys()) == list(_seed_keys(prod))
+
+  def test_nested_product_keys_match_seed_enumerator(self, a2_v1):
+    prod = ProductRepresentation(
+        [a2_v1, ProductRepresentation([a2_v1, a2_v1])])
+    keys = list(prod.keys())
+    assert keys == list(_seed_keys(prod))
+    assert len(keys) == 27 and keys[1] == (0, (0, 1))
 
   def test_weight_additive(self, a2_v1):
     prod = ProductRepresentation([a2_v1, a2_v1])
@@ -888,6 +906,26 @@ def _apply_table(table, vec):
 # -- test-only oracles: the per-unit-vector relation checker and the per-key
 # Leibniz rule that the compiled versions replaced ----------------------------
 
+def _seed_keys(prod):
+  """The seed's recursive enumerator of a product's keys, the leftmost
+  factor slowest."""
+  def rec(pos):
+    if pos == len(prod.factors):
+      yield ()
+      return
+    for head in prod.factors[pos].keys():
+      for rest in rec(pos + 1):
+        yield (head,) + rest
+  return rec(0)
+
+
+def _apply_h(rep, i, vec):
+  """H_i on vec: each basis vector scaled by the pairing of its weight with
+  the i-th simple coroot."""
+  return SparseVector({key: c * rep.weight(key)[i - 1]
+                       for key, c in vec.items()})
+
+
 def _oracle_verify(rep, cartan):
   n = rep.rank
   for key in rep.keys():
@@ -896,23 +934,23 @@ def _oracle_verify(rep, cartan):
     for i in range(1, n + 1):
       for j in range(1, n + 1):
         # [H_i, H_j] = 0: diagonal operators commute
-        hh1 = rep.apply_h(i, rep.apply_h(j, v))
-        hh2 = rep.apply_h(j, rep.apply_h(i, v))
+        hh1 = _apply_h(rep, i, _apply_h(rep, j, v))
+        hh2 = _apply_h(rep, j, _apply_h(rep, i, v))
         if hh1 != hh2:
           return False, ("HH", i, j, key)
         # [E_i, F_j] = delta_ij H_i
         lhs = rep.apply_e(i, rep.apply_f(j, v)) - rep.apply_f(j, rep.apply_e(i, v))
-        rhs = rep.apply_h(i, v) if i == j else ZERO_VECTOR
+        rhs = _apply_h(rep, i, v) if i == j else ZERO_VECTOR
         if lhs != rhs:
           return False, ("EF", i, j, key)
         # [H_i, E_j] = <alpha_j, acheck_i> E_j
         ej = rep.apply_e(j, v)
-        lhs = rep.apply_h(i, ej) - ej.scale(wt[i - 1])
+        lhs = _apply_h(rep, i, ej) - ej.scale(wt[i - 1])
         if lhs != ej.scale(cartan[i - 1][j - 1]):
           return False, ("HE", i, j, key)
         # [H_i, F_j] = -<alpha_j, acheck_i> F_j
         fj = rep.apply_f(j, v)
-        lhs = rep.apply_h(i, fj) - fj.scale(wt[i - 1])
+        lhs = _apply_h(rep, i, fj) - fj.scale(wt[i - 1])
         if lhs != fj.scale(-cartan[i - 1][j - 1]):
           return False, ("HF", i, j, key)
     # Serre relations ad(X_i)^{1 - a_ij}(X_j) = 0 for i != j

@@ -60,6 +60,26 @@ class TestCartanMatrices:
       CartanType("H", 3)
 
 
+def _raise(root, i):
+  """root + alpha_i."""
+  return root[:i - 1] + (root[i - 1] + 1,) + root[i:]
+
+
+def _maximal_roots(sys):
+  """The seed's highest-root search, kept as an oracle: the positive roots
+  with no positive root one simple root above them."""
+  roots = set(sys.positive_roots)
+  return [root for root in sys.positive_roots
+          if not any(_raise(root, i) in roots
+                     for i in range(1, sys.rank + 1))]
+
+
+# every Cartan type of rank at most 8
+_TYPES_TO_RANK_8 = ([(f, n) for f in "ABC" for n in range(1, 9)]
+                    + [("D", n) for n in range(4, 9)]
+                    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
 class TestPositiveRoots:
 
   @pytest.mark.parametrize("fam,rank,count", [
@@ -74,6 +94,12 @@ class TestPositiveRoots:
 
   def test_g2_highest_root(self):
     assert build("G", 2).highest_root == (3, 2)
+
+  @pytest.mark.parametrize("family,rank", _TYPES_TO_RANK_8,
+                           ids=["%s%d" % t for t in _TYPES_TO_RANK_8])
+  def test_highest_root_is_the_unique_maximal_root(self, family, rank):
+    sys = build(family, rank)
+    assert _maximal_roots(sys) == [sys.highest_root]
 
   def test_root_norms(self):
     sys = build("G", 2)
@@ -132,6 +158,14 @@ _EDGES = [
 ]
 
 
+def _root_poset_covers(sys):
+  """The cover relations (gamma, gamma + alpha_i, i) of the positive-root
+  poset."""
+  roots = set(sys.positive_roots)
+  return [(root, _raise(root, i), i) for root in sys.positive_roots
+          for i in range(1, sys.rank + 1) if _raise(root, i) in roots]
+
+
 class TestE6RootPoset:
 
   def test_nodes_match_fixture(self):
@@ -141,7 +175,7 @@ class TestE6RootPoset:
 
   def test_edges_match_fixture(self):
     sys = build("E", 6)
-    _, covers = sys.root_poset()
+    covers = _root_poset_covers(sys)
     expected = {(_RT[a], _RT[b], i) for a, b, i in _EDGES}
     assert set(covers) == expected
     assert len(_EDGES) == 60
@@ -201,7 +235,6 @@ class TestWeightMachinery:
     sys = build(family, rank)
     zero = (0,) * rank
     for call in (lambda: sys.weyl_dimension(wt),
-                 lambda: sys.weight_multiplicities(wt),
                  lambda: sys.freudenthal_multiplicity(wt, wt),
                  lambda: sys.freudenthal_multiplicity(zero, wt)):
       with pytest.raises(ValueError, match="integral"):
@@ -231,8 +264,8 @@ class TestWeightMachinery:
     sys = build("A", 2)
     lam = (1, 1)
     total = 0
-    for mu, mult in sys.weight_multiplicities(lam).items():
-      total += mult * len(sys.weyl_orbit(mu))
+    for _, mu in sys.dominant_weights_below(lam):
+      total += sys.freudenthal_multiplicity(lam, mu) * len(sys.weyl_orbit(mu))
     assert total == sys.weyl_dimension(lam) == 8
 
   def test_minuscule(self):
@@ -351,7 +384,9 @@ class TestOrbitGraph:
     sys_ = build(family, rank)
     for wt in ((Fraction(1, 2),) + (0,) * (rank - 1),
                tuple(Fraction(j + 1, 3) * (-1) ** j for j in range(rank))):
-      assert sys_.weyl_orbit(wt) == _all_reflections_orbit(sys_, wt), wt
+      orbit = _all_reflections_orbit(sys_, wt)
+      assert sys_.weyl_orbit(wt) == orbit, wt
+      assert sys_.orbit_size(wt) == len(orbit), wt
 
   @pytest.mark.parametrize("family,rank", _SMALL_TYPES + [("E", 6)],
                            ids=["%s%d" % t for t in _SMALL_TYPES + [("E", 6)]])
@@ -400,6 +435,33 @@ class TestOrbitGraph:
   def test_rejects_bad_weights(self, lam):
     with pytest.raises(ValueError):
       build("A", 2).orbit_graph(lam)
+
+
+class TestOrbitSize:
+
+  @pytest.mark.parametrize("family,rank", _ORBIT_TYPES + [("E", 6)],
+                           ids=["%s%d" % t for t in _ORBIT_TYPES + [("E", 6)]])
+  def test_matches_weyl_orbit(self, family, rank):
+    sys_ = build(family, rank)
+    weights = list(_orbit_weights(sys_)) + [
+        (0,) * rank, (1,) * rank,
+        tuple(int(j in (0, rank - 1)) for j in range(rank)),
+        tuple(j % 3 - 1 for j in range(rank))]
+    for wt in weights:
+      assert sys_.orbit_size(wt) == len(sys_.weyl_orbit(wt)), wt
+
+  @pytest.mark.parametrize("family,rank,order", (
+      ("A", 9, 3628800), ("B", 8, 10321920), ("D", 8, 5160960),
+      ("E", 6, 51840), ("E", 7, 2903040), ("E", 8, 696729600),
+      ("F", 4, 1152), ("G", 2, 12)))
+  def test_regular_orbit_is_the_weyl_group(self, family, rank, order):
+    # rho has trivial stabiliser; the orders are the known |W|
+    assert build(family, rank).orbit_size((1,) * rank) == order
+
+  @pytest.mark.parametrize("wt", ((1, 0, 0), (1,)))
+  def test_rejects_wrong_length(self, wt):
+    with pytest.raises(ValueError, match="coordinates"):
+      build("A", 2).orbit_size(wt)
 
 
 class TestWeylElements:
