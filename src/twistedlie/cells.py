@@ -3,25 +3,18 @@
 Classes live in the weight lattice of the small group H attached to a
 folding; the simple roots of H are the classes gamma_j of base simple
 coroots.  The order compares differences against nonnegative integral
-combinations of the gamma_j.  Every comparison of two classes is answered
-from integer gamma offsets: the inverse Cartan matrix of H is kept as an
-integer matrix over one common denominator, so no comparison builds a
-Fraction.  Comparable dominant weights are joined by a chain of dominant
-weights whose steps are positive roots (Stembridge, "The partial order of
-dominant weights", Adv. Math. 136, 1998).  So the dominant classes below a
-class come from the positive-root search of the root system of H, and one
-pass finds the covers among them by stepping from each class by the
-positive roots of H and looking the results up among the enumerated
-classes, never comparing all pairs of classes.  The smooth-locus classifier
-distinguishes the unramified foldings (only the open cell is smooth) from
-the ramified family (base A_{2l}, order 4), where certain quasi-minuscule
-cover cells are also smooth.
+combinations of the gamma_j, so every order question goes to the root
+system of H: ``RootSystem.weight_root_coords`` gives the gamma-coordinates
+of a difference, ``dominant_weights_below`` the dominant classes below a
+class and ``dominant_covers`` the covers among them.  The smooth-locus
+classifier distinguishes the unramified foldings (only the open cell is
+smooth) from the ramified family (base A_{2l}, order 4), where certain
+quasi-minuscule cover cells are also smooth.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
-from operator import add, le
+from operator import sub
 
 from .folding import CoinvariantWeight
 from .rootsystem import RootSystem
@@ -36,33 +29,12 @@ def _system(ctype):
   return RootSystem(ctype)
 
 
-@lru_cache(maxsize=None)
-def _gamma_basis(ctype):
-  """The inverse Cartan matrix of ctype as integer rows over one common
-  denominator den: the gamma-coordinates of a class are row . coords / den.
-  """
-  inv = _system(ctype).cartan_inv
-  den = lcm(*(c.denominator for row in inv for c in row))
-  return tuple(tuple(int(c * den) for c in row) for row in inv), den
-
-
-def _scaled(datum, coords):
-  """den times the gamma-coordinates of a class with these coordinates."""
-  rows, _ = _gamma_basis(datum.weight_ctype)
-  return tuple(sum(a * c for a, c in zip(row, coords)) for row in rows)
-
-
-def _offset(datum, low, high):
-  """The gamma-coordinates of high - low as an integer tuple, or None when
-  one of them is not an integer; low and high are ``_scaled`` values."""
-  _, den = _gamma_basis(datum.weight_ctype)
-  y = []
-  for a, b in zip(low, high):
-    q, r = divmod(b - a, den)
-    if r:
-      return None
-    y.append(q)
-  return tuple(y)
+def _gamma_offset(datum, mu, lam):
+  """The gamma-coordinates of lam - mu, or None when one of them is not an
+  integer."""
+  y = _system(datum.weight_ctype).weight_root_coords(
+      tuple(map(sub, lam.coords, mu.coords)))
+  return y if all(isinstance(c, int) for c in y) else None
 
 
 def _as_class(datum, value):
@@ -78,7 +50,7 @@ def leq(datum, mu, lam):
   of the simple roots gamma_j of H."""
   mu = _as_class(datum, mu)
   lam = _as_class(datum, lam)
-  y = _offset(datum, _scaled(datum, mu.coords), _scaled(datum, lam.coords))
+  y = _gamma_offset(datum, mu, lam)
   return y is not None and min(y) >= 0
 
 
@@ -140,7 +112,7 @@ def is_cover_fast(datum, mu, lam):
     raise ValueError("fast path requires a type B (or rank one) small side")
   mu = _as_class(datum, mu)
   lam = _as_class(datum, lam)
-  y = _offset(datum, _scaled(datum, mu.coords), _scaled(datum, lam.coords))
+  y = _gamma_offset(datum, mu, lam)
   return y is not None and min(y) >= 0 and _closed_form_cover(y, mu.coords)
 
 
@@ -165,47 +137,14 @@ def is_cover(datum, mu, lam):
   return is_cover_brute(datum, mu, lam)
 
 
-@lru_cache(maxsize=None)
-def _root_steps(ctype):
-  """The positive roots alpha of ctype by height, as triples (alpha in
-  simple-root (gamma) coordinates, alpha in fundamental-weight
-  coordinates, the positive roots strictly below alpha).  A root below
-  alpha has a smaller height, so it comes before alpha."""
-  system = _system(ctype)
-  roots = system.positive_roots
-  return tuple((alpha, system.root_weight(alpha),
-                tuple(beta for beta in roots[:k] if all(map(le, beta, alpha))))
-               for k, alpha in enumerate(roots))
-
-
 def covers(datum, below):
-  """Every cover among the classes of ``below``: the index pairs (a, b), in
-  row-major order, with below[a] covered by below[b].  Each pair agrees
-  with ``is_cover``.
-
-  ``below`` must be a list returned by ``dominants_below``: every dominant
-  lattice class under one of its members is itself a member, so a cover
-  inside ``below`` is a cover of the dominance order.  A cover of dominant
-  weights differs by a positive root (Stembridge, "The partial order of
-  dominant weights", Adv. Math. 136, 1998).  So the candidates for b are
-  the classes below[a] + alpha, alpha in the positive roots of H, looked up
-  by their coordinates, and below[a] + alpha is a cover iff no positive
-  root beta < alpha has below[a] + beta in ``below``, since the first step
-  of a chain from below[a] to a class strictly between would be such a
-  beta.  On the ramified family this rule gives the covers of the paper's
-  closed form (``is_cover_fast``), its test oracle.
-  """
-  index = {cw.coords: a for a, cw in enumerate(below)}
-  roots = _root_steps(datum.weight_ctype)
-  pairs = []
-  for a, cw in enumerate(below):
-    up = {alpha: index.get(tuple(map(add, cw.coords, step)))
-          for alpha, step, _ in roots}
-    hits = sorted(up[alpha] for alpha, _, lower in roots
-                  if up[alpha] is not None
-                  and all(up[beta] is None for beta in lower))
-    pairs.extend((a, b) for b in hits)
-  return pairs
+  """Every cover among the classes of ``below``, a list returned by
+  ``dominants_below``: the index pairs (a, b), in row-major order, with
+  below[a] covered by below[b], by ``RootSystem.dominant_covers`` in the
+  root system of H.  On the ramified family they are the covers of the
+  paper's closed form (``is_cover_fast``), its test oracle."""
+  return _system(datum.weight_ctype).dominant_covers(
+      [cw.coords for cw in below])
 
 
 # -- smooth locus ------------------------------------------------------------
@@ -255,7 +194,6 @@ def smooth_cells(datum, variant, lam):
     variant = VARIANT_SPECIAL
   elif variant not in (VARIANT_SPECIAL, VARIANT_ABS_SPECIAL):
     raise ValueError("unknown variant %r" % (variant,))
-  top = _scaled(datum, lam.coords)
   cells = []
   for mu in dominants_below(datum, lam):
     if mu == lam:
@@ -268,7 +206,7 @@ def smooth_cells(datum, variant, lam):
       cells.append(CellVerdict(mu, False, "external-only-open-cell",
                                "external"))
       continue
-    y = _offset(datum, _scaled(datum, mu.coords), top)
+    y = _gamma_offset(datum, mu, lam)
     c = y[-1]
     if c % 2 == 0:
       cells.append(CellVerdict(mu, False, "step1-even-short-coefficient",

@@ -26,6 +26,7 @@ it.
 from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
+from operator import sub
 
 from .linalg import SparseVector, normalize_scalar, rank as matrix_rank
 from . import crystal as crystal_mod
@@ -274,7 +275,7 @@ class E6Suite:
     sweep = self.levi_extremal_sweep()
     poset = numbers_game_poset()
     nodes = poset["nodes"]
-    return {
+    card = {
         "vzero_nonzero": bool(vzero),
         "orbit_size": len(orbit),
         "rank": self.orbit_rank(),
@@ -284,6 +285,9 @@ class E6Suite:
                      len(poset["edges"]))
                     == (POSET_NODES, POSET_STARS, POSET_EDGES),
     }
+    if not card["chain_ok"]:
+      card["chain_break"] = chain_break()
+    return card
 
 
 def scorecard_ok(card):
@@ -297,29 +301,35 @@ def scorecard_ok(card):
 
 # -- light checks that do not need the heavy suite ---------------------------
 
-def dominance_chain_check():
-  """Verify the coweight chain 0 < w2 < w1+w6 < w4 is saturated.
+def chain_break():
+  """The first step (low, high) of the coweight chain
+  0 < w2 < w1+w6 < w4 that is not a cover, or None when the chain is
+  saturated.
 
-  E6 is self-dual, so coweights are handled with the weight machinery.
-  Checks, from the dominant weights below each entry: every entry lies
-  below the next, the top difference has the expected coordinates, and no
-  dominant element sits strictly between consecutive entries.
+  E6 is self-dual, so coweights are handled with the weight machinery: the
+  steps are checked against the covers among the dominant weights below
+  w4.  The top step must also differ by the root with simple-root
+  coordinates (0, 1, 1, 2, 1, 0).
   """
   sys = build("E", 6)
   chain = [(0,) * 6, OMEGA2, tuple(a + b for a, b in zip(OMEGA1,
            (0, 0, 0, 0, 0, 1))), OMEGA4]
-
-  def below(mu):
-    return {nu for _, nu in sys.dominant_weights_below(mu)}
-
+  weights = [mu for _, mu in sys.dominant_weights_below(OMEGA4)]
+  covers = {(weights[a], weights[b])
+            for a, b in sys.dominant_covers(weights)}
   for low, high in zip(chain, chain[1:]):
-    under = below(high)
-    if low not in under:
-      return False
-    if any(low in below(mu) for mu in under - {low, high}):
-      return False
-  top_diff = tuple(h - l for h, l in zip(chain[3], chain[2]))
-  return tuple(sys.weight_root_coords(top_diff)) == (0, 1, 1, 2, 1, 0)
+    if (low, high) not in covers:
+      return low, high
+  low, high = chain[-2:]
+  if sys.weight_root_coords(tuple(map(sub, high, low))) != (0, 1, 1, 2, 1, 0):
+    return low, high
+  return None
+
+
+def dominance_chain_check():
+  """Whether the coweight chain 0 < w2 < w1+w6 < w4 is saturated: no step
+  of it fails ``chain_break``."""
+  return chain_break() is None
 
 
 def numbers_game_poset():
@@ -344,14 +354,14 @@ def numbers_game_poset():
     return sys.weight_root_coords(diff)
 
   def is_leaf(mu):
-    return any(Fraction(c) == 0 for c in margin(mu))
+    return 0 in margin(mu)
 
   def legal_moves(mu):
     out = []
     for i in range(1, 7):
       if mu[i - 1] >= 1:
         nu = sys.reflect(i, mu)
-        if all(Fraction(c) >= 0 for c in margin(nu)):
+        if min(margin(nu)) >= 0:
           out.append((i, nu))
     return out
 

@@ -17,9 +17,10 @@ Coordinates:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linalg import inverse, normalize_scalar, smith_invariant_factors
-from .rootsystem import CartanType, build, cartan_matrix
+from .rootsystem import CartanType, cartan_matrix
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class Folding:
 
   def __init__(self, family, rank, order):
     base_type = CartanType(family, rank)
-    self.base = build(family, rank)
     self.order = order
     f, n, m = family, rank, order
     if f == "A" and m == 2 and n >= 3 and n % 2 == 1:
@@ -87,6 +87,7 @@ class Folding:
     else:
       raise ValueError("no standard folding for (%s%d, %d)" % (f, n, m))
     self.base_type = base_type
+    self._cartan = cartan_matrix(base_type)
     self.tau = tau
     self.eta = eta
     self.fixed_ctype = fixed
@@ -109,14 +110,14 @@ class Folding:
 
     Returns fundamental weight coordinates for the fixed type: coordinate j
     is the pairing against betacheck_j = sum of the simple coroots in the
-    j-th fiber.
+    j-th fiber.  The base is simply laced, so the root is its own coroot
+    and this is iota of C * root, C the base Cartan matrix.
     """
-    return tuple(sum(self.base.pairing(root, i) for i in self.fiber(j))
-                 for j in range(1, self.ell + 1))
+    return self.iota(tuple(sum(map(mul, row, root)) for row in self._cartan))
 
   def _beta_base_root(self, j):
     """The base-side root whose restriction is the folded simple root."""
-    n = self.base.rank
+    n = self.base_type.rank
     if self.is_ramified and j == self.ell:
       root = [0] * n
       root[self.ell - 1] = 1
@@ -152,12 +153,12 @@ class Folding:
     fiber sums into fundamental weight coordinates of H.
     """
     ell = self.ell
-    n = self.base.rank
+    n = self.base_type.rank
     # Q: columns are iota(simple coroot representing fiber j)
     q = []
     for j in range(1, ell + 1):
       i = self.fiber(j)[0]
-      acheck = tuple(self.base.cartan[k][i - 1] for k in range(n))
+      acheck = tuple(self._cartan[k][i - 1] for k in range(n))
       q.append(self.iota(acheck))
     qmat = tuple(tuple(Fraction(q[j][k]) for j in range(ell))
                  for k in range(ell))
@@ -172,9 +173,9 @@ class Folding:
     Input in base fundamental coweight coordinates; output in fundamental
     weight coordinates of H.
     """
-    if len(coweight) != self.base.rank:
+    if len(coweight) != self.base_type.rank:
       raise ValueError("coweight has %d coordinates, expected %d"
-                       % (len(coweight), self.base.rank))
+                       % (len(coweight), self.base_type.rank))
     cprime = [sum(coweight[i - 1] for i in self.fiber(j))
               for j in range(1, self.ell + 1)]
     ell = self.ell
@@ -184,9 +185,9 @@ class Folding:
 
   def gamma(self, j):
     """The class of a simple coroot in the j-th fiber (a simple root of H)."""
-    n = self.base.rank
+    n = self.base_type.rank
     i = self.fiber(j)[0]
-    acheck = tuple(self.base.cartan[k][i - 1] for k in range(n))
+    acheck = tuple(self._cartan[k][i - 1] for k in range(n))
     return self.project(acheck)
 
   def in_coinvariant_lattice(self, cw):
@@ -203,7 +204,7 @@ class Folding:
     pinv = inverse(self._project_matrix)
     cprime = [sum(pinv[j][k] * Fraction(cw.coords[k]) for k in range(ell))
               for j in range(ell)]
-    n = self.base.rank
+    n = self.base_type.rank
     lift = [Fraction(0)] * n
     for j in range(ell):
       i = self.fiber(j + 1)[0]
@@ -217,7 +218,7 @@ class Folding:
   def component_group(self):
     """Invariant factors (> 1) of the coinvariants of pi_1 of the adjoint
     base group: Z^rank modulo the span of (1 - tau) and the coroot columns."""
-    n = self.base.rank
+    n = self.base_type.rank
     cols = []
     for i in range(n):
       col = [0] * n
@@ -225,7 +226,7 @@ class Folding:
       col[self.tau[i] - 1] -= 1
       cols.append(col)
     for j in range(n):
-      cols.append([self.base.cartan[i][j] for i in range(n)])
+      cols.append([self._cartan[i][j] for i in range(n)])
     mat = [[cols[c][r] for c in range(2 * n)] for r in range(n)]
     factors = smith_invariant_factors(mat)
     return tuple(d for d in factors if d != 1)
@@ -248,7 +249,7 @@ class Folding:
   def special_coweights(self):
     """Base coweights (fund coweight coords) mapping onto level_one_set
     under iota; always contains zero."""
-    n = self.base.rank
+    n = self.base_type.rank
     zero = (0,) * n
     out = [zero]
     f = self.base_type.family

@@ -18,8 +18,8 @@ No floating point is used anywhere; all intermediate values are ints or
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
-from operator import sub
+from math import lcm, prod
+from operator import add, le, mul, sub
 
 from .linalg import inverse, normalize_scalar
 
@@ -121,8 +121,13 @@ class RootSystem:
     self._freudenthal_cache = {}
 
   @cached_property
-  def cartan_inv(self):
-    return inverse(self.cartan)
+  def _root_coord_basis(self):
+    """The inverse Cartan matrix as integer rows over one common
+    denominator den: simple-root coordinate i of a weight is
+    rows[i] . wt / den."""
+    inv = inverse(self.cartan)
+    den = lcm(*(c.denominator for row in inv for c in row))
+    return tuple(tuple(int(c * den) for c in row) for row in inv), den
 
   # -- basic coordinate plumbing ------------------------------------------
 
@@ -133,10 +138,15 @@ class RootSystem:
                  for i in range(n))
 
   def weight_root_coords(self, wt):
-    """Simple-root coordinates (Fractions) of a weight in fund-weight coords."""
-    n = self.rank
-    return tuple(sum(self.cartan_inv[i][j] * wt[j] for j in range(n))
-                 for i in range(n))
+    """Simple-root coordinates of a weight in fund-weight coords: an int
+    where the coordinate is integral, a Fraction where it is not."""
+    rows, den = self._root_coord_basis
+    out = []
+    for row in rows:
+      total = sum(map(mul, row, wt))
+      q, r = divmod(total, den)
+      out.append(Fraction(total, den) if r else q)
+    return tuple(out)
 
   def pairing(self, root, i):
     """<root, acheck_i> for a root in simple-root coords, i 1-based."""
@@ -192,6 +202,14 @@ class RootSystem:
 
   def is_positive_root(self, root):
     return tuple(root) in self._posroot_set
+
+  @cached_property
+  def _positive_steps(self):
+    """The positive roots alpha in (height, coords) order, as triples
+    (alpha in simple-root coords, its height, alpha in fund-weight
+    coords)."""
+    return tuple((alpha, sum(alpha), self.root_weight(alpha))
+                 for alpha in self.positive_roots)
 
   # -- orbits and dominance ------------------------------------------------
 
@@ -277,20 +295,48 @@ class RootSystem:
     lam = self._check_weight(lam)
     if not self.is_dominant(lam):
       raise ValueError("weight must be dominant")
-    steps = [(sum(alpha), self.root_weight(alpha))
-             for alpha in self.positive_roots]
     height = {lam: 0}
     frontier = [lam]
     while frontier:
       nxt = []
       for mu in frontier:
-        for h, step in steps:
+        for _, h, step in self._positive_steps:
           nu = tuple(map(sub, mu, step))
           if min(nu) >= 0 and nu not in height:
             height[nu] = height[mu] + h
             nxt.append(nu)
       frontier = nxt
     return sorted((h, mu) for mu, h in height.items())
+
+  def dominant_covers(self, weights):
+    """Every cover of the dominance order among ``weights``: the index
+    pairs (a, b), in row-major order, with weights[a] covered by
+    weights[b].
+
+    ``weights`` must hold every dominant weight below each of its members,
+    as ``dominant_weights_below`` lists them, so a cover inside it is a
+    cover of the order.  A cover of dominant weights differs by a positive
+    root (Stembridge, Adv. Math. 136, 1998).  So the candidates above
+    weights[a] are weights[a] + alpha, alpha a positive root, looked up by
+    their coordinates, and weights[a] + alpha is a cover iff no positive
+    root beta < alpha has weights[a] + beta among them, since the first
+    step of a chain from weights[a] to a weight strictly between would be
+    such a beta.  A root below alpha has a smaller height, so it is met
+    first.
+    """
+    index = {mu: a for a, mu in enumerate(weights)}
+    pairs = []
+    for a, mu in enumerate(weights):
+      hits = []
+      above = []
+      for alpha, _, step in self._positive_steps:
+        b = index.get(tuple(map(add, mu, step)))
+        if b is not None:
+          if not any(all(map(le, beta, alpha)) for beta in hits):
+            above.append(b)
+          hits.append(alpha)
+      pairs.extend((a, b) for b in sorted(above))
+    return pairs
 
   def _freudenthal_table(self, lam):
     """Multiplicities of all dominant weights of the irrep with h.w. lam."""
@@ -301,19 +347,16 @@ class RootSystem:
     lam_rho = tuple(a + 1 for a in lam)
     norm_top = self.inner(lam_rho, lam_rho)
     mults = {}
-    lam_alpha = self.weight_root_coords(lam)
     for height, mu in self.dominant_weights_below(lam):
       if height == 0:
         mults[mu] = 1
         continue
-      mu_alpha = self.weight_root_coords(mu)
-      diff = [lam_alpha[j] - mu_alpha[j] for j in range(n)]
+      diff = self.weight_root_coords(tuple(map(sub, lam, mu)))
       total = 0
-      for root in self.positive_roots:
-        rw = self.root_weight(root)
+      for root, _, rw in self._positive_steps:
         # mu + k*root can only be a weight while lam - (mu + k*root) stays
         # a nonnegative combination of simple roots
-        kmax = min(int(diff[j] / root[j]) for j in range(n) if root[j])
+        kmax = min(diff[j] // root[j] for j in range(n) if root[j])
         for k in range(1, kmax + 1):
           nu = tuple(mu[i] + k * rw[i] for i in range(n))
           m = mults.get(self.dominant_representative(nu), 0)

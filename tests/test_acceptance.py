@@ -151,7 +151,7 @@ class TestCriterion07IotaConsistency:
 
   def test_iota_of_fundamental_coweights(self):
     for datum in self._data():
-      n = datum.base.rank
+      n = datum.base_type.rank
       for i in range(1, n + 1):
         om = tuple(int(k == i - 1) for k in range(n))
         j = datum.eta[i - 1]
@@ -358,7 +358,7 @@ class TestCriterion12Properties:
                       min_size=6, max_size=6))
   def test_projection_invariant_under_the_twist(self, didx, raw):
     datum = _FOLDINGS[didx]
-    n = datum.base.rank
+    n = datum.base_type.rank
     coords = tuple(raw[:n]) if len(raw) >= n else tuple(
         raw + [0] * (n - len(raw)))
     permuted = [0] * n

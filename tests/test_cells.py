@@ -1,13 +1,14 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import add, sub
+from math import lcm
+from operator import add, mul, sub
 
 import pytest
 
 from twistedlie import cells
 from twistedlie.cells import (VARIANT_ABS_SPECIAL, VARIANT_SPECIAL,
-                              _closed_form_cover, _offset, _scaled, covers,
+                              _closed_form_cover, covers,
                               dominants_below, is_cover,
                               is_cover_brute, is_cover_fast, leq,
                               smooth_cells)
@@ -352,20 +353,31 @@ def test_large_closure_sizes(family, rank, order, count):
 
 # -- the pairwise cover pass, as an oracle -----------------------------------
 
+@lru_cache(maxsize=None)
+def _integer_cartan_inv(ctype):
+  """The seed's inverse Cartan matrix as integer rows over one common
+  denominator."""
+  inv = _seed_cartan_inv(ctype)
+  den = lcm(*(c.denominator for row in inv for c in row))
+  return [[int(c * den) for c in row] for row in inv], den
+
+
 def _pairwise_covers(datum, below):
   """The cover pass that computes a gamma offset for every ordered pair of
   classes: the closed form on the ramified family, otherwise b covers a
   when a < b and no class of ``below`` lies strictly between them."""
   ramified = datum.is_ramified
-  scaled = [_scaled(datum, cw.coords) for cw in below]
+  rows, den = _integer_cartan_inv(datum.weight_ctype)
+  scaled = [[sum(map(mul, row, cw.coords)) for row in rows] for cw in below]
   n = len(below)
   pairs = []
   up = [0] * n    # bit b of up[a]: below[a] < below[b]
   down = [0] * n  # bit a of down[b]: below[a] < below[b]
   for a in range(n):
     for b in range(n):
-      y = _offset(datum, scaled[a], scaled[b])
-      if y is None or min(y) < 0 or not any(y):
+      qr = [divmod(h - l, den) for l, h in zip(scaled[a], scaled[b])]
+      y = tuple(q for q, _ in qr)
+      if any(r for _, r in qr) or min(y) < 0 or not any(y):
         continue
       if ramified:
         if _closed_form_cover(y, below[a].coords):
@@ -458,3 +470,27 @@ def test_ramified_covers_come_from_the_closed_form():
     assert covers(datum, below) == _closed_form_covers(datum, below), lam
     checked += 1
   assert checked == 128
+
+
+def test_smooth_locus_matches_root_data_rule():
+  # the special variant against a rule stated in the root data of H alone:
+  # mu is smooth iff mu = lam, or lam - mu is a short positive root beta
+  # with <mu, beta^vee> = 0
+  checked = cells_seen = smooth = 0
+  for rank, top in ((2, 9), (4, 5), (6, 3), (8, 2), (10, 1)):
+    system = RootSystem(_folding("A", rank, 4).weight_ctype)
+    short = min(map(system.root_norm, system.positive_roots))
+    roots = set(system.positive_roots)
+    for datum, lam, below in _ramified_inputs(rank, top):
+      report = smooth_cells(datum, VARIANT_SPECIAL, lam)
+      assert [v.mu for v in report.cells] == below
+      for v in report.cells:
+        beta = _seed_gamma_coords(datum, _minus(lam, v.mu))
+        expected = v.mu == lam or (
+            beta in roots and system.root_norm(beta) == short
+            and system.coroot_pairing(v.mu.coords, beta) == 0)
+        assert v.smooth == expected, (lam, v)
+        smooth += v.smooth
+      cells_seen += len(report.cells)
+      checked += 1
+  assert (checked, cells_seen, smooth) == (125, 3543, 209)

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,9 +10,9 @@ import pytest
 import diagram_fixture
 from wedge_fixture import antisymmetrise
 
-from twistedlie import e6
+from twistedlie import cli, e6
 from twistedlie.e6 import (MAX_COUNTEREXAMPLES, OMEGA2, OMEGA4,
-                           SWEEP_LETTERS, dominance_chain_check,
+                           SWEEP_LETTERS, chain_break, dominance_chain_check,
                            numbers_game_poset)
 from twistedlie.linalg import SparseVector
 from twistedlie.reps import (OperatorWord, ProductRepresentation, _apply,
@@ -370,15 +371,24 @@ class TestDominanceChain:
 
   def test_chain_is_saturated(self):
     assert dominance_chain_check()
+    assert chain_break() is None
 
   @pytest.mark.parametrize("second", ((1, 0, 0, 0, 0, 0),
                                       (1, 0, 0, 0, 0, 1)),
                            ids=["w1", "w1+w6"])
-  def test_broken_chain_is_rejected(self, monkeypatch, second):
+  def test_broken_chain_is_rejected(self, capsys, monkeypatch, suite,
+                                    second):
     # w1 is not above 0 (it lies outside the root lattice); w1+w6 in place
-    # of w2 leaves w2 strictly between 0 and w1+w6
+    # of w2 leaves w2 strictly between 0 and w1+w6.  Either way the first
+    # step, from 0 to the new second entry, is the witness.
     monkeypatch.setattr(e6, "OMEGA2", second)
     assert not dominance_chain_check()
+    assert chain_break() == ((0,) * 6, second)
+    monkeypatch.setattr(e6, "E6Suite", lambda progress: suite)
+    assert cli.main(["e6-duality"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["chain_ok"] is False
+    assert data["chain_break"] == [[0] * 6, list(second)]
 
 
 class TestNumbersGamePoset:

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from twistedlie import rootsystem
 from twistedlie.folding import CoinvariantWeight, Folding
-from twistedlie.rootsystem import cartan_matrix
+from twistedlie.rootsystem import build, cartan_matrix
 
 # (family, rank, order) -> (fixed type, weight-lattice type, component
 # group invariant factors), for all six covered data
@@ -45,6 +46,18 @@ class TestFoldingTable:
     with pytest.raises(ValueError):
       Folding("E", 6, 3)
 
+  @pytest.mark.parametrize("key", (("A", 160, 2), ("A", 160, 3),
+                                   ("D", 120, 5), ("E", 7, 2)))
+  def test_invalid_datum_builds_no_root_system(self, monkeypatch, key):
+    # the usage error comes before any positive-root closure, whose cost
+    # grows with the rank
+    def refuse(*args):
+      raise AssertionError("a root system was built")
+    monkeypatch.setattr(rootsystem, "build", refuse)
+    monkeypatch.setattr(rootsystem.RootSystem, "__init__", refuse)
+    with pytest.raises(ValueError):
+      Folding(*key)
+
   def test_ell(self):
     assert Folding("D", 5, 2).ell == 4
 
@@ -55,14 +68,14 @@ class TestTauEta:
     for datum in _data():
       order = 3 if (datum.base_type.family, datum.base_type.rank,
                     datum.order) == ("D", 4, 3) else 2
-      perm = list(range(1, datum.base.rank + 1))
+      perm = list(range(1, datum.base_type.rank + 1))
       for _ in range(order):
         perm = [datum.tau[i - 1] for i in perm]
-      assert perm == list(range(1, datum.base.rank + 1))
+      assert perm == list(range(1, datum.base_type.rank + 1))
 
   def test_eta_constant_on_tau_orbits(self):
     for datum in _data():
-      for i in range(1, datum.base.rank + 1):
+      for i in range(1, datum.base_type.rank + 1):
         assert datum.eta[i - 1] == datum.eta[datum.tau[i - 1] - 1]
 
   def test_fibers_partition_nodes(self):
@@ -70,7 +83,7 @@ class TestTauEta:
       nodes = []
       for j in range(1, datum.ell + 1):
         nodes.extend(datum.fiber(j))
-      assert sorted(nodes) == list(range(1, datum.base.rank + 1))
+      assert sorted(nodes) == list(range(1, datum.base_type.rank + 1))
 
 
 class TestFoldedRoots:
@@ -84,6 +97,15 @@ class TestFoldedRoots:
         beta = datum.beta(j)
         for k in range(1, datum.ell + 1):
           assert beta[k - 1] == expected[k - 1][j - 1]
+
+  def test_restriction_is_the_fiber_sum_of_pairings(self):
+    """restrict_root against the pairings of the base root system."""
+    for datum in _data():
+      base = build(datum.base_type.family, datum.base_type.rank)
+      for root in base.positive_roots:
+        assert datum.restrict_root(root) == tuple(
+            sum(base.pairing(root, i) for i in datum.fiber(j))
+            for j in range(1, datum.ell + 1))
 
   def test_iota_of_gamma_is_beta(self):
     """The iota image of each simple-coroot class equals the folded simple
@@ -99,7 +121,7 @@ class TestFoldedRoots:
 
   def test_iota_of_fundamental_coweights(self):
     for datum in _data():
-      n = datum.base.rank
+      n = datum.base_type.rank
       for i in range(1, n + 1):
         om = tuple(int(k == i - 1) for k in range(n))
         img = datum.iota(om)
@@ -115,7 +137,7 @@ class TestProjection:
     for datum in _data():
       if datum.is_ramified:
         continue
-      n = datum.base.rank
+      n = datum.base_type.rank
       for i in range(1, n + 1):
         om = tuple(int(k == i - 1) for k in range(n))
         cls = datum.project(om)

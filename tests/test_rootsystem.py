@@ -1,8 +1,10 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from twistedlie.linalg import inverse
 from twistedlie.rootsystem import (CartanType, build, cartan_matrix,
                                    minimal_coset_reps, symmetrizer)
 
@@ -192,6 +194,27 @@ class TestWeightMachinery:
         assert sys.pairing(coords, i) == (1 if i == r else 0)
     assert sys.weight_root_coords((0,) * 6) == (0,) * 6
 
+  @pytest.mark.parametrize("family,rank", _TYPES_TO_RANK_8,
+                           ids=["%s%d" % t for t in _TYPES_TO_RANK_8])
+  def test_root_coords_match_fraction_inverse(self, family, rank):
+    # against the Fraction product with the inverse Cartan matrix: ints
+    # exactly where a coordinate is integral, Fractions elsewhere
+    sys = build(family, rank)
+    inv = inverse(sys.cartan)
+    rng = random.Random("%s%d" % (family, rank))
+    weights = [tuple(int(k == r) for k in range(rank)) for r in range(rank)]
+    weights += [tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(20)]
+    weights += [tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                      for _ in range(rank)) for _ in range(20)]
+    for wt in weights:
+      want = tuple(sum(inv[i][j] * wt[j] for j in range(rank))
+                   for i in range(rank))
+      got = sys.weight_root_coords(wt)
+      assert got == want, wt
+      assert [type(c) for c in got] == [
+          int if Fraction(c).denominator == 1 else Fraction for c in want]
+
   def test_reflection_involutive(self):
     sys = build("F", 4)
     wt = (1, 2, 0, 3)
@@ -336,6 +359,45 @@ class TestDominantWeightsBelow:
   def test_rejects_bad_weights(self, lam):
     with pytest.raises(ValueError):
       build("A", 2).dominant_weights_below(lam)
+
+
+def _betweenness_covers(sys_, weights):
+  """The covers among ``weights`` by exhaustive betweenness search: b
+  covers a when weights[b] - weights[a] has nonnegative integral Fraction
+  simple-root coordinates, not all zero, and no weight lies strictly
+  between."""
+  inv = inverse(sys_.cartan)
+  n = sys_.rank
+  coords = [[sum(inv[i][j] * mu[j] for j in range(n)) for i in range(n)]
+            for mu in weights]
+  up = [0] * len(weights)    # bit b of up[a]: weights[a] < weights[b]
+  down = [0] * len(weights)  # bit a of down[b]: weights[a] < weights[b]
+  for a, low in enumerate(coords):
+    for b, high in enumerate(coords):
+      diff = [h - l for l, h in zip(low, high)]
+      if a != b and all(d >= 0 and d.denominator == 1 for d in diff):
+        up[a] |= 1 << b
+        down[b] |= 1 << a
+  return [(a, b) for a in range(len(weights)) for b in range(len(weights))
+          if up[a] >> b & 1 and not up[a] & down[b]]
+
+
+_COVER_CASES = (("A", 5, (2, 1, 1, 1, 2)), ("D", 5, (1, 1, 1, 1, 1)),
+                ("E", 6, (1, 1, 0, 1, 1, 1)), ("E", 7, (1, 0, 0, 1, 0, 0, 1)),
+                ("B", 3, (2, 2, 2)), ("C", 3, (2, 2, 2)),
+                ("F", 4, (1, 1, 1, 1)), ("G", 2, (3, 3)))
+
+
+class TestDominantCovers:
+
+  @pytest.mark.parametrize("family,rank,lam", _COVER_CASES,
+                           ids=["%s%d %s" % (f, n, ",".join(map(str, lam)))
+                                for f, n, lam in _COVER_CASES])
+  def test_matches_betweenness_search(self, family, rank, lam):
+    sys_ = build(family, rank)
+    weights = [mu for _, mu in sys_.dominant_weights_below(lam)]
+    assert sys_.dominant_covers(weights) == _betweenness_covers(
+        sys_, weights)
 
 
 def _all_reflections_orbit(sys_, wt):
