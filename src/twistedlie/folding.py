@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .linalg import inverse, normalize_scalar, smith_invariant_factors
+from .linalg import integer_inverse, normalize_scalar, smith_invariant_factors
 from .rootsystem import CartanType, cartan_matrix
 
 
@@ -97,7 +97,7 @@ class Folding:
         tuple(i for i in range(1, n + 1) if eta[i - 1] == j)
         for j in range(1, self.ell + 1))
     self._hcartan = cartan_matrix(weight)
-    self._project_matrix = self._build_project_matrix()
+    self._projection, self._lift = self._build_projection()
 
   # -- restriction and the folded simple roots ----------------------------
 
@@ -143,29 +143,35 @@ class Folding:
     return tuple(normalize_scalar(sum(coweight[i - 1] for i in self.fiber(j)))
                  for j in range(1, self.ell + 1))
 
-  def _build_project_matrix(self):
-    """Matrix sending basis-class coefficients to H weight coordinates.
+  def _build_projection(self):
+    """The projection to H weight coordinates and its inverse, each as
+    integer rows over one common denominator.
 
     The class of the i-th fundamental coweight depends only on eta(i), so a
     coinvariant is determined by its fiber sums c'.  Writing gamma_j for the
     class of a simple coroot in the j-th fiber, iota identifies gamma_j with
-    a known fixed-type vector; solving against the Cartan matrix of H turns
-    fiber sums into fundamental weight coordinates of H.
+    a known fixed-type vector, the j-th column of Q; the matrix sending
+    fiber sums to fundamental weight coordinates of H is P = C_H Q^{-1}, C_H
+    the Cartan matrix of H, and its inverse is Q C_H^{-1}.  Both products
+    skip the zero entries of the sparse factor C_H or Q.
     """
     ell = self.ell
     n = self.base_type.rank
-    # Q: columns are iota(simple coroot representing fiber j)
     q = []
     for j in range(1, ell + 1):
       i = self.fiber(j)[0]
-      acheck = tuple(self._cartan[k][i - 1] for k in range(n))
-      q.append(self.iota(acheck))
-    qmat = tuple(tuple(Fraction(q[j][k]) for j in range(ell))
-                 for k in range(ell))
-    qinv = inverse(qmat)
-    p = self._hcartan
-    return tuple(tuple(sum(Fraction(p[k][j]) * qinv[j][c] for j in range(ell))
-                       for c in range(ell)) for k in range(ell))
+      q.append(self.iota(tuple(self._cartan[k][i - 1] for k in range(n))))
+    qmat = tuple(tuple(q[j][k] for j in range(ell)) for k in range(ell))
+    qinv, qden = integer_inverse(qmat)
+    hinv, hden = integer_inverse(self._hcartan)
+
+    def times(sparse, dense):
+      return tuple(
+          tuple(sum(a * dense[j][c] for j, a in terms) for c in range(ell))
+          for terms in ([(j, a) for j, a in enumerate(row) if a]
+                        for row in sparse))
+
+    return (times(self._hcartan, qinv), qden), (times(qmat, hinv), hden)
 
   def project(self, coweight):
     """Class of a base coweight in the coinvariant lattice.
@@ -178,10 +184,9 @@ class Folding:
                        % (len(coweight), self.base_type.rank))
     cprime = [sum(coweight[i - 1] for i in self.fiber(j))
               for j in range(1, self.ell + 1)]
-    ell = self.ell
-    coords = tuple(sum(self._project_matrix[k][j] * cprime[j]
-                       for j in range(ell)) for k in range(ell))
-    return CoinvariantWeight(self.weight_ctype, coords)
+    rows, den = self._projection
+    return CoinvariantWeight(self.weight_ctype, tuple(
+        Fraction(sum(map(mul, row, cprime)), den) for row in rows))
 
   def gamma(self, j):
     """The class of a simple coroot in the j-th fiber (a simple root of H)."""
@@ -200,18 +205,14 @@ class Folding:
 
   def class_lift(self, cw):
     """A base coweight (fund coweight coords) whose class is cw."""
-    ell = self.ell
-    pinv = inverse(self._project_matrix)
-    cprime = [sum(pinv[j][k] * Fraction(cw.coords[k]) for k in range(ell))
-              for j in range(ell)]
-    n = self.base_type.rank
-    lift = [Fraction(0)] * n
-    for j in range(ell):
-      i = self.fiber(j + 1)[0]
-      lift[i - 1] += cprime[j]
-    if any(c.denominator != 1 for c in lift):
-      raise ValueError("class does not lie in the coinvariant lattice")
-    return tuple(int(c) for c in lift)
+    rows, den = self._lift
+    lift = [0] * self.base_type.rank
+    for j, row in enumerate(rows):
+      c, r = divmod(sum(map(mul, row, cw.coords)), den)
+      if r:
+        raise ValueError("class does not lie in the coinvariant lattice")
+      lift[self.fiber(j + 1)[0] - 1] = c
+    return tuple(lift)
 
   # -- discrete invariants -------------------------------------------------
 

@@ -5,15 +5,19 @@ No floating point is used anywhere.  Vectors are sparse maps from opaque,
 totally ordered keys to nonzero scalars.  One sparse echelon kernel does
 all elimination: ``rank``, coordinates in a span (``span_solver``) and
 matrix inverses (``inverse``).  For a basis with int entries,
-``span_solver`` runs the same kernel modulo the prime 2^61 - 1, rebuilds
-each int target's coordinates as fractions and returns them only after an
-exact integer check; anything else (a Fraction or Gaussian basis or target,
-a basis dependent modulo the prime, a failed reconstruction or check) is
-answered by the exact echelon.  Every answer is exact.  Integer Smith
+``span_solver`` runs the same kernel modulo the prime 2^61 - 1 once, to
+propose the inverse of the basis on its pivot keys; the entries are rebuilt
+as fractions and the inverse is certified once by an exact integer
+identity.  Each int target is then answered by an exact sparse product
+with it, checked against the basis only when the basis has support keys
+beyond its pivots.  Anything else (a Fraction or Gaussian basis or target,
+a basis dependent modulo the prime, a failed reconstruction or
+certificate) is answered by the exact echelon.  Every answer is exact.
+``integer_inverse`` gives an inverse as integer rows over one common
+denominator, from the certified inverse when it exists.  Integer Smith
 invariant factors are computed separately.
 """
 
-import operator
 from fractions import Fraction
 from math import lcm
 
@@ -378,11 +382,13 @@ def _modular_coordinates(basis):
 
 def _rational(u):
   """The fraction with |numerator|, denominator < _BOUND that is congruent
-  to u modulo _PRIME, or None (half-extended Euclid)."""
+  to u modulo _PRIME, as (numerator, denominator > 0), or None
+  (half-extended Euclid).  The pair is in lowest terms: a common divisor of
+  a remainder and its cofactor divides _PRIME, which exceeds both."""
   if u < _BOUND:
-    return u
+    return u, 1
   if _PRIME - u < _BOUND:
-    return u - _PRIME
+    return u - _PRIME, 1
   r0, r1, s0, s1 = _PRIME, u, 0, 1
   while r1 >= _BOUND:
     q = r0 // r1
@@ -390,26 +396,51 @@ def _rational(u):
     s0, s1 = s1, s0 - q * s1
   if abs(s1) >= _BOUND:
     return None
-  return Fraction(r1, s1)
+  return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _certified(basis, pivots, cols, target):
-  """The coordinates of an int ``target`` read modulo _PRIME, if they pass
-  the exact check D*target == sum((D*c[b]) * basis[b]) with D their common
-  denominator; None otherwise."""
-  values = [target.get(pivot, 0) for pivot in pivots]
-  coords = []
-  for col in cols:
-    c = _rational(sum(map(operator.mul, values, col)) % _PRIME)
-    if c is None:
+def _certified_inverse(basis):
+  """The inverse of an int basis on its pivot keys, or None.
+
+  The inverse is proposed modulo _PRIME, its entries rebuilt as fractions
+  and the result certified once, exactly: with N the entries times their
+  common denominator D, N . B == D * I over the integers, B being the basis
+  read at the pivot keys.  Returns (cols, den), cols mapping each pivot key
+  to the pairs (b, N[b][key]) with N[b][key] != 0 and den = D; None when the
+  basis is dependent modulo _PRIME or an entry has no reconstruction or the
+  certificate fails."""
+  modular = _modular_coordinates(basis)
+  if modular is None:
+    return None
+  pivots, cols = modular
+  pairs = [[_rational(u) for u in col] for col in cols]
+  if any(None in col for col in pairs):
+    return None
+  den = lcm(*(d for col in pairs for _, d in col))
+  inv = {key: tuple((b, num * (den // d)) for b, col in enumerate(pairs)
+                    for num, d in (col[r],) if num)
+         for r, key in enumerate(pivots)}
+  # N . B == D * I: N applied to each basis vector gives D times its unit
+  for b, vec in enumerate(basis):
+    y = _times_inverse(inv, len(basis), vec.entries)
+    y[b] -= den
+    if any(y):
       return None
-    coords.append(c)
-  den = lcm(*(c.denominator for c in coords))
-  acc = {k: den * v for k, v in target.items()}
-  for c, vec in zip(coords, basis):
-    if c:
-      _add_scaled(acc, -(den // c.denominator) * c.numerator, vec.entries)
-  return None if acc else coords
+  return inv, den
+
+
+def _times_inverse(cols, n, target, strict=False):
+  """N times an int target read at the pivot keys, as a list of n ints;
+  a key outside the pivots is skipped, or gives None when strict."""
+  y = [0] * n
+  for k, x in target.items():
+    col = cols.get(k)
+    if col is not None:
+      for b, c in col:
+        y[b] += c * x
+    elif strict:
+      return None
+  return y
 
 
 def span_solver(basis):
@@ -419,17 +450,26 @@ def span_solver(basis):
   ``sum(c[b] * basis[b]) == target``, or None when ``target`` lies outside
   the span.  Raises ValueError when the basis is linearly dependent.
 
-  A basis with plain int entries is eliminated modulo a prime, and an int
-  target's coordinates are read modulo the prime, rebuilt as fractions and
-  returned only if they pass an exact integer check.  Any other basis or
-  target, a basis dependent modulo the prime (it may still be independent
-  over Q) and a failed reconstruction or check go to the exact echelon,
-  built once on first use, which gives the answer.
+  A basis of n vectors with plain int entries gets its inverse on n pivot
+  keys once, certified exactly (``_certified_inverse``) as integers N over
+  one denominator D.  An int target is then answered by the exact sparse
+  product of N with the target's entries at the pivot keys, divided by D:
+  the only coordinates the target can have.  When the basis has no support
+  key besides the pivots, n independent vectors on n keys span every vector
+  on those keys, so no further check is needed and a target with another
+  key lies outside the span.  Otherwise the coordinates are returned only
+  if D * target == sum(D * c[b] * basis[b]) holds exactly.  Any other basis
+  or target, and an int basis without a certified inverse (dependent modulo
+  the prime, yet perhaps independent over Q; an entry beyond the
+  reconstruction bound), go to the exact echelon, built once on first use.
+  Coordinates from the inverse are ints where integral and Fractions
+  otherwise.
   """
   basis = list(basis)
-  modular = None
+  n = len(basis)
+  certified = None
   if all(type(x) is int for v in basis for x in v.entries.values()):
-    modular = _modular_coordinates(basis)
+    certified = _certified_inverse(basis)
   rows = None
 
   def echelon():
@@ -441,21 +481,32 @@ def span_solver(basis):
           raise ValueError("vectors are linearly dependent")
     return rows
 
-  if modular is None:
+  if certified is None:
     echelon()
+  else:
+    cols, den = certified
+    square = len(set().union(*(v.keys() for v in basis))) == n
 
   def solve(target):
-    if modular is not None and all(type(x) is int
-                                   for x in target.entries.values()):
-      coords = _certified(basis, *modular, target)
-      if coords is not None:
-        return coords
+    if certified is not None and all(type(x) is int
+                                     for x in target.entries.values()):
+      y = _times_inverse(cols, n, target.entries, square)
+      if y is None:
+        return None
+      if not square:
+        acc = {k: den * x for k, x in target.items()}
+        for yb, vec in zip(y, basis):
+          if yb:
+            _add_scaled(acc, -yb, vec.entries)
+        if acc:
+          return None
+      return [Fraction(yb, den) if yb % den else yb // den for yb in y]
     cur = dict(target.items())
     comb = {}
     _reduce(echelon(), cur, comb)
     if cur:
       return None
-    return [-comb.get(b, 0) for b in range(len(basis))]
+    return [-comb.get(b, 0) for b in range(n)]
 
   return solve
 
@@ -475,6 +526,31 @@ def inverse(matrix):
     raise ValueError("matrix is singular") from None
   return tuple(tuple(Fraction(c) for c in solve(SparseVector.unit(k)))
                for k in range(n))
+
+
+def integer_inverse(matrix):
+  """The exact inverse of a square matrix as integer rows over one common
+  denominator: (rows, den) with den > 0 the lcm of the entries'
+  denominators and rows[i][j] / den the (i, j) entry.
+
+  An int matrix's inverse is the certified one of ``span_solver`` on its
+  rows (integers N with N M^T = den I, so row i of the inverse is column i
+  of N); without one, the entries come from ``inverse``.  Raises ValueError
+  when the matrix is not square or is singular.
+  """
+  n = len(matrix)
+  if all(len(row) == n and all(type(x) is int for x in row)
+         for row in matrix):
+    found = _certified_inverse([SparseVector(enumerate(row))
+                                for row in matrix])
+    if found is not None:
+      cols, den = found
+      return tuple(tuple(dict(cols[k]).get(b, 0) for b in range(n))
+                   for k in range(n)), den
+  inv = inverse(matrix)
+  den = lcm(*(c.denominator for row in inv for c in row))
+  return tuple(tuple(c.numerator * (den // c.denominator) for c in row)
+               for row in inv), den
 
 
 def smith_invariant_factors(matrix):

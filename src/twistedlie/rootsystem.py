@@ -18,10 +18,10 @@ No floating point is used anywhere; all intermediate values are ints or
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from operator import add, le, mul, sub
 
-from .linalg import inverse, normalize_scalar
+from .linalg import integer_inverse, normalize_scalar
 
 FAMILIES = "ABCDEFG"
 
@@ -125,9 +125,7 @@ class RootSystem:
     """The inverse Cartan matrix as integer rows over one common
     denominator den: simple-root coordinate i of a weight is
     rows[i] . wt / den."""
-    inv = inverse(self.cartan)
-    den = lcm(*(c.denominator for row in inv for c in row))
-    return tuple(tuple(int(c * den) for c in row) for row in inv), den
+    return integer_inverse(self.cartan)
 
   # -- basic coordinate plumbing ------------------------------------------
 

@@ -138,13 +138,40 @@ def _drop_node(poset):
           "edges": [e for e in poset["edges"] if last not in e[:2]]}
 
 
+def _relabel_edge(poset):
+  a, b, i = poset["edges"][0]
+  return {"nodes": poset["nodes"], "edges": [(a, b, i + 1)]
+          + poset["edges"][1:]}
+
+
+def _repeat_edge(poset):
+  return {"nodes": poset["nodes"], "edges": poset["edges"]
+          + poset["edges"][:1]}
+
+
+_LAST = [1, 2, 0, -1, 1, -1]
+_FIRST_EDGE = [[0, 0, 0, 1, 0, 0], [0, 1, 1, -1, 1, 0]]
+
+# Each defect with its witness: the first node or edge of the figure that the
+# generator no longer produces, or else the first generated one that the
+# figure does not have or that repeats.
+_POSET_DEFECTS = (
+    (_drop_edge, ["edge", [1, 2, 0, -1, 0, 1], _LAST, 6]),
+    (_drop_star, ["node", _LAST, True]),
+    (_drop_node, ["node", _LAST, True]),
+    (_relabel_edge, ["edge"] + _FIRST_EDGE + [4]),
+    (_repeat_edge, ["edge"] + _FIRST_EDGE + [4]),
+)
+
+
 class TestPosetDefect:
   """The real suite and scorecard, with a defect injected into the output
   of the real numbers-game generator."""
 
-  @pytest.mark.parametrize("defect", (_drop_edge, _drop_star, _drop_node),
-                           ids=("edge", "star", "node"))
-  def test_defect_fails_the_verdict(self, capsys, monkeypatch, suite, defect):
+  @pytest.mark.parametrize("defect, witness", _POSET_DEFECTS,
+                           ids=("edge", "star", "node", "label", "repeat"))
+  def test_defect_fails_the_verdict(self, capsys, monkeypatch, suite, defect,
+                                    witness):
     real = e6.numbers_game_poset
     monkeypatch.setattr(e6, "numbers_game_poset", lambda: defect(real()))
     monkeypatch.setattr(e6, "E6Suite", lambda progress: suite)
@@ -152,7 +179,8 @@ class TestPosetDefect:
     assert code == 1
     data = json.loads(out)
     assert data.pop("schema_version") == 1
-    assert data == {**TestE6Verdict.PASSING, "poset_ok": False}
+    assert data == {**TestE6Verdict.PASSING, "poset_ok": False,
+                    "poset_break": witness}
 
 
 class TestDominance:

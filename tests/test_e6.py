@@ -400,12 +400,25 @@ class TestNumbersGamePoset:
     assert sum(1 for _, star in poset["nodes"] if star) == 10
 
   def test_figure_counts_match_transcription(self):
-    # e6's counts of the figure, which the scorecard checks, against the
-    # tests' transcription of it
-    assert e6.POSET_NODES == len(diagram_fixture.NODES) == 16
-    assert e6.POSET_STARS == sum(star for _, star in diagram_fixture.NODES)
-    assert e6.POSET_STARS == 10
-    assert e6.POSET_EDGES == len(diagram_fixture.EDGES) == 16
+    # the counts of e6's copy of the figure against the tests'
+    # transcription of it
+    assert len(e6.POSET_NODES) == len(diagram_fixture.NODES) == 16
+    assert sum(star for _, star in e6.POSET_NODES) == \
+        sum(star for _, star in diagram_fixture.NODES) == 10
+    assert len(e6.POSET_EDGES) == len(diagram_fixture.EDGES) == 16
+
+  def test_figure_matches_transcription(self):
+    # e6's copy of the figure, which the scorecard checks, node by node and
+    # edge by edge against the tests' transcription of it
+    sys = e6.build("E", 6)
+    assert dict(e6.POSET_NODES) == diagram_fixture.node_weights()
+    weights = [mu for mu, _ in e6.POSET_NODES]
+    edges = {(weights[a], weights[b], i) for a, b, i in e6.POSET_EDGES}
+    assert len(edges) == 16
+    assert edges == diagram_fixture.edge_triples(sys.reflect)
+
+  def test_generated_poset_is_the_figure(self):
+    assert e6.poset_break() is None
 
   def test_nodes_match_figures(self):
     poset = numbers_game_poset()

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from twistedlie import rootsystem
+from twistedlie import folding, linalg, rootsystem
 from twistedlie.folding import CoinvariantWeight, Folding
+from twistedlie.linalg import inverse
 from twistedlie.rootsystem import build, cartan_matrix
 
 # (family, rank, order) -> (fixed type, weight-lattice type, component
@@ -212,3 +214,95 @@ class TestCoinvariantWeight:
     b = CoinvariantWeight(Folding("E", 6, 2).weight_ctype, (0, 0, 0, 0))
     with pytest.raises(ValueError):
       a + b
+
+
+# -- the integer projection against the Fraction formulas it replaced --------
+
+# The six covered data at several ranks each, ell = 1 included.
+_RANKED = ([("A", 2 * ell - 1, 2) for ell in (2, 3, 5, 8, 13)]
+           + [("A", 2 * ell, 4) for ell in (1, 2, 3, 5, 8)]
+           + [("D", n, 2) for n in (4, 5, 6, 9, 13)]
+           + [("D", 4, 3), ("E", 6, 2)])
+
+
+def _fraction_projection(datum):
+  """P = C_H Q^{-1} in Fraction arithmetic, as Folding built it before it
+  held integer rows."""
+  ell, n = datum.ell, datum.base_type.rank
+  q = [datum.iota(tuple(datum._cartan[k][datum.fiber(j)[0] - 1]
+                        for k in range(n))) for j in range(1, ell + 1)]
+  qinv = inverse(tuple(tuple(Fraction(q[j][k]) for j in range(ell))
+                       for k in range(ell)))
+  p = cartan_matrix(datum.weight_ctype)
+  return tuple(tuple(sum(Fraction(p[k][j]) * qinv[j][c] for j in range(ell))
+                     for c in range(ell)) for k in range(ell))
+
+
+def _fraction_project(datum, pmat, coweight):
+  cprime = [sum(coweight[i - 1] for i in datum.fiber(j))
+            for j in range(1, datum.ell + 1)]
+  return CoinvariantWeight(datum.weight_ctype, tuple(
+      sum(pmat[k][j] * cprime[j] for j in range(datum.ell))
+      for k in range(datum.ell)))
+
+
+def _fraction_lift(datum, pmat, cw):
+  """The lift through inverse(P), or None where it has a non-integral
+  entry."""
+  ell = datum.ell
+  pinv = inverse(pmat)
+  lift = [Fraction(0)] * datum.base_type.rank
+  for j in range(ell):
+    lift[datum.fiber(j + 1)[0] - 1] += sum(
+        pinv[j][k] * Fraction(cw.coords[k]) for k in range(ell))
+  if any(c.denominator != 1 for c in lift):
+    return None
+  return tuple(int(c) for c in lift)
+
+
+class TestIntegerProjection:
+
+  @pytest.mark.parametrize("key", _RANKED)
+  def test_equals_fraction_formulas(self, key):
+    datum = Folding(*key)
+    ell, n = datum.ell, datum.base_type.rank
+    pmat = _fraction_projection(datum)
+    rows, den = datum._projection
+    assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == pmat
+    rows, den = datum._lift
+    assert tuple(tuple(Fraction(x, den) for x in row)
+                 for row in rows) == inverse(pmat)
+    rng = random.Random("%s%d/%d" % key)
+    coweights = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    coweights += [tuple(rng.randint(-3, 3) for _ in range(n))
+                  for _ in range(10)]
+    coweights += [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                        for _ in range(n)) for _ in range(5)]
+    for coweight in coweights:
+      cls = datum.project(coweight)
+      assert cls == _fraction_project(datum, pmat, coweight)
+      assert all(type(c) is int or c.denominator > 1 for c in cls.coords)
+    classes = [datum.gamma(j) for j in range(1, ell + 1)]
+    classes += [CoinvariantWeight(datum.weight_ctype,
+                                  tuple(rng.randint(-3, 3)
+                                        for _ in range(ell)))
+                for _ in range(10)]
+    classes.append(CoinvariantWeight(datum.weight_ctype,
+                                     (Fraction(1, 2),) + (0,) * (ell - 1)))
+    for cw in classes:
+      want = _fraction_lift(datum, pmat, cw)
+      if want is None:
+        with pytest.raises(ValueError, match="coinvariant lattice"):
+          datum.class_lift(cw)
+      else:
+        assert datum.class_lift(cw) == want
+        assert all(type(c) is int for c in want)
+
+  def test_no_inverse_per_lift(self, monkeypatch):
+    # the projection and its inverse are held once: a lift inverts nothing
+    datum = Folding("A", 41, 2)
+    monkeypatch.setattr(linalg, "inverse", None)
+    monkeypatch.setattr(folding, "integer_inverse", None)
+    for j in range(1, datum.ell + 1):
+      assert datum.project(datum.class_lift(datum.gamma(j))) == \
+          datum.gamma(j)

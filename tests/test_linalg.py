@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from twistedlie import linalg
 from twistedlie.folding import Folding
 from twistedlie.linalg import (GaussianRational, I_UNIT, SparseVector,
-                               ZERO_VECTOR, i_power, inverse,
+                               ZERO_VECTOR, i_power, integer_inverse,
+                               inverse,
                                normalize_scalar, rank, span_solver,
                                smith_invariant_factors)
 from twistedlie.rootsystem import CartanType, cartan_matrix
@@ -254,10 +256,14 @@ class TestInverse:
 
   @pytest.mark.parametrize("family,n,m", _FOLDINGS)
   def test_folding_projection_matrices(self, family, n, m):
-    mat = Folding(family, n, m)._project_matrix
+    datum = Folding(family, n, m)
+    rows, den = datum._projection
+    mat = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
     inv = inverse(mat)
     assert all(type(c) is Fraction for row in inv for c in row)
     assert _times(mat, inv) == _identity(len(mat))
+    rows, den = datum._lift
+    assert inv == tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
   def test_singular_rejected(self):
     with pytest.raises(ValueError, match="singular"):
@@ -268,6 +274,57 @@ class TestInverse:
   def test_non_square_rejected(self):
     with pytest.raises(ValueError, match="square"):
       inverse(((1, 0, 0), (0, 1, 0)))
+
+
+def _fraction_rows(inv):
+  """(rows, den) as the Fraction matrix it stands for."""
+  rows, den = inv
+  return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+class TestIntegerInverse:
+  """``integer_inverse`` against ``inverse``, the Fraction echelon."""
+
+  @staticmethod
+  def _check(matrix):
+    rows, den = got = integer_inverse(matrix)
+    want = inverse(matrix)
+    assert _fraction_rows(got) == want
+    assert den == lcm(*(c.denominator for row in want for c in row))
+    assert all(type(x) is int for row in rows for x in row)
+
+  @pytest.mark.parametrize("family,n", _CARTAN_TYPES)
+  def test_cartan_matrices(self, family, n):
+    self._check(cartan_matrix(CartanType(family, n)))
+
+  @settings(max_examples=100, deadline=None)
+  @given(_matrices("int"), _matrices("fraction"))
+  def test_random_matrices(self, ints, fractions):
+    for vecs in (ints, fractions):
+      n = max(len(vecs), 1 + max((k for v in vecs for k in v.keys()),
+                                 default=0))
+      matrix = [[v.get(k) for k in range(n)] for v in vecs]
+      matrix += [[int(i == k) for k in range(n)]
+                 for i in range(len(matrix), n)]
+      if rank([SparseVector(enumerate(row)) for row in matrix]) < n:
+        with pytest.raises(ValueError, match="singular"):
+          integer_inverse(matrix)
+      else:
+        self._check(matrix)
+
+  def test_without_a_certificate_takes_the_fractions(self):
+    # dependent modulo the prime, and an entry 1/q beyond the bound
+    p, q = linalg._PRIME, (1 << 31) - 1
+    for matrix in (((1, 1), (1, 1 + p)), ((q, 0), (0, 1))):
+      assert linalg._certified_inverse(
+          [SparseVector(enumerate(row)) for row in matrix]) is None
+      self._check(matrix)
+
+  def test_rejects_singular_and_non_square(self):
+    with pytest.raises(ValueError, match="singular"):
+      integer_inverse(((1, 2), (2, 4)))
+    with pytest.raises(ValueError, match="square"):
+      integer_inverse(((1, 0, 0), (0, 1, 0)))
 
 
 class TestSpanSolver:
@@ -298,19 +355,57 @@ class TestSpanSolver:
       span_solver([a, a.scale(Fraction(1, 3))])
 
 
+def _per_target_certified(basis, pivots, cols, target):
+  """The per-target certified solve ``span_solver`` used before it kept a
+  certified inverse: the coordinates of an int ``target`` read modulo the
+  prime off ``_modular_coordinates``, each rebuilt as a fraction, returned
+  only if they pass the exact check D*target == sum((D*c[b]) * basis[b])
+  with D their common denominator; None otherwise."""
+  values = [target.get(pivot, 0) for pivot in pivots]
+  coords = []
+  for col in cols:
+    c = linalg._rational(sum(v * x for v, x in zip(values, col))
+                         % linalg._PRIME)
+    if c is None:
+      return None
+    coords.append(Fraction(*c))
+  den = lcm(*(c.denominator for c in coords))
+  acc = {k: den * v for k, v in target.items()}
+  for c, vec in zip(coords, basis):
+    if c:
+      for k, v in vec.items():
+        acc[k] = acc.get(k, 0) - (den // c.denominator) * c.numerator * v
+  return None if any(acc.values()) else coords
+
+
+#: Coordinate scales of the combination targets: 1 keeps every coordinate
+#: within the reconstruction bound; the prime 2**31 - 1, above the bound and
+#: prime to every gcd the combinations can have, puts the numerator of every
+#: nonzero coordinate above it.
+_COORD_SCALES = (1, (1 << 31) - 1)
+
+
 @st.composite
 def _int_solves(draw):
   """An int basis, independent over Q, with int targets: combinations of
   it with rational coordinates (the combination divided by the gcd of its
-  entries) and arbitrary vectors, which mostly lie outside the span.
-  Entries stay small, so every coordinate is within the reconstruction
-  bound."""
+  entries) and an arbitrary vector on one key more than the basis uses,
+  which mostly lies outside the span.  Basis entries stay small, so its
+  inverse is within the reconstruction bound, unless the last vector is
+  swapped for the first plus the prime at one key, which keeps it
+  independent over Q (``assume``) but makes it dependent modulo the prime.
+  Returns (basis, targets, scale, mod_p_dependent)."""
   n_keys = draw(st.integers(min_value=1, max_value=6))
   entry = st.one_of(st.just(0), _SMALL)
   rows = draw(st.lists(st.lists(entry, min_size=n_keys, max_size=n_keys),
                        min_size=1, max_size=n_keys))
+  mod_p = len(rows) > 1 and draw(st.booleans())
+  if mod_p:
+    at = draw(st.integers(min_value=0, max_value=n_keys - 1))
+    rows[-1] = [x + linalg._PRIME * (k == at) for k, x in enumerate(rows[0])]
   basis = [SparseVector(enumerate(row)) for row in rows]
   assume(rank(basis) == len(basis))
+  scale = draw(st.sampled_from(_COORD_SCALES))
   targets = []
   for _ in range(draw(st.integers(min_value=1, max_value=3))):
     coeffs = draw(st.lists(st.integers(min_value=-50, max_value=50),
@@ -318,15 +413,24 @@ def _int_solves(draw):
     combo = [sum(c * row[k] for c, row in zip(coeffs, rows))
              for k in range(n_keys)]
     g = gcd(*combo) or 1
-    targets.append(SparseVector(enumerate(x // g for x in combo)))
+    targets.append(SparseVector(enumerate(x // g * scale for x in combo)))
   targets.append(SparseVector(enumerate(
-      draw(st.lists(entry, min_size=n_keys, max_size=n_keys)))))
-  return basis, targets
+      draw(st.lists(entry, min_size=n_keys + 1, max_size=n_keys + 1)))))
+  return basis, targets, scale, mod_p
+
+
+def _forged(modular):
+  """``_modular_coordinates`` with one entry of the inverse off by one."""
+  pivots, cols = modular
+  cols = [list(col) for col in cols]
+  cols[0][0] = (cols[0][0] + 1) % linalg._PRIME
+  return lambda basis: (pivots, cols)
 
 
 class TestModularSpanSolver:
-  """The certified modular front end of ``span_solver`` against the exact
-  echelon, which a basis with Fraction entries always takes."""
+  """The certified inverse behind ``span_solver`` against the per-target
+  certified solve it replaced and the exact echelon, which a basis with
+  Fraction entries always takes."""
 
   @staticmethod
   def _echelon_solver(basis):
@@ -334,18 +438,41 @@ class TestModularSpanSolver:
                         for b in basis])
 
   @settings(max_examples=300, deadline=None)
-  @given(_int_solves())
-  def test_equals_echelon(self, case):
-    basis, targets = case
+  @given(_int_solves(), st.booleans())
+  def test_equals_echelon(self, case, forge):
+    basis, targets, scale, mod_p = case
     modular = linalg._modular_coordinates(basis)
-    assert modular is not None
-    solve, exact = span_solver(basis), self._echelon_solver(basis)
+    assert (modular is None) == mod_p
+    exact = self._echelon_solver(basis)
+    if forge and modular is not None:
+      # a wrong proposal fails the certificate and takes the echelon
+      with mock.patch.object(linalg, "_modular_coordinates",
+                             _forged(modular)):
+        assert linalg._certified_inverse(basis) is None
+        solve = span_solver(basis)
+    else:
+      inverse = linalg._certified_inverse(basis)
+      assert (inverse is None) == mod_p
+      solve = span_solver(basis)
+    from_inverse = not forge and not mod_p
     outside = 0
     for target in targets:
       want = exact(target)
       outside += want is None
-      assert linalg._certified(basis, *modular, target) == want
-      assert solve(target) == want
+      if from_inverse:
+        # answered by the inverse alone: the echelon is never reduced
+        with mock.patch.object(linalg, "_reduce", side_effect=AssertionError):
+          got = solve(target)
+        assert all(type(c) is int or c.denominator > 1 for c in got or ())
+      else:
+        got = solve(target)
+      assert got == want
+      if modular is not None:
+        # the old path agrees, except that it gives up on coordinates above
+        # the bound
+        big = target is not targets[-1] and scale > 1 and any(want)
+        assert _per_target_certified(basis, *modular, target) == \
+            (None if big else want)
     # the combinations lie in the span
     assert outside <= 1
 
@@ -353,12 +480,15 @@ class TestModularSpanSolver:
          st.integers(min_value=1, max_value=(1 << 30) - 1))
   def test_rational_reconstruction(self, num, den):
     p = linalg._PRIME
-    assert linalg._rational(num * pow(den, -1, p) % p) == Fraction(num, den)
+    f = Fraction(num, den)
+    assert linalg._rational(num * pow(den, -1, p) % p) == (f.numerator,
+                                                           f.denominator)
 
   def test_independent_over_q_but_dependent_mod_p(self):
     p = linalg._PRIME
     basis = [SparseVector({0: 1, 1: 1}), SparseVector({0: 1, 1: 1 + p})]
     assert linalg._modular_coordinates(basis) is None
+    assert linalg._certified_inverse(basis) is None
     solve = span_solver(basis)
     assert solve(SparseVector({0: 2, 1: 2 + p})) == [1, 1]
     assert solve(SparseVector({0: 1})) == [Fraction(p + 1, p),
@@ -369,28 +499,43 @@ class TestModularSpanSolver:
     p = linalg._PRIME
     basis = [SparseVector({0: 1, 1: 1}), SparseVector({1: 1, 2: 3})]
     modular = linalg._modular_coordinates(basis)
+    assert linalg._certified_inverse(basis) is not None
     solve = span_solver(basis)
-    # 2**31 has no reconstruction; p + 5 reconstructs to the wrong 5
+    # 2**31 has no reconstruction and p + 5 reconstructs to the wrong 5, so
+    # the per-target path gave up; the inverse gives them exactly
     for big in (1 << 31, p + 5, -(1 << 40)):
       target = basis[0].scale(big) + basis[1].scale(3)
-      assert linalg._certified(basis, *modular, target) is None
+      assert _per_target_certified(basis, *modular, target) is None
       assert solve(target) == [big, 3]
-    # a denominator above the bound
+    # an inverse entry 1/q with q above the bound takes the echelon
     q = (1 << 31) - 1
     basis = [SparseVector({0: q, 1: 2 * q})]
-    target = SparseVector({0: 1, 1: 2})
-    assert linalg._certified(basis, *linalg._modular_coordinates(basis),
-                             target) is None
-    assert span_solver(basis)(target) == [Fraction(1, q)]
+    assert linalg._certified_inverse(basis) is None
+    assert span_solver(basis)(SparseVector({0: 1, 1: 2})) == [Fraction(1, q)]
 
   def test_outside_the_span_is_checked(self):
+    # three support keys, two vectors: the residual check decides
     basis = [SparseVector({0: 1, 1: 2}), SparseVector({1: 1, 2: 1})]
-    modular = linalg._modular_coordinates(basis)
     # agrees with the basis at both pivots, but not at key 2
     target = SparseVector({0: 1, 1: 5})
-    assert linalg._certified(basis, *modular, target) is None
     assert span_solver(basis)(target) is None
     assert span_solver(basis)(SparseVector({0: 1, 1: 5, 2: 3})) == [1, 3]
+
+  def test_square_basis_needs_no_residual_check(self):
+    # two vectors on two keys: a target on those keys is in the span, one
+    # with another key is not, and neither is checked against the basis
+    basis = [SparseVector({0: 2, 1: 1}), SparseVector({0: 1, 1: 1})]
+    cols, den = linalg._certified_inverse(basis)
+    assert set(cols) == {0, 1} and den == 1
+    solve = span_solver(basis)
+    with mock.patch.object(linalg, "_add_scaled", side_effect=AssertionError):
+      assert solve(SparseVector({0: 1})) == [1, -1]
+      assert solve(SparseVector({1: 3})) == [-3, 6]
+      assert solve(SparseVector({0: 1, 5: 1})) is None
+    basis = [SparseVector({0: 2, 1: 4})]
+    assert span_solver(basis)(SparseVector({0: 1, 1: 2})) == \
+        [Fraction(1, 2)]
+    assert span_solver(basis)(SparseVector({0: 1, 1: 3})) is None
 
   def test_non_int_target_takes_the_echelon(self):
     basis = [SparseVector({0: 2, 1: 1})]
