@@ -17,6 +17,7 @@ Coordinates:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .linalg import integer_inverse, normalize_scalar, smith_invariant_factors
@@ -45,6 +46,17 @@ class CoinvariantWeight:
       raise ValueError("mismatched types")
     return CoinvariantWeight(self.htype, tuple(
         a + b for a, b in zip(self.coords, other.coords)))
+
+
+def _times(sparse, inverse):
+  """sparse times (rows, den), an integer matrix over one denominator, as
+  (rows, den); the zero entries of sparse are skipped."""
+  rows, den = inverse
+  cols = range(len(rows[0]))
+  return tuple(
+      tuple(sum(a * rows[j][c] for j, a in terms) for c in cols)
+      for terms in ([(j, a) for j, a in enumerate(row) if a]
+                    for row in sparse)), den
 
 
 class Folding:
@@ -97,7 +109,7 @@ class Folding:
         tuple(i for i in range(1, n + 1) if eta[i - 1] == j)
         for j in range(1, self.ell + 1))
     self._hcartan = cartan_matrix(weight)
-    self._projection, self._lift = self._build_projection()
+    self._projection = _times(self._hcartan, integer_inverse(self._q_matrix()))
 
   # -- restriction and the folded simple roots ----------------------------
 
@@ -143,17 +155,16 @@ class Folding:
     return tuple(normalize_scalar(sum(coweight[i - 1] for i in self.fiber(j)))
                  for j in range(1, self.ell + 1))
 
-  def _build_projection(self):
-    """The projection to H weight coordinates and its inverse, each as
-    integer rows over one common denominator.
+  def _q_matrix(self):
+    """Q, whose j-th column is iota of a simple coroot in the j-th fiber.
 
     The class of the i-th fundamental coweight depends only on eta(i), so a
     coinvariant is determined by its fiber sums c'.  Writing gamma_j for the
     class of a simple coroot in the j-th fiber, iota identifies gamma_j with
-    a known fixed-type vector, the j-th column of Q; the matrix sending
-    fiber sums to fundamental weight coordinates of H is P = C_H Q^{-1}, C_H
-    the Cartan matrix of H, and its inverse is Q C_H^{-1}.  Both products
-    skip the zero entries of the sparse factor C_H or Q.
+    the j-th column of Q; the matrix sending fiber sums to fundamental
+    weight coordinates of H is then the projection P = C_H Q^{-1}, C_H the
+    Cartan matrix of H, and its inverse is Q C_H^{-1}.  Both are held as
+    integer rows over one common denominator.
     """
     ell = self.ell
     n = self.base_type.rank
@@ -161,17 +172,13 @@ class Folding:
     for j in range(1, ell + 1):
       i = self.fiber(j)[0]
       q.append(self.iota(tuple(self._cartan[k][i - 1] for k in range(n))))
-    qmat = tuple(tuple(q[j][k] for j in range(ell)) for k in range(ell))
-    qinv, qden = integer_inverse(qmat)
-    hinv, hden = integer_inverse(self._hcartan)
+    return tuple(tuple(q[j][k] for j in range(ell)) for k in range(ell))
 
-    def times(sparse, dense):
-      return tuple(
-          tuple(sum(a * dense[j][c] for j, a in terms) for c in range(ell))
-          for terms in ([(j, a) for j, a in enumerate(row) if a]
-                        for row in sparse))
-
-    return (times(self._hcartan, qinv), qden), (times(qmat, hinv), hden)
+  @cached_property
+  def _lift(self):
+    """Q C_H^{-1}, the inverse of the projection; only ``class_lift``
+    reads it, so it is built on the first lift."""
+    return _times(self._q_matrix(), integer_inverse(self._hcartan))
 
   def project(self, coweight):
     """Class of a base coweight in the coinvariant lattice.

@@ -27,6 +27,7 @@ image of the unit vector on key, and one loop applies a table to a
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import factorial, lcm
 
@@ -34,18 +35,13 @@ from .linalg import SparseVector, ZERO_VECTOR, _add_scaled, span_solver
 
 
 def _pairs(image):
-  """An image as a tuple of nonzero (key2, coeff) pairs with distinct
-  keys.  It may be given as a SparseVector, a dict or a pair tuple; a pair
-  tuple without zeros or repeated keys is kept as given, not copied, and
-  the coefficients of a repeated key are summed."""
-  if type(image) is tuple:
-    if all(c for _, c in image) and len({k2 for k2, _ in image}) == len(image):
-      return image
-    acc = {}
-    for k2, c in image:
-      acc[k2] = acc.get(k2, 0) + c
-    image = acc
-  return tuple((k2, c) for k2, c in image.items() if c)
+  """An image as a tuple of nonzero (key2, coeff) pairs.  It may be given
+  as a SparseVector, a dict or a pair tuple; a pair tuple without zeros is
+  kept as given, not copied."""
+  if type(image) is tuple and all(c for _, c in image):
+    return image
+  items = image if type(image) is tuple else image.items()
+  return tuple((k2, c) for k2, c in items if c)
 
 
 def _apply(table, vec):
@@ -285,8 +281,7 @@ def _word_plan(cartan):
   s >= 1 of the plan applies the letter steps[s - 1][0] to the image of
   step steps[s - 1][1] < s; step 0 is the basis vector itself.  Returns
   (steps, single, ef, serre):
-    * single[(op, j)]: the step of the letter (op, j) alone; these are
-      the steps 1, ..., 2n, and no other step has parent 0;
+    * single[(op, j)]: the step of the letter (op, j) alone;
     * ef[i - 1][j - 1]: the steps of E_i F_j and F_j E_i;
     * serre: for each i != j in order, (i, j, kind, terms), terms being the
       (coefficient, step) pairs of ad(X_i)^{1 - a_ij}(X_j) expanded by the
@@ -341,8 +336,6 @@ def verify_representation_detailed(rep, cartan):
   The words in the E_i / F_i that the relations use are compiled once into
   a prefix-closed plan (``_word_plan``); for each v one loop over the plan
   applies every word to v, each step one letter to an earlier step's image.
-  The image of v under a single letter is read off its table entry, whose
-  pairs have distinct keys.
   The images hold no zero coefficients, so a two-term relation, such as
   [E_i, F_j] = 0 for i != j or a Serre relation with a_ij = 0, holds iff
   its two images are equal dicts.  The weights of E_j v (F_j v) are first
@@ -359,9 +352,8 @@ def verify_representation_detailed(rep, cartan):
   n = rep.rank
   steps, single, ef, serre = _word_plan(cartan)
   scales, tables = _integer_tables({w: rep.table(*w) for w in single})
-  # steps 1..2n are the single letters, applied to the unit vector
-  heads = [tables[letter] for letter, _ in steps[:2 * n]]
-  plan = [(tables[letter], parent) for letter, parent in steps[2 * n:]]
+  plan = [(partial(_apply, tables[letter]), parent)
+          for letter, parent in steps]
   hscale = [scales[("e", i)] * scales[("f", i)] for i in range(1, n + 1)]
   # alpha_j in weight coordinates: the j-th column of the Cartan matrix
   roots = [tuple(cartan[t][j] for t in range(n)) for j in range(n)]
@@ -369,26 +361,9 @@ def verify_representation_detailed(rep, cartan):
   for key in rep.keys():
     wt = weight(key)
     vals = [{key: 1}]
-    append = vals.append
-    for table in heads:
-      img = table.get(key)
-      append(dict(img) if img else {})
-    for table, parent in plan:
+    for fn, parent in plan:
       v = vals[parent]
-      if not v:
-        append(v)
-        continue
-      acc = {}
-      for k, c in v.items():
-        img = table.get(k)
-        if img:
-          for k2, c2 in img:
-            s = acc.get(k2, 0) + c * c2
-            if s:
-              acc[k2] = s
-            else:
-              del acc[k2]
-      append(acc)
+      vals.append(fn(v) if v else v)
     # the (op, j) whose images miss the weight wt +- alpha_j somewhere
     off = set()
     for op, sign in (("e", 1), ("f", -1)):
@@ -462,8 +437,6 @@ def subrepresentation(ambient, hw_vec, component):
     fibers.setdefault(component.wt(b), []).append(b)
   solvers = {}
   shared = {}
-  # the ambient weight of each image key met so far
-  key_weights = {}
 
   def scalar(c):
     """c normalised, one object per value: the tables repeat few values.
@@ -507,10 +480,7 @@ def subrepresentation(ambient, hw_vec, component):
           img = ambient._act(op, i, vecs[b].entries)
         if not img:
           continue
-        key = next(iter(img))
-        img_wt = key_weights.get(key)
-        if img_wt is None:
-          img_wt = key_weights[key] = ambient.weight(key)
+        img_wt = ambient.weight(next(iter(img)))
         if img_wt not in fibers:
           raise ValueError("action leaves the crystal weight support")
         # built even when no solve follows: it checks that the fiber's

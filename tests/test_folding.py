@@ -299,8 +299,11 @@ class TestIntegerProjection:
         assert all(type(c) is int for c in want)
 
   def test_no_inverse_per_lift(self, monkeypatch):
-    # the projection and its inverse are held once: a lift inverts nothing
+    # the projection is held from the start and its inverse from the first
+    # lift on: a later lift inverts nothing
     datum = Folding("A", 41, 2)
+    assert "_lift" not in vars(datum)
+    datum.class_lift(datum.gamma(1))
     monkeypatch.setattr(linalg, "inverse", None)
     monkeypatch.setattr(folding, "integer_inverse", None)
     for j in range(1, datum.ell + 1):

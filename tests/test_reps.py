@@ -594,10 +594,6 @@ class TestPairTables:
     assert _pairs(with_zero) == clean
     assert _pairs(SparseVector._raw(with_zero)) == clean
     assert _pairs({1: 0}) == ()
-    # a repeated key is summed, as applying the pairs one by one would
-    assert _pairs(((0, 1), (2, 3), (0, Fraction(1, 2)))) == \
-        ((0, Fraction(3, 2)), (2, 3))
-    assert _pairs(((0, 1), (0, -1))) == ()
 
   @pytest.mark.parametrize("power", [ProductRepresentation, ExteriorPower],
                            ids=["tensor", "exterior"])
