@@ -105,11 +105,10 @@ def _cmd_fold(args):
   datum = folding.Folding(args.type, args.rank, args.m)
   betas = [list(datum.beta(j)) for j in range(1, datum.ell + 1)]
   iota_ok = True
-  for j in range(1, datum.ell + 1):
-    img = datum.iota(datum.class_lift(datum.gamma(j)))
-    expected = list(datum.beta(j))
+  for j, expected in enumerate(betas, 1):
     if datum.is_ramified and j == datum.ell:
-      expected = [Fraction(c, 2) for c in datum.beta(j)]
+      expected = [Fraction(c, 2) for c in expected]
+    img = datum.iota(datum.class_lift(datum.gamma(j)))
     if list(img) != [Fraction(c) for c in expected]:
       iota_ok = False
   payload = {

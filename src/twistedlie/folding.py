@@ -13,10 +13,11 @@ Coordinates:
     basis of the fixed type.
   * Coinvariant classes live in the weight lattice of the small side H and
     are stored in fundamental weight coordinates of ``weight_ctype``.
+  * The base enters only through the ell x ell matrix ``Folding._q`` of
+    fiber sums of simple coroots.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -99,7 +100,6 @@ class Folding:
     else:
       raise ValueError("no standard folding for (%s%d, %d)" % (f, n, m))
     self.base_type = base_type
-    self._cartan = cartan_matrix(base_type)
     self.tau = tau
     self.eta = eta
     self.fixed_ctype = fixed
@@ -109,7 +109,7 @@ class Folding:
         tuple(i for i in range(1, n + 1) if eta[i - 1] == j)
         for j in range(1, self.ell + 1))
     self._hcartan = cartan_matrix(weight)
-    self._projection = _times(self._hcartan, integer_inverse(self._q_matrix()))
+    self._projection = _times(self._hcartan, integer_inverse(self._q))
 
   # -- restriction and the folded simple roots ----------------------------
 
@@ -117,30 +117,15 @@ class Folding:
     """All base nodes i with eta(i) = j."""
     return self._fibers[j - 1]
 
-  def restrict_root(self, root):
-    """Restrict a base root (simple-root coords) to the fixed torus.
-
-    Returns fundamental weight coordinates for the fixed type: coordinate j
-    is the pairing against betacheck_j = sum of the simple coroots in the
-    j-th fiber.  The base is simply laced, so the root is its own coroot
-    and this is iota of C * root, C the base Cartan matrix.
-    """
-    return self.iota(tuple(sum(map(mul, row, root)) for row in self._cartan))
-
-  def _beta_base_root(self, j):
-    """The base-side root whose restriction is the folded simple root."""
-    n = self.base_type.rank
-    if self.is_ramified and j == self.ell:
-      root = [0] * n
-      root[self.ell - 1] = 1
-      root[self.ell] = 1
-      return tuple(root)
-    i = self.fiber(j)[0]
-    return tuple(int(k == i - 1) for k in range(n))
-
   def beta(self, j):
-    """Folded simple root beta_j in fixed-type fundamental weight coords."""
-    return self.restrict_root(self._beta_base_root(j))
+    """Folded simple root beta_j in fixed-type fundamental weight coords:
+    the restriction of a simple base root in the j-th fiber, column j of Q;
+    at the ramified short node it is that of alpha_ell + alpha_{ell+1},
+    whose summands lie in one fiber, so the column is doubled."""
+    col = tuple(row[j - 1] for row in self._q)
+    if self.is_ramified and j == self.ell:
+      return tuple(2 * c for c in col)
+    return col
 
   # -- the iota map and projection to coinvariants ------------------------
 
@@ -155,30 +140,32 @@ class Folding:
     return tuple(normalize_scalar(sum(coweight[i - 1] for i in self.fiber(j)))
                  for j in range(1, self.ell + 1))
 
-  def _q_matrix(self):
-    """Q, whose j-th column is iota of a simple coroot in the j-th fiber.
+  @cached_property
+  def _q(self):
+    """Q, the fiber sums of the simple coroots: entry (k, j) sums over the
+    k-th fiber the coordinates of a simple coroot in the j-th fiber, so
+    column j is iota of that coroot.
 
-    The class of the i-th fundamental coweight depends only on eta(i), so a
-    coinvariant is determined by its fiber sums c'.  Writing gamma_j for the
-    class of a simple coroot in the j-th fiber, iota identifies gamma_j with
-    the j-th column of Q; the matrix sending fiber sums to fundamental
-    weight coordinates of H is then the projection P = C_H Q^{-1}, C_H the
-    Cartan matrix of H, and its inverse is Q C_H^{-1}.  Both are held as
-    integer rows over one common denominator.
+    Modulo the image of 1 - tau, Z^rank is free on the fibers (the
+    tau-orbits) by fiber sums, and there coroot i is column eta(i) of Q.
+    So Q holds all the folding reads from the base: column j is the folded
+    simple root beta_j (doubled at the ramified short node); the
+    projection from fiber sums to fundamental weight coordinates of H is
+    P = C_H Q^{-1}, so gamma_j, the class of a coroot in the j-th fiber, is
+    column j of C_H, and the lift is Q C_H^{-1}, both held as integer rows
+    over one denominator; the component group is Z^ell modulo the columns
+    of Q.
     """
-    ell = self.ell
-    n = self.base_type.rank
-    q = []
-    for j in range(1, ell + 1):
-      i = self.fiber(j)[0]
-      q.append(self.iota(tuple(self._cartan[k][i - 1] for k in range(n))))
-    return tuple(tuple(q[j][k] for j in range(ell)) for k in range(ell))
+    cartan = cartan_matrix(self.base_type)
+    heads = [fiber[0] - 1 for fiber in self._fibers]
+    return tuple(tuple(sum(cartan[a - 1][i] for a in fiber) for i in heads)
+                 for fiber in self._fibers)
 
   @cached_property
   def _lift(self):
     """Q C_H^{-1}, the inverse of the projection; only ``class_lift``
     reads it, so it is built on the first lift."""
-    return _times(self._q_matrix(), integer_inverse(self._hcartan))
+    return _times(self._q, integer_inverse(self._hcartan))
 
   def project(self, coweight):
     """Class of a base coweight in the coinvariant lattice.
@@ -193,14 +180,13 @@ class Folding:
               for j in range(1, self.ell + 1)]
     rows, den = self._projection
     return CoinvariantWeight(self.weight_ctype, tuple(
-        Fraction(sum(map(mul, row, cprime)), den) for row in rows))
+        normalize_scalar(sum(map(mul, row, cprime)), den) for row in rows))
 
   def gamma(self, j):
-    """The class of a simple coroot in the j-th fiber (a simple root of H)."""
-    n = self.base_type.rank
-    i = self.fiber(j)[0]
-    acheck = tuple(self._cartan[k][i - 1] for k in range(n))
-    return self.project(acheck)
+    """The class of a simple coroot in the j-th fiber: the j-th simple root
+    of H, column j of C_H (see ``_q``)."""
+    return CoinvariantWeight(self.weight_ctype,
+                             tuple(row[j - 1] for row in self._hcartan))
 
   def in_coinvariant_lattice(self, cw):
     """Whether the class lies in the image lattice of the projection."""
@@ -225,19 +211,9 @@ class Folding:
 
   def component_group(self):
     """Invariant factors (> 1) of the coinvariants of pi_1 of the adjoint
-    base group: Z^rank modulo the span of (1 - tau) and the coroot columns."""
-    n = self.base_type.rank
-    cols = []
-    for i in range(n):
-      col = [0] * n
-      col[i] += 1
-      col[self.tau[i] - 1] -= 1
-      cols.append(col)
-    for j in range(n):
-      cols.append([self._cartan[i][j] for i in range(n)])
-    mat = [[cols[c][r] for c in range(2 * n)] for r in range(n)]
-    factors = smith_invariant_factors(mat)
-    return tuple(d for d in factors if d != 1)
+    base group: Z^rank modulo the span of (1 - tau) and the coroot columns,
+    that is Z^ell modulo the columns of Q (see ``_q``)."""
+    return tuple(d for d in smith_invariant_factors(self._q) if d != 1)
 
   def level_one_set(self):
     """Minimal dominant fixed-type weights, one per component.

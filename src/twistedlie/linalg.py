@@ -124,10 +124,6 @@ class GaussianRational:
     return "%s%s%s*i" % (self.re, sign, abs(self.im))
 
 
-#: The imaginary unit of Q(i).
-I_UNIT = GaussianRational(0, 1)
-
-
 def i_power(k):
   """Return i**k as a GaussianRational, for any integer k."""
   return (GaussianRational(1), GaussianRational(0, 1),
@@ -250,12 +246,14 @@ def _scalar_kinds(vectors):
     raise TypeError("cannot mix Gaussian and plain rational scalars")
 
 
-def normalize_scalar(x):
-  """A rational scalar as an int when it is integral, else a Fraction."""
+def normalize_scalar(x, den=1):
+  """x / den, for a rational x and a nonzero int den, as an int when it is
+  integral, else a Fraction."""
   if type(x) is int:
-    return x
-  f = Fraction(x)
-  return int(f) if f.denominator == 1 else f
+    q, r = divmod(x, den)
+    return Fraction(x, den) if r else q
+  f = Fraction(x) if den == 1 else Fraction(x, den)
+  return f.numerator if f.denominator == 1 else f
 
 
 # -- the echelon kernel ------------------------------------------------------
@@ -500,7 +498,7 @@ def span_solver(basis):
             _add_scaled(acc, -yb, vec.entries)
         if acc:
           return None
-      return [Fraction(yb, den) if yb % den else yb // den for yb in y]
+      return [normalize_scalar(yb, den) for yb in y]
     cur = dict(target.items())
     comb = {}
     _reduce(echelon(), cur, comb)

@@ -114,7 +114,8 @@ class RootSystem:
     self.rank = ctype.rank
     self.cartan = cartan_matrix(ctype)
     self.d = symmetrizer(ctype)
-    self.positive_roots = self._closure()
+    self._positive_steps = self._closure()
+    self.positive_roots = tuple(alpha for alpha, _, _ in self._positive_steps)
     self._posroot_set = set(self.positive_roots)
     # the only root of greatest height, last in (height, coords) order
     self.highest_root = self.positive_roots[-1]
@@ -139,28 +140,12 @@ class RootSystem:
     """Simple-root coordinates of a weight in fund-weight coords: an int
     where the coordinate is integral, a Fraction where it is not."""
     rows, den = self._root_coord_basis
-    out = []
-    for row in rows:
-      total = sum(map(mul, row, wt))
-      q, r = divmod(total, den)
-      out.append(Fraction(total, den) if r else q)
-    return tuple(out)
-
-  def pairing(self, root, i):
-    """<root, acheck_i> for a root in simple-root coords, i 1-based."""
-    return sum(root[j] * self.cartan[i - 1][j] for j in range(self.rank))
+    return tuple(normalize_scalar(sum(map(mul, row, wt)), den) for row in rows)
 
   def reflect(self, i, wt):
     """Simple reflection s_i on a weight in fundamental-weight coords."""
     c = wt[i - 1]
     return tuple(wt[j] - c * self.cartan[j][i - 1] for j in range(self.rank))
-
-  def reflect_root(self, i, root):
-    """Simple reflection s_i on a root in simple-root coords."""
-    p = self.pairing(root, i)
-    out = list(root)
-    out[i - 1] -= p
-    return tuple(out)
 
   def inner(self, x, y):
     """Invariant form (x, y) for weights in fundamental-weight coords."""
@@ -177,37 +162,45 @@ class RootSystem:
 
   def coroot_pairing(self, wt, root):
     """<wt, rootcheck> = 2 (wt, root) / (root, root)."""
-    return normalize_scalar(Fraction(2 * self.root_inner(root, wt),
-                                     self.root_norm(root)))
+    return normalize_scalar(2 * self.root_inner(root, wt),
+                            self.root_norm(root))
 
   # -- positive roots -----------------------------------------------------
 
   def _closure(self):
+    """The positive roots in (height, coords) order, as triples (alpha in
+    simple-root coords, its height, alpha in fund-weight coords).
+
+    A positive root beta that is not simple has an i with
+    p = <beta, acheck_i> > 0, and s_i beta = beta - p alpha_i is a lower
+    positive root that pairs to -p with acheck_i.  So the search steps up
+    from the simple roots only where a weight coordinate p is negative: to
+    beta - p alpha_i, with weight wt - p (column i of the Cartan matrix).
+    """
     n = self.rank
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    found = set(simple)
-    frontier = list(simple)
+    cols = tuple(zip(*self.cartan))
+    weights = {tuple(int(i == j) for j in range(n)): cols[i]
+               for i in range(n)}
+    frontier = list(weights)
     while frontier:
       nxt = []
       for root in frontier:
-        for i in range(1, n + 1):
-          img = self.reflect_root(i, root)
-          if all(c >= 0 for c in img) and img not in found:
-            found.add(img)
-            nxt.append(img)
+        wt = weights[root]
+        for i, p in enumerate(wt):
+          if p < 0:
+            up = list(root)
+            up[i] -= p
+            up = tuple(up)
+            if up not in weights:
+              weights[up] = tuple(a - p * c for a, c in zip(wt, cols[i]))
+              nxt.append(up)
       frontier = nxt
-    return tuple(sorted(found, key=lambda r: (sum(r), r)))
+    return tuple(sorted(((root, sum(root), wt)
+                         for root, wt in weights.items()),
+                        key=lambda step: (step[1], step[0])))
 
   def is_positive_root(self, root):
     return tuple(root) in self._posroot_set
-
-  @cached_property
-  def _positive_steps(self):
-    """The positive roots alpha in (height, coords) order, as triples
-    (alpha in simple-root coords, its height, alpha in fund-weight
-    coords)."""
-    return tuple((alpha, sum(alpha), self.root_weight(alpha))
-                 for alpha in self.positive_roots)
 
   # -- orbits and dominance ------------------------------------------------
 

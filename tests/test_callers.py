@@ -1,8 +1,8 @@
 """Every public name in ``src/twistedlie`` has a caller: each public
-module-level function and class, and each public method of those classes,
-is referenced from ``src/``, ``demos/`` or ``perfbench/`` outside its own
-definition.  A reference is an AST name, an attribute, or a part of a
-string made of dotted identifiers (the benchmark names its span targets as
+module-level function, class and constant, and each public method of those
+classes, is referenced from ``src/``, ``demos/`` or ``perfbench/`` outside
+its own definition.  A reference is an AST name, an attribute, or a part of
+a string made of dotted identifiers (the benchmark names its span targets as
 strings such as ``"RootSystem.weyl_orbit"``).  Tests do not count as
 callers: code that only tests call belongs in the tests."""
 
@@ -14,12 +14,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "twistedlie"
 CALLER_DIRS = ("src", "demos", "perfbench")
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+# a definition and its own references: a constant's assignment is its scope
+_SCOPES = (ast.FunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
 
 
 def _public_definitions(tree):
-  """(name, node) of every public module-level function and class, and of
-  every public method of those classes."""
+  """(name, node) of every public module-level function, class and
+  constant (a name a module-level assignment binds), and of every public
+  method of those classes."""
   for node in tree.body:
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+      targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+      for target in targets:
+        if isinstance(target, ast.Name) and not target.id.startswith("_"):
+          yield target.id, node
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
        and not node.name.startswith("_"):
       yield node.name, node
@@ -33,7 +41,7 @@ def _public_definitions(tree):
 def _references(tree):
   """(name, enclosing definitions) of every reference in the tree."""
   def walk(node, inside):
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+    if isinstance(node, _SCOPES):
       inside = inside | {id(node)}
     if isinstance(node, ast.Name):
       yield node.id, inside
@@ -72,9 +80,11 @@ def test_lint_sees_an_uncalled_name():
   module = ("def used():\n  return 1\n\n"
             "def recursive(n):\n  return recursive(n - 1)\n\n"
             "class Box:\n  def open(self):\n    return self.open()\n"
-            "  def shut(self):\n    return used()\n")
-  caller = "x = Box()\ny = 'Box.shut'\n"
-  assert uncalled([module], [module, caller]) == ["open", "recursive"]
+            "  def shut(self):\n    return used()\n\n"
+            "LIMIT = 3\nUNIT: int = 1\nSELF = [SELF]\n_PRIVATE = 0\n")
+  caller = "x = Box()\ny = 'Box.shut'\nz = LIMIT\n"
+  assert uncalled([module], [module, caller]) == ["SELF", "UNIT", "open",
+                                                 "recursive"]
 
 
 def test_every_public_name_has_a_caller():

@@ -101,13 +101,23 @@ class TestFoldedRoots:
           assert beta[k - 1] == expected[k - 1][j - 1]
 
   def test_restriction_is_the_fiber_sum_of_pairings(self):
-    """restrict_root against the pairings of the base root system."""
+    """beta_j against the pairings of its base root in the base root
+    system: a simple root of the j-th fiber, or alpha_ell + alpha_{ell+1}
+    at the short node of the ramified family.  Its k-th coordinate is the
+    sum of <root, acheck_i> over the k-th fiber."""
     for datum in _data():
       base = build(datum.base_type.family, datum.base_type.rank)
-      for root in base.positive_roots:
-        assert datum.restrict_root(root) == tuple(
-            sum(base.pairing(root, i) for i in datum.fiber(j))
-            for j in range(1, datum.ell + 1))
+      n = base.rank
+      for j in range(1, datum.ell + 1):
+        nodes = {datum.fiber(j)[0]}
+        if datum.is_ramified and j == datum.ell:
+          nodes = {datum.ell, datum.ell + 1}
+        root = tuple(int(i in nodes) for i in range(1, n + 1))
+        assert base.is_positive_root(root)
+        pairs = base.root_weight(root)
+        assert datum.beta(j) == tuple(
+            sum(pairs[i - 1] for i in datum.fiber(k))
+            for k in range(1, datum.ell + 1))
 
   def test_iota_of_gamma_is_beta(self):
     """The iota image of each simple-coroot class equals the folded simple
@@ -216,7 +226,7 @@ class TestCoinvariantWeight:
       a + b
 
 
-# -- the integer projection against the Fraction formulas it replaced --------
+# -- what Folding reads off Q, against the base-rank formulas it replaced ----
 
 # The six covered data at several ranks each, ell = 1 included.
 _RANKED = ([("A", 2 * ell - 1, 2) for ell in (2, 3, 5, 8, 13)]
@@ -229,7 +239,8 @@ def _fraction_projection(datum):
   """P = C_H Q^{-1} in Fraction arithmetic, as Folding built it before it
   held integer rows."""
   ell, n = datum.ell, datum.base_type.rank
-  q = [datum.iota(tuple(datum._cartan[k][datum.fiber(j)[0] - 1]
+  cartan = cartan_matrix(datum.base_type)
+  q = [datum.iota(tuple(cartan[k][datum.fiber(j)[0] - 1]
                         for k in range(n))) for j in range(1, ell + 1)]
   qinv = inverse(tuple(tuple(Fraction(q[j][k]) for j in range(ell))
                        for k in range(ell)))
@@ -260,7 +271,30 @@ def _fraction_lift(datum, pmat, cw):
   return tuple(int(c) for c in lift)
 
 
+def _seed_component_group(datum):
+  """The component group as Folding computed it before it held Q, kept as
+  an oracle: the invariant factors (> 1) of the rank x 2 rank matrix
+  [1 - tau | C], C the base Cartan matrix."""
+  n = datum.base_type.rank
+  cartan = cartan_matrix(datum.base_type)
+  cols = []
+  for i in range(n):
+    col = [0] * n
+    col[i] += 1
+    col[datum.tau[i] - 1] -= 1
+    cols.append(col)
+  for j in range(n):
+    cols.append([cartan[i][j] for i in range(n)])
+  mat = [[cols[c][r] for c in range(2 * n)] for r in range(n)]
+  return tuple(d for d in linalg.smith_invariant_factors(mat) if d != 1)
+
+
 class TestIntegerProjection:
+
+  @pytest.mark.parametrize("key", _RANKED)
+  def test_component_group_equals_seed_matrix(self, key):
+    datum = Folding(*key)
+    assert datum.component_group() == _seed_component_group(datum)
 
   @pytest.mark.parametrize("key", _RANKED)
   def test_equals_fraction_formulas(self, key):

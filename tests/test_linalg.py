@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twistedlie import linalg
 from twistedlie.folding import Folding
-from twistedlie.linalg import (GaussianRational, I_UNIT, SparseVector,
+from twistedlie.linalg import (GaussianRational, SparseVector,
                                ZERO_VECTOR, i_power, integer_inverse,
                                inverse,
                                normalize_scalar, rank, span_solver,
@@ -146,7 +146,7 @@ class TestGaussianRational:
     assert (a / b) * b == a
 
   def test_i_squares_to_minus_one(self):
-    assert I_UNIT * I_UNIT == GaussianRational(-1)
+    assert i_power(1) * i_power(1) == GaussianRational(-1)
 
   def test_conjugate_and_norm(self):
     a = GaussianRational(3, -4)
@@ -155,14 +155,14 @@ class TestGaussianRational:
 
   def test_i_power_cycle(self):
     assert [i_power(k) for k in range(4)] == [
-        GaussianRational(1), I_UNIT, GaussianRational(-1),
+        GaussianRational(1), GaussianRational(0, 1), GaussianRational(-1),
         GaussianRational(0, -1)]
     assert i_power(-1) == i_power(3)
     assert i_power(10**9) == i_power(0)
 
   def test_mixing_with_ints(self):
     assert GaussianRational(2) + 3 == GaussianRational(5)
-    assert 2 * I_UNIT == GaussianRational(0, 2)
+    assert 2 * i_power(1) == GaussianRational(0, 2)
 
   def test_bool_and_zero(self):
     assert not GaussianRational(0, 0)
@@ -211,8 +211,8 @@ class TestRank:
     assert rank([a, b, c]) == 2
 
   def test_gaussian_pair(self):
-    a = SparseVector({0: GaussianRational(1), 1: I_UNIT})
-    b = a.scale(I_UNIT)
+    a = SparseVector({0: GaussianRational(1), 1: i_power(1)})
+    b = a.scale(i_power(1))
     assert rank([a, b]) == 1
 
   def test_fractional_entries(self):
@@ -222,7 +222,7 @@ class TestRank:
 
   def test_mixed_scalars_rejected(self):
     a = SparseVector({0: Fraction(1, 2)})
-    b = SparseVector({0: I_UNIT})
+    b = SparseVector({0: i_power(1)})
     with pytest.raises(TypeError):
       rank([a, b])
 
@@ -344,10 +344,10 @@ class TestSpanSolver:
     assert solve(SparseVector({"w": 1})) is None
 
   def test_gaussian_coordinates(self):
-    a = SparseVector({0: GaussianRational(1), 1: I_UNIT})
+    a = SparseVector({0: GaussianRational(1), 1: i_power(1)})
     b = SparseVector({1: GaussianRational(2, 1)})
     solve = span_solver([a, b])
-    assert solve(a.scale(I_UNIT) + b) == [I_UNIT, 1]
+    assert solve(a.scale(i_power(1)) + b) == [i_power(1), 1]
 
   def test_dependent_basis_rejected(self):
     a = SparseVector({0: 1, 1: 2})
@@ -557,6 +557,18 @@ def test_normalize_scalar():
   assert normalize_scalar(Fraction(1, 2)) == Fraction(1, 2)
   assert type(normalize_scalar(3)) is int
   assert type(normalize_scalar(True)) is int
+
+
+@pytest.mark.parametrize("x,den", [(6, 3), (-6, 3), (6, -3), (0, 7), (3, 2),
+                                   (-3, 2), (3, -2), (-3, -2), (5, 1),
+                                   (Fraction(1, 2), 2), (Fraction(4, 3), 2),
+                                   (Fraction(-9, 2), -3), (True, 1)])
+def test_normalize_scalar_divides(x, den):
+  # x / den, an int exactly when the quotient is integral
+  got = normalize_scalar(x, den)
+  want = Fraction(x, den)
+  assert got == want
+  assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 class TestSmithInvariantFactors:

@@ -82,7 +82,53 @@ _TYPES_TO_RANK_8 = ([(f, n) for f in "ABC" for n in range(1, 9)]
                     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 
 
+def _pairing(cartan, root, i):
+  """<root, acheck_i> for a root in simple-root coords, i 1-based."""
+  return sum(c * r for c, r in zip(cartan[i - 1], root))
+
+
+def _reflection_closure(sys):
+  """The positive roots as the seed found them, kept as an oracle: every
+  simple reflection of every root found so far, in (height, coords)
+  order."""
+  n = sys.rank
+  simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+  found = set(simple)
+  frontier = list(simple)
+  while frontier:
+    nxt = []
+    for root in frontier:
+      for i in range(1, n + 1):
+        img = list(root)
+        img[i - 1] -= _pairing(sys.cartan, root, i)
+        img = tuple(img)
+        if min(img) >= 0 and img not in found:
+          found.add(img)
+          nxt.append(img)
+    frontier = nxt
+  return tuple(sorted(found, key=lambda r: (sum(r), r)))
+
+
+# every type the closure is checked on against the reflection oracle
+_CLOSURE_TYPES = ([("A", n) for n in range(1, 13)]
+                  + [(f, n) for f in "BC" for n in range(2, 11)]
+                  + [("D", n) for n in range(4, 11)]
+                  + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
 class TestPositiveRoots:
+
+  @pytest.mark.parametrize("family,rank", _CLOSURE_TYPES,
+                           ids=["%s%d" % t for t in _CLOSURE_TYPES])
+  def test_closure_equals_reflection_closure(self, family, rank):
+    sys = build(family, rank)
+    roots = _reflection_closure(sys)
+    assert sys.positive_roots == roots
+    assert sys.highest_root == roots[-1]
+    assert [alpha for alpha, _, _ in sys._positive_steps] == list(roots)
+    for alpha, height, weight in sys._positive_steps:
+      assert height == sum(alpha)
+      assert weight == sys.root_weight(alpha)
 
   @pytest.mark.parametrize("fam,rank,count", [
       ("A", 2, 3), ("A", 5, 15), ("B", 2, 4), ("C", 3, 9),
@@ -191,7 +237,7 @@ class TestWeightMachinery:
       omega = tuple(int(k == r - 1) for k in range(6))
       coords = sys.weight_root_coords(omega)
       for i in range(1, 7):
-        assert sys.pairing(coords, i) == (1 if i == r else 0)
+        assert _pairing(sys.cartan, coords, i) == (1 if i == r else 0)
     assert sys.weight_root_coords((0,) * 6) == (0,) * 6
 
   @pytest.mark.parametrize("family,rank", _TYPES_TO_RANK_8,
