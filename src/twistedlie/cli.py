@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import cells, e6, folding, loops
+from .linalg import normalize_scalar
 from .rootsystem import build
 
 SCHEMA_VERSION = 1
@@ -62,8 +63,9 @@ def _progress(msg):
 
 
 def _parse_coords(text):
+  """Comma-separated coordinates: ints where integral, else Fractions."""
   try:
-    return tuple(Fraction(part) for part in text.split(","))
+    return tuple(normalize_scalar(Fraction(part)) for part in text.split(","))
   except ZeroDivisionError:
     raise ValueError("zero denominator in coordinates %r" % text) from None
 
@@ -74,9 +76,9 @@ def _parse_weight(text, rank):
   if len(coords) != rank:
     raise ValueError("--weight has %d coordinates, expected %d"
                      % (len(coords), rank))
-  if any(c.denominator != 1 for c in coords):
+  if any(type(c) is not int for c in coords):
     raise ValueError("--weight coordinates must be integers")
-  return tuple(int(c) for c in coords)
+  return coords
 
 
 def _add_common(p):
@@ -107,9 +109,8 @@ def _cmd_fold(args):
   iota_ok = True
   for j, expected in enumerate(betas, 1):
     if datum.is_ramified and j == datum.ell:
-      expected = [Fraction(c, 2) for c in expected]
-    img = datum.iota(datum.class_lift(datum.gamma(j)))
-    if list(img) != [Fraction(c) for c in expected]:
+      expected = [normalize_scalar(c, 2) for c in expected]
+    if list(datum.iota(datum.class_lift(datum.gamma(j)))) != expected:
       iota_ok = False
   payload = {
       "base_type": str(datum.base_type),

@@ -2,20 +2,19 @@
 
 Scalars are python ints, ``fractions.Fraction``, or :class:`GaussianRational`.
 No floating point is used anywhere.  Vectors are sparse maps from opaque,
-totally ordered keys to nonzero scalars.  One sparse echelon kernel does
-all elimination: ``rank``, coordinates in a span (``span_solver``) and
-matrix inverses (``inverse``).  For a basis with int entries,
-``span_solver`` runs the same kernel modulo the prime 2^61 - 1 once, to
-propose the inverse of the basis on its pivot keys; the entries are rebuilt
-as fractions and the inverse is certified once by an exact integer
-identity.  Each int target is then answered by an exact sparse product
-with it, checked against the basis only when the basis has support keys
-beyond its pivots.  Anything else (a Fraction or Gaussian basis or target,
-a basis dependent modulo the prime, a failed reconstruction or
-certificate) is answered by the exact echelon.  Every answer is exact.
-``integer_inverse`` gives an inverse as integer rows over one common
-denominator, from the certified inverse when it exists.  Integer Smith
-invariant factors are computed separately.
+totally ordered keys to nonzero scalars.  One sparse echelon kernel,
+``_reduce``, does all elimination: ``rank``, and the inverse of a basis on
+its pivot keys (``_pivot_inverse``: the echelon, then back substitution of
+each row against the rows after it), exactly or modulo a prime.
+``span_solver`` holds that inverse as N over one denominator D: for a
+basis with int entries, integers N proposed modulo the prime 2^61 - 1,
+rebuilt as fractions and certified once by an exact integer identity; for
+any other basis, or when the certificate fails, the exact inverse with
+D = 1.  Each target is then answered by an exact sparse product with it,
+checked against the basis only when the basis has support keys beyond its
+pivots.
+``integer_inverse`` solves for the unit vectors over a matrix's rows.
+Integer Smith invariant factors are computed separately.
 """
 
 from fractions import Fraction
@@ -247,11 +246,14 @@ def _scalar_kinds(vectors):
 
 
 def normalize_scalar(x, den=1):
-  """x / den, for a rational x and a nonzero int den, as an int when it is
-  integral, else a Fraction."""
+  """x / den, for an exact scalar x and a nonzero int den: a
+  GaussianRational for a Gaussian x, else an int when it is integral and a
+  Fraction when it is not."""
   if type(x) is int:
     q, r = divmod(x, den)
     return Fraction(x, den) if r else q
+  if isinstance(x, GaussianRational):
+    return x / den
   f = Fraction(x) if den == 1 else Fraction(x, den)
   return f.numerator if f.denominator == 1 else f
 
@@ -342,40 +344,33 @@ def rank(vectors):
 
 # -- the modular front end of span_solver -------------------------------------
 # For a basis with int entries the echelon runs modulo _PRIME.  The prime
-# only proposes coordinates: they are recovered as fractions with
+# only proposes the inverse: its entries are recovered as fractions with
 # numerator and denominator below _BOUND in absolute value (Wang, Guy and
-# Davenport, SIGSAM Bull. 16, 1982) and returned only after an exact
-# integer check.  Since 2 * (_BOUND - 1)**2 < _PRIME, a fraction within the
-# bounds is the only one with its residue.
+# Davenport, SIGSAM Bull. 16, 1982) and used only after an exact integer
+# check.  Since 2 * (_BOUND - 1)**2 < _PRIME, a fraction within the bounds
+# is the only one with its residue.
 
 _PRIME = (1 << 61) - 1
 _BOUND = 1 << 30
 
 
-def _modular_coordinates(basis):
-  """Columns for reading coordinates modulo _PRIME off pivot entries.
-
-  Returns (pivots, cols) such that any v = sum(c[b] * basis[b]) has
-  c[b] = sum(v[pivots[r]] * cols[b][r]) mod _PRIME, or None when the basis
-  is linearly dependent modulo _PRIME."""
+def _pivot_inverse(basis, p=None):
+  """The inverse of the basis on its pivot keys, modulo p unless it is
+  None: a map from each pivot key to the pairs (b, N[b][key]) with
+  N[b][key] != 0, such that any v = sum(c[b] * basis[b]) has
+  c[b] = sum(v[key] * N[b][key]).  None when the basis is linearly
+  dependent (modulo p)."""
   rows = []
   for b, v in enumerate(basis):
-    if not _append_row(rows, v, {b: 1}, _PRIME):
+    if not _append_row(rows, v, {b: 1}, p):
       return None
-  n = len(rows)
-  pivots = [pivot for pivot, _, _ in rows]
-  # back substitution: u_r = row_r - sum_{s > r} row_r[pivot_s] * u_s is 1
-  # at pivot_r and 0 at every other pivot; full[r] holds its coefficients
-  full = [None] * n
-  for r in range(n - 1, -1, -1):
+  # back substitution: reduced against the rows after it, which already are
+  # 0 at every pivot but their own, row r is 1 at its pivot and 0 at every
+  # other, so its comb is the inverse's column at that pivot
+  for r in reversed(range(len(rows) - 1)):
     _, row, comb = rows[r]
-    acc = [comb.get(b, 0) for b in range(n)]
-    for s in range(r + 1, n):
-      c = row.get(pivots[s])
-      if c:
-        acc = [a - c * f for a, f in zip(acc, full[s])]
-    full[r] = [a % _PRIME for a in acc]
-  return pivots, list(zip(*full))
+    _reduce(rows[r + 1:], row, comb, p)
+  return {pivot: tuple(comb.items()) for pivot, _, comb in rows}
 
 
 def _rational(u):
@@ -400,24 +395,23 @@ def _rational(u):
 def _certified_inverse(basis):
   """The inverse of an int basis on its pivot keys, or None.
 
-  The inverse is proposed modulo _PRIME, its entries rebuilt as fractions
-  and the result certified once, exactly: with N the entries times their
-  common denominator D, N . B == D * I over the integers, B being the basis
-  read at the pivot keys.  Returns (cols, den), cols mapping each pivot key
-  to the pairs (b, N[b][key]) with N[b][key] != 0 and den = D; None when the
-  basis is dependent modulo _PRIME or an entry has no reconstruction or the
-  certificate fails."""
-  modular = _modular_coordinates(basis)
+  The inverse is proposed modulo _PRIME (``_pivot_inverse``), its entries
+  rebuilt as fractions and the result certified once, exactly: with N the
+  entries times their common denominator D, N . B == D * I over the
+  integers, B being the basis read at the pivot keys.  Returns (cols, den),
+  cols mapping each pivot key to the pairs (b, N[b][key]) with
+  N[b][key] != 0 and den = D; None when the basis is dependent modulo
+  _PRIME or an entry has no reconstruction or the certificate fails."""
+  modular = _pivot_inverse(basis, _PRIME)
   if modular is None:
     return None
-  pivots, cols = modular
-  pairs = [[_rational(u) for u in col] for col in cols]
-  if any(None in col for col in pairs):
+  pairs = {key: [(b, _rational(u)) for b, u in col]
+           for key, col in modular.items()}
+  if any(q is None for col in pairs.values() for _, q in col):
     return None
-  den = lcm(*(d for col in pairs for _, d in col))
-  inv = {key: tuple((b, num * (den // d)) for b, col in enumerate(pairs)
-                    for num, d in (col[r],) if num)
-         for r, key in enumerate(pivots)}
+  den = lcm(*(d for col in pairs.values() for _, (_, d) in col))
+  inv = {key: tuple((b, num * (den // d)) for b, (num, d) in col)
+         for key, col in pairs.items()}
   # N . B == D * I: N applied to each basis vector gives D times its unit
   for b, vec in enumerate(basis):
     y = _times_inverse(inv, len(basis), vec.entries)
@@ -428,8 +422,8 @@ def _certified_inverse(basis):
 
 
 def _times_inverse(cols, n, target, strict=False):
-  """N times an int target read at the pivot keys, as a list of n ints;
-  a key outside the pivots is skipped, or gives None when strict."""
+  """N times a target read at the pivot keys, as a list of n scalars; a
+  key outside the pivots is skipped, or gives None when strict."""
   y = [0] * n
   for k, x in target.items():
     col = cols.get(k)
@@ -448,104 +442,62 @@ def span_solver(basis):
   ``sum(c[b] * basis[b]) == target``, or None when ``target`` lies outside
   the span.  Raises ValueError when the basis is linearly dependent.
 
-  A basis of n vectors with plain int entries gets its inverse on n pivot
-  keys once, certified exactly (``_certified_inverse``) as integers N over
-  one denominator D.  An int target is then answered by the exact sparse
-  product of N with the target's entries at the pivot keys, divided by D:
-  the only coordinates the target can have.  When the basis has no support
-  key besides the pivots, n independent vectors on n keys span every vector
-  on those keys, so no further check is needed and a target with another
-  key lies outside the span.  Otherwise the coordinates are returned only
-  if D * target == sum(D * c[b] * basis[b]) holds exactly.  Any other basis
-  or target, and an int basis without a certified inverse (dependent modulo
-  the prime, yet perhaps independent over Q; an entry beyond the
-  reconstruction bound), go to the exact echelon, built once on first use.
-  Coordinates from the inverse are ints where integral and Fractions
-  otherwise.
+  The basis gets its inverse on its n pivot keys once, as N over one
+  denominator D: for plain int entries the certified inverse
+  (``_certified_inverse``), integers N; for any other basis, or an int one
+  without a certificate (dependent modulo the prime, yet perhaps
+  independent over Q; an entry beyond the reconstruction bound), the exact
+  ``_pivot_inverse`` with D = 1.  A target is answered by the exact sparse
+  product of N with its entries at the pivot keys, divided by D: the only
+  coordinates it can have.  When the basis has no support key besides the
+  pivots, n independent vectors on n keys span every vector on those keys,
+  so no further check is needed and a target with another key lies outside
+  the span.  Otherwise the coordinates are returned only if
+  D * target == sum(D * c[b] * basis[b]) holds exactly.  Rational
+  coordinates are ints where integral and Fractions otherwise.
   """
   basis = list(basis)
   n = len(basis)
-  certified = None
-  if all(type(x) is int for v in basis for x in v.entries.values()):
-    certified = _certified_inverse(basis)
-  rows = None
-
-  def echelon():
-    nonlocal rows
-    if rows is None:
-      rows = []
-      for b, v in enumerate(basis):
-        if not _append_row(rows, v, {b: 1}):
-          raise ValueError("vectors are linearly dependent")
-    return rows
-
-  if certified is None:
-    echelon()
-  else:
-    cols, den = certified
-    square = len(set().union(*(v.keys() for v in basis))) == n
+  certified = (all(type(x) is int for v in basis for x in v.entries.values())
+               and _certified_inverse(basis))
+  cols, den = certified or (_pivot_inverse(basis), 1)
+  if cols is None:
+    raise ValueError("vectors are linearly dependent")
+  square = len(set().union(*(v.keys() for v in basis))) == n
 
   def solve(target):
-    if certified is not None and all(type(x) is int
-                                     for x in target.entries.values()):
-      y = _times_inverse(cols, n, target.entries, square)
-      if y is None:
-        return None
-      if not square:
-        acc = {k: den * x for k, x in target.items()}
-        for yb, vec in zip(y, basis):
-          if yb:
-            _add_scaled(acc, -yb, vec.entries)
-        if acc:
-          return None
-      return [normalize_scalar(yb, den) for yb in y]
-    cur = dict(target.items())
-    comb = {}
-    _reduce(echelon(), cur, comb)
-    if cur:
+    y = _times_inverse(cols, n, target.entries, square)
+    if y is None:
       return None
-    return [-comb.get(b, 0) for b in range(n)]
+    if not square:
+      acc = {k: den * x for k, x in target.items()}
+      for yb, vec in zip(y, basis):
+        if yb:
+          _add_scaled(acc, -yb, vec.entries)
+      if acc:
+        return None
+    return [normalize_scalar(yb, den) for yb in y]
 
   return solve
 
 
-def inverse(matrix):
-  """Exact inverse of a square matrix, as a tuple of tuples of Fractions.
+def integer_inverse(matrix):
+  """The exact inverse of a square rational matrix as integer rows over one
+  common denominator: (rows, den) with den > 0 the lcm of the entries'
+  denominators and rows[i][j] / den the (i, j) entry.
 
-  Raises ValueError when the matrix is not square or is singular.
+  Row i of the inverse is the coordinates of the i-th unit vector over the
+  matrix rows, given by ``span_solver``.  Raises ValueError when the matrix
+  is not square or is singular.
   """
   n = len(matrix)
   if any(len(row) != n for row in matrix):
     raise ValueError("matrix is not square")
   try:
-    solve = span_solver([SparseVector(enumerate(map(Fraction, row)))
-                         for row in matrix])
+    solve = span_solver([SparseVector(enumerate(row)) for row in matrix])
   except ValueError:
     raise ValueError("matrix is singular") from None
-  return tuple(tuple(Fraction(c) for c in solve(SparseVector.unit(k)))
-               for k in range(n))
-
-
-def integer_inverse(matrix):
-  """The exact inverse of a square matrix as integer rows over one common
-  denominator: (rows, den) with den > 0 the lcm of the entries'
-  denominators and rows[i][j] / den the (i, j) entry.
-
-  An int matrix's inverse is the certified one of ``span_solver`` on its
-  rows (integers N with N M^T = den I, so row i of the inverse is column i
-  of N); without one, the entries come from ``inverse``.  Raises ValueError
-  when the matrix is not square or is singular.
-  """
-  n = len(matrix)
-  if all(len(row) == n and all(type(x) is int for x in row)
-         for row in matrix):
-    found = _certified_inverse([SparseVector(enumerate(row))
-                                for row in matrix])
-    if found is not None:
-      cols, den = found
-      return tuple(tuple(dict(cols[k]).get(b, 0) for b in range(n))
-                   for k in range(n)), den
-  inv = inverse(matrix)
+  inv = [solve(SparseVector.unit(k)) for k in range(n)]
   den = lcm(*(c.denominator for row in inv for c in row))
   return tuple(tuple(c.numerator * (den // c.denominator) for c in row)
                for row in inv), den

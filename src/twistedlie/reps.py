@@ -439,11 +439,8 @@ def subrepresentation(ambient, hw_vec, component):
   shared = {}
 
   def scalar(c):
-    """c normalised, one object per value: the tables repeat few values.
-    Only an integral Fraction is rebuilt; ints and other Fractions are
-    normalised already."""
-    if type(c) is Fraction and c.denominator == 1:
-      c = c.numerator
+    """c, one object per value: the tables repeat few values.  The solver's
+    coordinates are normalised already (ints where integral)."""
     return shared.setdefault(c, c)
 
   def solver_for(wt):

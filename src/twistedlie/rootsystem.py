@@ -139,6 +139,7 @@ class RootSystem:
   def weight_root_coords(self, wt):
     """Simple-root coordinates of a weight in fund-weight coords: an int
     where the coordinate is integral, a Fraction where it is not."""
+    wt = self._check_weight(wt)
     rows, den = self._root_coord_basis
     return tuple(normalize_scalar(sum(map(mul, row, wt)), den) for row in rows)
 
@@ -150,6 +151,7 @@ class RootSystem:
   def inner(self, x, y):
     """Invariant form (x, y) for weights in fundamental-weight coords."""
     xr = self.weight_root_coords(x)
+    y = self._check_weight(y)
     return sum(xr[j] * self.d[j] * y[j] for j in range(self.rank))
 
   def root_inner(self, root, y):
@@ -209,7 +211,10 @@ class RootSystem:
 
   def dominant_representative(self, wt):
     """The unique dominant weight in the Weyl orbit of wt."""
-    cur = tuple(wt)
+    return self._dominant(self._check_weight(wt))
+
+  def _dominant(self, cur):
+    """dominant_representative of a tuple with one coordinate per node."""
     while True:
       for i in range(1, self.rank + 1):
         if cur[i - 1] < 0:
@@ -256,7 +261,7 @@ class RootSystem:
 
   def weyl_orbit(self, wt):
     """The full Weyl orbit of a weight, as a frozenset of tuples."""
-    start = self.dominant_representative(self._check_weight(wt))
+    start = self.dominant_representative(wt)
     return frozenset(self.orbit_graph(start)[0])
 
   def orbit_size(self, wt):
@@ -266,7 +271,7 @@ class RootSystem:
     roots of its system (Macdonald, "The Poincare series of a Coxeter
     group", Math. Ann. 199, 1972), so the quotient runs over the positive
     roots not supported on J."""
-    mu = self.dominant_representative(self._check_weight(wt))
+    mu = self.dominant_representative(wt)
     heights = [sum(alpha) for alpha in self.positive_roots
                if any(a and c for a, c in zip(alpha, mu))]
     return prod(h + 1 for h in heights) // prod(heights)
@@ -350,7 +355,7 @@ class RootSystem:
         kmax = min(diff[j] // root[j] for j in range(n) if root[j])
         for k in range(1, kmax + 1):
           nu = tuple(mu[i] + k * rw[i] for i in range(n))
-          m = mults.get(self.dominant_representative(nu), 0)
+          m = mults.get(self._dominant(nu), 0)
           if m:
             total += m * self.root_inner(root, nu)
       mu_rho = tuple(a + 1 for a in mu)
@@ -368,7 +373,7 @@ class RootSystem:
     """Multiplicity of the weight mu in the irrep with highest weight lam."""
     table = self._freudenthal_table(lam)
     mu = self._check_weight(mu, integral=True)
-    return table.get(self.dominant_representative(mu), 0)
+    return table.get(self._dominant(mu), 0)
 
   def weyl_dimension(self, lam):
     """Dimension of the irrep with highest weight lam."""

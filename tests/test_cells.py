@@ -6,6 +6,8 @@ from operator import add, mul, sub
 
 import pytest
 
+from linalg_fixture import inverse
+
 from twistedlie import cells
 from twistedlie.cells import (VARIANT_ABS_SPECIAL, VARIANT_SPECIAL,
                               _closed_form_cover, covers,
@@ -13,7 +15,6 @@ from twistedlie.cells import (VARIANT_ABS_SPECIAL, VARIANT_SPECIAL,
                               is_cover_brute, is_cover_fast, leq,
                               smooth_cells)
 from twistedlie.folding import CoinvariantWeight, Folding
-from twistedlie.linalg import inverse
 from twistedlie.rootsystem import RootSystem, cartan_matrix
 
 
@@ -65,6 +66,13 @@ class TestOrder:
     assert _seed_gamma_coords(a2_4, _cw(a2_4, (3,))) == (Fraction(3, 2),)
     assert not leq(a2_4, _cw(a2_4, (1,)), _cw(a2_4, (4,)))
     assert leq(a2_4, _cw(a2_4, (0,)), _cw(a2_4, (4,)))
+
+  @pytest.mark.parametrize("mu, lam", [((0,), (2, 0)), ((2, 0), (0,)),
+                                       ((0, 0, 1), (2, 0))])
+  def test_leq_rejects_wrong_length(self, a4_4, mu, lam):
+    # coordinate tuples, as the CLI and a user pass them: H is B2
+    with pytest.raises(ValueError, match="coordinates, expected 2"):
+      leq(a4_4, mu, lam)
 
 
 class TestDominantsBelow:

@@ -286,6 +286,13 @@ class TestUsageErrors:
     assert err.value.code == 2
 
 
+def test_parsed_coordinates_are_ints_where_integral():
+  got = cli._parse_coords("1,-2,1/2,4/2,0")
+  assert got == (1, -2, Fraction(1, 2), 2, 0)
+  assert [type(c) for c in got] == [int, int, Fraction, int, int]
+  assert [type(c) for c in cli._parse_weight("3,0", 2)] == [int, int]
+
+
 class TestJsonable:
 
   def test_fractions_render_as_strings_or_ints(self):

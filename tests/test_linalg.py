@@ -6,11 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linalg_fixture import echelon_solver, inverse, modular_coordinates
+
 from twistedlie import linalg
 from twistedlie.folding import Folding
 from twistedlie.linalg import (GaussianRational, SparseVector,
                                ZERO_VECTOR, i_power, integer_inverse,
-                               inverse,
                                normalize_scalar, rank, span_solver,
                                smith_invariant_factors)
 from twistedlie.rootsystem import CartanType, cartan_matrix
@@ -244,46 +245,45 @@ class TestRank:
     assert rank(vecs) == bareiss_rank(vecs) == 2
 
 
-class TestInverse:
-
-  @pytest.mark.parametrize("family,n", _CARTAN_TYPES)
-  def test_cartan_matrices(self, family, n):
-    cartan = cartan_matrix(CartanType(family, n))
-    inv = inverse(cartan)
-    assert all(type(c) is Fraction for row in inv for c in row)
-    assert _times(cartan, inv) == _identity(n)
-    assert _times(inv, cartan) == _identity(n)
-
-  @pytest.mark.parametrize("family,n,m", _FOLDINGS)
-  def test_folding_projection_matrices(self, family, n, m):
-    datum = Folding(family, n, m)
-    rows, den = datum._projection
-    mat = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-    inv = inverse(mat)
-    assert all(type(c) is Fraction for row in inv for c in row)
-    assert _times(mat, inv) == _identity(len(mat))
-    rows, den = datum._lift
-    assert inv == tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-
-  def test_singular_rejected(self):
-    with pytest.raises(ValueError, match="singular"):
-      inverse(((1, 2), (2, 4)))
-    with pytest.raises(ValueError, match="singular"):
-      inverse(((0, 0), (0, 1)))
-
-  def test_non_square_rejected(self):
-    with pytest.raises(ValueError, match="square"):
-      inverse(((1, 0, 0), (0, 1, 0)))
-
-
 def _fraction_rows(inv):
   """(rows, den) as the Fraction matrix it stands for."""
   rows, den = inv
   return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
+class TestInverse:
+  """M M^-1 = I for ``integer_inverse``, on an int matrix (the certified
+  inverse) and on a Fraction one (the exact pivot inverse)."""
+
+  @pytest.mark.parametrize("family,n", _CARTAN_TYPES)
+  def test_cartan_matrices(self, family, n):
+    cartan = cartan_matrix(CartanType(family, n))
+    inv = _fraction_rows(integer_inverse(cartan))
+    assert _times(cartan, inv) == _identity(n)
+    assert _times(inv, cartan) == _identity(n)
+
+  @pytest.mark.parametrize("family,n,m", _FOLDINGS)
+  def test_folding_projection_matrices(self, family, n, m):
+    datum = Folding(family, n, m)
+    mat = _fraction_rows(datum._projection)
+    inv = _fraction_rows(integer_inverse(mat))
+    assert _times(mat, inv) == _identity(len(mat))
+    assert inv == _fraction_rows(datum._lift)
+
+  def test_singular_rejected(self):
+    with pytest.raises(ValueError, match="singular"):
+      integer_inverse(((1, 2), (2, 4)))
+    with pytest.raises(ValueError, match="singular"):
+      integer_inverse(((0, 0), (0, 1)))
+
+  def test_non_square_rejected(self):
+    with pytest.raises(ValueError, match="square"):
+      integer_inverse(((1, 0, 0), (0, 1, 0)))
+
+
 class TestIntegerInverse:
-  """``integer_inverse`` against ``inverse``, the Fraction echelon."""
+  """``integer_inverse`` against ``inverse``, the Fraction echelon it
+  replaced."""
 
   @staticmethod
   def _check(matrix):
@@ -358,7 +358,7 @@ class TestSpanSolver:
 def _per_target_certified(basis, pivots, cols, target):
   """The per-target certified solve ``span_solver`` used before it kept a
   certified inverse: the coordinates of an int ``target`` read modulo the
-  prime off ``_modular_coordinates``, each rebuilt as a fraction, returned
+  prime off ``modular_coordinates``, each rebuilt as a fraction, returned
   only if they pass the exact check D*target == sum((D*c[b]) * basis[b])
   with D their common denominator; None otherwise."""
   values = [target.get(pivot, 0) for pivot in pivots]
@@ -419,35 +419,62 @@ def _int_solves(draw):
   return basis, targets, scale, mod_p
 
 
-def _forged(modular):
-  """``_modular_coordinates`` with one entry of the inverse off by one."""
+def _forged(pivot_inverse):
+  """``_pivot_inverse`` with one entry of the modular inverse off by one."""
+  def forged(basis, p=None):
+    inv = pivot_inverse(basis, p)
+    if p is not None and inv:
+      key = next(iter(inv))
+      (b, u), *rest = inv[key]
+      inv[key] = ((b, (u + 1) % p), *rest)
+    return inv
+  return forged
+
+
+def _check_pivot_inverse(basis, modular):
+  """``_pivot_inverse`` modulo the prime against the dense back
+  substitution it replaced, ``modular`` = ``modular_coordinates(basis)``,
+  and exactly against the certified inverse over its denominator."""
+  got = linalg._pivot_inverse(basis, linalg._PRIME)
+  if modular is None:
+    assert got is None
+    return
   pivots, cols = modular
-  cols = [list(col) for col in cols]
-  cols[0][0] = (cols[0][0] + 1) % linalg._PRIME
-  return lambda basis: (pivots, cols)
+  assert {key: dict(pairs) for key, pairs in got.items()} == \
+      {key: {b: col[r] for b, col in enumerate(cols) if col[r]}
+       for r, key in enumerate(pivots)}
+  certified = linalg._certified_inverse(basis)
+  if certified is not None:
+    inv, den = certified
+    assert {key: dict(pairs)
+            for key, pairs in linalg._pivot_inverse(basis).items()} == \
+        {key: {b: Fraction(c, den) for b, c in pairs}
+         for key, pairs in inv.items()}
+
+
+def _fraction_basis(basis):
+  return [SparseVector({k: Fraction(v) for k, v in b.items()})
+          for b in basis]
 
 
 class TestModularSpanSolver:
   """The certified inverse behind ``span_solver`` against the per-target
-  certified solve it replaced and the exact echelon, which a basis with
-  Fraction entries always takes."""
-
-  @staticmethod
-  def _echelon_solver(basis):
-    return span_solver([SparseVector({k: Fraction(v) for k, v in b.items()})
-                        for b in basis])
+  certified solve and the exact echelon solve it replaced, and against the
+  exact pivot inverse, which a basis with Fraction entries always takes."""
 
   @settings(max_examples=300, deadline=None)
   @given(_int_solves(), st.booleans())
   def test_equals_echelon(self, case, forge):
     basis, targets, scale, mod_p = case
-    modular = linalg._modular_coordinates(basis)
+    modular = modular_coordinates(basis)
     assert (modular is None) == mod_p
-    exact = self._echelon_solver(basis)
+    _check_pivot_inverse(basis, modular)
+    exact = echelon_solver(basis)
+    fractions = span_solver(_fraction_basis(basis))
     if forge and modular is not None:
-      # a wrong proposal fails the certificate and takes the echelon
-      with mock.patch.object(linalg, "_modular_coordinates",
-                             _forged(modular)):
+      # a wrong proposal fails the certificate and takes the exact inverse
+      with mock.patch.object(linalg, "_pivot_inverse",
+                             _forged(linalg._pivot_inverse)):
         assert linalg._certified_inverse(basis) is None
         solve = span_solver(basis)
     else:
@@ -458,6 +485,7 @@ class TestModularSpanSolver:
     outside = 0
     for target in targets:
       want = exact(target)
+      assert fractions(target) == want
       outside += want is None
       if from_inverse:
         # answered by the inverse alone: the echelon is never reduced
@@ -487,7 +515,7 @@ class TestModularSpanSolver:
   def test_independent_over_q_but_dependent_mod_p(self):
     p = linalg._PRIME
     basis = [SparseVector({0: 1, 1: 1}), SparseVector({0: 1, 1: 1 + p})]
-    assert linalg._modular_coordinates(basis) is None
+    assert linalg._pivot_inverse(basis, p) is None
     assert linalg._certified_inverse(basis) is None
     solve = span_solver(basis)
     assert solve(SparseVector({0: 2, 1: 2 + p})) == [1, 1]
@@ -498,7 +526,7 @@ class TestModularSpanSolver:
   def test_coordinates_above_the_bound(self):
     p = linalg._PRIME
     basis = [SparseVector({0: 1, 1: 1}), SparseVector({1: 1, 2: 3})]
-    modular = linalg._modular_coordinates(basis)
+    modular = modular_coordinates(basis)
     assert linalg._certified_inverse(basis) is not None
     solve = span_solver(basis)
     # 2**31 has no reconstruction and p + 5 reconstructs to the wrong 5, so
@@ -507,7 +535,7 @@ class TestModularSpanSolver:
       target = basis[0].scale(big) + basis[1].scale(3)
       assert _per_target_certified(basis, *modular, target) is None
       assert solve(target) == [big, 3]
-    # an inverse entry 1/q with q above the bound takes the echelon
+    # an inverse entry 1/q with q above the bound takes the exact inverse
     q = (1 << 31) - 1
     basis = [SparseVector({0: q, 1: 2 * q})]
     assert linalg._certified_inverse(basis) is None
@@ -537,12 +565,19 @@ class TestModularSpanSolver:
         [Fraction(1, 2)]
     assert span_solver(basis)(SparseVector({0: 1, 1: 3})) is None
 
-  def test_non_int_target_takes_the_echelon(self):
+  def test_non_int_targets(self):
+    # Fraction and Gaussian targets over a certified inverse with D = 2
     basis = [SparseVector({0: 2, 1: 1})]
+    assert linalg._certified_inverse(basis)[1] == 2
     solve = span_solver(basis)
     assert solve(SparseVector({0: Fraction(1, 3), 1: Fraction(1, 6)})) == \
         [Fraction(1, 6)]
     assert solve(SparseVector({0: Fraction(1, 3)})) is None
+    basis = [SparseVector({0: 2}), SparseVector({1: 1})]
+    assert linalg._certified_inverse(basis)[1] == 2
+    half = Fraction(1, 2)
+    assert span_solver(basis)(SparseVector({0: GaussianRational(1, 1)})) == \
+        [GaussianRational(half, half), 0]
 
   def test_dependent_int_basis_rejected(self):
     a, b = SparseVector({0: 1, 1: 2}), SparseVector({1: 1, 2: -1})
@@ -551,12 +586,47 @@ class TestModularSpanSolver:
         span_solver(basis)
 
 
+class TestSolverAgainstEchelon:
+  """``span_solver`` against the per-target exact echelon solve it
+  replaced, on bases and targets of every scalar kind."""
+
+  @pytest.mark.parametrize("kind", sorted(_SCALARS))
+  @settings(max_examples=30, deadline=None)
+  @given(data=st.data())
+  def test_equals_echelon_solve(self, kind, data):
+    # an independent basis: the rows that raise the rank
+    rows = []
+    basis = [v for v in data.draw(_matrices(kind))
+             if linalg._append_row(rows, v, None)]
+    old = echelon_solver(basis)
+    solve = span_solver(basis)
+    for target_kind in sorted(_SCALARS):
+      scalar = _SCALARS[target_kind]
+      coeffs = data.draw(st.lists(scalar, min_size=len(basis),
+                                  max_size=len(basis)))
+      combo = ZERO_VECTOR
+      for c, v in zip(coeffs, basis):
+        combo = combo + v.scale(c)
+      other = SparseVector(enumerate(data.draw(
+          st.lists(st.one_of(st.just(0), scalar), min_size=8, max_size=8))))
+      assert old(combo) is not None
+      for target in (combo, other):
+        got = solve(target)
+        assert got == old(target)
+        # rational coordinates are ints where integral
+        assert all(type(c) is not Fraction or c.denominator > 1
+                   for c in got or ())
+
+
 def test_normalize_scalar():
   assert normalize_scalar(Fraction(4, 2)) == 2
   assert type(normalize_scalar(Fraction(4, 2))) is int
   assert normalize_scalar(Fraction(1, 2)) == Fraction(1, 2)
   assert type(normalize_scalar(3)) is int
   assert type(normalize_scalar(True)) is int
+  half = Fraction(1, 2)
+  assert normalize_scalar(GaussianRational(1, 1), 2) == \
+      GaussianRational(half, half)
 
 
 @pytest.mark.parametrize("x,den", [(6, 3), (-6, 3), (6, -3), (0, 7), (3, 2),

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistedlie.linalg import inverse
+from linalg_fixture import inverse
+
 from twistedlie.rootsystem import (CartanType, build, cartan_matrix,
                                    minimal_coset_reps, symmetrizer)
 
@@ -296,6 +297,22 @@ class TestWeightMachinery:
   def test_weyl_dimension_rejects_wrong_length(self, family, rank, wt):
     with pytest.raises(ValueError, match="coordinates, expected %d" % rank):
       build(family, rank).weyl_dimension(wt)
+
+  @pytest.mark.parametrize("wt", [(1,), (1, 0, 5), ()])
+  def test_weight_root_coords_rejects_wrong_length(self, wt):
+    with pytest.raises(ValueError, match="coordinates, expected 2"):
+      build("A", 2).weight_root_coords(wt)
+
+  @pytest.mark.parametrize("wt", [(1, -1, 5), (-1,)])
+  def test_dominant_representative_rejects_wrong_length(self, wt):
+    with pytest.raises(ValueError, match="coordinates, expected 2"):
+      build("A", 2).dominant_representative(wt)
+
+  @pytest.mark.parametrize("x, y", [((1, 0), (1, 0, 5)), ((1, 0, 5), (1, 0)),
+                                    ((1,), (1, 0)), ((1, 0), (1,))])
+  def test_inner_rejects_wrong_length(self, x, y):
+    with pytest.raises(ValueError, match="coordinates, expected 2"):
+      build("A", 2).inner(x, y)
 
   @pytest.mark.parametrize("family, rank, wt", [
       ("A", 2, (Fraction(1, 2), 0)), ("A", 2, (0.5, 0)),
