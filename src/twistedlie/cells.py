@@ -42,11 +42,7 @@ def _as_class(datum, value):
     if value.htype != datum.weight_ctype:
       raise ValueError("class belongs to a different folding")
     return value
-  value = tuple(value)
-  if len(value) != datum.weight_ctype.rank:
-    raise ValueError("class has %d coordinates, expected %d"
-                     % (len(value), datum.weight_ctype.rank))
-  return CoinvariantWeight(datum.weight_ctype, value)
+  return CoinvariantWeight(datum.weight_ctype, tuple(value))
 
 
 def leq(datum, mu, lam):

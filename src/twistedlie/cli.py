@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import cells, e6, folding, loops
 from .linalg import normalize_scalar
-from .rootsystem import build
+from .rootsystem import build, cartan_matrix
 
 SCHEMA_VERSION = 1
 
@@ -105,13 +105,17 @@ def _cmd_rootsys(args):
 
 def _cmd_fold(args):
   datum = folding.Folding(args.type, args.rank, args.m)
-  betas = [list(datum.beta(j)) for j in range(1, datum.ell + 1)]
-  iota_ok = True
-  for j, expected in enumerate(betas, 1):
-    if datum.is_ramified and j == datum.ell:
-      expected = [normalize_scalar(c, 2) for c in expected]
-    if list(datum.iota(datum.class_lift(datum.gamma(j)))) != expected:
-      iota_ok = False
+  betas = [datum.beta(j) for j in range(1, datum.ell + 1)]
+  # iota of each base simple coroot (a row of the simply laced Cartan
+  # matrix) is the folded simple root of its fiber, halved at the ramified
+  # short node; the first node where it is not is reported
+  expected = list(betas)
+  if datum.is_ramified:
+    expected[-1] = tuple(normalize_scalar(c, 2) for c in betas[-1])
+  coroots = enumerate(cartan_matrix(datum.base_type), 1)
+  iota_break = next((i for i, coroot in coroots
+                     if datum.iota(coroot) != expected[datum.eta[i - 1] - 1]),
+                    None)
   payload = {
       "base_type": str(datum.base_type),
       "order": datum.order,
@@ -122,10 +126,12 @@ def _cmd_fold(args):
       "level_one_set": [list(v) for v in datum.level_one_set()],
       "special_coweights": [list(v) for v in datum.special_coweights()],
       "folded_simple_roots": betas,
-      "iota_consistent": iota_ok,
+      "iota_consistent": iota_break is None,
   }
+  if iota_break is not None:
+    payload["iota_break"] = iota_break
   _emit(payload, args.format)
-  return 0 if iota_ok else 1
+  return 0 if iota_break is None else 1
 
 
 def _cmd_dominance(args):

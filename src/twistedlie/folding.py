@@ -33,6 +33,9 @@ class CoinvariantWeight:
   coords: tuple
 
   def __post_init__(self):
+    if len(self.coords) != self.htype.rank:
+      raise ValueError("class has %d coordinates, expected %d"
+                       % (len(self.coords), self.htype.rank))
     object.__setattr__(self, "coords",
                        tuple(normalize_scalar(c) for c in self.coords))
 
@@ -47,17 +50,6 @@ class CoinvariantWeight:
       raise ValueError("mismatched types")
     return CoinvariantWeight(self.htype, tuple(
         a + b for a, b in zip(self.coords, other.coords)))
-
-
-def _times(sparse, inverse):
-  """sparse times (rows, den), an integer matrix over one denominator, as
-  (rows, den); the zero entries of sparse are skipped."""
-  rows, den = inverse
-  cols = range(len(rows[0]))
-  return tuple(
-      tuple(sum(a * rows[j][c] for j, a in terms) for c in cols)
-      for terms in ([(j, a) for j, a in enumerate(row) if a]
-                    for row in sparse)), den
 
 
 class Folding:
@@ -109,7 +101,12 @@ class Folding:
         tuple(i for i in range(1, n + 1) if eta[i - 1] == j)
         for j in range(1, self.ell + 1))
     self._hcartan = cartan_matrix(weight)
-    self._projection = _times(self._hcartan, integer_inverse(self._q))
+    # P = C_H Q^{-1} (see ``_q``), summing over the nonzero entries of C_H
+    rows, den = integer_inverse(self._q)
+    self._projection = tuple(
+        tuple(sum(a * rows[j][c] for j, a in terms) for c in range(self.ell))
+        for terms in ([(j, a) for j, a in enumerate(row) if a]
+                      for row in self._hcartan)), den
 
   # -- restriction and the folded simple roots ----------------------------
 
@@ -137,6 +134,9 @@ class Folding:
     identifies coroots with roots, so the pairing of the restriction against
     betacheck_j is the sum of the coordinates over the j-th fiber.
     """
+    if len(coweight) != self.base_type.rank:
+      raise ValueError("coweight has %d coordinates, expected %d"
+                       % (len(coweight), self.base_type.rank))
     return tuple(normalize_scalar(sum(coweight[i - 1] for i in self.fiber(j)))
                  for j in range(1, self.ell + 1))
 
@@ -152,20 +152,13 @@ class Folding:
     simple root beta_j (doubled at the ramified short node); the
     projection from fiber sums to fundamental weight coordinates of H is
     P = C_H Q^{-1}, so gamma_j, the class of a coroot in the j-th fiber, is
-    column j of C_H, and the lift is Q C_H^{-1}, both held as integer rows
-    over one denominator; the component group is Z^ell modulo the columns
-    of Q.
+    column j of C_H, and P is held as integer rows over one denominator;
+    the component group is Z^ell modulo the columns of Q.
     """
     cartan = cartan_matrix(self.base_type)
     heads = [fiber[0] - 1 for fiber in self._fibers]
     return tuple(tuple(sum(cartan[a - 1][i] for a in fiber) for i in heads)
                  for fiber in self._fibers)
-
-  @cached_property
-  def _lift(self):
-    """Q C_H^{-1}, the inverse of the projection; only ``class_lift``
-    reads it, so it is built on the first lift."""
-    return _times(self._q, integer_inverse(self._hcartan))
 
   def project(self, coweight):
     """Class of a base coweight in the coinvariant lattice.
@@ -173,11 +166,7 @@ class Folding:
     Input in base fundamental coweight coordinates; output in fundamental
     weight coordinates of H.
     """
-    if len(coweight) != self.base_type.rank:
-      raise ValueError("coweight has %d coordinates, expected %d"
-                       % (len(coweight), self.base_type.rank))
-    cprime = [sum(coweight[i - 1] for i in self.fiber(j))
-              for j in range(1, self.ell + 1)]
+    cprime = self.iota(coweight)
     rows, den = self._projection
     return CoinvariantWeight(self.weight_ctype, tuple(
         normalize_scalar(sum(map(mul, row, cprime)), den) for row in rows))
@@ -196,17 +185,6 @@ class Folding:
       return cw.coords[self.ell - 1] % 2 == 0
     return True
 
-  def class_lift(self, cw):
-    """A base coweight (fund coweight coords) whose class is cw."""
-    rows, den = self._lift
-    lift = [0] * self.base_type.rank
-    for j, row in enumerate(rows):
-      c, r = divmod(sum(map(mul, row, cw.coords)), den)
-      if r:
-        raise ValueError("class does not lie in the coinvariant lattice")
-      lift[self.fiber(j + 1)[0] - 1] = c
-    return tuple(lift)
-
   # -- discrete invariants -------------------------------------------------
 
   def component_group(self):
@@ -218,17 +196,10 @@ class Folding:
   def level_one_set(self):
     """Minimal dominant fixed-type weights, one per component.
 
-    Fixed-type fundamental weight coordinates; always contains zero.
+    Fixed-type fundamental weight coordinates, the iota images of the
+    special coweights; always contains zero.
     """
-    ell = self.ell
-    zero = (0,) * ell
-    out = [zero]
-    f, n = self.base_type.family, self.base_type.rank
-    if f == "A" and self.order == 2:
-      out.append(tuple(int(k == 0) for k in range(ell)))
-    elif f == "D" and self.order == 2:
-      out.append(tuple(int(k == ell - 1) for k in range(ell)))
-    return out
+    return [self.iota(c) for c in self.special_coweights()]
 
   def special_coweights(self):
     """Base coweights (fund coweight coords) mapping onto level_one_set

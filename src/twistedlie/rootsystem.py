@@ -130,12 +130,6 @@ class RootSystem:
 
   # -- basic coordinate plumbing ------------------------------------------
 
-  def root_weight(self, root):
-    """Fundamental-weight coordinates of a root given in simple-root coords."""
-    n = self.rank
-    return tuple(sum(root[j] * self.cartan[i][j] for j in range(n))
-                 for i in range(n))
-
   def weight_root_coords(self, wt):
     """Simple-root coordinates of a weight in fund-weight coords: an int
     where the coordinate is integral, a Fraction where it is not."""
@@ -145,27 +139,26 @@ class RootSystem:
 
   def reflect(self, i, wt):
     """Simple reflection s_i on a weight in fundamental-weight coords."""
+    if not 1 <= i <= self.rank:
+      raise ValueError("node out of range")
+    return self._reflect(i, self._check_weight(wt))
+
+  def _reflect(self, i, wt):
+    """reflect at a node in range, on a tuple with one coordinate per node."""
     c = wt[i - 1]
     return tuple(wt[j] - c * self.cartan[j][i - 1] for j in range(self.rank))
 
   def inner(self, x, y):
     """Invariant form (x, y) for weights in fundamental-weight coords."""
-    xr = self.weight_root_coords(x)
-    y = self._check_weight(y)
-    return sum(xr[j] * self.d[j] * y[j] for j in range(self.rank))
+    return self.root_inner(self.weight_root_coords(x), y)
 
   def root_inner(self, root, y):
     """(root, y) for a root in simple-root coords, y in fund-weight coords."""
+    return self._root_inner(self._check_weight(root), self._check_weight(y))
+
+  def _root_inner(self, root, y):
+    """root_inner of two tuples with one coordinate per node."""
     return sum(root[j] * self.d[j] * y[j] for j in range(self.rank))
-
-  def root_norm(self, root):
-    """(root, root)."""
-    return self.root_inner(root, self.root_weight(root))
-
-  def coroot_pairing(self, wt, root):
-    """<wt, rootcheck> = 2 (wt, root) / (root, root)."""
-    return normalize_scalar(2 * self.root_inner(root, wt),
-                            self.root_norm(root))
 
   # -- positive roots -----------------------------------------------------
 
@@ -202,12 +195,12 @@ class RootSystem:
                         key=lambda step: (step[1], step[0])))
 
   def is_positive_root(self, root):
-    return tuple(root) in self._posroot_set
+    return self._check_weight(root) in self._posroot_set
 
   # -- orbits and dominance ------------------------------------------------
 
   def is_dominant(self, wt):
-    return all(c >= 0 for c in wt)
+    return all(c >= 0 for c in self._check_weight(wt))
 
   def dominant_representative(self, wt):
     """The unique dominant weight in the Weyl orbit of wt."""
@@ -218,7 +211,7 @@ class RootSystem:
     while True:
       for i in range(1, self.rank + 1):
         if cur[i - 1] < 0:
-          cur = self.reflect(i, cur)
+          cur = self._reflect(i, cur)
           break
       else:
         return cur
@@ -251,7 +244,7 @@ class RootSystem:
       for i, row in enumerate(steps, 1):
         j = None
         if mu[i - 1] > 0:
-          nu = self.reflect(i, mu)
+          nu = self._reflect(i, mu)
           if nu not in index:
             index[nu] = len(weights)
             weights.append(nu)
@@ -320,6 +313,7 @@ class RootSystem:
     such a beta.  A root below alpha has a smaller height, so it is met
     first.
     """
+    weights = [self._check_weight(mu) for mu in weights]
     index = {mu: a for a, mu in enumerate(weights)}
     pairs = []
     for a, mu in enumerate(weights):
@@ -357,7 +351,7 @@ class RootSystem:
           nu = tuple(mu[i] + k * rw[i] for i in range(n))
           m = mults.get(self._dominant(nu), 0)
           if m:
-            total += m * self.root_inner(root, nu)
+            total += m * self._root_inner(root, nu)
       mu_rho = tuple(a + 1 for a in mu)
       den = norm_top - self.inner(mu_rho, mu_rho)
       val = Fraction(2 * total, den)
@@ -385,19 +379,21 @@ class RootSystem:
     lam_rho = tuple(a + 1 for a in lam)
     out = Fraction(1)
     for root in self.positive_roots:
-      out *= Fraction(self.root_inner(root, lam_rho),
-                      self.root_inner(root, rho))
+      out *= Fraction(self._root_inner(root, lam_rho),
+                      self._root_inner(root, rho))
     if out.denominator != 1:
       raise AssertionError("dimension formula must yield an integer")
     return int(out)
 
   def is_minuscule(self, r):
-    """Whether the r-th fundamental weight is minuscule."""
+    """Whether the r-th fundamental weight is minuscule: <omega_r, alphacheck>
+    = 2 (alpha, omega_r) / (alpha, alpha) <= 1 for every positive root alpha,
+    with (alpha, omega_r) = alpha_r d_r and alpha in fund-weight coords held
+    by the closure."""
     if not 1 <= r <= self.rank:
       raise ValueError("node out of range")
-    wt = tuple(int(i == r - 1) for i in range(self.rank))
-    return all(self.coroot_pairing(wt, root) <= 1
-               for root in self.positive_roots)
+    return all(2 * alpha[r - 1] * self.d[r - 1] <= self._root_inner(alpha, wt)
+               for alpha, _, wt in self._positive_steps)
 
 
 def build(family, rank):

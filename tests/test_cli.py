@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistedlie import cli, e6, loops
+from twistedlie import cli, e6, folding, loops
 from twistedlie.linalg import SparseVector
 
 
@@ -81,6 +81,38 @@ class TestFold:
     code, _ = _run(capsys, ["fold", "--type", "A", "--rank", "4",
                             "--m", "2"])
     assert code == 2
+
+  @pytest.mark.parametrize("family, rank, m", [
+      ("A", 7, 2), ("A", 6, 4), ("D", 6, 2), ("D", 4, 3), ("E", 6, 2),
+      ("A", 2, 4)])
+  def test_valid_data_pass_the_iota_check(self, capsys, family, rank, m):
+    code, out = _run(capsys, ["fold", "--type", family, "--rank", str(rank),
+                              "--m", str(m)])
+    assert code == 0
+    data = json.loads(out)
+    assert data["iota_consistent"] is True
+    assert "iota_break" not in data
+
+  def test_corrupted_fiber_table_fails_with_witness(self, capsys,
+                                                    monkeypatch):
+    # E6/m2 with nodes 1, 5 and 3, 6 in common fibers: the fiber table no
+    # longer agrees with the Cartan matrix, first at node 5, whose coroot
+    # has another iota image than node 1's
+    class Corrupted(folding.Folding):
+      def __init__(self, *args):
+        super().__init__(*args)
+        self.eta = (4, 1, 3, 2, 4, 3)
+        self._fibers = tuple(
+            tuple(i for i in range(1, 7) if self.eta[i - 1] == j)
+            for j in range(1, 5))
+        vars(self).pop("_q", None)
+    monkeypatch.setattr(folding, "Folding", Corrupted)
+    code, out = _run(capsys, ["fold", "--type", "E", "--rank", "6",
+                              "--m", "2"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["iota_consistent"] is False
+    assert data["iota_break"] == 5
 
 
 class TestE6Verdict:

@@ -25,6 +25,18 @@ def _data():
   return [Folding(f, n, m) for (f, n, m) in _TABLE]
 
 
+def _simple_coroots(datum):
+  """(i, alpha_i^vee) for every base node i, in fundamental coweight
+  coordinates: row i of the base Cartan matrix."""
+  return enumerate(cartan_matrix(datum.base_type), 1)
+
+
+def _root_weight(cartan, root):
+  """A root in fundamental-weight coordinates, its pairings <root, acheck_i>:
+  the former ``RootSystem.root_weight``, kept as an oracle."""
+  return tuple(sum(c * r for c, r in zip(row, root)) for row in cartan)
+
+
 class TestFoldingTable:
 
   @pytest.mark.parametrize("key", sorted(_TABLE))
@@ -115,22 +127,30 @@ class TestFoldedRoots:
           nodes = {datum.ell, datum.ell + 1}
         root = tuple(int(i in nodes) for i in range(1, n + 1))
         assert base.is_positive_root(root)
-        pairs = base.root_weight(root)
+        pairs = _root_weight(base.cartan, root)
         assert datum.beta(j) == tuple(
             sum(pairs[i - 1] for i in datum.fiber(k))
             for k in range(1, datum.ell + 1))
 
-  def test_iota_of_gamma_is_beta(self):
-    """The iota image of each simple-coroot class equals the folded simple
-    root, halved at the short node of the one ramified family."""
+  def test_iota_of_simple_coroot_is_beta(self):
+    """The iota image of every base simple coroot alpha_i^vee equals the
+    folded simple root of its fiber, beta_eta(i), halved at the short node
+    of the one ramified family."""
     for datum in _data():
-      for j in range(1, datum.ell + 1):
-        img = datum.iota(datum.class_lift(datum.gamma(j)))
+      for i, coroot in _simple_coroots(datum):
+        j = datum.eta[i - 1]
         beta = datum.beta(j)
         if datum.is_ramified and j == datum.ell:
-          assert list(img) == [Fraction(c, 2) for c in beta]
+          assert list(datum.iota(coroot)) == [Fraction(c, 2) for c in beta]
         else:
-          assert tuple(img) == tuple(beta)
+          assert datum.iota(coroot) == beta
+
+  def test_iota_rejects_wrong_length(self):
+    # the coweight of A3 has three coordinates; five were read as two
+    datum = Folding("A", 3, 2)
+    for coweight in ((1, 0, 0, 7, 7), (1, 0), ()):
+      with pytest.raises(ValueError, match="coordinates, expected 3"):
+        datum.iota(coweight)
 
   def test_iota_of_fundamental_coweights(self):
     for datum in _data():
@@ -163,12 +183,12 @@ class TestProjection:
     assert datum.project((1, 0)).coords == (2,)
     assert datum.project((2, 0)).coords == (4,)
 
-  def test_lift_roundtrip(self):
+  def test_project_of_simple_coroot_is_gamma(self):
+    # the class of every base simple coroot is the simple root of H of its
+    # fiber
     for datum in _data():
-      for j in range(1, datum.ell + 1):
-        cls = datum.gamma(j)
-        lift = datum.class_lift(cls)
-        assert datum.project(lift) == cls
+      for i, coroot in _simple_coroots(datum):
+        assert datum.project(coroot) == datum.gamma(datum.eta[i - 1])
 
   def test_lattice_membership(self):
     datum = Folding("A", 2, 4)
@@ -258,20 +278,6 @@ def _fraction_project(datum, pmat, coweight):
       for k in range(datum.ell)))
 
 
-def _fraction_lift(datum, pmat, cw):
-  """The lift through inverse(P), or None where it has a non-integral
-  entry."""
-  ell = datum.ell
-  pinv = inverse(pmat)
-  lift = [Fraction(0)] * datum.base_type.rank
-  for j in range(ell):
-    lift[datum.fiber(j + 1)[0] - 1] += sum(
-        pinv[j][k] * Fraction(cw.coords[k]) for k in range(ell))
-  if any(c.denominator != 1 for c in lift):
-    return None
-  return tuple(int(c) for c in lift)
-
-
 def _seed_component_group(datum):
   """The component group as Folding computed it before it held Q, kept as
   an oracle: the invariant factors (> 1) of the rank x 2 rank matrix
@@ -300,13 +306,10 @@ class TestIntegerProjection:
   @pytest.mark.parametrize("key", _RANKED)
   def test_equals_fraction_formulas(self, key):
     datum = Folding(*key)
-    ell, n = datum.ell, datum.base_type.rank
+    n = datum.base_type.rank
     pmat = _fraction_projection(datum)
     rows, den = datum._projection
     assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == pmat
-    rows, den = datum._lift
-    assert tuple(tuple(Fraction(x, den) for x in row)
-                 for row in rows) == inverse(pmat)
     rng = random.Random("%s%d/%d" % key)
     coweights = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     coweights += [tuple(rng.randint(-3, 3) for _ in range(n))
@@ -317,30 +320,17 @@ class TestIntegerProjection:
       cls = datum.project(coweight)
       assert cls == _fraction_project(datum, pmat, coweight)
       assert all(type(c) is int or c.denominator > 1 for c in cls.coords)
-    classes = [datum.gamma(j) for j in range(1, ell + 1)]
-    classes += [CoinvariantWeight(datum.weight_ctype,
-                                  tuple(rng.randint(-3, 3)
-                                        for _ in range(ell)))
-                for _ in range(10)]
-    classes.append(CoinvariantWeight(datum.weight_ctype,
-                                     (Fraction(1, 2),) + (0,) * (ell - 1)))
-    for cw in classes:
-      want = _fraction_lift(datum, pmat, cw)
-      if want is None:
-        with pytest.raises(ValueError, match="coinvariant lattice"):
-          datum.class_lift(cw)
-      else:
-        assert datum.class_lift(cw) == want
-        assert all(type(c) is int for c in want)
 
-  def test_no_inverse_per_lift(self, monkeypatch):
-    # the projection is held from the start and its inverse from the first
-    # lift on: a later lift inverts nothing
+  def test_no_inverse_per_projection(self, monkeypatch):
+    # the folding inverts Q once, on construction, and never C_H; a
+    # projection inverts nothing
+    calls = []
+    monkeypatch.setattr(folding, "integer_inverse",
+                        lambda mat: calls.append(mat)
+                        or linalg.integer_inverse(mat))
     datum = Folding("A", 41, 2)
-    assert "_lift" not in vars(datum)
-    datum.class_lift(datum.gamma(1))
+    assert calls == [datum._q]
     monkeypatch.setattr(linalg, "span_solver", None)
     monkeypatch.setattr(folding, "integer_inverse", None)
-    for j in range(1, datum.ell + 1):
-      assert datum.project(datum.class_lift(datum.gamma(j))) == \
-          datum.gamma(j)
+    for i, coroot in _simple_coroots(datum):
+      assert datum.project(coroot) == datum.gamma(datum.eta[i - 1])

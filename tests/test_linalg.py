@@ -264,11 +264,20 @@ class TestInverse:
 
   @pytest.mark.parametrize("family,n,m", _FOLDINGS)
   def test_folding_projection_matrices(self, family, n, m):
+    # the projection C_H Q^{-1} of a folding: the inverses of Q and of C_H,
+    # and the inverse of their product is their product reversed
     datum = Folding(family, n, m)
+    ell = datum.ell
+    q, hcartan = datum._q, cartan_matrix(datum.weight_ctype)
+    qinv = _fraction_rows(integer_inverse(q))
+    hinv = _fraction_rows(integer_inverse(hcartan))
+    for mat, inv in ((q, qinv), (hcartan, hinv)):
+      assert _times(mat, inv) == _times(inv, mat) == _identity(ell)
     mat = _fraction_rows(datum._projection)
+    assert mat == _times(hcartan, qinv)
     inv = _fraction_rows(integer_inverse(mat))
-    assert _times(mat, inv) == _identity(len(mat))
-    assert inv == _fraction_rows(datum._lift)
+    assert _times(mat, inv) == _identity(ell)
+    assert inv == _times(q, hinv)
 
   def test_singular_rejected(self):
     with pytest.raises(ValueError, match="singular"):

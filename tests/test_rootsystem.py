@@ -88,6 +88,19 @@ def _pairing(cartan, root, i):
   return sum(c * r for c, r in zip(cartan[i - 1], root))
 
 
+def _root_weight(cartan, root):
+  """A root in fundamental-weight coordinates, its pairings <root, acheck_i>:
+  the former ``RootSystem.root_weight``, kept as an oracle."""
+  return tuple(_pairing(cartan, root, i) for i in range(1, len(root) + 1))
+
+
+def _coroot_pairing(sys, wt, root):
+  """<wt, rootcheck> = 2 (wt, root) / (root, root), as the former
+  ``RootSystem.coroot_pairing`` computed it."""
+  return Fraction(2 * sys.root_inner(root, wt),
+                  sys.root_inner(root, _root_weight(sys.cartan, root)))
+
+
 def _reflection_closure(sys):
   """The positive roots as the seed found them, kept as an oracle: every
   simple reflection of every root found so far, in (height, coords)
@@ -117,6 +130,21 @@ _CLOSURE_TYPES = ([("A", n) for n in range(1, 13)]
                   + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 
 
+# the closure types with B1 and C1: every type is_minuscule is checked on
+_MINUSCULE_TYPES = _CLOSURE_TYPES + [("B", 1), ("C", 1)]
+
+
+def _minuscule_nodes(family, rank):
+  """The minuscule nodes by the classification (Bourbaki, Lie groups ch.
+  VIII, 7.3): every node of A_n, the last of B_n, the first of C_n, the
+  first and the two spin nodes of D_n, 1 and 6 of E6, 7 of E7."""
+  if family == "A" or rank == 1:
+    return set(range(1, rank + 1))
+  key = family if family in "BCD" else "%s%d" % (family, rank)
+  return {"B": {rank}, "C": {1}, "D": {1, rank - 1, rank}, "E6": {1, 6},
+          "E7": {7}}.get(key, set())
+
+
 class TestPositiveRoots:
 
   @pytest.mark.parametrize("family,rank", _CLOSURE_TYPES,
@@ -129,7 +157,7 @@ class TestPositiveRoots:
     assert [alpha for alpha, _, _ in sys._positive_steps] == list(roots)
     for alpha, height, weight in sys._positive_steps:
       assert height == sum(alpha)
-      assert weight == sys.root_weight(alpha)
+      assert weight == _root_weight(sys.cartan, alpha)
 
   @pytest.mark.parametrize("fam,rank,count", [
       ("A", 2, 3), ("A", 5, 15), ("B", 2, 4), ("C", 3, 9),
@@ -152,7 +180,8 @@ class TestPositiveRoots:
 
   def test_root_norms(self):
     sys = build("G", 2)
-    norms = sorted({sys.root_norm(r) for r in sys.positive_roots})
+    norms = sorted({sys.root_inner(r, _root_weight(sys.cartan, r))
+                    for r in sys.positive_roots})
     assert norms == [2, 6]
 
 
@@ -314,6 +343,26 @@ class TestWeightMachinery:
     with pytest.raises(ValueError, match="coordinates, expected 2"):
       build("A", 2).inner(x, y)
 
+  @pytest.mark.parametrize("root, y", [((1, 1), (1, 0, 7)), ((1, 0, 9), (1, 1)),
+                                       ((1,), (1, 1)), ((1, 1), (1,))])
+  def test_root_inner_rejects_wrong_length(self, root, y):
+    with pytest.raises(ValueError, match="coordinates, expected 2"):
+      build("A", 2).root_inner(root, y)
+
+  @pytest.mark.parametrize("wt", [(1,), (1, 0, -5), ()])
+  def test_is_dominant_rejects_wrong_length(self, wt):
+    with pytest.raises(ValueError, match="coordinates, expected 2"):
+      build("A", 2).is_dominant(wt)
+
+  @pytest.mark.parametrize("i, wt, match", [
+      (0, (1, 0, 0), "node"), (4, (1, 0, 0), "node"), (-1, (1, 0, 0), "node"),
+      (1, (1, 0), "coordinates, expected 3"),
+      (1, (1, 0, 0, 5), "coordinates, expected 3")])
+  def test_reflect_rejects_bad_node_or_length(self, i, wt, match):
+    # at A3, node 0 read as node 3 and node 4 raised IndexError
+    with pytest.raises(ValueError, match=match):
+      build("A", 3).reflect(i, wt)
+
   @pytest.mark.parametrize("family, rank, wt", [
       ("A", 2, (Fraction(1, 2), 0)), ("A", 2, (0.5, 0)),
       ("E", 6, (0, 0, 0, Fraction(3, 2), 0, 0)), ("G", 2, (1, Fraction(1, 3)))])
@@ -364,6 +413,22 @@ class TestWeightMachinery:
     assert not g2.is_minuscule(2)
     a3 = build("A", 3)
     assert all(a3.is_minuscule(r) for r in (1, 2, 3))
+
+  @pytest.mark.parametrize("family,rank", _MINUSCULE_TYPES,
+                           ids=["%s%d" % t for t in _MINUSCULE_TYPES])
+  def test_minuscule_equals_coroot_pairing_oracle(self, family, rank):
+    # the step-table test against <omega_r, alphacheck> <= 1 computed as a
+    # quotient of forms, and against the classification of minuscule nodes
+    sys = build(family, rank)
+    got = set()
+    for r in range(1, rank + 1):
+      omega = tuple(int(i == r) for i in range(1, rank + 1))
+      want = all(_coroot_pairing(sys, omega, root) <= 1
+                 for root in sys.positive_roots)
+      assert sys.is_minuscule(r) == want, r
+      if want:
+        got.add(r)
+    assert got == _minuscule_nodes(family, rank)
 
 
 def _box_dominant_candidates(self, lam):
