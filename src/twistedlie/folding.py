@@ -110,8 +110,13 @@ class Folding:
 
   # -- restriction and the folded simple roots ----------------------------
 
+  def _check_node(self, j):
+    if not 1 <= j <= self.ell:
+      raise ValueError("node %r out of range 1..%d" % (j, self.ell))
+
   def fiber(self, j):
     """All base nodes i with eta(i) = j."""
+    self._check_node(j)
     return self._fibers[j - 1]
 
   def beta(self, j):
@@ -119,6 +124,7 @@ class Folding:
     the restriction of a simple base root in the j-th fiber, column j of Q;
     at the ramified short node it is that of alpha_ell + alpha_{ell+1},
     whose summands lie in one fiber, so the column is doubled."""
+    self._check_node(j)
     col = tuple(row[j - 1] for row in self._q)
     if self.is_ramified and j == self.ell:
       return tuple(2 * c for c in col)
@@ -137,8 +143,8 @@ class Folding:
     if len(coweight) != self.base_type.rank:
       raise ValueError("coweight has %d coordinates, expected %d"
                        % (len(coweight), self.base_type.rank))
-    return tuple(normalize_scalar(sum(coweight[i - 1] for i in self.fiber(j)))
-                 for j in range(1, self.ell + 1))
+    return tuple(normalize_scalar(sum(coweight[i - 1] for i in fiber))
+                 for fiber in self._fibers)
 
   @cached_property
   def _q(self):
@@ -174,6 +180,7 @@ class Folding:
   def gamma(self, j):
     """The class of a simple coroot in the j-th fiber: the j-th simple root
     of H, column j of C_H (see ``_q``)."""
+    self._check_node(j)
     return CoinvariantWeight(self.weight_ctype,
                              tuple(row[j - 1] for row in self._hcartan))
 

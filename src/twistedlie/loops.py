@@ -31,6 +31,15 @@ ad h), their composite eta, and a verifier checking that eta carries each
 hyperspecial basis element to the expected sigma-fixed polynomial loop
 element, that the images are linearly independent, and that their count per
 degree matches the dimension of the sigma-fixed subspace.
+
+The verifier ranks no Gaussian vectors.  sigma sends each basis key to one
+key times a unit, so its eigenspace dimensions come from its cycles on the
+keys (the eigenvalue count of a weighted cyclic permutation; see
+_fixed_dimensions).  The images have int coefficients and images in
+different degrees have disjoint supports, so independence is ranked block
+by block over the connected components of "shares a degree" (see
+_independence_break), which gives the same verdict as one rank of all the
+images.
 """
 
 from .linalg import SparseVector, i_power, rank
@@ -329,13 +338,91 @@ def fixed_degree_dimension(ell, degree):
   """Dimension of the sigma-fixed subspace in degree ``degree``: the
   i^{degree}-eigenspace of sigma on sl_{2l+1} (the variable contributes
   the inverse phase), by an exact rank computation over the Gaussian
-  rationals."""
+  rationals.
+
+  This is the definition the benchmark harness and the tests use; the
+  verifier reads the same dimensions from the cycles of sigma instead
+  (_fixed_dimensions)."""
   phase = i_power(degree)
   vectors = []
   for bkey in _all_basis_keys(ell):
     unit = SparseVector.unit((bkey, 0))
     vectors.append(sigma_apply(ell, unit) - unit.scale(phase))
   return len(vectors) - rank(vectors)
+
+
+def _fixed_dimensions(ell):
+  """The dimensions of the sigma-fixed subspace in the degree classes
+  0, 1, 2 and 3 modulo 4, from the cycles of sigma on the basis keys.
+
+  sigma sends the key k to tau(k) times the unit i^{p_k}, with p_k the
+  ad h eigenvalue of k plus 2 where the sign of tau is -1.  On a cycle of
+  length L whose phases add up to P, sigma^L is i^P, so the cycle carries
+  one eigenvector for each L-th root of i^P.  A loop element x t^d is
+  sigma-fixed when x is an i^d-eigenvector (the variable gives the inverse
+  phase), so the cycle adds 1 to class d exactly when d L = P mod 4.
+  """
+  dims = [0, 0, 0, 0]
+  seen = set()
+  for key in _all_basis_keys(ell):
+    if key in seen:
+      continue
+    length = phase = 0
+    while key not in seen:
+      seen.add(key)
+      sign, img = _tau_key(ell, key)
+      phase += _adh_eigenvalue(ell, key) + (0 if sign > 0 else 2)
+      length += 1
+      key = img
+    for d in range(4):
+      if (d * length - phase) % 4 == 0:
+        dims[d] += 1
+  return dims
+
+
+def _independence_break(images):
+  """None if the images are linearly independent, else the index of the
+  first one that does not raise the rank of the images before it.
+
+  The support of an image lies in its degrees, so images that no chain of
+  shared degrees joins have disjoint supports, and the rank adds up over
+  the connected components of "shares a degree".  Each component is ranked
+  on its own; the first dependent image of a deficient component is found
+  by bisection on the ranks of its prefixes (the prefixes stay dependent
+  once they are).  An image with no degree is zero and joins no degree.
+  """
+  root = {}
+
+  def find(deg):
+    while root[deg] != deg:
+      root[deg] = root[root[deg]]
+      deg = root[deg]
+    return deg
+
+  image_degrees = [degrees(img) for img in images]
+  for degs in image_degrees:
+    for deg in degs:
+      root.setdefault(deg, deg)
+    for deg in degs[1:]:
+      root[find(deg)] = find(degs[0])
+  blocks = {}
+  for n, degs in enumerate(image_degrees):
+    blocks.setdefault(find(degs[0]) if degs else None, []).append(n)
+  first = None
+  for block in blocks.values():
+    vectors = [images[n] for n in block]
+    if rank(vectors) == len(vectors):
+      continue
+    lo, hi = 1, len(vectors)
+    while lo < hi:
+      mid = (lo + hi) // 2
+      if rank(vectors[:mid]) < mid:
+        hi = mid
+      else:
+        lo = mid + 1
+    if first is None or block[lo - 1] < first:
+      first = block[lo - 1]
+  return first
 
 
 def is_tau_fixed(ell, x):
@@ -354,12 +441,20 @@ def verify_hyperspecial(ell, bound):
   only nonnegative degrees, is sigma-fixed, and equals the published
   closed form.  Globally: the images are linearly independent and their
   count in each degree equals the dimension of the sigma-fixed subspace
-  in that degree.  Returns a report dict with a ``passed`` flag and the
-  first mismatch witness per family, if any.
+  in that degree.  Returns a report dict with a ``passed`` flag and a
+  witness for each mismatch.  When the images are dependent, the report
+  adds ``independence_break``: the family and descriptor of the first
+  image, in basis order, that does not raise the rank of those before it.
+
+  The dimensions are counted on the cycles of sigma on the basis keys
+  (_fixed_dimensions), and independence is ranked on the int images block
+  by block over the connected components of "shares a degree"
+  (_independence_break), so no Gaussian vector is ranked.
   """
   basis = hyperspecial_basis(ell, bound)
   mismatches = []
   images = []
+  imaged = []
   per_degree = {}
   for family, desc, elt in basis:
     if not is_tau_fixed(ell, elt):
@@ -379,17 +474,18 @@ def verify_hyperspecial(ell, bound):
       mismatches.append({"family": family, "descriptor": desc,
                          "problems": problems})
     images.append(img)
+    imaged.append((family, desc))
     degs = degrees(img)
     if len(degs) == 1:
       per_degree[degs[0]] = per_degree.get(degs[0], 0) + 1
     else:
       mismatches.append({"family": family, "descriptor": desc,
                          "problems": ["mixed-degree-image"]})
-  independent = rank(images) == len(images)
+  dependent = _independence_break(images)
   degree_counts_ok = True
   degree_counts = {}
   # the dimension reads the degree only through the phase i^d
-  dims = [fixed_degree_dimension(ell, r) for r in range(min(4, bound + 1))]
+  dims = _fixed_dimensions(ell)
   for d in range(0, bound + 1):
     expected = dims[d % 4]
     got = per_degree.get(d, 0)
@@ -398,38 +494,50 @@ def verify_hyperspecial(ell, bound):
     # parameterization fits under the bound in every family
     if got != expected:
       degree_counts_ok = False
-  return {
+  report = {
       "ell": ell,
       "bound": bound,
       "basis_size": len(basis),
       "mismatches": mismatches,
-      "independent": independent,
+      "independent": dependent is None,
       "degree_counts": degree_counts,
-      "passed": not mismatches and independent and degree_counts_ok,
+      "passed": not mismatches and dependent is None and degree_counts_ok,
   }
+  if dependent is not None:
+    family, desc = imaged[dependent]
+    report["independence_break"] = {"family": family, "descriptor": desc}
+  return report
 
 
 def eta_bracket_check(ell, bound, trials):
   """Randomized Lie-map check: eta([x, y]) = [eta(x), eta(y)] for pairs of
   hyperspecial basis elements (brackets in the matrix model), drawn by a
   fixed random.Random(0).  A pair with an element that is not tau-fixed
-  fails."""
+  fails.  The eta-image of a pool element is built on its first draw and
+  reused; an element never drawn gets none."""
   import random
   if trials < 0:
     raise ValueError("trials must be nonnegative")
   rng = random.Random(0)
   # eta is defined only on tau-fixed elements
-  pool = [(desc, x, is_tau_fixed(ell, x))
-          for _, desc, x in hyperspecial_basis(ell, bound)]
+  pool = [(n, desc, x, is_tau_fixed(ell, x))
+          for n, (_, desc, x) in enumerate(hyperspecial_basis(ell, bound))]
+  images = {}
+
+  def image(n, x):
+    if n not in images:
+      images[n] = eta_apply(ell, x)
+    return images[n]
+
   failures = []
   for _ in range(trials):
-    da, a, a_fixed = rng.choice(pool)
-    db, b, b_fixed = rng.choice(pool)
+    na, da, a, a_fixed = rng.choice(pool)
+    nb, db, b, b_fixed = rng.choice(pool)
     if not (a_fixed and b_fixed):
       failures.append((da, db))
       continue
     lhs = eta_apply(ell, bracket(a, b))
-    rhs = bracket(eta_apply(ell, a), eta_apply(ell, b))
+    rhs = bracket(image(na, a), image(nb, b))
     if lhs != rhs:
       failures.append((da, db))
   return failures

@@ -152,6 +152,18 @@ class TestFoldedRoots:
       with pytest.raises(ValueError, match="coordinates, expected 3"):
         datum.iota(coweight)
 
+  @pytest.mark.parametrize("key", [("A", 5, 2), ("E", 6, 2)])
+  @pytest.mark.parametrize("method", ["fiber", "beta", "gamma"])
+  def test_node_out_of_range_rejected(self, key, method):
+    # node 0 and -1 were read as node ell (A5/m2: fiber(0) was (3,)) and
+    # node ell + 1 raised IndexError
+    datum = Folding(*key)
+    for j in (0, datum.ell + 1, -1):
+      with pytest.raises(ValueError, match="out of range 1..%d" % datum.ell):
+        getattr(datum, method)(j)
+    getattr(datum, method)(1)
+    getattr(datum, method)(datum.ell)
+
   def test_iota_of_fundamental_coweights(self):
     for datum in _data():
       n = datum.base_type.rank

@@ -1,11 +1,14 @@
+import json
 import random
 
 import pytest
 
 import loop_element_fixture as oracle
-from twistedlie import loops
-from twistedlie.linalg import GaussianRational, SparseVector, i_power
-from twistedlie.loops import (_all_basis_keys, bracket, cartan_vector,
+from twistedlie import cli, loops
+from twistedlie.linalg import (GaussianRational, SparseVector, _append_row,
+                               i_power, rank)
+from twistedlie.loops import (_all_basis_keys, _fixed_dimensions,
+                              _independence_break, bracket, cartan_vector,
                               degrees, eta_apply, eta_bracket_check,
                               eta_c_apply, eta_k_apply, expected_eta_image,
                               fixed_degree_dimension, hyperspecial_basis,
@@ -199,6 +202,187 @@ class TestVerification:
             "problems": ["not-tau-fixed"]} in report["mismatches"]
     failures = eta_bracket_check(1, 4, 200)
     assert failures and all((9,) in pair for pair in failures)
+
+
+def _first_dependent(images):
+  """The index of the first image that does not raise the rank of those
+  before it, by one echelon over all the images in order, or None."""
+  rows = []
+  for n, img in enumerate(images):
+    if not _append_row(rows, img, None):
+      return n
+  return None
+
+
+def _images(ell, bound):
+  return [eta_apply(ell, x) for _, _, x in hyperspecial_basis(ell, bound)]
+
+
+def _bracket_failures_uncached(ell, bound, trials):
+  """eta_bracket_check as it stood with every eta-image rebuilt per draw."""
+  rng = random.Random(0)
+  pool = [(desc, x, is_tau_fixed(ell, x))
+          for _, desc, x in loops.hyperspecial_basis(ell, bound)]
+  failures = []
+  for _ in range(trials):
+    da, a, a_fixed = rng.choice(pool)
+    db, b, b_fixed = rng.choice(pool)
+    if not (a_fixed and b_fixed):
+      failures.append((da, db))
+      continue
+    lhs = eta_apply(ell, bracket(a, b))
+    rhs = bracket(eta_apply(ell, a), eta_apply(ell, b))
+    if lhs != rhs:
+      failures.append((da, db))
+  return failures
+
+
+class TestCycleDimensions:
+  """The sigma-fixed dimensions from the cycles of sigma on the basis keys,
+  against the Gaussian rank of fixed_degree_dimension."""
+
+  @pytest.mark.parametrize("ell", range(1, 11))
+  def test_equal_fixed_degree_dimension(self, ell):
+    assert _fixed_dimensions(ell) == [fixed_degree_dimension(ell, d)
+                                      for d in range(4)]
+
+  def test_fill_the_algebra(self):
+    for ell in range(1, 41):
+      assert sum(_fixed_dimensions(ell)) == 4 * ell * ell + 4 * ell
+
+
+class TestBlockRank:
+  """Independence ranked per connected block of shared degrees, against
+  one rank of all the images and one echelon in basis order."""
+
+  @staticmethod
+  def _agree(images):
+    brk = _independence_break(images)
+    assert (brk is None) == (rank(images) == len(images))
+    assert brk == _first_dependent(images)
+    return brk
+
+  @pytest.mark.parametrize("ell", (1, 2, 3, 4))
+  def test_real_images_independent(self, ell):
+    assert self._agree(_images(ell, 8)) is None
+
+  @pytest.mark.parametrize("ell", (1, 2, 3))
+  def test_injected_duplicate(self, ell):
+    images = _images(ell, 6)
+    assert self._agree(images + [images[3]]) == len(images)
+    # a copy placed first makes the original the dependent one
+    assert self._agree([images[-1]] + images) == len(images)
+    assert self._agree(images[:5] + [images[1]] + images[5:]
+                       + [images[0]]) == 5
+
+  @pytest.mark.parametrize("ell", (1, 2, 3))
+  def test_injected_mixed_degree_image(self, ell):
+    # dependent only across degrees 0 and 2: each block alone is
+    # independent, their union is not
+    images = _images(ell, 6)
+    low = next(img for img in images if degrees(img) == [0])
+    high = next(img for img in images if degrees(img) == [2])
+    mixed = low + high.scale(-3)
+    assert degrees(mixed) == [0, 2]
+    assert self._agree(images + [mixed]) == len(images)
+    assert self._agree([mixed] + images) == images.index(high) + 1
+    assert self._agree([mixed, low]) is None
+
+  def test_zero_image(self):
+    images = _images(1, 4)
+    assert self._agree(images + [SparseVector({})]) == len(images)
+
+
+class TestIndependenceWitness:
+
+  def test_no_witness_when_independent(self):
+    assert "independence_break" not in verify_hyperspecial(2, 6)
+
+  def test_injected_duplicate(self, monkeypatch):
+    basis = hyperspecial_basis(2, 4)
+    family, desc, _ = basis[7]
+    monkeypatch.setattr(loops, "hyperspecial_basis",
+                        lambda ell, bound: basis + [basis[7]])
+    report = verify_hyperspecial(2, 4)
+    assert not report["passed"]
+    assert not report["independent"]
+    assert report["mismatches"] == []
+    assert report["independence_break"] == {"family": family,
+                                            "descriptor": desc}
+
+  def test_injected_duplicate_through_cli(self, monkeypatch, capsys):
+    basis = hyperspecial_basis(1, 4)
+    family, desc, _ = basis[2]
+    monkeypatch.setattr(loops, "hyperspecial_basis",
+                        lambda ell, bound: [basis[2]] + basis)
+    code = cli.main(["hyperspecial-check", "--ell", "1", "--degree", "4",
+                     "--trials", "20"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert not data["independent"]
+    assert data["independence_break"] == {"family": family,
+                                          "descriptor": list(desc)}
+
+
+class TestVerifierCost:
+
+  def test_no_gaussian_rank(self, monkeypatch):
+    calls = {"all": 0, "gaussian": 0}
+
+    def counting(vectors):
+      vectors = list(vectors)
+      calls["all"] += 1
+      if any(isinstance(c, GaussianRational)
+             for v in vectors for _, c in v.items()):
+        calls["gaussian"] += 1
+      return rank(vectors)
+
+    monkeypatch.setattr(loops, "rank", counting)
+    assert verify_hyperspecial(2, 6)["passed"]
+    assert eta_bracket_check(2, 6, 50) == []
+    assert calls["all"] > 0
+    assert calls["gaussian"] == 0
+
+  def test_each_pool_image_built_once(self, monkeypatch):
+    basis = hyperspecial_basis(2, 4)
+    pool_ids = {id(x) for _, _, x in basis}
+    monkeypatch.setattr(loops, "hyperspecial_basis", lambda ell, bound: basis)
+    built = []
+    real = loops.eta_apply
+
+    def counting(ell, x):
+      if id(x) in pool_ids:
+        built.append(id(x))
+      return real(ell, x)
+
+    monkeypatch.setattr(loops, "eta_apply", counting)
+    assert eta_bracket_check(2, 4, 300) == []
+    assert built and len(built) == len(set(built))
+    # an element never drawn gets no image: 3 trials draw at most 6
+    built.clear()
+    assert eta_bracket_check(2, 4, 3) == []
+    assert 0 < len(built) <= 6
+
+  def test_draws_cover_colliding_descriptors(self):
+    # families (1) and (2) share descriptors (sign, i, j, k): an image
+    # cache keyed by the descriptor alone hands one family the other's
+    # image, and the bracket check then fails
+    basis = hyperspecial_basis(3, 6)
+    descs = [d for f, d, _ in basis if f in (1, 2)]
+    assert len(set(descs)) < len(descs)
+    assert eta_bracket_check(3, 6, 400) == []
+    assert _bracket_failures_uncached(3, 6, 400) == []
+
+  def test_injected_failures_unchanged(self, monkeypatch):
+    bad = _elt(("E", 1, 2), 0)
+    for ell, bound in ((1, 4), (2, 6)):
+      basis = hyperspecial_basis(ell, bound)
+      monkeypatch.setattr(
+          loops, "hyperspecial_basis",
+          lambda ell, bound, basis=basis: basis + [("injected", (9,), bad)])
+      failures = eta_bracket_check(ell, bound, 200)
+      assert failures == _bracket_failures_uncached(ell, bound, 200)
+      assert failures and all((9,) in pair for pair in failures)
 
 
 # -- the LoopElement model as the oracle --------------------------------------
