@@ -20,8 +20,8 @@ fills: C(27, 3) = 2925):
 
 Everything is exact; the suite takes under a second to build (0.6-0.9 s
 of process time with Python 3.11 on a 2-vCPU VM, most of it the exterior
-cube's E_i / F_i actions; each of the 1,063 weight fibers gets one
-certified inverse, and the 18,544 solves are sparse products with it) and
+cube's E_i / F_i actions; each of the 1,063 weight fibers gets one exact
+integral inverse, and the 18,544 solves are sparse products with it) and
 callers are expected to cache it.
 """
 

@@ -2,23 +2,17 @@
 
 Scalars are python ints, ``fractions.Fraction``, or :class:`GaussianRational`.
 No floating point is used anywhere.  Vectors are sparse maps from opaque,
-totally ordered keys to nonzero scalars.  One sparse echelon kernel,
-``_reduce``, does all elimination: ``rank``, and the inverse of a basis on
-its pivot keys (``_pivot_inverse``: the echelon, then back substitution of
-each row against the rows after it), exactly or modulo a prime.
-``span_solver`` holds that inverse as N over one denominator D: for a
-basis with int entries, integers N proposed modulo the prime 2^61 - 1,
-rebuilt as fractions and certified once by an exact integer identity; for
-any other basis, or when the certificate fails, the exact inverse with
-D = 1.  Each target is then answered by an exact sparse product with it,
-checked against the basis only when the basis has support keys beyond its
-pivots.
-``integer_inverse`` solves for the unit vectors over a matrix's rows.
-Integer Smith invariant factors are computed separately.
+totally ordered keys to nonzero scalars.  One fraction-free sparse echelon
+kernel, ``_reduce``, does all elimination: vectors are scaled to integral
+entries and rows kept primitive, so it divides only by a gcd.  ``rank``
+counts its rows; ``_pivot_inverse`` back-substitutes them into the inverse
+of a basis on its pivot keys, which ``span_solver`` multiplies each target
+by and ``integer_inverse`` reads a matrix inverse off.  Integer Smith
+invariant factors are computed separately.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 _RATIONAL_TYPES = (int, Fraction)
 
@@ -226,7 +220,8 @@ ZERO_VECTOR = SparseVector._raw({})
 
 
 def _scalar_kinds(vectors):
-  """Check that the scalars are all rational or all Gaussian.
+  """Check that the scalars are all rational or all Gaussian, and return
+  whether they are Gaussian.
 
   Raises TypeError on a mix of Gaussian and plain rational values, or on
   unsupported scalar types (e.g. float).
@@ -243,6 +238,7 @@ def _scalar_kinds(vectors):
         raise TypeError("unsupported scalar type: %r" % type(v).__name__)
   if saw_gauss and saw_rat:
     raise TypeError("cannot mix Gaussian and plain rational scalars")
+  return saw_gauss
 
 
 def normalize_scalar(x, den=1):
@@ -259,66 +255,67 @@ def normalize_scalar(x, den=1):
 
 
 # -- the echelon kernel ------------------------------------------------------
-# An echelon is a list of rows (pivot, row, comb).  Each row is a dict that
-# is 1 at its pivot, the smallest key of its support, and 0 at the pivot of
-# every earlier row; comb is None or the dict of its coefficients over the
-# input vectors.  With a prime ``p`` the same steps run on int entries
-# modulo p; with None they are exact.
+# An echelon is a list of rows (pivot, row, comb).  Each row is a dict of
+# integers, or of Gaussian integers, with no common factor; it is nonzero at
+# its pivot, the smallest key of its support, and 0 at the pivot of every
+# earlier row.  comb is None or the dict of its coefficients over the input
+# vectors, scaled alike: row = sum(comb[b] * input[b]).
 
-def _add_scaled(acc, c, vec, p=None):
-  """acc += c * vec on dicts (modulo p unless it is None), never storing
-  a zero."""
-  if p is None:
-    for k, v in vec.items():
-      s = acc.get(k, 0) + c * v
-      if s:
-        acc[k] = s
-      else:
-        del acc[k]
-  else:
-    for k, v in vec.items():
-      s = (acc.get(k, 0) + c * v) % p
-      if s:
-        acc[k] = s
-      else:
-        del acc[k]
+def _add_scaled(acc, c, vec, a=1):
+  """acc = a * acc + c * vec on dicts, in place, never storing a zero."""
+  if a != 1:
+    for k, v in acc.items():
+      acc[k] = a * v
+  for k, v in vec.items():
+    s = acc.get(k, 0) + c * v
+    if s:
+      acc[k] = s
+    else:
+      del acc[k]
 
 
-def _reduce(rows, cur, comb, p=None):
-  """Reduce the dict ``cur`` in place against the echelon rows, in order,
-  carrying the same steps over to ``comb`` unless it is None."""
+def _reduce(rows, cur, comb):
+  """Reduce the integral dict ``cur`` in place against the echelon rows, in
+  order: cur = p * cur - c * row for a row with pivot entry p where cur
+  holds c, carrying the same steps over to ``comb`` unless it is None.
+  Then cur and comb are divided by the gcd of their integer parts."""
   for pivot, row, row_comb in rows:
     c = cur.get(pivot)
     if c:
+      p = row[pivot]
       _add_scaled(cur, -c, row, p)
       if comb is not None:
         _add_scaled(comb, -c, row_comb, p)
+  if not cur:
+    return
+  dicts = (cur,) if comb is None else (cur, comb)
+  values = [v for d in dicts for v in d.values()]
+  gaussian = type(values[0]) is GaussianRational
+  g = gcd(*((n for v in values for n in (v.re.numerator, v.im.numerator))
+            if gaussian else values))
+  if g > 1:
+    for d in dicts:
+      for k, v in d.items():
+        d[k] = v / g if gaussian else v // g
 
 
-def _append_row(rows, vec, comb, p=None):
-  """Reduce ``vec`` and append it to the echelon unless it reduces to zero.
-
-  Returns whether it was appended.  ``comb`` holds the coefficients of
-  ``vec`` itself over the input vectors, or is None."""
-  if p is None:
-    cur = dict(vec.items())
+def _append_row(rows, vec, b=None):
+  """Reduce ``vec``, times the lcm s of its denominators, and append it to
+  the echelon unless it reduces to zero.  Returns whether it was appended.
+  With an index ``b`` its comb starts as {b: s}, else it is None."""
+  values = vec.entries.values()
+  if type(next(iter(values), 0)) is GaussianRational:
+    s = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+    cur = {k: v * s for k, v in vec.items()}
+    s = GaussianRational(s)  # comb is of the row's kind, for _reduce's gcd
   else:
-    cur = {k: r for k, v in vec.items() if (r := v % p)}
-  _reduce(rows, cur, comb, p)
+    s = lcm(*(v.denominator for v in values))
+    cur = {k: v.numerator * (s // v.denominator) for k, v in vec.items()}
+  comb = None if b is None else {b: s}
+  _reduce(rows, cur, comb)
   if not cur:
     return False
-  pivot = min(cur)
-  if p is None:
-    inv = Fraction(1) / cur[pivot]
-    row = {k: v * inv for k, v in cur.items()}
-    if comb is not None:
-      comb = {k: v * inv for k, v in comb.items()}
-  else:
-    inv = pow(cur[pivot], -1, p)
-    row = {k: v * inv % p for k, v in cur.items()}
-    if comb is not None:
-      comb = {k: v * inv % p for k, v in comb.items()}
-  rows.append((pivot, row, comb))
+  rows.append((min(cur), cur, comb))
   return True
 
 
@@ -336,89 +333,34 @@ def rank(vectors):
   n_keys = len(set().union(*[v.keys() for v in vecs]))
   rows = []
   for v in vecs:
-    _append_row(rows, v, None)
+    _append_row(rows, v)
     if len(rows) == n_keys:
       break
   return len(rows)
 
 
-# -- the modular front end of span_solver -------------------------------------
-# For a basis with int entries the echelon runs modulo _PRIME.  The prime
-# only proposes the inverse: its entries are recovered as fractions with
-# numerator and denominator below _BOUND in absolute value (Wang, Guy and
-# Davenport, SIGSAM Bull. 16, 1982) and used only after an exact integer
-# check.  Since 2 * (_BOUND - 1)**2 < _PRIME, a fraction within the bounds
-# is the only one with its residue.
-
-_PRIME = (1 << 61) - 1
-_BOUND = 1 << 30
-
-
-def _pivot_inverse(basis, p=None):
-  """The inverse of the basis on its pivot keys, modulo p unless it is
-  None: a map from each pivot key to the pairs (b, N[b][key]) with
-  N[b][key] != 0, such that any v = sum(c[b] * basis[b]) has
-  c[b] = sum(v[key] * N[b][key]).  None when the basis is linearly
-  dependent (modulo p)."""
+def _pivot_inverse(basis):
+  """The inverse of the basis on its pivot keys, as (cols, D): cols maps
+  each pivot key to the pairs (b, N[b][key]) with N[b][key] != 0, so that
+  any v = sum(c[b] * basis[b]) has c[b] = sum(v[key] * N[b][key]) / D;
+  None when the basis is linearly dependent.  Back substitution against
+  the later rows, which are 0 at every pivot but their own, leaves row r
+  d_r at its pivot and 0 at every other, so N[b][pivot_r] is
+  comb_r[b] * D / d_r with D the lcm of the d_r (comb_r[b] / d_r and
+  D = 1 for Gaussian pivots)."""
   rows = []
   for b, v in enumerate(basis):
-    if not _append_row(rows, v, {b: 1}, p):
+    if not _append_row(rows, v, b):
       return None
-  # back substitution: reduced against the rows after it, which already are
-  # 0 at every pivot but their own, row r is 1 at its pivot and 0 at every
-  # other, so its comb is the inverse's column at that pivot
   for r in reversed(range(len(rows) - 1)):
     _, row, comb = rows[r]
-    _reduce(rows[r + 1:], row, comb, p)
-  return {pivot: tuple(comb.items()) for pivot, _, comb in rows}
-
-
-def _rational(u):
-  """The fraction with |numerator|, denominator < _BOUND that is congruent
-  to u modulo _PRIME, as (numerator, denominator > 0), or None
-  (half-extended Euclid).  The pair is in lowest terms: a common divisor of
-  a remainder and its cofactor divides _PRIME, which exceeds both."""
-  if u < _BOUND:
-    return u, 1
-  if _PRIME - u < _BOUND:
-    return u - _PRIME, 1
-  r0, r1, s0, s1 = _PRIME, u, 0, 1
-  while r1 >= _BOUND:
-    q = r0 // r1
-    r0, r1 = r1, r0 - q * r1
-    s0, s1 = s1, s0 - q * s1
-  if abs(s1) >= _BOUND:
-    return None
-  return (r1, s1) if s1 > 0 else (-r1, -s1)
-
-
-def _certified_inverse(basis):
-  """The inverse of an int basis on its pivot keys, or None.
-
-  The inverse is proposed modulo _PRIME (``_pivot_inverse``), its entries
-  rebuilt as fractions and the result certified once, exactly: with N the
-  entries times their common denominator D, N . B == D * I over the
-  integers, B being the basis read at the pivot keys.  Returns (cols, den),
-  cols mapping each pivot key to the pairs (b, N[b][key]) with
-  N[b][key] != 0 and den = D; None when the basis is dependent modulo
-  _PRIME or an entry has no reconstruction or the certificate fails."""
-  modular = _pivot_inverse(basis, _PRIME)
-  if modular is None:
-    return None
-  pairs = {key: [(b, _rational(u)) for b, u in col]
-           for key, col in modular.items()}
-  if any(q is None for col in pairs.values() for _, q in col):
-    return None
-  den = lcm(*(d for col in pairs.values() for _, (_, d) in col))
-  inv = {key: tuple((b, num * (den // d)) for b, (num, d) in col)
-         for key, col in pairs.items()}
-  # N . B == D * I: N applied to each basis vector gives D times its unit
-  for b, vec in enumerate(basis):
-    y = _times_inverse(inv, len(basis), vec.entries)
-    y[b] -= den
-    if any(y):
-      return None
-  return inv, den
+    _reduce(rows[r + 1:], row, comb)
+  if rows and type(rows[0][1][rows[0][0]]) is GaussianRational:
+    return {pivot: tuple((b, c / row[pivot]) for b, c in comb.items())
+            for pivot, row, comb in rows}, 1
+  den = lcm(*(row[pivot] for pivot, row, _ in rows))
+  return {pivot: tuple((b, c * (den // row[pivot])) for b, c in comb.items())
+          for pivot, row, comb in rows}, den
 
 
 def _times_inverse(cols, n, target, strict=False):
@@ -440,29 +382,25 @@ def span_solver(basis):
 
   Returns ``solve(target)``, which gives the list ``c`` with
   ``sum(c[b] * basis[b]) == target``, or None when ``target`` lies outside
-  the span.  Raises ValueError when the basis is linearly dependent.
+  the span.  Raises ValueError when the basis is linearly dependent and
+  TypeError on float scalars or on mixed Gaussian and rational ones.
 
-  The basis gets its inverse on its n pivot keys once, as N over one
-  denominator D: for plain int entries the certified inverse
-  (``_certified_inverse``), integers N; for any other basis, or an int one
-  without a certificate (dependent modulo the prime, yet perhaps
-  independent over Q; an entry beyond the reconstruction bound), the exact
-  ``_pivot_inverse`` with D = 1.  A target is answered by the exact sparse
-  product of N with its entries at the pivot keys, divided by D: the only
-  coordinates it can have.  When the basis has no support key besides the
-  pivots, n independent vectors on n keys span every vector on those keys,
-  so no further check is needed and a target with another key lies outside
-  the span.  Otherwise the coordinates are returned only if
-  D * target == sum(D * c[b] * basis[b]) holds exactly.  Rational
+  A target is answered by the exact sparse product of the basis inverse N
+  over D (``_pivot_inverse``) with its entries at the pivot keys, divided
+  by D: the only coordinates it can have.  When the basis has no support
+  key besides its n pivots, n independent vectors on n keys span every
+  vector on those keys, so a target with another key lies outside the span
+  and no other needs a check.  Otherwise the coordinates are returned only
+  if D * target == sum(D * c[b] * basis[b]) holds exactly.  Rational
   coordinates are ints where integral and Fractions otherwise.
   """
   basis = list(basis)
+  _scalar_kinds(basis)
   n = len(basis)
-  certified = (all(type(x) is int for v in basis for x in v.entries.values())
-               and _certified_inverse(basis))
-  cols, den = certified or (_pivot_inverse(basis), 1)
-  if cols is None:
+  inverse = _pivot_inverse(basis)
+  if inverse is None:
     raise ValueError("vectors are linearly dependent")
+  cols, den = inverse
   square = len(set().union(*(v.keys() for v in basis))) == n
 
   def solve(target):
@@ -487,31 +425,42 @@ def integer_inverse(matrix):
   denominators and rows[i][j] / den the (i, j) entry.
 
   Row i of the inverse is the coordinates of the i-th unit vector over the
-  matrix rows, given by ``span_solver``.  Raises ValueError when the matrix
-  is not square or is singular.
+  matrix rows, read off ``_pivot_inverse``.  Raises ValueError when the
+  matrix is not square or is singular, and TypeError on an entry that is
+  not an int or a Fraction.
   """
   n = len(matrix)
   if any(len(row) != n for row in matrix):
     raise ValueError("matrix is not square")
-  try:
-    solve = span_solver([SparseVector(enumerate(row)) for row in matrix])
-  except ValueError:
-    raise ValueError("matrix is singular") from None
-  inv = [solve(SparseVector.unit(k)) for k in range(n)]
-  den = lcm(*(c.denominator for row in inv for c in row))
-  return tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-               for row in inv), den
+  basis = [SparseVector(enumerate(row)) for row in matrix]
+  if _scalar_kinds(basis):
+    raise TypeError("integer_inverse takes rational entries")
+  inverse = _pivot_inverse(basis)
+  if inverse is None:
+    raise ValueError("matrix is singular")
+  cols, den = inverse
+  rows = [dict(cols[i]) for i in range(n)]
+  g = gcd(den, *(x for row in rows for x in row.values()))
+  return (tuple(tuple(row.get(b, 0) // g for b in range(n)) for row in rows),
+          den // g)
 
 
 def smith_invariant_factors(matrix):
   """Invariant factors of an integer matrix (Smith normal form diagonal).
 
   Returns the nonnegative diagonal entries d_1 | d_2 | ... for the
-  min(rows, cols) positions.  Pure integer row/column reduction.
+  min(rows, cols) positions.  Pure integer row/column reduction.  Raises
+  ValueError on an entry that is not an integer (an int or a Fraction with
+  denominator 1) or on rows of unequal length.
   """
+  if any(not isinstance(v, _RATIONAL_TYPES) or v.denominator != 1
+         for row in matrix for v in row):
+    raise ValueError("an entry is not an integer")
   m = [list(map(int, row)) for row in matrix]
   rows = len(m)
   cols = len(m[0]) if rows else 0
+  if any(len(row) != cols for row in m):
+    raise ValueError("rows of unequal length")
   out = []
   top = 0
   while top < rows and top < cols:

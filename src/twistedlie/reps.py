@@ -458,7 +458,7 @@ def subrepresentation(ambient, hw_vec, component):
   for b in range(n_elts):
     # The images of b lie one level above or below it, and elements come in
     # order of depth, so when a level starts the solvers two levels up are
-    # done with; dropping them, and the certified inverses they hold, bounds
+    # done with; dropping them, and the exact inverses they hold, bounds
     # the memory (a dropped solver is rebuilt if needed again).
     if len(component.paths[b]) > depth:
       depth = len(component.paths[b])

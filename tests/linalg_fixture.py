@@ -1,37 +1,59 @@
-"""The solvers ``linalg`` used before one pivot inverse answered every
-solve, kept as oracles for it: the dense modular back substitution, the
-per-target exact echelon solve and the Fraction ``inverse`` on top of it."""
+"""An exact echelon over Q and Q(i), written apart from ``linalg``'s
+integral kernel and kept as the oracle for it: rows are divided by their
+pivot entry with Fraction or Gaussian arithmetic and each carries its
+coefficients over the input vectors.  ``independent`` picks the vectors
+that raise the rank, ``echelon_solver`` solves per target and ``inverse``
+is the Fraction inverse of a square matrix on top of it."""
 
 from fractions import Fraction
 
-from twistedlie.linalg import (SparseVector, _PRIME, _append_row,
-                               _reduce)
+from twistedlie.linalg import GaussianRational, SparseVector
 
 
-def modular_coordinates(basis):
-  """Columns for reading coordinates modulo _PRIME off pivot entries.
+def _exact(x):
+  return x if isinstance(x, GaussianRational) else Fraction(x)
 
-  Returns (pivots, cols) such that any v = sum(c[b] * basis[b]) has
-  c[b] = sum(v[pivots[r]] * cols[b][r]) mod _PRIME, or None when the basis
-  is linearly dependent modulo _PRIME."""
-  rows = []
-  for b, v in enumerate(basis):
-    if not _append_row(rows, v, {b: 1}, _PRIME):
-      return None
-  n = len(rows)
-  pivots = [pivot for pivot, _, _ in rows]
-  # back substitution: u_r = row_r - sum_{s > r} row_r[pivot_s] * u_s is 1
-  # at pivot_r and 0 at every other pivot; full[r] holds its coefficients
-  full = [None] * n
-  for r in range(n - 1, -1, -1):
-    _, row, comb = rows[r]
-    acc = [comb.get(b, 0) for b in range(n)]
-    for s in range(r + 1, n):
-      c = row.get(pivots[s])
-      if c:
-        acc = [a - c * f for a, f in zip(acc, full[s])]
-    full[r] = [a % _PRIME for a in acc]
-  return pivots, list(zip(*full))
+
+def _subtract(acc, c, vec):
+  """acc -= c * vec on dicts, dropping the zeros."""
+  for k, v in vec.items():
+    s = acc.get(k, 0) - c * v
+    if s:
+      acc[k] = s
+    else:
+      acc.pop(k, None)
+
+
+def _reduce(rows, cur, comb):
+  """Reduce ``cur`` against the rows (each 1 at its pivot), in order, and
+  ``comb`` alike."""
+  for pivot, row, row_comb in rows:
+    c = cur.get(pivot)
+    if c:
+      _subtract(cur, c, row)
+      _subtract(comb, c, row_comb)
+
+
+def _echelon(vectors):
+  """The echelon of the vectors, in input order, and the indices of those
+  that raised its rank."""
+  rows, raised = [], []
+  for b, vec in enumerate(vectors):
+    cur = {k: _exact(v) for k, v in vec.items()}
+    comb = {b: Fraction(1)}
+    _reduce(rows, cur, comb)
+    if cur:
+      pivot = min(cur)
+      inv = 1 / cur[pivot]
+      rows.append((pivot, {k: v * inv for k, v in cur.items()},
+                   {k: v * inv for k, v in comb.items()}))
+      raised.append(b)
+  return rows, raised
+
+
+def independent(vectors):
+  """The indices of the vectors that raise the rank of those before them."""
+  return _echelon(vectors)[1]
 
 
 def echelon_solver(basis):
@@ -40,13 +62,12 @@ def echelon_solver(basis):
   ValueError when the basis is linearly dependent."""
   basis = list(basis)
   n = len(basis)
-  rows = []
-  for b, v in enumerate(basis):
-    if not _append_row(rows, v, {b: 1}):
-      raise ValueError("vectors are linearly dependent")
+  rows, raised = _echelon(basis)
+  if len(raised) < n:
+    raise ValueError("vectors are linearly dependent")
 
   def solve(target):
-    cur = dict(target.items())
+    cur = {k: _exact(v) for k, v in target.items()}
     comb = {}
     _reduce(rows, cur, comb)
     if cur:
@@ -65,8 +86,7 @@ def inverse(matrix):
   if any(len(row) != n for row in matrix):
     raise ValueError("matrix is not square")
   try:
-    solve = echelon_solver([SparseVector(enumerate(map(Fraction, row)))
-                            for row in matrix])
+    solve = echelon_solver([SparseVector(enumerate(row)) for row in matrix])
   except ValueError:
     raise ValueError("matrix is singular") from None
   return tuple(tuple(Fraction(c) for c in solve(SparseVector.unit(k)))

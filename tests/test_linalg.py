@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linalg_fixture import echelon_solver, inverse, modular_coordinates
+from linalg_fixture import echelon_solver, independent, inverse
 
 from twistedlie import linalg
 from twistedlie.folding import Folding
@@ -91,6 +91,11 @@ _SCALARS = {
                                     st.integers(min_value=1, max_value=3)),
                           st.integers(min_value=-2, max_value=2)),
 }
+
+
+#: The Mersenne prime 2**61 - 1: a basis vector shifted by it at one key is
+#: independent over Q but dependent modulo the prime.
+_P61 = (1 << 61) - 1
 
 
 @st.composite
@@ -252,8 +257,8 @@ def _fraction_rows(inv):
 
 
 class TestInverse:
-  """M M^-1 = I for ``integer_inverse``, on an int matrix (the certified
-  inverse) and on a Fraction one (the exact pivot inverse)."""
+  """M M^-1 = I for ``integer_inverse``, on int matrices and on Fraction
+  ones."""
 
   @pytest.mark.parametrize("family,n", _CARTAN_TYPES)
   def test_cartan_matrices(self, family, n):
@@ -291,8 +296,8 @@ class TestInverse:
 
 
 class TestIntegerInverse:
-  """``integer_inverse`` against ``inverse``, the Fraction echelon it
-  replaced."""
+  """``integer_inverse`` against ``inverse``, the standalone Fraction
+  echelon of linalg_fixture."""
 
   @staticmethod
   def _check(matrix):
@@ -321,19 +326,25 @@ class TestIntegerInverse:
       else:
         self._check(matrix)
 
-  def test_without_a_certificate_takes_the_fractions(self):
-    # dependent modulo the prime, and an entry 1/q beyond the bound
-    p, q = linalg._PRIME, (1 << 31) - 1
-    for matrix in (((1, 1), (1, 1 + p)), ((q, 0), (0, 1))):
-      assert linalg._certified_inverse(
-          [SparseVector(enumerate(row)) for row in matrix]) is None
+  def test_prime_shifted_and_wide_denominator_matrices(self):
+    # independent over Q yet dependent modulo the prime 2**61 - 1, and an
+    # inverse entry 1/q with q above 2**30
+    q = (1 << 31) - 1
+    for matrix in (((1, 1), (1, 1 + _P61)), ((q, 0), (0, 1))):
       self._check(matrix)
+    assert integer_inverse(((1, 1), (1, 1 + _P61)))[1] == _P61
 
   def test_rejects_singular_and_non_square(self):
     with pytest.raises(ValueError, match="singular"):
       integer_inverse(((1, 2), (2, 4)))
     with pytest.raises(ValueError, match="square"):
       integer_inverse(((1, 0, 0), (0, 1, 0)))
+
+  def test_rejects_float_and_gaussian_entries(self):
+    with pytest.raises(TypeError, match="float"):
+      integer_inverse([[0.5, 0], [0, 1]])
+    with pytest.raises(TypeError, match="rational"):
+      integer_inverse([[i_power(1), 0], [0, i_power(0)]])
 
 
 class TestSpanSolver:
@@ -363,34 +374,16 @@ class TestSpanSolver:
     with pytest.raises(ValueError, match="dependent"):
       span_solver([a, a.scale(Fraction(1, 3))])
 
-
-def _per_target_certified(basis, pivots, cols, target):
-  """The per-target certified solve ``span_solver`` used before it kept a
-  certified inverse: the coordinates of an int ``target`` read modulo the
-  prime off ``modular_coordinates``, each rebuilt as a fraction, returned
-  only if they pass the exact check D*target == sum((D*c[b]) * basis[b])
-  with D their common denominator; None otherwise."""
-  values = [target.get(pivot, 0) for pivot in pivots]
-  coords = []
-  for col in cols:
-    c = linalg._rational(sum(v * x for v, x in zip(values, col))
-                         % linalg._PRIME)
-    if c is None:
-      return None
-    coords.append(Fraction(*c))
-  den = lcm(*(c.denominator for c in coords))
-  acc = {k: den * v for k, v in target.items()}
-  for c, vec in zip(coords, basis):
-    if c:
-      for k, v in vec.items():
-        acc[k] = acc.get(k, 0) - (den // c.denominator) * c.numerator * v
-  return None if any(acc.values()) else coords
+  def test_float_and_mixed_bases_rejected(self):
+    with pytest.raises(TypeError, match="float"):
+      span_solver([SparseVector({0: 1.5, 1: 1})])
+    with pytest.raises(TypeError, match="mix"):
+      span_solver([SparseVector({0: 1}), SparseVector({1: i_power(1)})])
 
 
-#: Coordinate scales of the combination targets: 1 keeps every coordinate
-#: within the reconstruction bound; the prime 2**31 - 1, above the bound and
-#: prime to every gcd the combinations can have, puts the numerator of every
-#: nonzero coordinate above it.
+#: Coordinate scales of the combination targets: 1, and the prime
+#: 2**31 - 1, which is prime to every gcd the combinations can have and so
+#: puts the numerator of every nonzero coordinate above 2**30.
 _COORD_SCALES = (1, (1 << 31) - 1)
 
 
@@ -399,21 +392,19 @@ def _int_solves(draw):
   """An int basis, independent over Q, with int targets: combinations of
   it with rational coordinates (the combination divided by the gcd of its
   entries) and an arbitrary vector on one key more than the basis uses,
-  which mostly lies outside the span.  Basis entries stay small, so its
-  inverse is within the reconstruction bound, unless the last vector is
-  swapped for the first plus the prime at one key, which keeps it
-  independent over Q (``assume``) but makes it dependent modulo the prime.
-  Returns (basis, targets, scale, mod_p_dependent)."""
+  which mostly lies outside the span.  Basis entries stay small, unless the
+  last vector is swapped for the first plus the prime 2**61 - 1 at one key,
+  which keeps it independent over Q (``assume``) but makes it dependent
+  modulo that prime.  Returns (basis, targets)."""
   n_keys = draw(st.integers(min_value=1, max_value=6))
   entry = st.one_of(st.just(0), _SMALL)
   rows = draw(st.lists(st.lists(entry, min_size=n_keys, max_size=n_keys),
                        min_size=1, max_size=n_keys))
-  mod_p = len(rows) > 1 and draw(st.booleans())
-  if mod_p:
+  if len(rows) > 1 and draw(st.booleans()):
     at = draw(st.integers(min_value=0, max_value=n_keys - 1))
-    rows[-1] = [x + linalg._PRIME * (k == at) for k, x in enumerate(rows[0])]
+    rows[-1] = [x + _P61 * (k == at) for k, x in enumerate(rows[0])]
   basis = [SparseVector(enumerate(row)) for row in rows]
-  assume(rank(basis) == len(basis))
+  assume(len(independent(basis)) == len(basis))
   scale = draw(st.sampled_from(_COORD_SCALES))
   targets = []
   for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -425,40 +416,21 @@ def _int_solves(draw):
     targets.append(SparseVector(enumerate(x // g * scale for x in combo)))
   targets.append(SparseVector(enumerate(
       draw(st.lists(entry, min_size=n_keys + 1, max_size=n_keys + 1)))))
-  return basis, targets, scale, mod_p
+  return basis, targets
 
 
-def _forged(pivot_inverse):
-  """``_pivot_inverse`` with one entry of the modular inverse off by one."""
-  def forged(basis, p=None):
-    inv = pivot_inverse(basis, p)
-    if p is not None and inv:
-      key = next(iter(inv))
-      (b, u), *rest = inv[key]
-      inv[key] = ((b, (u + 1) % p), *rest)
-    return inv
-  return forged
-
-
-def _check_pivot_inverse(basis, modular):
-  """``_pivot_inverse`` modulo the prime against the dense back
-  substitution it replaced, ``modular`` = ``modular_coordinates(basis)``,
-  and exactly against the certified inverse over its denominator."""
-  got = linalg._pivot_inverse(basis, linalg._PRIME)
-  if modular is None:
-    assert got is None
-    return
-  pivots, cols = modular
-  assert {key: dict(pairs) for key, pairs in got.items()} == \
-      {key: {b: col[r] for b, col in enumerate(cols) if col[r]}
-       for r, key in enumerate(pivots)}
-  certified = linalg._certified_inverse(basis)
-  if certified is not None:
-    inv, den = certified
-    assert {key: dict(pairs)
-            for key, pairs in linalg._pivot_inverse(basis).items()} == \
-        {key: {b: Fraction(c, den) for b, c in pairs}
-         for key, pairs in inv.items()}
+def _check_pivot_inverse(basis):
+  """``_pivot_inverse`` is an exact inverse on the pivot keys: with B the
+  basis read at those keys, N . B == D * I over the integers."""
+  cols, den = linalg._pivot_inverse(basis)
+  assert type(den) is int and den > 0
+  assert all(type(x) is int for col in cols.values() for _, x in col)
+  for b, vec in enumerate(basis):
+    y = [0] * len(basis)
+    for key, col in cols.items():
+      for b2, x in col:
+        y[b2] += x * vec.get(key)
+    assert y == [den * (b2 == b) for b2 in range(len(basis))]
 
 
 def _fraction_basis(basis):
@@ -467,65 +439,40 @@ def _fraction_basis(basis):
 
 
 class TestModularSpanSolver:
-  """The certified inverse behind ``span_solver`` against the per-target
-  certified solve and the exact echelon solve it replaced, and against the
-  exact pivot inverse, which a basis with Fraction entries always takes."""
+  """``span_solver`` on int bases against the standalone echelon solve,
+  on the inputs that the solver once answered modulo a prime: bases
+  dependent modulo 2**61 - 1, coordinates and inverse entries beyond a
+  reconstruction bound of 2**30, and Fraction and Gaussian targets."""
 
   @settings(max_examples=300, deadline=None)
-  @given(_int_solves(), st.booleans())
-  def test_equals_echelon(self, case, forge):
-    basis, targets, scale, mod_p = case
-    modular = modular_coordinates(basis)
-    assert (modular is None) == mod_p
-    _check_pivot_inverse(basis, modular)
+  @given(_int_solves())
+  def test_equals_echelon(self, case):
+    basis, targets = case
+    _check_pivot_inverse(basis)
     exact = echelon_solver(basis)
+    solve = span_solver(basis)
     fractions = span_solver(_fraction_basis(basis))
-    if forge and modular is not None:
-      # a wrong proposal fails the certificate and takes the exact inverse
-      with mock.patch.object(linalg, "_pivot_inverse",
-                             _forged(linalg._pivot_inverse)):
-        assert linalg._certified_inverse(basis) is None
-        solve = span_solver(basis)
-    else:
-      inverse = linalg._certified_inverse(basis)
-      assert (inverse is None) == mod_p
-      solve = span_solver(basis)
-    from_inverse = not forge and not mod_p
     outside = 0
     for target in targets:
       want = exact(target)
-      assert fractions(target) == want
       outside += want is None
-      if from_inverse:
-        # answered by the inverse alone: the echelon is never reduced
-        with mock.patch.object(linalg, "_reduce", side_effect=AssertionError):
-          got = solve(target)
-        assert all(type(c) is int or c.denominator > 1 for c in got or ())
-      else:
+      # answered by the inverse alone: the echelon is never reduced
+      with mock.patch.object(linalg, "_reduce", side_effect=AssertionError):
         got = solve(target)
+        assert fractions(target) == got
       assert got == want
-      if modular is not None:
-        # the old path agrees, except that it gives up on coordinates above
-        # the bound
-        big = target is not targets[-1] and scale > 1 and any(want)
-        assert _per_target_certified(basis, *modular, target) == \
-            (None if big else want)
+      assert all(type(c) is int or c.denominator > 1 for c in got or ())
     # the combinations lie in the span
     assert outside <= 1
-
-  @given(st.integers(min_value=-(1 << 30) + 1, max_value=(1 << 30) - 1),
-         st.integers(min_value=1, max_value=(1 << 30) - 1))
-  def test_rational_reconstruction(self, num, den):
-    p = linalg._PRIME
-    f = Fraction(num, den)
-    assert linalg._rational(num * pow(den, -1, p) % p) == (f.numerator,
-                                                           f.denominator)
+    keys = sorted(set().union(*(v.keys() for v in basis)))
+    if len(keys) == len(basis):
+      # a square int matrix: integer_inverse reads the same inverse
+      TestIntegerInverse._check([[v.get(k) for k in keys] for v in basis])
 
   def test_independent_over_q_but_dependent_mod_p(self):
-    p = linalg._PRIME
+    p = _P61
     basis = [SparseVector({0: 1, 1: 1}), SparseVector({0: 1, 1: 1 + p})]
-    assert linalg._pivot_inverse(basis, p) is None
-    assert linalg._certified_inverse(basis) is None
+    assert linalg._pivot_inverse(basis)[1] == p
     solve = span_solver(basis)
     assert solve(SparseVector({0: 2, 1: 2 + p})) == [1, 1]
     assert solve(SparseVector({0: 1})) == [Fraction(p + 1, p),
@@ -533,21 +480,15 @@ class TestModularSpanSolver:
     assert solve(SparseVector({2: 1})) is None
 
   def test_coordinates_above_the_bound(self):
-    p = linalg._PRIME
     basis = [SparseVector({0: 1, 1: 1}), SparseVector({1: 1, 2: 3})]
-    modular = modular_coordinates(basis)
-    assert linalg._certified_inverse(basis) is not None
     solve = span_solver(basis)
-    # 2**31 has no reconstruction and p + 5 reconstructs to the wrong 5, so
-    # the per-target path gave up; the inverse gives them exactly
-    for big in (1 << 31, p + 5, -(1 << 40)):
+    for big in (1 << 31, _P61 + 5, -(1 << 40)):
       target = basis[0].scale(big) + basis[1].scale(3)
-      assert _per_target_certified(basis, *modular, target) is None
       assert solve(target) == [big, 3]
-    # an inverse entry 1/q with q above the bound takes the exact inverse
+    # an inverse entry 1/q with q above 2**30
     q = (1 << 31) - 1
     basis = [SparseVector({0: q, 1: 2 * q})]
-    assert linalg._certified_inverse(basis) is None
+    assert linalg._pivot_inverse(basis)[1] == q
     assert span_solver(basis)(SparseVector({0: 1, 1: 2})) == [Fraction(1, q)]
 
   def test_outside_the_span_is_checked(self):
@@ -562,7 +503,7 @@ class TestModularSpanSolver:
     # two vectors on two keys: a target on those keys is in the span, one
     # with another key is not, and neither is checked against the basis
     basis = [SparseVector({0: 2, 1: 1}), SparseVector({0: 1, 1: 1})]
-    cols, den = linalg._certified_inverse(basis)
+    cols, den = linalg._pivot_inverse(basis)
     assert set(cols) == {0, 1} and den == 1
     solve = span_solver(basis)
     with mock.patch.object(linalg, "_add_scaled", side_effect=AssertionError):
@@ -575,15 +516,15 @@ class TestModularSpanSolver:
     assert span_solver(basis)(SparseVector({0: 1, 1: 3})) is None
 
   def test_non_int_targets(self):
-    # Fraction and Gaussian targets over a certified inverse with D = 2
+    # Fraction and Gaussian targets over an int inverse with D = 2
     basis = [SparseVector({0: 2, 1: 1})]
-    assert linalg._certified_inverse(basis)[1] == 2
+    assert linalg._pivot_inverse(basis)[1] == 2
     solve = span_solver(basis)
     assert solve(SparseVector({0: Fraction(1, 3), 1: Fraction(1, 6)})) == \
         [Fraction(1, 6)]
     assert solve(SparseVector({0: Fraction(1, 3)})) is None
     basis = [SparseVector({0: 2}), SparseVector({1: 1})]
-    assert linalg._certified_inverse(basis)[1] == 2
+    assert linalg._pivot_inverse(basis)[1] == 2
     half = Fraction(1, 2)
     assert span_solver(basis)(SparseVector({0: GaussianRational(1, 1)})) == \
         [GaussianRational(half, half), 0]
@@ -595,18 +536,53 @@ class TestModularSpanSolver:
         span_solver(basis)
 
 
+def _content(values):
+  """The gcd of the integer parts of integral scalars."""
+  return gcd(*(n for v in values
+               for n in ((v.re.numerator, v.im.numerator)
+                         if isinstance(v, GaussianRational) else (v,))))
+
+
+class TestEchelonKernel:
+  """The rows ``_append_row`` builds, on every scalar kind: integral and
+  primitive, zero at every earlier pivot, and equal to the combination of
+  the input vectors that their comb records."""
+
+  @pytest.mark.parametrize("kind", sorted(_SCALARS))
+  @settings(max_examples=100, deadline=None)
+  @given(data=st.data())
+  def test_rows_are_primitive_combinations(self, kind, data):
+    vectors = data.draw(_matrices(kind))
+    rows, raised = [], []
+    for b, v in enumerate(vectors):
+      if linalg._append_row(rows, v, b):
+        raised.append(b)
+    assert raised == independent(vectors)
+    for r, (pivot, row, comb) in enumerate(rows):
+      assert pivot == min(row)
+      assert all(p not in row for p, _, _ in rows[:r])
+      values = [*row.values(), *comb.values()]
+      assert all(type(x) is int or isinstance(x, GaussianRational)
+                 and x.re.denominator == x.im.denominator == 1
+                 for x in values)
+      assert _content(values) == 1
+      total = ZERO_VECTOR
+      for b, c in comb.items():
+        total = total + vectors[b].scale(c)
+      assert total == SparseVector(row)
+
+
 class TestSolverAgainstEchelon:
-  """``span_solver`` against the per-target exact echelon solve it
-  replaced, on bases and targets of every scalar kind."""
+  """``span_solver`` against the standalone per-target echelon solve, on
+  bases and targets of every scalar kind."""
 
   @pytest.mark.parametrize("kind", sorted(_SCALARS))
   @settings(max_examples=30, deadline=None)
   @given(data=st.data())
   def test_equals_echelon_solve(self, kind, data):
     # an independent basis: the rows that raise the rank
-    rows = []
-    basis = [v for v in data.draw(_matrices(kind))
-             if linalg._append_row(rows, v, None)]
+    vectors = data.draw(_matrices(kind))
+    basis = [vectors[b] for b in independent(vectors)]
     old = echelon_solver(basis)
     solve = span_solver(basis)
     for target_kind in sorted(_SCALARS):
@@ -664,3 +640,15 @@ class TestSmithInvariantFactors:
   def test_wide_matrix(self):
     # [I - P | C] style block with a single torsion factor
     assert smith_invariant_factors([[2, 0, 4], [0, 1, 1]]) == [1, 2]
+
+  def test_rejects_non_integral_entries(self):
+    for matrix in ([[Fraction(1, 2), 0], [0, 3]], [[1.7, 0], [0, 2]],
+                   [[2.0, 0], [0, 2]]):
+      with pytest.raises(ValueError, match="not an integer"):
+        smith_invariant_factors(matrix)
+    assert smith_invariant_factors([[Fraction(4, 2), 0], [0, 3]]) == [1, 6]
+
+  def test_rejects_ragged_rows(self):
+    for matrix in ([[1, 2], [3]], [[1], [2, 3]]):
+      with pytest.raises(ValueError, match="unequal length"):
+        smith_invariant_factors(matrix)

@@ -4,9 +4,9 @@ import random
 import pytest
 
 import loop_element_fixture as oracle
+from linalg_fixture import independent
 from twistedlie import cli, loops
-from twistedlie.linalg import (GaussianRational, SparseVector, _append_row,
-                               i_power, rank)
+from twistedlie.linalg import GaussianRational, SparseVector, i_power, rank
 from twistedlie.loops import (_all_basis_keys, _fixed_dimensions,
                               _independence_break, bracket, cartan_vector,
                               degrees, eta_apply, eta_bracket_check,
@@ -206,12 +206,10 @@ class TestVerification:
 
 def _first_dependent(images):
   """The index of the first image that does not raise the rank of those
-  before it, by one echelon over all the images in order, or None."""
-  rows = []
-  for n, img in enumerate(images):
-    if not _append_row(rows, img, None):
-      return n
-  return None
+  before it, by one exact echelon over all the images in order, or None."""
+  raised = independent(images)
+  return next((n for n, b in enumerate(raised) if n != b),
+              None if len(raised) == len(images) else len(raised))
 
 
 def _images(ell, bound):
