@@ -17,9 +17,14 @@ strings such as "1/2", a schema_version field); progress for long-running
 suites goes to stderr.  Exit code 0 means every requested check passed, 1
 means a verification failure (a JSON witness is still printed), 2 is a
 usage error, whose reason is printed as an ``error: ...`` line on stderr.
+
+``main(argv)`` may be called any number of times in one process.  The
+parser is built on the first call, not at import, and is reused: a parse
+leaves nothing on it, so the calls are independent.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -209,7 +214,10 @@ def _cmd_numbers_game(args):
   return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+  """The argument parser, built on the first call and shared by every later
+  one: parse_args leaves no state on it."""
   parser = argparse.ArgumentParser(prog="twistedlie",
                                    description=__doc__.splitlines()[0])
   sub = parser.add_subparsers(dest="command", required=True)
@@ -266,8 +274,11 @@ def main(argv=None):
   p = sub.add_parser("numbers-game", help="the numbers-game poset")
   _add_common(p)
   p.set_defaults(func=_cmd_numbers_game)
+  return parser
 
-  args = parser.parse_args(argv)
+
+def main(argv=None):
+  args = _parser().parse_args(argv)
   try:
     return args.func(args)
   except (ValueError, KeyError) as exc:

@@ -8,10 +8,11 @@ is closed under every e_i and f_i.
 
 The crystal of a minuscule fundamental weight omega_r is the Weyl orbit of
 omega_r: f_i sends a weight mu to s_i mu = mu - alpha_i exactly when
-<mu, alpha_i^vee> = 1.  Tensor products use the signature rule; a highest
-weight component is extracted by lowering from a chosen highest weight
-element, level by level, with a canonical raising path recorded for every
-element.
+<mu, alpha_i^vee> = 1.  Tensor products use the signature rule (Kashiwara,
+Duke Math. J. 63, 1991) on per-node columns read once from the factor
+tables, so no table of the product is built; a highest weight component
+is extracted by lowering from a chosen highest weight element, level by
+level, with a canonical raising path recorded for every element.
 """
 
 from itertools import product
@@ -91,13 +92,33 @@ class TensorCrystal:
   operator acts on the left factor when its phi exceeds the eps of the
   remaining factors, and the raising operator acts on the left factor when
   its phi is at least the eps of the remaining factors.
+
+  Every factor is a ``TableCrystal`` of the same rank.  Its tables are read
+  once into per-node columns, a list per factor indexed by element: eps,
+  phi, e and f.  The operators then read only those lists and the factor
+  weights; no table of the product is built.
   """
 
   def __init__(self, factors):
     if not factors:
       raise ValueError("need at least one factor")
     self.factors = list(factors)
+    if not all(isinstance(f, TableCrystal) for f in self.factors):
+      raise TypeError("every factor must be a TableCrystal")
     self.rank = self.factors[0].rank
+    if any(f.rank != self.rank for f in self.factors):
+      raise ValueError("factors of ranks %s differ"
+                       % [f.rank for f in self.factors])
+    nodes = range(1, self.rank + 1)
+    self._weights = [f.weights for f in self.factors]
+    self._eps = {i: [f._eps[i] for f in self.factors] for i in nodes}
+    self._phi = {i: [f._phi[i] for f in self.factors] for i in nodes}
+    self._e = {i: [[None] * len(f) for f in self.factors] for i in nodes}
+    self._f = {i: [[None] * len(f) for f in self.factors] for i in nodes}
+    for k, factor in enumerate(self.factors):
+      for (b, i), c in factor.f_table.items():
+        self._f[i][k][b] = c
+        self._e[i][k][c] = b
 
   def __len__(self):
     return prod(map(len, self.factors))
@@ -108,20 +129,20 @@ class TensorCrystal:
     return product(*(f.indices() for f in self.factors))
 
   def wt(self, b):
-    n = self.rank
-    acc = [0] * n
-    for f, bk in zip(self.factors, b):
-      w = f.wt(bk)
-      for t in range(n):
-        acc[t] += w[t]
-    return tuple(acc)
+    return tuple(map(sum, zip(*[w[bk] for w, bk in zip(self._weights, b)])))
 
   def _eps_phi(self, b, i):
-    """(eps, phi) of the product, folded over the factors right to left."""
+    """(eps, phi) of the product, folded over the factors right to left:
+    eps = e1 + max(0, e2 - p1) and phi = p2 + max(0, p1 - e2)."""
+    eps, phi = self._eps[i], self._phi[i]
     e2 = p2 = 0
-    for factor, bk in zip(reversed(self.factors), reversed(b)):
-      e1, p1 = factor.eps(bk, i), factor.phi(bk, i)
-      e2, p2 = e1 + max(0, e2 - p1), p2 + max(0, p1 - e2)
+    for k in range(len(b) - 1, -1, -1):
+      p1 = phi[k][b[k]]
+      if p1 >= e2:
+        p2 += p1 - e2
+        e2 = eps[k][b[k]]
+      else:
+        e2 += eps[k][b[k]] - p1
     return e2, p2
 
   def eps(self, b, i):
@@ -134,18 +155,20 @@ class TensorCrystal:
     """e (raising) or f applied to b, in one right-to-left pass: it acts on
     the leftmost factor whose phi reaches (e) or exceeds (f) the eps of
     the factors to its right."""
+    eps, phi = self._eps[i], self._phi[i]
     pos = None
     e2 = 0
-    for k in range(len(self.factors) - 1, -1, -1):
-      factor, bk = self.factors[k], b[k]
-      p1 = factor.phi(bk, i)
-      if p1 > e2 or (raising and p1 == e2):
-        pos = k
-      e2 = factor.eps(bk, i) + max(0, e2 - p1)
+    for k in range(len(b) - 1, -1, -1):
+      p1 = phi[k][b[k]]
+      if p1 >= e2:
+        if raising or p1 > e2:
+          pos = k
+        e2 = eps[k][b[k]]
+      else:
+        e2 += eps[k][b[k]] - p1
     if pos is None:
       return None
-    factor = self.factors[pos]
-    img = factor.e(b[pos], i) if raising else factor.f(b[pos], i)
+    img = (self._e if raising else self._f)[i][pos][b[pos]]
     return None if img is None else b[:pos] + (img,) + b[pos + 1:]
 
   def f(self, b, i):

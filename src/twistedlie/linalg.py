@@ -244,12 +244,14 @@ def _scalar_kinds(vectors):
 def normalize_scalar(x, den=1):
   """x / den, for an exact scalar x and a nonzero int den: a
   GaussianRational for a Gaussian x, else an int when it is integral and a
-  Fraction when it is not."""
+  Fraction when it is not.  Raises TypeError on an inexact x (a float)."""
   if type(x) is int:
     q, r = divmod(x, den)
     return Fraction(x, den) if r else q
   if isinstance(x, GaussianRational):
     return x / den
+  if not isinstance(x, _RATIONAL_TYPES):
+    raise TypeError("unsupported scalar type: %r" % type(x).__name__)
   f = Fraction(x) if den == 1 else Fraction(x, den)
   return f.numerator if f.denominator == 1 else f
 
@@ -383,7 +385,9 @@ def span_solver(basis):
   Returns ``solve(target)``, which gives the list ``c`` with
   ``sum(c[b] * basis[b]) == target``, or None when ``target`` lies outside
   the span.  Raises ValueError when the basis is linearly dependent and
-  TypeError on float scalars or on mixed Gaussian and rational ones.
+  TypeError on float scalars or on mixed Gaussian and rational ones.  A
+  target with a float raises TypeError too, unless it has a key outside
+  the keys of a square basis, which answers None first.
 
   A target is answered by the exact sparse product of the basis inverse N
   over D (``_pivot_inverse``) with its entries at the pivot keys, divided
@@ -404,6 +408,9 @@ def span_solver(basis):
   square = len(set().union(*(v.keys() for v in basis))) == n
 
   def solve(target):
+    if not square:
+      # a float target could pass the residual check by rounding
+      _scalar_kinds((target,))
     y = _times_inverse(cols, n, target.entries, square)
     if y is None:
       return None

@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -386,3 +390,75 @@ def test_malformed_input_is_usage_error(capsys, argv, by_argparse):
     assert lines[0].startswith("usage: ")
   else:
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# one valid argv per subcommand, each with the default json and with tsv
+_VALID = tuple(argv + fmt for argv in (
+    ["rootsys", "--type", "A", "--rank", "2", "--weight", "1,0"],
+    ["fold", "--type", "A", "--rank", "4", "--m", "4"],
+    ["dominance", "--type", "A", "--rank", "2", "--m", "4", "--lambda", "2,0"],
+    ["smooth-locus", "--type", "A", "--rank", "2", "--m", "4",
+     "--lambda", "2,0", "--variant", "special-not-absolutely-special"],
+    ["e6-duality"],
+    ["levi-extremal"],
+    ["hyperspecial-check", "--ell", "1", "--degree", "4", "--trials", "5"],
+    ["numbers-game"],
+) for fmt in ([], ["--format", "tsv"]))
+
+
+def _outcome(capsys, argv):
+  try:
+    code = cli.main(argv)
+  except SystemExit as exc:
+    code = exc.code
+  captured = capsys.readouterr()
+  return code, captured.out, captured.err
+
+
+def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch, suite):
+  # the valid and the malformed argvs interleaved through one parser give
+  # byte for byte what a freshly built parser gives on each alone
+  monkeypatch.setattr(e6, "E6Suite", lambda progress: suite)
+  malformed = [argv for argv, _ in _MALFORMED]
+  argvs = [argv for pair in zip(_VALID, malformed) for argv in pair]
+  argvs += malformed[len(_VALID):]
+  assert len(argvs) == len(_VALID) + len(_MALFORMED)
+  cli._parser.cache_clear()
+  cached = [_outcome(capsys, argv) for argv in argvs]
+  assert cli._parser.cache_info().misses == 1
+  fresh = []
+  for argv in argvs:
+    cli._parser.cache_clear()
+    fresh.append(_outcome(capsys, argv))
+  assert cached == fresh
+  assert [code for code, _, _ in cached[:2 * len(_VALID):2]] == \
+      [0] * len(_VALID)
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+  built = []
+  init = argparse.ArgumentParser.__init__
+
+  def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+  monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+  cli._parser.cache_clear()
+  for _ in range(3):
+    for argv in _VALID[:4] + _VALID[-2:]:
+      assert _outcome(capsys, argv)[0] == 0
+  # one top-level parser and its eight subcommand parsers, for 18 calls
+  assert built[0] == "twistedlie"
+  assert sorted(built[1:]) == sorted("twistedlie " + argv[0]
+                                     for argv in _VALID[::2])
+
+
+def test_parser_not_built_at_import():
+  src = os.path.dirname(os.path.dirname(cli.__file__))
+  code = ("import twistedlie.cli as cli; "
+          "print(cli._parser.cache_info().currsize)")
+  out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=src)).stdout
+  assert out == "0\n"

@@ -105,6 +105,32 @@ class TestTensorCrystal:
     with pytest.raises(ValueError):
       tensor_crystal()
 
+  def test_unequal_ranks_rejected(self, a2):
+    # A2 then A3 used to truncate the A3 weights, A3 then A2 to raise
+    # IndexError in wt
+    c2 = MinusculeCrystal(a2, 1)
+    c3 = MinusculeCrystal(build("A", 3), 1)
+    for factors in ((c2, c3), (c3, c2)):
+      with pytest.raises(ValueError, match="rank"):
+        tensor_crystal(*factors)
+
+  def test_factor_without_tables_rejected(self, a2):
+    c = MinusculeCrystal(a2, 1)
+    with pytest.raises(TypeError, match="TableCrystal"):
+      tensor_crystal(c, tensor_crystal(c, c))
+
+  def test_columns_are_per_factor_not_per_product(self, e6):
+    # the E6 cube has 19,683 elements; the tensor holds only the factors'
+    # 27-entry columns, read from their tables
+    c = MinusculeCrystal(e6, 1)
+    t = tensor_crystal(c, c, c)
+    for i in range(1, 7):
+      for k in range(3):
+        assert t._e[i][k] == [c.e(b, i) for b in c.indices()]
+        assert t._f[i][k] == [c.f(b, i) for b in c.indices()]
+        assert t._eps[i][k] == [c.eps(b, i) for b in c.indices()]
+        assert t._phi[i][k] == [c.phi(b, i) for b in c.indices()]
+
 
 class TestHighestWeightComponent:
 
@@ -211,10 +237,17 @@ def _oracle_step(t, b, i, raising):
   return None
 
 
-@pytest.mark.parametrize("family,rank,copies", [("A", 2, 3), ("E", 6, 2)])
-def test_tensor_operators_match_recursive_oracle(family, rank, copies):
-  c = MinusculeCrystal(build(family, rank), 1)
-  t = tensor_crystal(*([c] * copies))
+# (family, rank, minuscule node of each factor): powers of omega_1, factors
+# of unequal sizes (10, 16 and 16 elements) and the E7 square
+_ORACLE_TENSORS = (("A", 2, (1, 1, 1)), ("E", 6, (1, 1)), ("D", 5, (1, 5, 4)),
+                   ("E", 7, (7, 7)))
+
+
+@pytest.mark.parametrize("family,rank,nodes", _ORACLE_TENSORS,
+                         ids=["A-2-3", "E-6-2", "D-5-1,5,4", "E-7-7,7"])
+def test_tensor_operators_match_recursive_oracle(family, rank, nodes):
+  sys = build(family, rank)
+  t = tensor_crystal(*[MinusculeCrystal(sys, r) for r in nodes])
   for b in t.elements():
     for i in range(1, rank + 1):
       assert (t.eps(b, i), t.phi(b, i)) == _oracle_suffix(t, b, i, 0)

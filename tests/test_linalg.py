@@ -380,6 +380,21 @@ class TestSpanSolver:
     with pytest.raises(TypeError, match="mix"):
       span_solver([SparseVector({0: 1}), SparseVector({1: i_power(1)})])
 
+  @pytest.mark.parametrize("basis,target", [
+      ([{0: 1}], {0: 0.5}),
+      ([{0: 2}], {0: 0.5}),
+      ([{0: 1, 1: 1}], {0: 0.1, 1: 0.1}),
+      ([{0: 2, 1: 2}], {0: 0.1, 1: 0.1}),
+      ([{0: 1, 1: 1}], {0: 0.1, 1: 0.2}),
+  ], ids=["square-D1", "square-D2", "nonsquare-D1", "nonsquare-D2",
+          "nonsquare-outside"])
+  def test_float_target_rejected(self, basis, target):
+    # a float target is not turned into a binary Fraction, nor answered
+    # None by a residual that rounds to zero or not
+    solve = span_solver([SparseVector(v) for v in basis])
+    with pytest.raises(TypeError, match="float"):
+      solve(SparseVector(target))
+
 
 #: Coordinate scales of the combination targets: 1, and the prime
 #: 2**31 - 1, which is prime to every gcd the combinations can have and so
@@ -612,6 +627,12 @@ def test_normalize_scalar():
   half = Fraction(1, 2)
   assert normalize_scalar(GaussianRational(1, 1), 2) == \
       GaussianRational(half, half)
+
+
+@pytest.mark.parametrize("x,den", [(0.5, 1), (1.0, 1), (0.1, 2)])
+def test_normalize_scalar_rejects_float(x, den):
+  with pytest.raises(TypeError, match="float"):
+    normalize_scalar(x, den)
 
 
 @pytest.mark.parametrize("x,den", [(6, 3), (-6, 3), (6, -3), (0, 7), (3, 2),
