@@ -13,10 +13,14 @@ Subcommands:
                     weight of E6.
 
 Output on stdout is deterministic JSON (sorted keys, fractions rendered as
-strings such as "1/2", a schema_version field); progress for long-running
-suites goes to stderr.  Exit code 0 means every requested check passed, 1
-means a verification failure (a JSON witness is still printed), 2 is a
-usage error, whose reason is printed as an ``error: ...`` line on stderr.
+strings such as "1/2", a schema_version field).  The json format is exactly
+what json.dumps(..., sort_keys=True, indent=2) would print; the tsv format is
+one key<TAB>value line per field, the value as compact JSON with ", " and
+": " separators.  One renderer, _render, produces both in one pass over the
+payload.  Progress for long-running suites goes to stderr.  Exit code 0
+means every requested check passed, 1 means a verification failure (a JSON
+witness is still printed), 2 is a usage error, whose reason is printed as an
+``error: ...`` line on stderr.
 
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built on the first call, not at import, and is reused: a parse
@@ -25,41 +29,70 @@ leaves nothing on it, so the calls are independent.
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import cells, e6, folding, loops
 from .linalg import normalize_scalar
 from .rootsystem import build, cartan_matrix
 
 SCHEMA_VERSION = 1
+_PLAIN_INT = frozenset([int])
 
 
-def _jsonable(value):
-  if isinstance(value, bool) or isinstance(value, int) or value is None:
-    return value
-  if isinstance(value, Fraction):
-    return str(value) if value.denominator != 1 else int(value)
+def _render(value, nl):
+  """The JSON text of value: dict keys as str(k), sorted; tuples as arrays;
+  a Fraction as "p/q", or as an int when integral.  nl is the line break
+  and indent of value's own level in the indented layout, None in the
+  compact one."""
+  if isinstance(value, (list, tuple, dict)):
+    if not value:
+      return "{}" if isinstance(value, dict) else "[]"
+    if nl is None:
+      child, lead, sep, tail = None, "", ", ", ""
+    else:
+      child = nl + "  "
+      lead, sep, tail = child, "," + child, nl
+    if isinstance(value, dict):
+      items = {str(k): v for k, v in value.items()}
+      body = sep.join([encode_basestring_ascii(k) + ": "
+                       + _render(items[k], child) for k in sorted(items)])
+      return "{" + lead + body + tail + "}"
+    if set(map(type, value)) <= _PLAIN_INT:
+      # a coordinate vector: no bool among the items, so one join
+      body = sep.join(map(int.__repr__, value))
+    else:
+      body = sep.join([_render(v, child) for v in value])
+    return "[" + lead + body + tail + "]"
+  if value is None:
+    return "null"
+  if value is True:
+    return "true"
+  if value is False:
+    return "false"
+  if isinstance(value, int):
+    return int.__repr__(value)
   if isinstance(value, str):
-    return value
-  if isinstance(value, (list, tuple)):
-    return [_jsonable(v) for v in value]
-  if isinstance(value, dict):
-    return {str(k): _jsonable(v) for k, v in value.items()}
+    return encode_basestring_ascii(value)
+  if isinstance(value, Fraction):
+    return (int.__repr__(value.numerator) if value.denominator == 1
+            else encode_basestring_ascii(str(value)))
   raise TypeError("cannot render %r as JSON" % type(value).__name__)
 
 
 def _emit(payload, fmt):
-  payload = dict(payload)
+  """Write payload and the schema version on stdout, in one write once
+  every value has rendered: one indented JSON document, or one line per
+  top-level key with its value as compact JSON after a tab."""
+  payload = {str(k): v for k, v in payload.items()}
   payload["schema_version"] = SCHEMA_VERSION
-  data = _jsonable(payload)
   if fmt == "tsv":
-    for key in sorted(data):
-      sys.stdout.write("%s\t%s\n" % (key, json.dumps(data[key],
-                                                     sort_keys=True)))
+    text = "".join("%s\t%s\n" % (key, _render(payload[key], None))
+                   for key in sorted(payload))
   else:
-    sys.stdout.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    text = _render(payload, "\n") + "\n"
+  sys.stdout.write(text)
 
 
 def _progress(msg):
@@ -99,7 +132,7 @@ def _cmd_rootsys(args):
       "positive_roots": len(sys_.positive_roots),
       "highest_root": list(sys_.highest_root),
   }
-  if args.weight:
+  if args.weight is not None:
     wt = _parse_weight(args.weight, sys_.rank)
     payload["weight"] = list(wt)
     payload["dimension"] = sys_.weyl_dimension(wt)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import add, le, mul, sub
+from sys import maxsize
 
 from .linalg import integer_inverse, normalize_scalar
 
@@ -43,6 +44,9 @@ class CartanType:
           (f == "G" and n == 2))
     if not ok:
       raise ValueError("invalid rank %d for family %s" % (n, f))
+    if n > maxsize:
+      # checked before any per-node list or range is built
+      raise ValueError("rank %d does not fit in an index" % n)
 
   def __str__(self):
     return "%s%d" % (self.family, self.rank)
@@ -374,16 +378,15 @@ class RootSystem:
     lam = self._check_weight(lam, integral=True)
     if not self.is_dominant(lam):
       raise ValueError("weight must be dominant")
-    n = self.rank
-    rho = (1,) * n
+    rho = (1,) * self.rank
     lam_rho = tuple(a + 1 for a in lam)
-    out = Fraction(1)
-    for root in self.positive_roots:
-      out *= Fraction(self._root_inner(root, lam_rho),
-                      self._root_inner(root, rho))
-    if out.denominator != 1:
+    roots = self.positive_roots
+    # Weyl's formula: the quotient of the two products is an integer
+    dim, rem = divmod(prod(self._root_inner(root, lam_rho) for root in roots),
+                      prod(self._root_inner(root, rho) for root in roots))
+    if rem:
       raise AssertionError("dimension formula must yield an integer")
-    return int(out)
+    return dim
 
   def is_minuscule(self, r):
     """Whether the r-th fundamental weight is minuscule: <omega_r, alphacheck>

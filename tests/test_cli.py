@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistedlie import cli, e6, folding, loops
 from twistedlie.linalg import SparseVector
@@ -329,15 +333,105 @@ def test_parsed_coordinates_are_ints_where_integral():
   assert [type(c) for c in cli._parse_weight("3,0", 2)] == [int, int]
 
 
+def _jsonable(value):
+  """The oracle's converter to json's types: ints, bools and None as they
+  are, a Fraction as "p/q" or an int, tuples as lists, keys as str(k)."""
+  if isinstance(value, bool) or isinstance(value, int) or value is None:
+    return value
+  if isinstance(value, Fraction):
+    return str(value) if value.denominator != 1 else int(value)
+  if isinstance(value, str):
+    return value
+  if isinstance(value, (list, tuple)):
+    return [_jsonable(v) for v in value]
+  if isinstance(value, dict):
+    return {str(k): _jsonable(v) for k, v in value.items()}
+  raise TypeError("cannot render %r as JSON" % type(value).__name__)
+
+
+def _oracle_emit(payload, fmt):
+  """The text cli._emit must write, through _jsonable and json.dumps."""
+  data = _jsonable(dict(payload, schema_version=cli.SCHEMA_VERSION))
+  if fmt == "tsv":
+    return "".join("%s\t%s\n" % (key, json.dumps(data[key], sort_keys=True))
+                   for key in sorted(data))
+  return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _emitted(payload, fmt):
+  out = io.StringIO()
+  with contextlib.redirect_stdout(out):
+    cli._emit(payload, fmt)
+  return out.getvalue()
+
+
 class TestJsonable:
 
   def test_fractions_render_as_strings_or_ints(self):
     payload = {"half": Fraction(1, 2), "two": Fraction(4, 2), 3: (None,)}
-    assert cli._jsonable(payload) == {"half": "1/2", "two": 2, "3": [None]}
+    assert cli._render(payload, None) == \
+        '{"3": [null], "half": "1/2", "two": 2}'
+    assert cli._render(payload, "\n") == \
+        '{\n  "3": [\n    null\n  ],\n  "half": "1/2",\n  "two": 2\n}'
 
   def test_unsupported_value_raises(self):
     with pytest.raises(TypeError):
-      cli._jsonable(object())
+      cli._render(object(), None)
+
+
+# quotes, escapes, control characters, non-ASCII and an astral character
+_CHARS = "az\"\\/\n\t\x00\x1f\x7f\u00e9 \u20ac\U0001f600"
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+            | st.text(st.sampled_from(_CHARS), max_size=4))
+# int lists with bools among them, beside the plain int coordinate vectors
+_VECTORS = (st.lists(st.integers(-9, 9), max_size=4)
+            | st.lists(st.integers(-2, 2) | st.booleans(), max_size=4))
+_KEYS = st.integers(-3, 3) | st.text(st.sampled_from(_CHARS), max_size=2)
+_VALUES = st.recursive(
+    _SCALARS | _VECTORS | _VECTORS.map(tuple),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=8)
+_PAYLOADS = st.dictionaries(_KEYS, _VALUES, max_size=4)
+
+
+class TestRendererAgainstJsonDumps:
+
+  @settings(max_examples=200, deadline=None)
+  @given(payload=_PAYLOADS)
+  def test_both_layouts_equal_json_dumps(self, payload):
+    for fmt in ("json", "tsv"):
+      assert _emitted(payload, fmt) == _oracle_emit(payload, fmt)
+
+  @pytest.mark.parametrize("fmt", ("json", "tsv"))
+  @pytest.mark.parametrize("value", (0.5, [1, 2.0], {"a": (1, {"b": 1e9})}),
+                           ids=("float", "in-vector", "nested"))
+  def test_float_raises_before_any_output(self, fmt, value):
+    payload = {"first": [1, 2], "value": value}
+    with pytest.raises(TypeError):
+      _oracle_emit(payload, fmt)
+    out = io.StringIO()
+    with pytest.raises(TypeError, match="'float'"), \
+        contextlib.redirect_stdout(out):
+      cli._emit(payload, fmt)
+    assert out.getvalue() == ""
+
+  @pytest.mark.parametrize("argv", (
+      ["dominance", "--type", "A", "--rank", "6", "--m", "4",
+       "--lambda", "2,2,2,2,2,2"],
+      ["smooth-locus", "--type", "A", "--rank", "6", "--m", "4",
+       "--lambda", "2,2,2,2,2,2"],
+      ["numbers-game"]), ids=lambda argv: argv[0])
+  @pytest.mark.parametrize("fmt", ("json", "tsv"))
+  def test_command_payloads_equal_json_dumps(self, monkeypatch, argv, fmt):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda payload, _: payloads.append(
+        payload))
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    assert _emitted(payloads[0], fmt) == _oracle_emit(payloads[0], fmt)
 
 
 # (argv, whether argparse rejects it before a subcommand runs): one
@@ -349,6 +443,8 @@ _MALFORMED = (
     (["rootsys", "--type", "A", "--rank", "2", "--weight", "1/0,0"], False),
     (["rootsys", "--type", "BC", "--rank", "3"], False),
     (["rootsys", "--type", "", "--rank", "3"], False),
+    (["rootsys", "--type", "A", "--rank", "2", "--weight", ""], False),
+    (["rootsys", "--type", "A", "--rank", "99999999999999999999"], False),
     (["fold", "--type", "A", "--rank", "3", "--m", "3"], False),
     (["fold", "--type", "A", "--rank", "3", "--m", "two"], True),
     (["dominance", "--type", "A", "--rank", "2", "--m", "4",

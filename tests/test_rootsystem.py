@@ -61,6 +61,8 @@ class TestCartanMatrices:
       CartanType("E", 9)
     with pytest.raises(ValueError):
       CartanType("H", 3)
+    with pytest.raises(ValueError, match="does not fit in an index"):
+      CartanType("A", 10 ** 20)
 
 
 def _raise(root, i):
@@ -314,6 +316,24 @@ class TestWeightMachinery:
     assert sys.weyl_dimension((0,) * 6) == 1
     g2 = build("G", 2)
     assert g2.weyl_dimension((0, 1)) == 14
+
+  @pytest.mark.parametrize("family,rank", _CLOSURE_TYPES,
+                           ids=["%s%d" % t for t in _CLOSURE_TYPES])
+  def test_weyl_dimension_matches_fraction_product(self, family, rank):
+    # the integer quotient against the formula as one Fraction per positive
+    # root, on 20 seeded dominant weights with coordinates 0 to 3
+    sys = build(family, rank)
+    rng = random.Random("%s%d" % (family, rank))
+    rho = (1,) * rank
+    for _ in range(20):
+      lam = tuple(rng.randrange(4) for _ in range(rank))
+      lam_rho = tuple(a + 1 for a in lam)
+      product = Fraction(1)
+      for root in sys.positive_roots:
+        product *= Fraction(sys.root_inner(root, lam_rho),
+                            sys.root_inner(root, rho))
+      assert product.denominator == 1
+      assert sys.weyl_dimension(lam) == product
 
   @pytest.mark.parametrize("family, rank, wt", [
       ("A", 2, (1, 0, 5)), ("E", 6, (1, 0, 0)), ("A", 2, ())])
