@@ -100,22 +100,30 @@ def _progress(msg):
   sys.stderr.flush()
 
 
-def _parse_coords(text):
-  """Comma-separated coordinates: ints where integral, else Fractions."""
+def _parse_coords(text, flag, rank):
+  """The value of ``flag``, comma-separated coordinates, one per node: ints
+  where integral, else Fractions.  Each error names the flag and the
+  whole argument."""
   try:
-    return tuple(normalize_scalar(Fraction(part)) for part in text.split(","))
+    coords = tuple(normalize_scalar(Fraction(part))
+                   for part in text.split(","))
   except ZeroDivisionError:
-    raise ValueError("zero denominator in coordinates %r" % text) from None
+    problem = "has a zero denominator"
+  except ValueError:
+    problem = "is not a comma-separated list of rationals"
+  else:
+    if len(coords) == rank:
+      return coords
+    problem = "has %d coordinates, expected %d" % (len(coords), rank)
+  raise ValueError("%s %r %s" % (flag, text, problem))
 
 
 def _parse_weight(text, rank):
   """Integral fundamental weight coordinates, one per node."""
-  coords = _parse_coords(text)
-  if len(coords) != rank:
-    raise ValueError("--weight has %d coordinates, expected %d"
-                     % (len(coords), rank))
+  coords = _parse_coords(text, "--weight", rank)
   if any(type(c) is not int for c in coords):
-    raise ValueError("--weight coordinates must be integers")
+    raise ValueError("--weight %r has coordinates that are not integers"
+                     % text)
   return coords
 
 
@@ -174,7 +182,7 @@ def _cmd_fold(args):
 
 def _cmd_dominance(args):
   datum = folding.Folding(args.type, args.rank, args.m)
-  lam = datum.project(_parse_coords(args.lam))
+  lam = datum.project(_parse_coords(args.lam, "--lambda", args.rank))
   below = cells.dominants_below(datum, lam)
   payload = {
       "class_type": str(datum.weight_ctype),
@@ -189,7 +197,7 @@ def _cmd_dominance(args):
 
 def _cmd_smooth_locus(args):
   datum = folding.Folding(args.type, args.rank, args.m)
-  lam = datum.project(_parse_coords(args.lam))
+  lam = datum.project(_parse_coords(args.lam, "--lambda", args.rank))
   report = cells.smooth_cells(datum, args.variant, lam)
   payload = {
       "family": report.family,

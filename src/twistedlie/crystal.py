@@ -1,18 +1,18 @@
 """Minuscule crystals, tensor products, and highest weight components.
 
-A finite crystal is stored as tables: a weight per element and the
-lowering operators f_i as a table of (element, node) -> element.  The
-raising operators are the inverted table, and eps_i / phi_i are the lengths
-of the i-strings read off the tables, which is valid because such a crystal
-is closed under every e_i and f_i.
+Every table has one format, a list per node indexed by element: f[i - 1][b]
+is f_i b, or None.  A finite crystal is its weights and its f columns; the
+e columns are their inverse, and eps_i / phi_i are read off the i-strings,
+which is valid because such a crystal is closed under every e_i and f_i.
 
 The crystal of a minuscule fundamental weight omega_r is the Weyl orbit of
 omega_r: f_i sends a weight mu to s_i mu = mu - alpha_i exactly when
-<mu, alpha_i^vee> = 1.  Tensor products use the signature rule (Kashiwara,
-Duke Math. J. 63, 1991) on per-node columns read once from the factor
-tables, so no table of the product is built; a highest weight component
-is extracted by lowering from a chosen highest weight element, level by
-level, with a canonical raising path recorded for every element.
+<mu, alpha_i^vee> = 1, so its f columns are ``RootSystem.orbit_graph``'s
+steps.  Tensor products use the signature rule (Kashiwara, Duke Math. J.
+63, 1991) in one fold over the factors' own columns, so no table of the
+product is built; a highest weight component is extracted by lowering from
+a chosen highest weight element, level by level, with a canonical raising
+path recorded for every element.
 """
 
 from itertools import product
@@ -21,28 +21,34 @@ from math import prod
 
 class TableCrystal:
   """A finite crystal on the indices 0..n-1, given by its weights and its
-  table {(b, i): f_i b}.  e_i is the table inverted; eps_i and phi_i are
-  the lengths of the i-strings in the table, the true values for a crystal
-  closed under every e_i and f_i, as the subclasses are."""
+  lowering columns: f[i - 1][b] is f_i b, or None.  The raising columns e
+  are their inverse, and eps and phi are the positions on the i-strings
+  walked down from their tops, the true values for a crystal closed under
+  every e_i and f_i, as the subclasses are.  All four are lists indexed
+  [i - 1][b]."""
 
-  def __init__(self, rank, weights, f_table):
+  def __init__(self, rank, weights, f):
     self.rank = rank
     self.weights = weights
-    self.f_table = f_table
-    self.e_table = {(c, i): b for (b, i), c in f_table.items()}
-    # the string lengths per node and element, walked down from the top of
-    # every string
-    self._eps = {i: [0] * len(weights) for i in range(1, rank + 1)}
-    self._phi = {i: [0] * len(weights) for i in range(1, rank + 1)}
-    for (b, i) in f_table:
-      if (b, i) in self.e_table:
-        continue
-      string = [b]
-      while (string[-1], i) in f_table:
-        string.append(f_table[(string[-1], i)])
-      for k, c in enumerate(string):
-        self._eps[i][c] = k
-        self._phi[i][c] = len(string) - 1 - k
+    n = len(weights)
+    self._f = f
+    self._e, self._eps, self._phi = [], [], []
+    for down in f:
+      up = [None] * n
+      for b, c in enumerate(down):
+        if c is not None:
+          up[c] = b
+      eps, phi = [0] * n, [0] * n
+      for top in range(n):
+        if up[top] is None:
+          string = [top]
+          while down[string[-1]] is not None:
+            string.append(down[string[-1]])
+          for k, c in enumerate(string):
+            eps[c], phi[c] = k, len(string) - 1 - k
+      self._e.append(up)
+      self._eps.append(eps)
+      self._phi.append(phi)
 
   def __len__(self):
     return len(self.weights)
@@ -54,22 +60,22 @@ class TableCrystal:
     return self.weights[b]
 
   def e(self, b, i):
-    return self.e_table.get((b, i))
+    return self._e[i - 1][b]
 
   def f(self, b, i):
-    return self.f_table.get((b, i))
+    return self._f[i - 1][b]
 
   def eps(self, b, i):
-    return self._eps[i][b]
+    return self._eps[i - 1][b]
 
   def phi(self, b, i):
-    return self._phi[i][b]
+    return self._phi[i - 1][b]
 
 
 class MinusculeCrystal(TableCrystal):
   """The crystal of a minuscule fundamental weight.
 
-  Elements and f_table are read from ``RootSystem.orbit_graph(omega_r)``:
+  Elements and f columns are ``RootSystem.orbit_graph(omega_r)`` as given:
   the orbit breadth-first from index 0, the highest weight element, and its
   lowering steps.  Orbit coordinates lie in {-1, 0, 1}, so each lowering
   step s_i mu is f_i mu.
@@ -79,10 +85,7 @@ class MinusculeCrystal(TableCrystal):
     if not sys.is_minuscule(r):
       raise ValueError("node %d is not minuscule for %s" % (r, sys.ctype))
     omega = tuple(int(i == r - 1) for i in range(sys.rank))
-    weights, steps = sys.orbit_graph(omega)
-    f_table = {(k, i): row[k] for k in range(len(weights))
-               for i, row in enumerate(steps, 1) if row[k] is not None}
-    super().__init__(sys.rank, weights, f_table)
+    super().__init__(sys.rank, *sys.orbit_graph(omega))
 
 
 class TensorCrystal:
@@ -93,10 +96,10 @@ class TensorCrystal:
   remaining factors, and the raising operator acts on the left factor when
   its phi is at least the eps of the remaining factors.
 
-  Every factor is a ``TableCrystal`` of the same rank.  Its tables are read
-  once into per-node columns, a list per factor indexed by element: eps,
-  phi, e and f.  The operators then read only those lists and the factor
-  weights; no table of the product is built.
+  Every factor is a ``TableCrystal`` of the same rank.  The tensor holds
+  the factors' own columns, grouped by node: _eps[i - 1][k] is factor k's
+  eps column at node i, and likewise _phi, _e and _f.  One fold over them
+  gives eps, phi and the acting factor; no table of the product is built.
   """
 
   def __init__(self, factors):
@@ -109,16 +112,10 @@ class TensorCrystal:
     if any(f.rank != self.rank for f in self.factors):
       raise ValueError("factors of ranks %s differ"
                        % [f.rank for f in self.factors])
-    nodes = range(1, self.rank + 1)
     self._weights = [f.weights for f in self.factors]
-    self._eps = {i: [f._eps[i] for f in self.factors] for i in nodes}
-    self._phi = {i: [f._phi[i] for f in self.factors] for i in nodes}
-    self._e = {i: [[None] * len(f) for f in self.factors] for i in nodes}
-    self._f = {i: [[None] * len(f) for f in self.factors] for i in nodes}
-    for k, factor in enumerate(self.factors):
-      for (b, i), c in factor.f_table.items():
-        self._f[i][k][b] = c
-        self._e[i][k][c] = b
+    self._eps, self._phi, self._e, self._f = (
+        list(zip(*(getattr(f, name) for f in self.factors)))
+        for name in ("_eps", "_phi", "_e", "_f"))
 
   def __len__(self):
     return prod(map(len, self.factors))
@@ -131,44 +128,38 @@ class TensorCrystal:
   def wt(self, b):
     return tuple(map(sum, zip(*[w[bk] for w, bk in zip(self._weights, b)])))
 
-  def _eps_phi(self, b, i):
-    """(eps, phi) of the product, folded over the factors right to left:
-    eps = e1 + max(0, e2 - p1) and phi = p2 + max(0, p1 - e2)."""
-    eps, phi = self._eps[i], self._phi[i]
-    e2 = p2 = 0
-    for k in range(len(b) - 1, -1, -1):
-      p1 = phi[k][b[k]]
-      if p1 >= e2:
-        p2 += p1 - e2
-        e2 = eps[k][b[k]]
-      else:
-        e2 += eps[k][b[k]] - p1
-    return e2, p2
-
-  def eps(self, b, i):
-    return self._eps_phi(b, i)[0]
-
-  def phi(self, b, i):
-    return self._eps_phi(b, i)[1]
-
-  def _step(self, b, i, raising):
-    """e (raising) or f applied to b, in one right-to-left pass: it acts on
-    the leftmost factor whose phi reaches (e) or exceeds (f) the eps of
-    the factors to its right."""
-    eps, phi = self._eps[i], self._phi[i]
+  def _fold(self, b, i, raising):
+    """(eps, phi, pos) of b at node i, in one right-to-left pass.  A factor
+    (e1, p1) folds onto the factors to its right, (e2, p2), as
+    eps = e1 + max(0, e2 - p1) and phi = p2 + max(0, p1 - e2); pos is the
+    factor that e_i (raising) or f_i acts on, the leftmost whose phi
+    reaches (e) or exceeds (f) the eps of the factors to its right, or
+    None."""
+    eps, phi = self._eps[i - 1], self._phi[i - 1]
     pos = None
-    e2 = 0
+    e2 = p2 = 0
     for k in range(len(b) - 1, -1, -1):
       p1 = phi[k][b[k]]
       if p1 >= e2:
         if raising or p1 > e2:
           pos = k
+        p2 += p1 - e2
         e2 = eps[k][b[k]]
       else:
         e2 += eps[k][b[k]] - p1
+    return e2, p2, pos
+
+  def eps(self, b, i):
+    return self._fold(b, i, False)[0]
+
+  def phi(self, b, i):
+    return self._fold(b, i, False)[1]
+
+  def _step(self, b, i, raising):
+    pos = self._fold(b, i, raising)[2]
     if pos is None:
       return None
-    img = (self._e if raising else self._f)[i][pos][b[pos]]
+    img = (self._e if raising else self._f)[i - 1][pos][b[pos]]
     return None if img is None else b[:pos] + (img,) + b[pos + 1:]
 
   def f(self, b, i):
@@ -191,7 +182,8 @@ class HighestWeightComponent(TableCrystal):
   satisfies b = f_{path[0]} f_{path[1]} ... f_{path[-1]} (highest weight).
   The component is found level by level with one f_i per element and node:
   an element's canonical node is the least node with a preimage in the
-  level above, and that preimage is its parent.
+  level above, and that preimage is its parent.  The f columns fill in
+  index order and are mapped from tensor elements to indices once.
   """
 
   def __init__(self, tensor, hw):
@@ -202,30 +194,26 @@ class HighestWeightComponent(TableCrystal):
     self.hw = hw
     self.elements = [hw]
     self.paths = [()]
-    index = {hw: 0}
-    f_table = {}
+    f = [[] for _ in range(rank)]
     start = 0
     while start < len(self.elements):
       stop = len(self.elements)
-      images = {}
       found = {}
       for k in range(start, stop):
-        for i in range(1, rank + 1):
+        for i, column in enumerate(f, 1):
           c = tensor.f(self.elements[k], i)
-          if c is not None:
-            images[(k, i)] = c
-            if c not in found or i < found[c][0]:
-              found[c] = (i, k)
+          column.append(c)
+          if c is not None and (c not in found or i < found[c][0]):
+            found[c] = (i, k)
       # the parents' paths come in order, so (node, parent) orders the paths
       for c in sorted(found, key=found.get):
         i, k = found[c]
-        index[c] = len(self.elements)
         self.elements.append(c)
         self.paths.append((i,) + self.paths[k])
-      for key, c in images.items():
-        f_table[key] = index[c]
       start = stop
-    super().__init__(rank, [tensor.wt(b) for b in self.elements], f_table)
+    index = {b: k for k, b in enumerate(self.elements)}
+    f = [[None if c is None else index[c] for c in column] for column in f]
+    super().__init__(rank, [tensor.wt(b) for b in self.elements], f)
 
 
 def highest_weight_component(tensor, wt):

@@ -264,13 +264,7 @@ def hyperspecial_basis(ell, bound):
     for i in range(1, ell + 1):
       for k in range(0, (bound - 1) // 2 + 1):
         deg = (2 * k + 1 + (1 if sign > 0 else -1)) // 2
-        a = root_vector(sign, i, ell)
-        b = root_vector(sign, ell + 1, 2 * ell + 1 - i)
-        s = 1 if (ell + i) % 2 == 0 else -1
-        if deg % 2 == 1:
-          s = -s
-        out.append((4, (sign, i, k),
-                    SparseVector._raw({(a, deg): 1, (b, deg): s})))
+        out.append((4, (sign, i, k), _pair(ell, sign, i, ell, deg)))
   for i in range(1, ell + 1):
     for k in range(0, bound // 2 + 1):
       s = 1 if k % 2 == 0 else -1

@@ -327,7 +327,7 @@ class TestUsageErrors:
 
 
 def test_parsed_coordinates_are_ints_where_integral():
-  got = cli._parse_coords("1,-2,1/2,4/2,0")
+  got = cli._parse_coords("1,-2,1/2,4/2,0", "--lambda", 5)
   assert got == (1, -2, Fraction(1, 2), 2, 0)
   assert [type(c) for c in got] == [int, int, Fraction, int, int]
   assert [type(c) for c in cli._parse_weight("3,0", 2)] == [int, int]
@@ -486,6 +486,29 @@ def test_malformed_input_is_usage_error(capsys, argv, by_argparse):
     assert lines[0].startswith("usage: ")
   else:
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# malformed coordinates, each given as the last argument after its flag
+_BAD_COORDS = tuple(argv + [flag, text] for argv, flag, texts in (
+    (["rootsys", "--type", "A", "--rank", "2"], "--weight",
+     ("x,0", ",", "", "1/0,0", "1,0,5", "1", "1/2,0")),
+    (["dominance", "--type", "A", "--rank", "2", "--m", "4"], "--lambda",
+     ("x,0", ",", "1/0,0", "1", "1,0,0")),
+    (["smooth-locus", "--type", "A", "--rank", "2", "--m", "4"], "--lambda",
+     ("1/0,0", "1,0,0")),
+) for text in texts)
+
+
+@pytest.mark.parametrize("argv", _BAD_COORDS,
+                         ids=[" ".join(a) for a in _BAD_COORDS])
+def test_coordinate_errors_name_their_flag(capsys, argv):
+  # one error line that names the flag and quotes the whole argument
+  assert cli.main(argv) == 2
+  captured = capsys.readouterr()
+  assert captured.out == ""
+  lines = captured.err.splitlines()
+  assert len(lines) == 1
+  assert lines[0].startswith("error: %s %r " % tuple(argv[-2:])), lines[0]
 
 
 # one valid argv per subcommand, each with the default json and with tsv

@@ -121,15 +121,17 @@ class TestTensorCrystal:
 
   def test_columns_are_per_factor_not_per_product(self, e6):
     # the E6 cube has 19,683 elements; the tensor holds only the factors'
-    # 27-entry columns, read from their tables
+    # own 27-entry columns, and the factor's f columns are the lowering
+    # steps of the orbit graph as given
     c = MinusculeCrystal(e6, 1)
+    assert c._f == e6.orbit_graph((1, 0, 0, 0, 0, 0))[1]
     t = tensor_crystal(c, c, c)
     for i in range(1, 7):
       for k in range(3):
-        assert t._e[i][k] == [c.e(b, i) for b in c.indices()]
-        assert t._f[i][k] == [c.f(b, i) for b in c.indices()]
-        assert t._eps[i][k] == [c.eps(b, i) for b in c.indices()]
-        assert t._phi[i][k] == [c.phi(b, i) for b in c.indices()]
+        assert t._e[i - 1][k] is c._e[i - 1]
+        assert t._f[i - 1][k] is c._f[i - 1]
+        assert t._eps[i - 1][k] is c._eps[i - 1]
+        assert t._phi[i - 1][k] is c._phi[i - 1]
 
 
 class TestHighestWeightComponent:
@@ -237,17 +239,31 @@ def _oracle_step(t, b, i, raising):
   return None
 
 
-# (family, rank, minuscule node of each factor): powers of omega_1, factors
-# of unequal sizes (10, 16 and 16 elements) and the E7 square
+def _factor(sys, spec):
+  """The minuscule crystal of a node, or for (weight, nodes) the component
+  of that highest weight in the tensor of those minuscule crystals."""
+  if isinstance(spec, int):
+    return MinusculeCrystal(sys, spec)
+  wt, nodes = spec
+  return highest_weight_component(
+      tensor_crystal(*[MinusculeCrystal(sys, r) for r in nodes]), wt)
+
+
+# (family, rank, factors as _factor specs): powers of omega_1, factors of
+# unequal sizes (10, 16 and 16 elements), the E7 square, and components as
+# left factors: the 6-element A2 component V(2 omega_1) and the 120-element
+# D5 component V(omega_3) of V(omega_5)^2
 _ORACLE_TENSORS = (("A", 2, (1, 1, 1)), ("E", 6, (1, 1)), ("D", 5, (1, 5, 4)),
-                   ("E", 7, (7, 7)))
+                   ("E", 7, (7, 7)), ("A", 2, (((2, 0), (1, 1)), 1)),
+                   ("D", 5, (((0, 0, 1, 0, 0), (5, 5)), 5)))
 
 
 @pytest.mark.parametrize("family,rank,nodes", _ORACLE_TENSORS,
-                         ids=["A-2-3", "E-6-2", "D-5-1,5,4", "E-7-7,7"])
+                         ids=["A-2-3", "E-6-2", "D-5-1,5,4", "E-7-7,7",
+                              "A-2-V(2,0),1", "D-5-V(0,0,1,0,0),5"])
 def test_tensor_operators_match_recursive_oracle(family, rank, nodes):
   sys = build(family, rank)
-  t = tensor_crystal(*[MinusculeCrystal(sys, r) for r in nodes])
+  t = tensor_crystal(*[_factor(sys, spec) for spec in nodes])
   for b in t.elements():
     for i in range(1, rank + 1):
       assert (t.eps(b, i), t.phi(b, i)) == _oracle_suffix(t, b, i, 0)
@@ -355,10 +371,13 @@ def _seed_component(tensor, hw):
           {(k, i): tensor.phi(order[k], i) for k, i in keys})
 
 
-def _eps_phi(crys):
+def _tables(crys):
+  """e, f, eps and phi of a table crystal, read through its operators as
+  the seed's {(b, i): value} dicts; e and f omit the None values."""
   keys = [(b, i) for b in crys.indices() for i in range(1, crys.rank + 1)]
-  return ({key: crys.eps(*key) for key in keys},
-          {key: crys.phi(*key) for key in keys})
+  return tuple({key: value for key in keys
+                if (value := op(*key)) is not None}
+               for op in (crys.e, crys.f, crys.eps, crys.phi))
 
 
 def _minuscule_nodes():
@@ -377,7 +396,7 @@ def test_minuscule_crystals_match_seed_coset_build():
   assert len(nodes) == 61
   for sys, r in nodes:
     c = MinusculeCrystal(sys, r)
-    got = (c.weights, c.e_table, c.f_table) + _eps_phi(c)
+    got = (c.weights,) + _tables(c)
     assert got == _seed_minuscule(sys, r), (sys.ctype, r)
 
 
@@ -403,8 +422,7 @@ _QUICK_CRYSTALS = (("E", 6, 1, 2), ("E", 7, 7, 2), ("D", 5, 5, 3),
 
 
 def _assert_matches_seed_component(comp):
-  got = ((comp.elements, comp.paths, comp.weights, comp.e_table,
-          comp.f_table) + _eps_phi(comp))
+  got = (comp.elements, comp.paths, comp.weights) + _tables(comp)
   assert got == _seed_component(comp.tensor, comp.hw), comp.hw
 
 
