@@ -13,10 +13,10 @@ image of the unit vector on key, and one loop applies a table to a
     exterior powers, whose keys are strictly increasing tuples,
   * exponentials of the nilpotent operators and the resulting simple
     reflection action exp(F_i) exp(-E_i) exp(F_i),
-  * a full defining-relations checker (commutators and Serre relations):
-    the operator words the relations use are compiled once into a
-    prefix-closed word plan, which one loop applies to each basis vector,
-    on tables scaled to integers,
+  * a full defining-relations checker (commutators and Serre relations)
+    on tables scaled to integers: each relation is checked as a whole, as
+    a commutator of two tables evaluated on every basis vector it can
+    move, and the witness is the failure the per-vector order meets first,
   * extraction of a subrepresentation spanned by canonical-path vectors
     attached to a highest weight component of a tensor crystal,
   * lowering operators attached to arbitrary positive roots via iterated
@@ -27,11 +27,10 @@ image of the unit vector on key, and one loop applies a table to a
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import factorial, lcm
 
-from .linalg import SparseVector, ZERO_VECTOR, _add_scaled, span_solver
+from .linalg import SparseVector, ZERO_VECTOR, span_solver
 
 
 def _pairs(image):
@@ -260,87 +259,76 @@ def _integer_tables(tables):
   scaled) with scales[name] = D and scaled[name] a pair table."""
   scales, scaled = {}, {}
   for name, table in tables.items():
-    coeffs = {c for img in table.values() for _, c in img}
-    d = lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
+    # the coefficient objects, told apart by identity: the tables share a
+    # few objects, and hashing a Fraction is slow
+    coeffs = {id(c): c for img in table.values() for _, c in img}
+    d = lcm(*(c.denominator for c in coeffs.values()
+              if isinstance(c, Fraction)))
     scales[name] = d
-    # one object per distinct coefficient, shared by all its entries
     ints = {}
-    for c in coeffs:
+    for ident, c in coeffs.items():
       v = c * d
-      ints[c] = v.numerator if isinstance(v, Fraction) else v
-    scaled[name] = {key: tuple((k2, ints[c]) for k2, c in img)
+      ints[ident] = v.numerator if isinstance(v, Fraction) else v
+    scaled[name] = {key: tuple((k2, ints[id(c)]) for k2, c in img)
                     for key, img in table.items()}
   return scales, scaled
 
 
-def _word_plan(cartan):
-  """The words in the E_i / F_i that the relations apply to a basis vector,
-  compiled into one prefix-closed plan.
+def _bracket(x, y, keys=None):
+  """The commutator [X, Y] = X o Y - Y o X of two operators given by pair
+  tables x and y, one unit vector at a time: yields (key, image) for each
+  of keys, the image a dict without zeros.  By default keys are those
+  where x or y has an image; [X, Y] is zero on the others."""
+  x_get, y_get = x.get, y.get
+  if keys is None:
+    keys = chain(x, (key for key in y if key not in x))
+  for key in keys:
+    acc = {}
+    for k2, c in y_get(key, ()):
+      for k3, c3 in x_get(k2, ()):
+        s = acc.get(k3, 0) + c * c3
+        if s:
+          acc[k3] = s
+        else:
+          del acc[k3]
+    for k2, c in x_get(key, ()):
+      for k3, c3 in y_get(k2, ()):
+        s = acc.get(k3, 0) - c * c3
+        if s:
+          acc[k3] = s
+        else:
+          del acc[k3]
+    yield key, acc
 
-  A word is a tuple of letters (op, i), applied first letter first.  Step
-  s >= 1 of the plan applies the letter steps[s - 1][0] to the image of
-  step steps[s - 1][1] < s; step 0 is the basis vector itself.  Returns
-  (steps, single, ef, serre):
-    * single[(op, j)]: the step of the letter (op, j) alone;
-    * ef[i - 1][j - 1]: the steps of E_i F_j and F_j E_i;
-    * serre: for each i != j in order, (i, j, kind, terms), terms being the
-      (coefficient, step) pairs of ad(X_i)^{1 - a_ij}(X_j) expanded by the
-      binomial formula.
-  """
-  n = len(cartan)
-  index = {(): 0}
-  steps = []
 
-  def add(word):
-    if word not in index:
-      parent = add(word[:-1])
-      index[word] = len(steps) + 1
-      steps.append((word[-1], parent))
-    return index[word]
-
-  single = {(op, j): add(((op, j),)) for op in ("e", "f")
-            for j in range(1, n + 1)}
-  ef = [[(add((("f", j), ("e", i))), add((("e", i), ("f", j))))
-         for j in range(1, n + 1)] for i in range(1, n + 1)]
-  serre = []
-  for i in range(1, n + 1):
-    for j in range(1, n + 1):
-      if i == j:
-        continue
-      m = 1 - cartan[i - 1][j - 1]
-      for kind, op in (("SerreE", "e"), ("SerreF", "f")):
-        terms = []
-        binom = 1
-        for k in range(m + 1):
-          # the k-th binomial term: X_i^(m-k) X_j X_i^k v
-          word = ((op, i),) * k + ((op, j),) + ((op, i),) * (m - k)
-          terms.append(((-1) ** k * binom, add(word)))
-          binom = binom * (m - k) // (k + 1)
-        serre.append((i, j, kind, terms))
-  return steps, single, ef, serre
+def _table(images):
+  """The (key, image dict) pairs as a pair table, without empty images."""
+  return {key: tuple(img.items()) for key, img in images if img}
 
 
 def verify_representation_detailed(rep, cartan):
   """Check the defining relations on every basis vector.
 
   cartan[i][j] = <alpha_{j+1}, acheck_{i+1}> is the Cartan matrix of the
-  acting type.  Returns (ok, witness); the witness names the first failing
-  relation and basis key.  Checked relations, against each unit vector v,
-  for each (i, j) in order: [E_i, F_j] = delta_ij H_i, then the weight
-  equivariance of E_j and F_j under H_i; after all pairs, both Serre
-  relations.  H_i is diagonal, so the H_i commute ("HH" is never reported)
-  and [H_i, E_j] = <alpha_j, acheck_i> E_j holds on v iff every key in the
-  support of E_j v has i-th weight coordinate wt(v)_i + <alpha_j, acheck_i>
-  (likewise for F_j).
+  acting type; it must be rank x rank, and each weight must have rank
+  coordinates (ValueError otherwise).  Returns (ok, witness); the witness
+  names the first failing relation and basis key.  Checked relations,
+  against each unit vector v, for each (i, j) in order: [E_i, F_j] =
+  delta_ij H_i, then the weight equivariance of E_j and F_j under H_i;
+  after all pairs, both Serre relations.  The witness is the failure that
+  comes first in that order: the least (position of v in ``rep.keys()``,
+  position of the relation at v).  H_i is diagonal, so the H_i commute
+  ("HH" is never reported) and [H_i, E_j] = <alpha_j, acheck_i> E_j holds
+  on v iff every key in the support of E_j v has i-th weight coordinate
+  wt(v)_i + <alpha_j, acheck_i> (likewise for F_j).
 
-  The words in the E_i / F_i that the relations use are compiled once into
-  a prefix-closed plan (``_word_plan``); for each v one loop over the plan
-  applies every word to v, each step one letter to an earlier step's image.
-  The images hold no zero coefficients, so a two-term relation, such as
-  [E_i, F_j] = 0 for i != j or a Serre relation with a_ij = 0, holds iff
-  its two images are equal dicts.  The weights of E_j v (F_j v) are first
-  compared whole with wt(v) + alpha_j (wt(v) - alpha_j); only when that
-  fails is each i tested in turn, so the witness is the same.
+  Each relation is checked as a whole, one after another, on the letter
+  tables.  [E_i, F_j] and the Serre relations are commutators, which
+  ``_bracket`` evaluates one unit vector at a time over the keys where
+  either table has an image; they vanish elsewhere, so only [E_i, F_i] =
+  H_i is checked at every key.  While 1 - a_ij <= 2, as in every simply
+  laced type, at most one composed table is alive.  The weights are checked
+  once per table entry, each coordinate only when the whole weight is off.
 
   The check runs on the tables ``rep.table(op, i)`` scaled to integers,
   each by the lcm D(op, i) of its denominators.  Both words of [E_i, F_j]
@@ -350,59 +338,92 @@ def verify_representation_detailed(rep, cartan):
   witness do not change.
   """
   n = rep.rank
-  steps, single, ef, serre = _word_plan(cartan)
-  scales, tables = _integer_tables({w: rep.table(*w) for w in single})
-  plan = [(partial(_apply, tables[letter]), parent)
-          for letter, parent in steps]
-  hscale = [scales[("e", i)] * scales[("f", i)] for i in range(1, n + 1)]
-  # alpha_j in weight coordinates: the j-th column of the Cartan matrix
-  roots = [tuple(cartan[t][j] for t in range(n)) for j in range(n)]
-  weight = rep.weight
-  for key in rep.keys():
-    wt = weight(key)
-    vals = [{key: 1}]
-    for fn, parent in plan:
-      v = vals[parent]
-      vals.append(fn(v) if v else v)
-    # the (op, j) whose images miss the weight wt +- alpha_j somewhere
-    off = set()
-    for op, sign in (("e", 1), ("f", -1)):
-      for j in range(1, n + 1):
-        target = tuple(w + sign * a for w, a in zip(wt, roots[j - 1]))
-        if any(weight(k2) != target for k2 in vals[single[(op, j)]]):
-          off.add((op, j))
-    for i in range(1, n + 1):
-      for j in range(1, n + 1):
-        # [E_i, F_j] = delta_ij H_i
-        a, b = ef[i - 1][j - 1]
-        if i == j and wt[i - 1]:
-          lhs = dict(vals[a])
-          _add_scaled(lhs, -1, vals[b])
-          _add_scaled(lhs, -wt[i - 1] * hscale[i - 1], {key: 1})
-          if lhs:
-            return False, ("EF", i, j, key)
-        elif vals[a] != vals[b]:
-          return False, ("EF", i, j, key)
-        # [H_i, E_j] = a_ij E_j and [H_i, F_j] = -a_ij F_j
-        shift = cartan[i - 1][j - 1]
-        for kind, op, sign in (("HE", "e", 1), ("HF", "f", -1)):
-          if (op, j) in off and any(
-              weight(k2)[i - 1] - wt[i - 1] != sign * shift
-              for k2 in vals[single[(op, j)]]):
-            return False, (kind, i, j, key)
-    # Serre relations ad(X_i)^{1 - a_ij}(X_j) = 0 for i != j
-    for i, j, kind, terms in serre:
-      if len(terms) == 2:
-        if vals[terms[0][1]] != vals[terms[1][1]]:
-          return False, (kind, i, j, key)
+  if len(cartan) != n or any(len(row) != n for row in cartan):
+    raise ValueError("the Cartan matrix is not %d x %d" % (n, n))
+  # the weight of each key, in the order of rep.keys()
+  weights = {key: tuple(rep.weight(key)) for key in rep.keys()}
+  if any(len(wt) != n for wt in weights.values()):
+    raise ValueError("a weight does not have %d coordinates" % n)
+  nodes = range(1, n + 1)
+  scales, tables = _integer_tables({(op, i): rep.table(op, i)
+                                    for op in ("e", "f") for i in nodes})
+  # the relations in the order they are checked at each key; the witness is
+  # the least failing (key position, relation position)
+  order = [(kind, i, j) for i in nodes for j in nodes
+           for kind in ("EF", "HE", "HF")]
+  order += [(kind, i, j) for i in nodes for j in nodes if i != j
+            for kind in ("SerreE", "SerreF")]
+  relation = {rel: r for r, rel in enumerate(order)}
+  position = None
+  first = None
+
+  def fail(key, rel):
+    nonlocal position, first
+    if position is None:
+      position = {k: t for t, k in enumerate(weights)}
+    if key in position:
+      found = (position[key], relation[rel], key)
+      if first is None or found < first:
+        first = found
+
+  # [E_i, F_j] = delta_ij H_i
+  for i in nodes:
+    x = tables["e", i]
+    for j in nodes:
+      y = tables["f", j]
+      if i != j:
+        for key, img in _bracket(x, y):
+          if img:
+            fail(key, ("EF", i, j))
       else:
-        total = {}
-        for c, s in terms:
-          if vals[s]:
-            _add_scaled(total, c, vals[s])
-        if total:
-          return False, (kind, i, j, key)
-  return True, None
+        h = scales["e", i] * scales["f", i]
+        for key, img in _bracket(x, y, weights):
+          c = weights[key][i - 1] * h
+          if img != ({key: c} if c else {}):
+            fail(key, ("EF", i, j))
+  # [H_i, E_j] = a_ij E_j and [H_i, F_j] = -a_ij F_j
+  for kind, op, sign in (("HE", "e", 1), ("HF", "f", -1)):
+    for j in nodes:
+      shift = [sign * cartan[t][j - 1] for t in range(n)]
+      for key, img in tables[op, j].items():
+        if key not in weights:
+          continue
+        target = tuple(w + a for w, a in zip(weights[key], shift))
+        for k2, _ in img:
+          wt = weights[k2]
+          if wt != target:
+            for i in nodes:
+              if wt[i - 1] != target[i - 1]:
+                fail(key, (kind, i, j))
+  # Serre relations ad(X_a)^m (X_b) = 0 for a != b, m = 1 - a_ab (X = E or
+  # F).  ad(X_a)(X_b) = [X_a, X_b] = -ad(X_b)(X_a), so for each pair i < j
+  # one table of [X_i, X_j] serves the relations of (i, j) and (j, i).  A
+  # higher power brackets it with X_a again, checking the last bracket as
+  # it is computed; for m = 3 or 4 (types B, C, F, G) the powers in between
+  # are tables too.  m = 0 asks X_b = 0, and m < 0 gives the empty binomial
+  # expansion: no relation.
+  for i, j in combinations(nodes, 2):
+    for kind, op in (("SerreE", "e"), ("SerreF", "f")):
+      first_power = _table(_bracket(tables[op, i], tables[op, j]))
+      for a, b in ((i, j), (j, i)):
+        m = 1 - cartan[a - 1][b - 1]
+        if m < 0:
+          continue
+        x, y = tables[op, a], first_power
+        for _ in range(m - 2):
+          y = _table(_bracket(x, y))
+        if m == 0:
+          failing = tables[op, b]
+        elif m == 1:
+          failing = y
+        else:
+          failing = (key for key, img in _bracket(x, y) if img)
+        for key in failing:
+          fail(key, (kind, a, b))
+  if first is None:
+    return True, None
+  _, r, key = first
+  return False, order[r] + (key,)
 
 
 # -- subrepresentations ------------------------------------------------------

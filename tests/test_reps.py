@@ -268,7 +268,7 @@ class TestSubrepresentation:
 
 
 class TestRelationCheckerAgainstOracle:
-  """The word-cached relation checker against the per-unit-vector one."""
+  """The table-wise relation checker against the per-unit-vector one."""
 
   @staticmethod
   def _reps(a2):
@@ -449,11 +449,22 @@ class TestRelationCheckerAgainstOracle:
 
   # (family, rank, minuscule nodes of the factors, number of defects): the
   # defects are every coefficient and every weight coordinate of the table,
-  # one at a time, in both key orders
-  SWEEPS = (("A", 3, (1, 1), 192), ("D", 4, (1,), 96))
+  # one at a time, in both key orders.  C3 and B3 have a Serre relation
+  # with 1 - a_ij = 3, which A3 and D4 never reach.
+  SWEEPS = (("A", 3, (1, 1), 192), ("D", 4, (1,), 96), ("C", 3, (1,), 56),
+            ("B", 3, (3,), 80))
+
+  # the (kind, a_ij = 0) that no single defect of the sweep gives first
+  UNREACHED_KINDS = {
+      "A": set(),
+      "D": {("SerreE", False), ("SerreF", False)},
+      "B": {("SerreE", False), ("SerreF", False)},
+      "C": {("EF", True), ("SerreE", False), ("SerreF", False),
+            ("SerreE", True), ("SerreF", True)},
+  }
 
   @pytest.mark.parametrize("family, rank, nodes, count", SWEEPS,
-                           ids=["A3", "D4"])
+                           ids=["A3", "D4", "C3", "B3"])
   def test_same_witness_on_every_single_defect(self, family, rank, nodes,
                                                count):
     # On A2 every pair of nodes is adjacent; here [E_i, F_j] = 0 and the
@@ -485,14 +496,29 @@ class TestRelationCheckerAgainstOracle:
         kinds.add((kind, i != j and sys.cartan[i - 1][j - 1] == 0))
         defects += 1
     assert defects == count
-    # every kind, and each with a_ij = 0; D4 V(omega_1) breaks no Serre
-    # relation between adjacent nodes first
+    # every kind, and each with a_ij = 0, but for a few: D4 V(omega_1) and
+    # B3 V(omega_3) break no Serre relation between adjacent nodes first,
+    # and C3 V(omega_1) no Serre relation and no [E_i, F_j] with i != j
     expected_kinds = {(kind, zero) for kind in
                       ("EF", "HE", "HF", "SerreE", "SerreF")
                       for zero in (False, True)}
-    if family == "D":
-      expected_kinds -= {("SerreE", False), ("SerreF", False)}
-    assert kinds == expected_kinds
+    assert kinds == expected_kinds - self.UNREACHED_KINDS[family]
+
+  # (row, column, change) of one E6 Cartan entry: the oracle trips over
+  # each within the first few keys of the 2925-dimensional module.  The
+  # first leaves a_13 = -1 but makes a_31 = 0, so the two orders of the pair
+  # (1, 3) ask for different powers of the one bracket [F_1, F_3].
+  @pytest.mark.parametrize("row, col, change, witness", [
+      (3, 1, 1, ("SerreF", 3, 1, 1)),
+      (1, 6, -1, ("HF", 1, 6, 4))])
+  def test_same_witness_on_e6_with_a_wrong_cartan_entry(self, suite, row,
+                                                        col, change,
+                                                        witness):
+    cartan = [list(r) for r in suite.sys.cartan]
+    cartan[row - 1][col - 1] += change
+    expected = _oracle_verify(suite.subrep, cartan)
+    assert expected == (False, witness)
+    assert verify_representation_detailed(suite.subrep, cartan) == expected
 
   def test_explicit_zero_coefficients_ignored(self, a2):
     # an _act that leaves an explicit zero coefficient gets the verdict of
@@ -522,6 +548,28 @@ class TestRelationCheckerAgainstOracle:
         assert rep.apply_e(i, unit) == a2_v1.apply_e(i, unit)
         assert rep.apply_f(i, unit) == a2_v1.apply_f(i, unit)
     assert verify_representation_detailed(rep, a2.cartan) == (True, None)
+
+
+class TestRelationCheckerShapes:
+  """The Cartan matrix must be rank x rank, and each weight must have rank
+  coordinates."""
+
+  def test_cartan_matrix_of_a_higher_rank(self, a2_v1):
+    with pytest.raises(ValueError, match="Cartan matrix"):
+      verify_representation_detailed(a2_v1, build("A", 3).cartan)
+
+  def test_cartan_matrix_of_a_lower_rank(self, a2):
+    a3_v1 = minuscule_representation(MinusculeCrystal(build("A", 3), 1))
+    with pytest.raises(ValueError, match="Cartan matrix"):
+      verify_representation_detailed(a3_v1, a2.cartan)
+
+  def test_weight_with_an_extra_coordinate(self, a2, a2_v1):
+    weights, e_act, f_act = TestRelationCheckerAgainstOracle._tables(
+        a2_v1, list(a2_v1.keys()))
+    rep = TableRepresentation(2, {k: wt + (0,) for k, wt in weights.items()},
+                              e_act, f_act)
+    with pytest.raises(ValueError, match="coordinates"):
+      verify_representation_detailed(rep, a2.cartan)
 
 
 def _inject(rank, tables, defect):
