@@ -1,12 +1,13 @@
-"""The twisted loop algebra in rank one: the order-four twist, the
-five-family basis of the fixed current algebra, and the identification map.
+"""The twisted loop algebra in rank one: the diagram automorphism, the
+order-four twist, the five-family basis of the fixed current algebra, and
+the identification map.
 
 Run as: python demos/twisted_loop_demo.py
 """
 
 from twistedlie.linalg import SparseVector
 from twistedlie.loops import (eta_apply, hyperspecial_basis, sigma_apply,
-                              verify_hyperspecial)
+                              tau_apply, verify_hyperspecial)
 
 
 def show(x):
@@ -19,7 +20,10 @@ def show(x):
 def main():
   ell = 1
   e1 = SparseVector.unit((("E", 1, 2), 0))
-  print("the twist sends the first simple root vector to i times the")
+  print("the diagram automorphism swaps the simple root vectors:")
+  print("  tau(%s) = %s" % (show(e1), show(tau_apply(ell, e1))))
+
+  print("\nthe twist sends the first simple root vector to i times the")
   print("second:")
   print("  sigma(%s) = %s" % (show(e1), show(sigma_apply(ell, e1))))
 

@@ -21,8 +21,12 @@ eta_c and eta_k keep ints as ints.  Each of the four maps sends distinct
 keys to distinct keys and multiplies each coefficient by a unit, so it
 builds its image without accumulating or dropping zeros.  Basis keys are
 ("E", a, b) with a != b for off-diagonal matrix units and ("h", i) for the
-Cartan basis; diagonal matrices produced by brackets are re-expressed over
-the h_i via partial sums of their (trace-free) diagonal.
+Cartan basis.  The bracket works on the keys' structure constants, with no
+matrices: [E_ab, E_pq] = d_bp E_aq - d_qa E_pb, the diagonal E_aa - E_bb
+is +-(h_min(a,b) + ... + h_max(a,b)-1), and h_i scales E_ab by
+alpha_i(a, b) = d_ia - d_{i+1,a} - d_ib + d_{i+1,b}.  Whether an element is
+tau- or sigma-fixed is read term by term off the sign and phase of its key,
+without building the image (see is_tau_fixed and is_sigma_fixed).
 
 The module provides the hyperspecial basis families (1)-(5) of the
 tau-fixed Laurent loop algebra, the Cartan involution eta_c, the degree
@@ -42,6 +46,8 @@ _independence_break), which gives the same verdict as one rank of all the
 images.
 """
 
+from sys import maxsize
+
 from .linalg import SparseVector, i_power, rank
 
 
@@ -50,7 +56,7 @@ def degrees(x):
   return sorted({deg for (_, deg) in x.keys()})
 
 
-# -- the matrix model of sl_{2l+1} -------------------------------------------
+# -- the basis of sl_{2l+1} ---------------------------------------------------
 
 def root_vector(sign, i, j):
   """Basis key of e_{a_{ij}} (sign +1) or e_{-a_{ij}} (sign -1)."""
@@ -65,70 +71,55 @@ def cartan_vector(i):
   return ("h", i)
 
 
-def _to_matrix(bkey):
-  """Expand a basis key into matrix-unit coordinates {(a, b): int}."""
-  if bkey[0] == "E":
-    _, a, b = bkey
-    return {(a, b): 1}
-  _, i = bkey
-  return {(i, i): 1, (i + 1, i + 1): -1}
-
-
-def _from_matrix(entries):
-  """Re-express matrix-unit coordinates over the basis keys.
-
-  Off-diagonal entries map directly; the (trace-free) diagonal d_1..d_N is
-  rewritten as sum_i (d_1 + ... + d_i) h_i.
-  """
-  out = {}
-  diag = {}
-  for (a, b), c in entries.items():
-    if not c:
-      continue
-    if a == b:
-      diag[a] = diag.get(a, 0) + c
-    else:
-      out[("E", a, b)] = out.get(("E", a, b), 0) + c
-  if diag:
-    n = max(diag)
-    partial = 0
-    for i in range(1, n):
-      partial = partial + diag.get(i, 0)
-      if partial:
-        out[("h", i)] = out.get(("h", i), 0) + partial
-    last = partial + diag.get(n, 0)
-    if last:
-      raise ValueError("matrix has nonzero trace")
-  return {k: c for k, c in out.items() if c}
+def _root_value(i, a, b):
+  """alpha_i on the root of E_ab: [h_i, E_ab] = _root_value(i, a, b) E_ab."""
+  return (i == a) - (i + 1 == a) - (i == b) + (i + 1 == b)
 
 
 def bracket(x, y):
-  """Lie bracket of loop elements, computed in the matrix model."""
+  """Lie bracket of loop elements, from the structure constants of the
+  basis keys (degrees add):
+
+      [E_ab, E_pq] = d_bp E_aq - d_qa E_pb,
+      [h_i, E_ab] = (d_ia - d_{i+1,a} - d_ib + d_{i+1,b}) E_ab,
+      [h_i, h_j] = 0,
+
+  where the diagonal E_aa - E_bb of [E_ab, E_ba] is h_a + ... + h_{b-1}
+  for a < b and -(h_b + ... + h_{a-1}) for a > b.  Terms accumulate in one
+  dict; zeros are dropped at the end."""
   acc = {}
   for (bx, dx), cx in x.items():
-    mx = _to_matrix(bx)
     for (by, dy), cy in y.items():
-      my = _to_matrix(by)
-      c = cx * cy
-      deg = dx + dy
-      for (a, b), u in mx.items():
-        for (p, q), v in my.items():
-          w = c * (u * v)
-          if b == p:
-            key = ((a, q), deg)
-            acc[key] = acc.get(key, 0) + w
-          if q == a:
-            key = ((p, b), deg)
-            acc[key] = acc.get(key, 0) - w
-  by_degree = {}
-  for ((a, b), deg), c in acc.items():
-    if c:
-      by_degree.setdefault(deg, {})[(a, b)] = c
-  terms = {}
-  for deg, entries in by_degree.items():
-    for bkey, c in _from_matrix(entries).items():
-      terms[(bkey, deg)] = c
-  return SparseVector._raw(terms)
+      if bx[0] == "E":
+        _, a, b = bx
+        if by[0] == "h":
+          w = -_root_value(by[1], a, b)
+          if w:
+            key = (bx, dx + dy)
+            acc[key] = acc.get(key, 0) + w * (cx * cy)
+          continue
+        _, p, q = by
+        if b == p:
+          c = cx * cy
+          deg = dx + dy
+          if q != a:
+            key = (("E", a, q), deg)
+            acc[key] = acc.get(key, 0) + c
+          else:
+            if a > b:
+              c = -c
+            for i in range(min(a, b), max(a, b)):
+              key = (("h", i), deg)
+              acc[key] = acc.get(key, 0) + c
+        elif q == a:
+          key = (("E", p, b), dx + dy)
+          acc[key] = acc.get(key, 0) - cx * cy
+      elif by[0] == "E":
+        w = _root_value(bx[1], by[1], by[2])
+        if w:
+          key = (by, dx + dy)
+          acc[key] = acc.get(key, 0) + w * (cx * cy)
+  return SparseVector._raw({key: c for key, c in acc.items() if c})
 
 
 # -- the automorphisms --------------------------------------------------------
@@ -148,16 +139,8 @@ def _adh_eigenvalue(ell, bkey):
   a <= l, 0 at a = l+1, -1 for a >= l+2)."""
   if bkey[0] == "h":
     return 0
-
-  def d(a):
-    if a <= ell:
-      return 1
-    if a == ell + 1:
-      return 0
-    return -1
-
   _, a, b = bkey
-  return d(a) - d(b)
+  return (a <= ell) - (a > ell + 1) - (b <= ell) + (b > ell + 1)
 
 
 def tau_apply(ell, x):
@@ -205,7 +188,7 @@ def eta_k_apply(ell, x):
   (every basis key is an ad h eigenvector; tau-parity is checked per
   degree: the input must be tau-fixed as a loop element).
   """
-  if tau_apply(ell, x) != x:
+  if not is_tau_fixed(ell, x):
     raise ValueError("eta_k needs a tau-fixed loop element")
   return SparseVector._raw({(bkey, 2 * deg + _adh_eigenvalue(ell, bkey)): c
                             for (bkey, deg), c in x.items()})
@@ -241,6 +224,11 @@ def hyperspecial_basis(ell, bound):
     raise ValueError("ell must be at least 1")
   if bound < 2:
     raise ValueError("degree bound must be at least 2")
+  # checked before any range over them is walked
+  if ell > maxsize:
+    raise ValueError("ell %d does not fit in an index" % ell)
+  if bound > maxsize:
+    raise ValueError("degree bound %d does not fit in an index" % bound)
   out = []
   for sign in (1, -1):
     for i in range(1, ell):
@@ -420,11 +408,30 @@ def _independence_break(images):
 
 
 def is_tau_fixed(ell, x):
-  return tau_apply(ell, x) == x
+  """Whether tau(x) == x, term by term: tau sends distinct keys to distinct
+  keys, so x is fixed iff each term's tau-image is a term of x."""
+  for (bkey, deg), c in x.items():
+    sign, img = _tau_key(ell, bkey)
+    if x.get((img, deg)) != (c if (sign > 0) == (deg % 2 == 0) else -c):
+      return False
+  return True
 
 
 def is_sigma_fixed(ell, x):
-  return sigma_apply(ell, x) == x
+  """Whether sigma(x) == x, read off the key phases.  sigma sends c k t^d
+  to sign_tau(k) i^e c tau(k) t^d with e = ad h(k) - d, and sigma^2 sends
+  it to (-1)^e c k t^d, since tau fixes ad h and the sign of tau is the
+  same on k and tau(k).  So a fixed x has no term with e odd, and x is
+  fixed iff every e is even and x[(tau(k), d)] = sign_tau(k) (-1)^(e/2) c:
+  no Gaussian product is formed, whatever the coefficients."""
+  for (bkey, deg), c in x.items():
+    e = _adh_eigenvalue(ell, bkey) - deg
+    if e % 2:
+      return False
+    sign, img = _tau_key(ell, bkey)
+    if x.get((img, deg)) != (c if (sign > 0) == (e % 4 == 0) else -c):
+      return False
+  return True
 
 
 def verify_hyperspecial(ell, bound):
@@ -505,13 +512,15 @@ def verify_hyperspecial(ell, bound):
 
 def eta_bracket_check(ell, bound, trials):
   """Randomized Lie-map check: eta([x, y]) = [eta(x), eta(y)] for pairs of
-  hyperspecial basis elements (brackets in the matrix model), drawn by a
-  fixed random.Random(0).  A pair with an element that is not tau-fixed
-  fails.  The eta-image of a pool element is built on its first draw and
-  reused; an element never drawn gets none."""
+  hyperspecial basis elements (brackets from the structure constants of
+  the basis keys), drawn by a fixed random.Random(0).  A pair with an
+  element that is not tau-fixed fails.  The eta-image of a pool element is
+  built on its first draw and reused; an element never drawn gets none."""
   import random
   if trials < 0:
     raise ValueError("trials must be nonnegative")
+  if trials > maxsize:
+    raise ValueError("trials %d does not fit in an index" % trials)
   rng = random.Random(0)
   # eta is defined only on tau-fixed elements
   pool = [(n, desc, x, is_tau_fixed(ell, x))

@@ -473,6 +473,8 @@ def subrepresentation(ambient, hw_vec, component):
     return solvers[wt]
 
   weights = {b: component.wt(b) for b in range(n_elts)}
+  # the ambient grading picks the fiber of an image; images share keys
+  ambient_weights = {}
   e_act = {i: {} for i in range(1, rank + 1)}
   f_act = {i: {} for i in range(1, rank + 1)}
   depth = 0
@@ -498,7 +500,10 @@ def subrepresentation(ambient, hw_vec, component):
           img = ambient._act(op, i, vecs[b].entries)
         if not img:
           continue
-        img_wt = ambient.weight(next(iter(img)))
+        key = next(iter(img))
+        img_wt = ambient_weights.get(key)
+        if img_wt is None:
+          img_wt = ambient_weights[key] = ambient.weight(key)
         if img_wt not in fibers:
           raise ValueError("action leaves the crystal weight support")
         # built even when no solve follows: it checks that the fiber's

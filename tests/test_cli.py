@@ -462,6 +462,12 @@ _MALFORMED = (
     (["hyperspecial-check", "--ell", "0"], False),
     (["hyperspecial-check", "--ell", "1", "--degree", "4",
       "--trials", "-1"], False),
+    (["hyperspecial-check", "--ell", "99999999999999999999",
+      "--trials", "0"], False),
+    (["hyperspecial-check", "--ell", "1",
+      "--degree", "99999999999999999999"], False),
+    (["hyperspecial-check", "--ell", "1", "--degree", "4",
+      "--trials", "99999999999999999999"], False),
     (["e6-duality", "--format", "xml"], True),
     (["levi-extremal", "--format", "xml"], True),
     (["numbers-game", "--format", "xml"], True),

@@ -1,7 +1,11 @@
 import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop_element_fixture as oracle
 from linalg_fixture import independent
@@ -187,6 +191,17 @@ class TestVerification:
   def test_bound_validation(self):
     with pytest.raises(ValueError):
       hyperspecial_basis(1, 1)
+
+  def test_sizes_beyond_an_index_rejected(self):
+    # rejected before a range over them is walked, which would not end
+    huge = sys.maxsize + 1
+    for call in (lambda: hyperspecial_basis(huge, 4),
+                 lambda: hyperspecial_basis(1, huge),
+                 lambda: eta_bracket_check(huge, 4, 0),
+                 lambda: eta_bracket_check(1, huge, 0),
+                 lambda: eta_bracket_check(1, 4, huge)):
+      with pytest.raises(ValueError, match="does not fit in an index"):
+        call()
 
   def test_element_not_tau_fixed_is_a_witness(self, monkeypatch):
     # eta is undefined on the injected element: the verifier reports it
@@ -496,3 +511,103 @@ class TestMapsInjective:
         orbits[fixed.support()] = fixed
     image = self._image_keys(lambda x: eta_k_apply(ell, x), orbits.values())
     assert len(image) == len(set().union(*orbits))
+
+
+# -- the key-level bracket and the phase checks, property-based ---------------
+
+_INTS = st.integers(-4, 4)
+_FRACTIONS = st.builds(Fraction, _INTS, st.integers(1, 3))
+_SCALARS = {
+    "int": _INTS.filter(bool),
+    "fraction": _FRACTIONS.filter(bool),
+    "gaussian": st.builds(GaussianRational, _FRACTIONS,
+                          _FRACTIONS).filter(bool),
+}
+
+
+# the coefficient kinds of one element: a single kind, or each term its own
+_KIND_MIXES = (("int",), ("fraction",), ("gaussian",),
+               ("int", "fraction", "gaussian"))
+
+
+@st.composite
+def _loop_elements(draw, ell, kinds, max_terms=6, even_phase=False):
+  """A loop element of sl_{2l+1} over keys in degrees -3..3.  With
+  ``even_phase``, every term's sigma phase exponent ad h(k) - d is even."""
+  terms = {}
+  for _ in range(draw(st.integers(0, max_terms))):
+    bkey = draw(st.sampled_from(_all_basis_keys(ell)))
+    deg = draw(st.integers(-3, 3))
+    if even_phase:
+      deg += (oracle._adh_eigenvalue(ell, bkey) - deg) % 2
+    terms[bkey, deg] = draw(_SCALARS[draw(st.sampled_from(kinds))])
+  return SparseVector(terms)
+
+
+def _sigma_orbit_sum(ell, x):
+  """x + sigma(x) + sigma^2(x) + sigma^3(x), which sigma fixes, with each
+  real Gaussian coefficient written as a Fraction."""
+  total, cur = x, x
+  for _ in range(3):
+    cur = sigma_apply(ell, cur)
+    total = total + cur
+  return SparseVector({key: c.re if isinstance(c, GaussianRational)
+                       and not c.im else c for key, c in total.items()})
+
+
+class TestKeyLevelAgainstMatrixModel:
+  """The bracket from the structure constants of the basis keys against the
+  matrix-model bracket of loop_element_fixture, and the per-term tau and
+  sigma checks against comparing each image with the element."""
+
+  @settings(max_examples=200, deadline=None)
+  @given(data=st.data())
+  def test_bracket(self, data):
+    ell = data.draw(st.integers(1, 5))
+    kinds = data.draw(st.sampled_from(_KIND_MIXES))
+    x = data.draw(_loop_elements(ell, kinds))
+    y = data.draw(_loop_elements(ell, kinds))
+    # eta_c transposes every key of x, so [x, y + eta_c(x)] meets the
+    # diagonal of [E_ab, E_ba] on every E-term of x
+    for u, v in ((x, y), (y, x), (x, y + eta_c_apply(x))):
+      out = bracket(u, v)
+      assert _same(out, oracle.bracket(_old(u), _old(v)))
+      if kinds == ("int",):
+        assert all(type(c) is int for _, c in out.items())
+
+  @settings(max_examples=200, deadline=None)
+  @given(data=st.data())
+  def test_sigma_fixed(self, data):
+    ell = data.draw(st.integers(1, 5))
+    x = data.draw(_loop_elements(ell, data.draw(st.sampled_from(_KIND_MIXES))))
+    even = data.draw(_loop_elements(ell, ("int", "fraction"),
+                                    even_phase=True))
+    orbit = _sigma_orbit_sum(ell, x)
+    fixed = _sigma_orbit_sum(ell, even)
+    # sigma multiplies an even-phase term by a sign: its orbit stays rational
+    assert not any(isinstance(c, GaussianRational) for _, c in fixed.items())
+    poke = data.draw(_loop_elements(ell, ("int",), max_terms=1))
+    for z in (x, even, orbit, fixed, fixed + poke):
+      old = _old(z)
+      assert is_sigma_fixed(ell, z) == (oracle.sigma_apply(ell, old) == old)
+    assert is_sigma_fixed(ell, orbit)
+    assert is_sigma_fixed(ell, fixed)
+
+  @settings(max_examples=200, deadline=None)
+  @given(data=st.data())
+  def test_tau_fixed(self, data):
+    ell = data.draw(st.integers(1, 5))
+    kinds = data.draw(st.sampled_from(_KIND_MIXES))
+    x = data.draw(_loop_elements(ell, kinds))
+    fixed = x + tau_apply(ell, x)
+    poke = data.draw(_loop_elements(ell, kinds, max_terms=1))
+    for z in (x, fixed, fixed + poke):
+      old = _old(z)
+      expected = oracle.tau_apply(ell, old) == old
+      assert is_tau_fixed(ell, z) == expected
+      if expected:
+        assert _same(eta_k_apply(ell, z), oracle.eta_k_apply(ell, old))
+      else:
+        with pytest.raises(ValueError):
+          eta_k_apply(ell, z)
+    assert is_tau_fixed(ell, fixed)
