@@ -20,7 +20,8 @@ one key<TAB>value line per field, the value as compact JSON with ", " and
 payload.  Progress for long-running suites goes to stderr.  Exit code 0
 means every requested check passed, 1 means a verification failure (a JSON
 witness is still printed), 2 is a usage error, whose reason is printed as an
-``error: ...`` line on stderr.
+``error: ...`` line on stderr.  Only a ValueError is a usage error: any
+other exception is a bug and propagates.
 
 ``main(argv)`` may be called any number of times in one process.  The
 parser is built on the first call, not at import, and is reused: a parse
@@ -125,10 +126,6 @@ def _parse_weight(text, rank):
     raise ValueError("--weight %r has coordinates that are not integers"
                      % text)
   return coords
-
-
-def _add_common(p):
-  p.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
 def _cmd_rootsys(args):
@@ -255,66 +252,50 @@ def _cmd_numbers_game(args):
   return 0
 
 
+def _flag(*names, **kwargs):
+  return names, kwargs
+
+
+_TYPE_RANK = (_flag("--type", required=True),
+              _flag("--rank", type=int, required=True))
+_DATUM = _TYPE_RANK + (_flag("--m", type=int, required=True),)
+
+# (name, help, handler, flags); every command also takes --format
+_COMMANDS = (
+    ("rootsys", "Cartan data for a single type", _cmd_rootsys, _TYPE_RANK + (
+        _flag("--weight", help="fundamental weight coordinates, e.g. 1,0"),)),
+    ("fold", "folding datum summary", _cmd_fold, _DATUM),
+    ("dominance", "dominant classes below a class", _cmd_dominance, _DATUM + (
+        _flag("--lambda", dest="lam", required=True,
+              help="base coweight in fundamental coweight coordinates; "
+                   "fractions such as 1/2 are accepted"),)),
+    ("smooth-locus", "smooth/singular cell report", _cmd_smooth_locus,
+     _DATUM + (_flag("--lambda", dest="lam", required=True),
+               _flag("--variant", choices=(cells.VARIANT_SPECIAL,
+                                           cells.VARIANT_ABS_SPECIAL)))),
+    ("e6-duality", "full E6 suite scorecard", _cmd_e6_duality, ()),
+    ("levi-extremal", "the Levi-extremal sweep", _cmd_levi_extremal, ()),
+    ("hyperspecial-check", "twisted loop basis check", _cmd_hyperspecial, (
+        _flag("--ell", type=int, required=True),
+        _flag("--degree", type=int, default=6),
+        _flag("--trials", type=int, default=200))),
+    ("numbers-game", "the numbers-game poset", _cmd_numbers_game, ()),
+)
+_FORMAT = _flag("--format", choices=("json", "tsv"), default="json")
+
+
 @functools.cache
 def _parser():
-  """The argument parser, built on the first call and shared by every later
-  one: parse_args leaves no state on it."""
+  """The argument parser, built from _COMMANDS on the first call and shared
+  by every later one: parse_args leaves no state on it."""
   parser = argparse.ArgumentParser(prog="twistedlie",
                                    description=__doc__.splitlines()[0])
   sub = parser.add_subparsers(dest="command", required=True)
-
-  p = sub.add_parser("rootsys", help="Cartan data for a single type")
-  p.add_argument("--type", required=True)
-  p.add_argument("--rank", type=int, required=True)
-  p.add_argument("--weight", help="fundamental weight coordinates, e.g. 1,0")
-  _add_common(p)
-  p.set_defaults(func=_cmd_rootsys)
-
-  p = sub.add_parser("fold", help="folding datum summary")
-  p.add_argument("--type", required=True)
-  p.add_argument("--rank", type=int, required=True)
-  p.add_argument("--m", type=int, required=True)
-  _add_common(p)
-  p.set_defaults(func=_cmd_fold)
-
-  p = sub.add_parser("dominance", help="dominant classes below a class")
-  p.add_argument("--type", required=True)
-  p.add_argument("--rank", type=int, required=True)
-  p.add_argument("--m", type=int, required=True)
-  p.add_argument("--lambda", dest="lam", required=True,
-                 help="base coweight in fundamental coweight coordinates; "
-                      "fractions such as 1/2 are accepted")
-  _add_common(p)
-  p.set_defaults(func=_cmd_dominance)
-
-  p = sub.add_parser("smooth-locus", help="smooth/singular cell report")
-  p.add_argument("--type", required=True)
-  p.add_argument("--rank", type=int, required=True)
-  p.add_argument("--m", type=int, required=True)
-  p.add_argument("--lambda", dest="lam", required=True)
-  p.add_argument("--variant", choices=(cells.VARIANT_SPECIAL,
-                                       cells.VARIANT_ABS_SPECIAL))
-  _add_common(p)
-  p.set_defaults(func=_cmd_smooth_locus)
-
-  p = sub.add_parser("e6-duality", help="full E6 suite scorecard")
-  _add_common(p)
-  p.set_defaults(func=_cmd_e6_duality)
-
-  p = sub.add_parser("levi-extremal", help="the Levi-extremal sweep")
-  _add_common(p)
-  p.set_defaults(func=_cmd_levi_extremal)
-
-  p = sub.add_parser("hyperspecial-check", help="twisted loop basis check")
-  p.add_argument("--ell", type=int, required=True)
-  p.add_argument("--degree", type=int, default=6)
-  p.add_argument("--trials", type=int, default=200)
-  _add_common(p)
-  p.set_defaults(func=_cmd_hyperspecial)
-
-  p = sub.add_parser("numbers-game", help="the numbers-game poset")
-  _add_common(p)
-  p.set_defaults(func=_cmd_numbers_game)
+  for name, help_text, handler, flags in _COMMANDS:
+    p = sub.add_parser(name, help=help_text)
+    for names, kwargs in flags + (_FORMAT,):
+      p.add_argument(*names, **kwargs)
+    p.set_defaults(func=handler)
   return parser
 
 
@@ -322,7 +303,7 @@ def main(argv=None):
   args = _parser().parse_args(argv)
   try:
     return args.func(args)
-  except (ValueError, KeyError) as exc:
+  except ValueError as exc:
     sys.stderr.write("error: %s\n" % exc)
     return 2
 

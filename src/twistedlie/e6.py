@@ -288,13 +288,14 @@ class E6Suite:
 
   def scorecard(self):
     vzero = self.build_vzero()
-    orbit = self.orbit_up_to_sign()
+    # a vanished weight-zero vector has no orbit to rank: the card says so
+    orbit = self.orbit_up_to_sign() if vzero else ()
     sweep = self.levi_extremal_sweep()
     poset_witness = poset_break()
     card = {
         "vzero_nonzero": bool(vzero),
         "orbit_size": len(orbit),
-        "rank": self.orbit_rank(),
+        "rank": self.orbit_rank() if vzero else 0,
         "levi_extremal_ok": sweep["all_levi_extremal"],
         "chain_ok": dominance_chain_check(),
         "poset_ok": poset_witness is None,

@@ -1,14 +1,15 @@
-"""Exact scalars and sparse linear algebra over the rationals and Q(i).
+"""Exact scalars and sparse linear algebra over Q, with ranks over Q(i).
 
-Scalars are python ints, ``fractions.Fraction``, or :class:`GaussianRational`.
-No floating point is used anywhere.  Vectors are sparse maps from opaque,
-totally ordered keys to nonzero scalars.  One fraction-free sparse echelon
-kernel, ``_reduce``, does all elimination: vectors are scaled to integral
-entries and rows kept primitive, so it divides only by a gcd.  ``rank``
-counts its rows; ``_pivot_inverse`` back-substitutes them into the inverse
-of a basis on its pivot keys, which ``span_solver`` multiplies each target
-by and ``integer_inverse`` reads a matrix inverse off.  Integer Smith
-invariant factors are computed separately.
+Scalars are python ints, ``fractions.Fraction``, or :class:`GaussianRational`
+for Q(i).  No floating point is used anywhere.  Vectors are sparse maps from
+opaque, totally ordered keys to nonzero scalars.  One fraction-free sparse
+echelon kernel, ``_reduce``, does all elimination on int rows: vectors are
+scaled to integral entries and rows kept primitive, so it divides only by a
+gcd.  ``rank`` counts its rows, and ranks Gaussian vectors by their real and
+imaginary parts; ``_pivot_inverse`` back-substitutes the rows into the
+inverse of a rational basis on its pivot keys, which ``span_solver``
+multiplies each target by and ``integer_inverse`` reads a matrix inverse
+off.  Integer Smith invariant factors are computed separately.
 """
 
 from fractions import Fraction
@@ -219,12 +220,13 @@ class SparseVector:
 ZERO_VECTOR = SparseVector._raw({})
 
 
-def _scalar_kinds(vectors):
-  """Check that the scalars are all rational or all Gaussian, and return
-  whether they are Gaussian.
+def _scalar_kinds(vectors, allow_gaussian=False):
+  """Check that the scalars are all rational, or all Gaussian when
+  ``allow_gaussian`` is set, and return whether they are Gaussian.
 
-  Raises TypeError on a mix of Gaussian and plain rational values, or on
-  unsupported scalar types (e.g. float).
+  Raises TypeError on a mix of Gaussian and plain rational values, on
+  Gaussian values where they are not allowed, or on unsupported scalar
+  types (e.g. float).
   """
   saw_gauss = False
   saw_rat = False
@@ -238,18 +240,18 @@ def _scalar_kinds(vectors):
         raise TypeError("unsupported scalar type: %r" % type(v).__name__)
   if saw_gauss and saw_rat:
     raise TypeError("cannot mix Gaussian and plain rational scalars")
+  if saw_gauss and not allow_gaussian:
+    raise TypeError("Gaussian scalars where rational ones are needed")
   return saw_gauss
 
 
 def normalize_scalar(x, den=1):
-  """x / den, for an exact scalar x and a nonzero int den: a
-  GaussianRational for a Gaussian x, else an int when it is integral and a
-  Fraction when it is not.  Raises TypeError on an inexact x (a float)."""
+  """x / den, for a rational x and a nonzero int den: an int when it is
+  integral and a Fraction when it is not.  Raises TypeError on any other x
+  (a float or a GaussianRational)."""
   if type(x) is int:
     q, r = divmod(x, den)
     return Fraction(x, den) if r else q
-  if isinstance(x, GaussianRational):
-    return x / den
   if not isinstance(x, _RATIONAL_TYPES):
     raise TypeError("unsupported scalar type: %r" % type(x).__name__)
   f = Fraction(x) if den == 1 else Fraction(x, den)
@@ -258,10 +260,10 @@ def normalize_scalar(x, den=1):
 
 # -- the echelon kernel ------------------------------------------------------
 # An echelon is a list of rows (pivot, row, comb).  Each row is a dict of
-# integers, or of Gaussian integers, with no common factor; it is nonzero at
-# its pivot, the smallest key of its support, and 0 at the pivot of every
-# earlier row.  comb is None or the dict of its coefficients over the input
-# vectors, scaled alike: row = sum(comb[b] * input[b]).
+# integers with no common factor; it is nonzero at its pivot, the smallest
+# key of its support, and 0 at the pivot of every earlier row.  comb is None
+# or the dict of its coefficients over the input vectors, scaled alike:
+# row = sum(comb[b] * input[b]).
 
 def _add_scaled(acc, c, vec, a=1):
   """acc = a * acc + c * vec on dicts, in place, never storing a zero."""
@@ -291,28 +293,20 @@ def _reduce(rows, cur, comb):
   if not cur:
     return
   dicts = (cur,) if comb is None else (cur, comb)
-  values = [v for d in dicts for v in d.values()]
-  gaussian = type(values[0]) is GaussianRational
-  g = gcd(*((n for v in values for n in (v.re.numerator, v.im.numerator))
-            if gaussian else values))
+  g = gcd(*(v for d in dicts for v in d.values()))
   if g > 1:
     for d in dicts:
       for k, v in d.items():
-        d[k] = v / g if gaussian else v // g
+        d[k] = v // g
 
 
 def _append_row(rows, vec, b=None):
-  """Reduce ``vec``, times the lcm s of its denominators, and append it to
-  the echelon unless it reduces to zero.  Returns whether it was appended.
-  With an index ``b`` its comb starts as {b: s}, else it is None."""
-  values = vec.entries.values()
-  if type(next(iter(values), 0)) is GaussianRational:
-    s = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
-    cur = {k: v * s for k, v in vec.items()}
-    s = GaussianRational(s)  # comb is of the row's kind, for _reduce's gcd
-  else:
-    s = lcm(*(v.denominator for v in values))
-    cur = {k: v.numerator * (s // v.denominator) for k, v in vec.items()}
+  """Reduce the rational ``vec``, times the lcm s of its denominators, and
+  append it to the echelon unless it reduces to zero.  Returns whether it
+  was appended.  With an index ``b`` its comb starts as {b: s}, else it is
+  None."""
+  s = lcm(*(v.denominator for v in vec.entries.values()))
+  cur = {k: v.numerator * (s // v.denominator) for k, v in vec.items()}
   comb = None if b is None else {b: s}
   _reduce(rows, cur, comb)
   if not cur:
@@ -325,31 +319,37 @@ def rank(vectors):
   """Exact rank of a list of sparse vectors over Q or Q(i).
 
   Rows are reduced in input order; the elimination stops once the rank
-  reaches the number of distinct keys.  Raises TypeError on float scalars
-  or on a mix of Gaussian and plain rational ones.
+  reaches the number of distinct keys.  Gaussian vectors are ranked over Q
+  by the real and imaginary parts of each v and i*v, on the keys (k, 0)
+  and (k, 1): their Q-span is the Q(i)-span of the vectors, of twice its
+  dimension over Q.  Raises TypeError on float scalars or on a mix of
+  Gaussian and plain rational ones.
   """
   vecs = [v for v in vectors if v]
   if not vecs:
     return 0
-  _scalar_kinds(vecs)
+  gaussian = _scalar_kinds(vecs, allow_gaussian=True)
+  if gaussian:
+    vecs = [SparseVector([p for k, c in w.items()
+                          for p in (((k, 0), c.re), ((k, 1), c.im))])
+            for v in vecs for w in (v, v.scale(i_power(1)))]
   n_keys = len(set().union(*[v.keys() for v in vecs]))
   rows = []
   for v in vecs:
     _append_row(rows, v)
     if len(rows) == n_keys:
       break
-  return len(rows)
+  return len(rows) // 2 if gaussian else len(rows)
 
 
 def _pivot_inverse(basis):
-  """The inverse of the basis on its pivot keys, as (cols, D): cols maps
-  each pivot key to the pairs (b, N[b][key]) with N[b][key] != 0, so that
-  any v = sum(c[b] * basis[b]) has c[b] = sum(v[key] * N[b][key]) / D;
-  None when the basis is linearly dependent.  Back substitution against
-  the later rows, which are 0 at every pivot but their own, leaves row r
-  d_r at its pivot and 0 at every other, so N[b][pivot_r] is
-  comb_r[b] * D / d_r with D the lcm of the d_r (comb_r[b] / d_r and
-  D = 1 for Gaussian pivots)."""
+  """The inverse of the rational basis on its pivot keys, as (cols, D):
+  cols maps each pivot key to the pairs (b, N[b][key]) with N[b][key] != 0,
+  so that any v = sum(c[b] * basis[b]) has c[b] = sum(v[key] * N[b][key])
+  / D, with N an int matrix; None when the basis is linearly dependent.
+  Back substitution against the later rows, which are 0 at every pivot but
+  their own, leaves row r d_r at its pivot and 0 at every other, so
+  N[b][pivot_r] is comb_r[b] * D / d_r with D the lcm of the d_r."""
   rows = []
   for b, v in enumerate(basis):
     if not _append_row(rows, v, b):
@@ -357,9 +357,6 @@ def _pivot_inverse(basis):
   for r in reversed(range(len(rows) - 1)):
     _, row, comb = rows[r]
     _reduce(rows[r + 1:], row, comb)
-  if rows and type(rows[0][1][rows[0][0]]) is GaussianRational:
-    return {pivot: tuple((b, c / row[pivot]) for b, c in comb.items())
-            for pivot, row, comb in rows}, 1
   den = lcm(*(row[pivot] for pivot, row, _ in rows))
   return {pivot: tuple((b, c * (den // row[pivot])) for b, c in comb.items())
           for pivot, row, comb in rows}, den
@@ -380,14 +377,15 @@ def _times_inverse(cols, n, target, strict=False):
 
 
 def span_solver(basis):
-  """A solver for coordinates over linearly independent sparse vectors.
+  """A solver for coordinates over linearly independent rational sparse
+  vectors.
 
   Returns ``solve(target)``, which gives the list ``c`` with
   ``sum(c[b] * basis[b]) == target``, or None when ``target`` lies outside
   the span.  Raises ValueError when the basis is linearly dependent and
-  TypeError on float scalars or on mixed Gaussian and rational ones.  A
-  target with a float raises TypeError too, unless it has a key outside
-  the keys of a square basis, which answers None first.
+  TypeError on a float or Gaussian scalar.  A target with a float or
+  Gaussian scalar raises TypeError too, unless it has a key outside the
+  keys of a square basis, which answers None first.
 
   A target is answered by the exact sparse product of the basis inverse N
   over D (``_pivot_inverse``) with its entries at the pivot keys, divided
@@ -440,8 +438,7 @@ def integer_inverse(matrix):
   if any(len(row) != n for row in matrix):
     raise ValueError("matrix is not square")
   basis = [SparseVector(enumerate(row)) for row in matrix]
-  if _scalar_kinds(basis):
-    raise TypeError("integer_inverse takes rational entries")
+  _scalar_kinds(basis)
   inverse = _pivot_inverse(basis)
   if inverse is None:
     raise ValueError("matrix is singular")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistedlie import cli, e6, folding, loops
-from twistedlie.linalg import SparseVector
+from twistedlie.linalg import SparseVector, ZERO_VECTOR
 
 
 def _run(capsys, argv):
@@ -221,6 +221,35 @@ class TestPosetDefect:
     assert data.pop("schema_version") == 1
     assert data == {**TestE6Verdict.PASSING, "poset_ok": False,
                     "poset_break": witness}
+
+
+def test_vanished_vzero_is_a_witness(capsys, monkeypatch, suite):
+  # the orbit is skipped, not a usage error: exit 1 with the card on stdout
+  monkeypatch.setattr(suite, "build_vzero", lambda: ZERO_VECTOR)
+  monkeypatch.setattr(e6, "E6Suite", lambda progress: suite)
+  code = cli.main(["e6-duality"])
+  captured = capsys.readouterr()
+  assert code == 1
+  assert captured.err == ""
+  data = json.loads(captured.out)
+  assert data.pop("schema_version") == 1
+  assert data == {**TestE6Verdict.PASSING, "vzero_nonzero": False,
+                  "orbit_size": 0, "rank": 0}
+  # a direct caller of the orbit still gets the ValueError
+  monkeypatch.setattr(suite, "_orbit", None)
+  with pytest.raises(ValueError, match="vanished"):
+    suite.orbit_up_to_sign()
+
+
+def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
+  # only a ValueError is a usage error; a KeyError is a bug and propagates
+  def broken(family, rank):
+    raise KeyError("internal")
+
+  monkeypatch.setattr(cli, "build", broken)
+  with pytest.raises(KeyError, match="internal"):
+    cli.main(["rootsys", "--type", "A", "--rank", "2"])
+  assert capsys.readouterr().err == ""
 
 
 class TestDominance:
