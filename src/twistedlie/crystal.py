@@ -2,53 +2,43 @@
 
 Every table has one format, a list per node indexed by element: f[i - 1][b]
 is f_i b, or None.  A finite crystal is its weights and its f columns; the
-e columns are their inverse, and eps_i / phi_i are read off the i-strings,
-which is valid because such a crystal is closed under every e_i and f_i.
+e columns are their inverse, and eps_i / phi_i are the lengths of the
+i-strings walked up and down from an element when asked for, which is valid
+because such a crystal is closed under every e_i and f_i.  Every public
+operator takes a node i in 1..rank, else ValueError.
 
 The crystal of a minuscule fundamental weight omega_r is the Weyl orbit of
 omega_r: f_i sends a weight mu to s_i mu = mu - alpha_i exactly when
 <mu, alpha_i^vee> = 1, so its f columns are ``RootSystem.orbit_graph``'s
 steps.  Tensor products use the signature rule (Kashiwara, Duke Math. J.
-63, 1991) in one fold over the factors' own columns, so no table of the
-product is built; a highest weight component is extracted by lowering from
-a chosen highest weight element, level by level, with a canonical raising
-path recorded for every element.
+63, 1991) in one fold over per-node columns of the factors, so no table of
+the product is built; a highest weight component is extracted by lowering
+from a chosen highest weight element, level by level, with a canonical
+raising path recorded for every element.
 """
 
 from itertools import product
 from math import prod
+from operator import add, getitem
 
 
 class TableCrystal:
   """A finite crystal on the indices 0..n-1, given by its weights and its
   lowering columns: f[i - 1][b] is f_i b, or None.  The raising columns e
-  are their inverse, and eps and phi are the positions on the i-strings
-  walked down from their tops, the true values for a crystal closed under
-  every e_i and f_i, as the subclasses are.  All four are lists indexed
-  [i - 1][b]."""
+  are their inverse, built here; both are lists indexed [i - 1][b].  eps
+  and phi are not tabulated: each call walks the i-string up or down from
+  b, the true values for a crystal closed under every e_i and f_i, as the
+  subclasses are.  A node outside 1..rank raises ValueError."""
 
   def __init__(self, rank, weights, f):
     self.rank = rank
     self.weights = weights
-    n = len(weights)
     self._f = f
-    self._e, self._eps, self._phi = [], [], []
-    for down in f:
-      up = [None] * n
+    self._e = [[None] * len(weights) for _ in f]
+    for down, up in zip(f, self._e):
       for b, c in enumerate(down):
         if c is not None:
           up[c] = b
-      eps, phi = [0] * n, [0] * n
-      for top in range(n):
-        if up[top] is None:
-          string = [top]
-          while down[string[-1]] is not None:
-            string.append(down[string[-1]])
-          for k, c in enumerate(string):
-            eps[c], phi[c] = k, len(string) - 1 - k
-      self._e.append(up)
-      self._eps.append(eps)
-      self._phi.append(phi)
 
   def __len__(self):
     return len(self.weights)
@@ -60,16 +50,31 @@ class TableCrystal:
     return self.weights[b]
 
   def e(self, b, i):
-    return self._e[i - 1][b]
+    return self._e[_node(self, i) - 1][b]
 
   def f(self, b, i):
-    return self._f[i - 1][b]
+    return self._f[_node(self, i) - 1][b]
 
   def eps(self, b, i):
-    return self._eps[i - 1][b]
+    return _string_length(self._e[_node(self, i) - 1], b)
 
   def phi(self, b, i):
-    return self._phi[i - 1][b]
+    return _string_length(self._f[_node(self, i) - 1], b)
+
+
+def _node(crystal, i):
+  """i, for a node in 1..crystal.rank; else ValueError."""
+  if not 1 <= i <= crystal.rank:
+    raise ValueError("node %r is not in 1..%d" % (i, crystal.rank))
+  return i
+
+
+def _string_length(column, b):
+  """How many steps a column takes from b before it gives None."""
+  n = 0
+  while (b := column[b]) is not None:
+    n += 1
+  return n
 
 
 class MinusculeCrystal(TableCrystal):
@@ -97,8 +102,9 @@ class TensorCrystal:
   its phi is at least the eps of the remaining factors.
 
   Every factor is a ``TableCrystal`` of the same rank.  The tensor holds
-  the factors' own columns, grouped by node: _eps[i - 1][k] is factor k's
-  eps column at node i, and likewise _phi, _e and _f.  One fold over them
+  the factors' own e and f columns by node, _e[i - 1][k] for factor k, and
+  likewise _f; _columns[i - 1] is a triple (k, eps column, phi column) per
+  factor, right to left, read off the factors once.  One fold over them
   gives eps, phi and the acting factor; no table of the product is built.
   """
 
@@ -113,9 +119,12 @@ class TensorCrystal:
       raise ValueError("factors of ranks %s differ"
                        % [f.rank for f in self.factors])
     self._weights = [f.weights for f in self.factors]
-    self._eps, self._phi, self._e, self._f = (
-        list(zip(*(getattr(f, name) for f in self.factors)))
-        for name in ("_eps", "_phi", "_e", "_f"))
+    self._e, self._f = (list(zip(*(getattr(f, name) for f in self.factors)))
+                        for name in ("_e", "_f"))
+    self._columns = [tuple((k, [f.eps(b, i) for b in f.indices()],
+                            [f.phi(b, i) for b in f.indices()])
+                           for k, f in reversed([*enumerate(self.factors)]))
+                     for i in range(1, self.rank + 1)]
 
   def __len__(self):
     return prod(map(len, self.factors))
@@ -126,7 +135,10 @@ class TensorCrystal:
     return product(*(f.indices() for f in self.factors))
 
   def wt(self, b):
-    return tuple(map(sum, zip(*[w[bk] for w, bk in zip(self._weights, b)])))
+    total, *rest = map(getitem, self._weights, b)
+    for w in rest:
+      total = tuple(map(add, total, w))
+    return total
 
   def _fold(self, b, i, raising):
     """(eps, phi, pos) of b at node i, in one right-to-left pass.  A factor
@@ -134,39 +146,40 @@ class TensorCrystal:
     eps = e1 + max(0, e2 - p1) and phi = p2 + max(0, p1 - e2); pos is the
     factor that e_i (raising) or f_i acts on, the leftmost whose phi
     reaches (e) or exceeds (f) the eps of the factors to its right, or
-    None."""
-    eps, phi = self._eps[i - 1], self._phi[i - 1]
+    None.  The node is not checked."""
     pos = None
     e2 = p2 = 0
-    for k in range(len(b) - 1, -1, -1):
-      p1 = phi[k][b[k]]
+    for k, eps, phi in self._columns[i - 1]:
+      bk = b[k]
+      p1 = phi[bk]
       if p1 >= e2:
         if raising or p1 > e2:
           pos = k
         p2 += p1 - e2
-        e2 = eps[k][b[k]]
+        e2 = eps[bk]
       else:
-        e2 += eps[k][b[k]] - p1
+        e2 += eps[bk] - p1
     return e2, p2, pos
 
-  def eps(self, b, i):
-    return self._fold(b, i, False)[0]
-
-  def phi(self, b, i):
-    return self._fold(b, i, False)[1]
-
   def _step(self, b, i, raising):
+    """e_i b (raising) or f_i b; the node is not checked."""
     pos = self._fold(b, i, raising)[2]
     if pos is None:
       return None
     img = (self._e if raising else self._f)[i - 1][pos][b[pos]]
     return None if img is None else b[:pos] + (img,) + b[pos + 1:]
 
+  def eps(self, b, i):
+    return self._fold(b, _node(self, i), False)[0]
+
+  def phi(self, b, i):
+    return self._fold(b, _node(self, i), False)[1]
+
   def f(self, b, i):
-    return self._step(b, i, False)
+    return self._step(b, _node(self, i), False)
 
   def e(self, b, i):
-    return self._step(b, i, True)
+    return self._step(b, _node(self, i), True)
 
 
 def tensor_crystal(*factors):
@@ -180,40 +193,42 @@ class HighestWeightComponent(TableCrystal):
   Elements are indexed in (depth, path) order; the canonical path of an
   element is built by always raising at the smallest available node, and
   satisfies b = f_{path[0]} f_{path[1]} ... f_{path[-1]} (highest weight).
-  The component is found level by level with one f_i per element and node:
-  an element's canonical node is the least node with a preimage in the
-  level above, and that preimage is its parent.  The f columns fill in
-  index order and are mapped from tensor elements to indices once.
+  The component is found level by level with one f_i per element and node,
+  node by node: an element's canonical node is the least node with a
+  preimage in the level above, and its first such preimage is its parent.
+  The f columns fill in index order and are mapped to indices once.
   """
 
   def __init__(self, tensor, hw):
     rank = tensor.rank
-    if any(tensor.eps(hw, i) for i in range(1, rank + 1)):
+    if len(hw) != len(tensor.factors):
+      raise ValueError("element needs one entry per factor: %r" % (hw,))
+    if any(tensor._fold(hw, i, False)[0] for i in range(1, rank + 1)):
       raise ValueError("element is not of highest weight")
     self.tensor = tensor
     self.hw = hw
-    self.elements = [hw]
-    self.paths = [()]
+    self.elements = elements = [hw]
+    self.paths = paths = [()]
+    step = tensor._step
     f = [[] for _ in range(rank)]
     start = 0
-    while start < len(self.elements):
-      stop = len(self.elements)
+    while start < len(elements):
+      stop = len(elements)
       found = {}
-      for k in range(start, stop):
-        for i, column in enumerate(f, 1):
-          c = tensor.f(self.elements[k], i)
+      for i, column in enumerate(f, 1):
+        for k in range(start, stop):
+          c = step(elements[k], i, False)
           column.append(c)
-          if c is not None and (c not in found or i < found[c][0]):
+          if c is not None and c not in found:
             found[c] = (i, k)
-      # the parents' paths come in order, so (node, parent) orders the paths
-      for c in sorted(found, key=found.get):
-        i, k = found[c]
-        self.elements.append(c)
-        self.paths.append((i,) + self.paths[k])
+      # found keeps (node, first parent) order, which is path order
+      for c, (i, k) in found.items():
+        elements.append(c)
+        paths.append((i,) + paths[k])
       start = stop
-    index = {b: k for k, b in enumerate(self.elements)}
-    f = [[None if c is None else index[c] for c in column] for column in f]
-    super().__init__(rank, [tensor.wt(b) for b in self.elements], f)
+    index = {b: k for k, b in enumerate(elements)}
+    super().__init__(rank, [tensor.wt(b) for b in elements],
+                     [list(map(index.get, column)) for column in f])
 
 
 def highest_weight_component(tensor, wt):
@@ -223,6 +238,6 @@ def highest_weight_component(tensor, wt):
   target = tuple(wt)
   for b in tensor.elements():
     if tensor.wt(b) == target and \
-       all(tensor.eps(b, i) == 0 for i in range(1, tensor.rank + 1)):
+       not any(tensor._fold(b, i, False)[0] for i in range(1, tensor.rank + 1)):
       return HighestWeightComponent(tensor, b)
   raise ValueError("no highest weight element of weight %r" % (wt,))

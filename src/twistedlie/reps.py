@@ -45,14 +45,20 @@ def _pairs(image):
 
 def _apply(table, vec):
   """A compiled action {key: pairs} applied to a {key: coeff} dict;
-  returns a new dict without zeros."""
+  returns a new dict without zeros.  An int coefficient 1 scales nothing,
+  and a new key takes its term as is, so no scalar is rebuilt for them."""
   acc = {}
   for key, c in vec.items():
     img = table.get(key)
     if img:
+      one = type(c) is int and c == 1
       for k2, c2 in img:
-        s = acc.get(k2, 0) + c * c2
-        if s:
+        if not one:
+          c2 = c * c2
+        s = acc.get(k2)
+        if s is None:
+          acc[k2] = c2
+        elif s := s + c2:
           acc[k2] = s
         else:
           del acc[k2]

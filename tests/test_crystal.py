@@ -1,5 +1,6 @@
 import pytest
 
+from crystal_fixture import OracleTensor, component, string_tables
 from twistedlie.crystal import (HighestWeightComponent,
                                 MinusculeCrystal,
                                 highest_weight_component, tensor_crystal)
@@ -122,16 +123,19 @@ class TestTensorCrystal:
   def test_columns_are_per_factor_not_per_product(self, e6):
     # the E6 cube has 19,683 elements; the tensor holds only the factors'
     # own 27-entry columns, and the factor's f columns are the lowering
-    # steps of the orbit graph as given
+    # steps of the orbit graph as given; the fold columns of a node are
+    # the factors' eps and phi columns, right to left
     c = MinusculeCrystal(e6, 1)
     assert c._f == e6.orbit_graph((1, 0, 0, 0, 0, 0))[1]
     t = tensor_crystal(c, c, c)
     for i in range(1, 7):
+      eps = [c.eps(b, i) for b in c.indices()]
+      phi = [c.phi(b, i) for b in c.indices()]
+      assert t._columns[i - 1] == ((2, eps, phi), (1, eps, phi),
+                                   (0, eps, phi))
       for k in range(3):
         assert t._e[i - 1][k] is c._e[i - 1]
         assert t._f[i - 1][k] is c._f[i - 1]
-        assert t._eps[i - 1][k] is c._eps[i - 1]
-        assert t._phi[i - 1][k] is c._phi[i - 1]
 
 
 class TestHighestWeightComponent:
@@ -189,6 +193,38 @@ class TestHighestWeightComponent:
     for wt in ((5, 5), (0, -2)):
       with pytest.raises(ValueError, match="no highest weight element"):
         highest_weight_component(t, wt)
+
+
+class TestNodeRange:
+  """A node outside 1..rank is a ValueError in every public operator; node
+  0 used to read the last node's column."""
+
+  def test_table_crystals(self):
+    a3 = build("A", 3)
+    c = MinusculeCrystal(a3, 1)
+    comp = highest_weight_component(tensor_crystal(c, c), (2, 0, 0))
+    for crys in (c, comp):
+      for op in (crys.e, crys.f, crys.eps, crys.phi):
+        for i in (0, 4, -1):
+          with pytest.raises(ValueError, match="node"):
+            op(0, i)
+
+  def test_tensor_crystal(self):
+    c = MinusculeCrystal(build("A", 3), 1)
+    t = tensor_crystal(c, c)
+    assert t.eps((3, 3), 3) == 2
+    for op in (t.e, t.f, t.eps, t.phi):
+      for i in (0, 4, -1):
+        with pytest.raises(ValueError, match="node"):
+          op((3, 3), i)
+
+  def test_component_element_length(self):
+    # (0,) used to give a 4-element "component"
+    c = MinusculeCrystal(build("A", 3), 1)
+    t = tensor_crystal(c, c)
+    for hw in ((0,), (0, 0, 0)):
+      with pytest.raises(ValueError, match="one entry per factor"):
+        HighestWeightComponent(t, hw)
 
 
 def comp_hw(t):
@@ -269,6 +305,45 @@ def test_tensor_operators_match_recursive_oracle(family, rank, nodes):
       assert (t.eps(b, i), t.phi(b, i)) == _oracle_suffix(t, b, i, 0)
       assert t.e(b, i) == _oracle_step(t, b, i, True)
       assert t.f(b, i) == _oracle_step(t, b, i, False)
+
+
+# -- the kernel that folded over the factors by index, kept as an oracle -----
+
+# (family, rank, factors as _factor specs, highest weight element or None
+# for all of them): the 2925-element component V(omega_4) of the paper's E6
+# cube, the quick tensor crystals but the E6 square, and the D5 component
+# V(omega_3) of V(omega_5)^2 as a left factor
+_KERNEL_TENSORS = (("E", 6, (1, 1, 1), (0, 1, 2)), ("E", 7, (7, 7), None),
+                   ("D", 5, (5, 5, 5), None), ("A", 4, (2, 2, 2), None),
+                   ("D", 5, (((0, 0, 1, 0, 0), (5, 5)), 5), None))
+
+
+@pytest.mark.parametrize("family,rank,nodes,hw", _KERNEL_TENSORS,
+                         ids=["E-6-1,1,1", "E-7-7,7", "D-5-5,5,5", "A-4-2,2,2",
+                              "D-5-V(0,0,1,0,0),5"])
+def test_kernel_matches_fold_by_index(family, rank, nodes, hw):
+  sys = build(family, rank)
+  t = tensor_crystal(*[_factor(sys, spec) for spec in nodes])
+  oracle = OracleTensor(t.factors)
+  highest = [hw] if hw else [
+      b for b in t.elements()
+      if not any(oracle.fold(b, i, False)[0] for i in range(1, rank + 1))]
+  components = [HighestWeightComponent(t, hw) for hw in highest]
+  assert sum(map(len, components)) == (2925 if hw else len(t))
+  for comp in components:
+    elements, paths, weights, f = component(oracle, comp.hw)
+    assert (comp.elements, comp.paths, comp.weights) == (elements, paths,
+                                                         weights)
+    e, eps, phi = string_tables(f, len(elements))
+    assert (comp._f, comp._e) == (f, e)
+    for i in range(1, rank + 1):
+      assert [comp.eps(b, i) for b in comp.indices()] == eps[i - 1]
+      assert [comp.phi(b, i) for b in comp.indices()] == phi[i - 1]
+    for b in elements:
+      for i in range(1, rank + 1):
+        assert (t.eps(b, i), t.phi(b, i)) == oracle.fold(b, i, False)[:2]
+        assert t.e(b, i) == oracle.step(b, i, True)
+        assert t.f(b, i) == oracle.step(b, i, False)
 
 
 # -- the seed constructions, kept as oracles ----------------------------------
@@ -487,15 +562,14 @@ def test_component_calls_f_once_per_element_and_node():
   factor = MinusculeCrystal(build("D", 5), 5)
   tensor = tensor_crystal(factor, factor, factor)
   calls = {"e": 0, "f": 0}
+  step = tensor._step
 
-  def counted(op, step):
-    def wrapped(b, i):
-      calls[op] += 1
-      return step(b, i)
-    return wrapped
+  def counted(b, i, raising):
+    # the step behind the public e and f, which the search calls unchecked
+    calls["e" if raising else "f"] += 1
+    return step(b, i, raising)
 
-  tensor.e = counted("e", tensor.e)
-  tensor.f = counted("f", tensor.f)
+  tensor._step = counted
   comp = HighestWeightComponent(tensor, (0, 0, 0))
   assert len(comp) == 672
   assert calls == {"e": 0, "f": len(comp) * 5}

@@ -665,6 +665,24 @@ class TestPairTables:
     # the factor tables of the product are the factor's stored tables
     assert rep._tables[("f", 1)][0] is a2_v1.table("f", 1)
 
+  @settings(max_examples=100, deadline=None)
+  @given(st.data())
+  def test_apply_keeps_values_and_types(self, data):
+    # against the loop that multiplied and added every term: an int 1
+    # skips the product and a new key takes its term, but a Fraction(1) or
+    # GaussianRational coefficient still scales, so no type changes
+    scalars = st.sampled_from([1, -1, 2, Fraction(1), Fraction(-1, 2),
+                               GaussianRational(1), GaussianRational(0, 1)])
+    pairs = st.lists(st.tuples(st.integers(0, 4), scalars), max_size=4,
+                     unique_by=lambda p: p[0]).map(tuple)
+    table = data.draw(st.dictionaries(st.integers(0, 3), pairs))
+    vec = data.draw(st.dictionaries(st.integers(0, 4), scalars))
+    got = reps_module._apply(table, vec)
+    want = _seed_apply(table, vec)
+    assert got == want
+    assert {k: type(c) for k, c in got.items()} == \
+        {k: type(c) for k, c in want.items()}
+
 
 class TestCompiledLeibniz:
   """The compiled tensor action against the per-key Leibniz rule."""
@@ -940,6 +958,19 @@ def _oracle_word_apply(word, rep, vec):
     if cur:
       total = total + (cur if sign > 0 else -cur)
   return total
+
+
+def _seed_apply(table, vec):
+  """The compiled-table loop that multiplied and added every term."""
+  acc = {}
+  for key, c in vec.items():
+    for k2, c2 in table.get(key, ()):
+      s = acc.get(k2, 0) + c * c2
+      if s:
+        acc[k2] = s
+      else:
+        del acc[k2]
+  return acc
 
 
 def _apply_table(table, vec):
