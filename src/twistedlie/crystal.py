@@ -19,7 +19,7 @@ raising path recorded for every element.
 
 from itertools import product
 from math import prod
-from operator import add, getitem
+from operator import add, contains, getitem
 
 
 class TableCrystal:
@@ -106,6 +106,8 @@ class TensorCrystal:
   likewise _f; _columns[i - 1] is a triple (k, eps column, phi column) per
   factor, right to left, read off the factors once.  One fold over them
   gives eps, phi and the acting factor; no table of the product is built.
+  The public wt, eps, phi, e and f check the element (``_element``); the
+  private _wt, _fold and _step do not.
   """
 
   def __init__(self, factors):
@@ -119,6 +121,7 @@ class TensorCrystal:
       raise ValueError("factors of ranks %s differ"
                        % [f.rank for f in self.factors])
     self._weights = [f.weights for f in self.factors]
+    self._ranges = [f.indices() for f in self.factors]
     self._e, self._f = (list(zip(*(getattr(f, name) for f in self.factors)))
                         for name in ("_e", "_f"))
     self._columns = [tuple((k, [f.eps(b, i) for b in f.indices()],
@@ -134,7 +137,16 @@ class TensorCrystal:
     slowest."""
     return product(*(f.indices() for f in self.factors))
 
+  def _element(self, b):
+    """b, for one index per factor in that factor's range; else ValueError."""
+    if len(b) != len(self._ranges) or not all(map(contains, self._ranges, b)):
+      raise ValueError("%r is not one entry per factor in range" % (b,))
+    return b
+
   def wt(self, b):
+    return self._wt(self._element(b))
+
+  def _wt(self, b):
     total, *rest = map(getitem, self._weights, b)
     for w in rest:
       total = tuple(map(add, total, w))
@@ -170,16 +182,16 @@ class TensorCrystal:
     return None if img is None else b[:pos] + (img,) + b[pos + 1:]
 
   def eps(self, b, i):
-    return self._fold(b, _node(self, i), False)[0]
+    return self._fold(self._element(b), _node(self, i), False)[0]
 
   def phi(self, b, i):
-    return self._fold(b, _node(self, i), False)[1]
+    return self._fold(self._element(b), _node(self, i), False)[1]
 
   def f(self, b, i):
-    return self._step(b, _node(self, i), False)
+    return self._step(self._element(b), _node(self, i), False)
 
   def e(self, b, i):
-    return self._step(b, _node(self, i), True)
+    return self._step(self._element(b), _node(self, i), True)
 
 
 def tensor_crystal(*factors):
@@ -201,8 +213,7 @@ class HighestWeightComponent(TableCrystal):
 
   def __init__(self, tensor, hw):
     rank = tensor.rank
-    if len(hw) != len(tensor.factors):
-      raise ValueError("element needs one entry per factor: %r" % (hw,))
+    hw = tensor._element(hw)
     if any(tensor._fold(hw, i, False)[0] for i in range(1, rank + 1)):
       raise ValueError("element is not of highest weight")
     self.tensor = tensor
@@ -227,7 +238,7 @@ class HighestWeightComponent(TableCrystal):
         paths.append((i,) + paths[k])
       start = stop
     index = {b: k for k, b in enumerate(elements)}
-    super().__init__(rank, [tensor.wt(b) for b in elements],
+    super().__init__(rank, [tensor._wt(b) for b in elements],
                      [list(map(index.get, column)) for column in f])
 
 
@@ -237,7 +248,7 @@ def highest_weight_component(tensor, wt):
   that is the first one found."""
   target = tuple(wt)
   for b in tensor.elements():
-    if tensor.wt(b) == target and \
+    if tensor._wt(b) == target and \
        not any(tensor._fold(b, i, False)[0] for i in range(1, tensor.rank + 1)):
       return HighestWeightComponent(tensor, b)
   raise ValueError("no highest weight element of weight %r" % (wt,))

@@ -9,7 +9,8 @@ gcd.  ``rank`` counts its rows, and ranks Gaussian vectors by their real and
 imaginary parts; ``_pivot_inverse`` back-substitutes the rows into the
 inverse of a rational basis on its pivot keys, which ``span_solver``
 multiplies each target by and ``integer_inverse`` reads a matrix inverse
-off.  Integer Smith invariant factors are computed separately.
+off.  Smith invariant factors take two integer phases of their own: diagonalise
+against a least pivot, then make the diagonal a divisor chain by gcd/lcm.
 """
 
 from fractions import Fraction
@@ -196,14 +197,7 @@ class SparseVector:
     return SparseVector._raw(d)
 
   def __sub__(self, other):
-    d = dict(self.entries)
-    for k, v in other.entries.items():
-      s = d.get(k, 0) - v
-      if s:
-        d[k] = s
-      else:
-        d.pop(k, None)
-    return SparseVector._raw(d)
+    return self + -other
 
   def __neg__(self):
     return SparseVector._raw({k: -v for k, v in self.entries.items()})
@@ -453,9 +447,15 @@ def smith_invariant_factors(matrix):
   """Invariant factors of an integer matrix (Smith normal form diagonal).
 
   Returns the nonnegative diagonal entries d_1 | d_2 | ... for the
-  min(rows, cols) positions.  Pure integer row/column reduction.  Raises
-  ValueError on an entry that is not an integer (an int or a Fraction with
-  denominator 1) or on rows of unequal length.
+  min(rows, cols) positions.  Raises ValueError on an entry that is not an
+  integer (an int or a Fraction with denominator 1) or on rows of unequal
+  length.  Diagonalise: for each t, move a nonzero entry of least absolute
+  value in the block from (t, t) down to (t, t), subtract its quotients
+  times row t from the rows below and likewise for the columns to the
+  right, until row and column t are clear (each remainder is smaller than
+  the pivot), and record |m[t][t]|, 0 once the block is zero.  Divisor
+  chain: diag(a, b) has Smith form diag(gcd, lcm), so set (d_i, d_j) <-
+  (gcd, lcm) for every i < j.
   """
   if any(not isinstance(v, _RATIONAL_TYPES) or v.denominator != 1
          for row in matrix for v in row):
@@ -465,56 +465,26 @@ def smith_invariant_factors(matrix):
   cols = len(m[0]) if rows else 0
   if any(len(row) != cols for row in m):
     raise ValueError("rows of unequal length")
-  out = []
-  top = 0
-  while top < rows and top < cols:
-    # find a nonzero entry of minimal absolute value in the working block
-    best = None
-    for r in range(top, rows):
-      for c in range(top, cols):
-        v = m[r][c]
-        if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-          best = (r, c)
-    if best is None:
-      out.extend([0] * (min(rows, cols) - top))
-      return out
-    r0, c0 = best
-    m[top], m[r0] = m[r0], m[top]
-    for row in m:
-      row[top], row[c0] = row[c0], row[top]
-    piv = m[top][top]
-    done = True
-    for r in range(top + 1, rows):
-      if m[r][top] % piv:
-        done = False
-      q = m[r][top] // piv
-      if q:
-        m[r] = [a - q * b for a, b in zip(m[r], m[top])]
-    for c in range(top + 1, cols):
-      if m[top][c] % piv:
-        done = False
-      q = m[top][c] // piv
-      if q:
-        for r in range(rows):
-          m[r][c] -= q * m[r][top]
-    if not done:
-      continue
-    if any(m[r][top] for r in range(top + 1, rows)) or \
-       any(m[top][c] for c in range(top + 1, cols)):
-      continue
-    # ensure divisibility of the remaining block by the pivot
-    bad = None
-    for r in range(top + 1, rows):
-      for c in range(top + 1, cols):
-        if m[r][c] % piv:
-          bad = r
-          break
-      if bad is not None:
+  d = []
+  for t in range(min(rows, cols)):
+    while block := [(abs(v), r, c) for r in range(t, rows)
+                    for c, v in enumerate(m[r][t:], t) if v]:
+      _, r0, c0 = min(block)
+      m[t], m[r0] = m[r0], m[t]
+      for row in m[t:]:
+        row[t], row[c0] = row[c0], row[t]
+      p = m[t][t]
+      for r in range(t + 1, rows):
+        if q := m[r][t] // p:
+          m[r] = [a - q * b for a, b in zip(m[r], m[t])]
+      for c in range(t + 1, cols):
+        if q := m[t][c] // p:
+          for row in m[t:]:
+            row[c] -= q * row[t]
+      if not any(row[t] for row in m[t + 1:]) and not any(m[t][t + 1:]):
         break
-    if bad is not None:
-      m[top] = [a + b for a, b in zip(m[top], m[bad])]
-      continue
-    out.append(abs(piv))
-    top += 1
-  return out
-
+    d.append(abs(m[t][t]))
+  for i in range(len(d)):
+    for j in range(i + 1, len(d)):
+      d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+  return d

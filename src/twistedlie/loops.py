@@ -40,15 +40,14 @@ The verifier ranks no Gaussian vectors.  sigma sends each basis key to one
 key times a unit, so its eigenspace dimensions come from its cycles on the
 keys (the eigenvalue count of a weighted cyclic permutation; see
 _fixed_dimensions).  The images have int coefficients and images in
-different degrees have disjoint supports, so independence is ranked block
-by block over the connected components of "shares a degree" (see
-_independence_break), which gives the same verdict as one rank of all the
-images.
+different degrees have disjoint supports, so each connected component of
+"shares a degree" gets one echelon, its images appended in input order up
+to the first dependent one (see _independence_break).
 """
 
 from sys import maxsize
 
-from .linalg import SparseVector, i_power, rank
+from .linalg import SparseVector, _append_row, i_power, rank
 
 
 def degrees(x):
@@ -364,14 +363,16 @@ def _fixed_dimensions(ell):
 
 def _independence_break(images):
   """None if the images are linearly independent, else the index of the
-  first one that does not raise the rank of the images before it.
+  first one that depends on the images before it.
 
   The support of an image lies in its degrees, so images that no chain of
-  shared degrees joins have disjoint supports, and the rank adds up over
-  the connected components of "shares a degree".  Each component is ranked
-  on its own; the first dependent image of a deficient component is found
-  by bisection on the ranks of its prefixes (the prefixes stay dependent
-  once they are).  An image with no degree is zero and joins no degree.
+  shared degrees joins have disjoint supports, and an image depends on the
+  earlier images exactly when it depends on those of its own block, a
+  connected component of "shares a degree".  Each block's images are
+  appended in input order to one echelon (``linalg._append_row``) until
+  one does not append (a zero image never does); the least such index over
+  the blocks is the answer.  Blocks go one at a time, not interleaved as
+  the images are, so that one echelon is walked at a time.
   """
   root = {}
 
@@ -392,18 +393,10 @@ def _independence_break(images):
     blocks.setdefault(find(degs[0]) if degs else None, []).append(n)
   first = None
   for block in blocks.values():
-    vectors = [images[n] for n in block]
-    if rank(vectors) == len(vectors):
-      continue
-    lo, hi = 1, len(vectors)
-    while lo < hi:
-      mid = (lo + hi) // 2
-      if rank(vectors[:mid]) < mid:
-        hi = mid
-      else:
-        lo = mid + 1
-    if first is None or block[lo - 1] < first:
-      first = block[lo - 1]
+    rows = []
+    n = next((n for n in block if not _append_row(rows, images[n])), None)
+    if n is not None and (first is None or n < first):
+      first = n
   return first
 
 
@@ -448,9 +441,9 @@ def verify_hyperspecial(ell, bound):
   image, in basis order, that does not raise the rank of those before it.
 
   The dimensions are counted on the cycles of sigma on the basis keys
-  (_fixed_dimensions), and independence is ranked on the int images block
-  by block over the connected components of "shares a degree"
-  (_independence_break), so no Gaussian vector is ranked.
+  (_fixed_dimensions), and independence appends the int images in basis
+  order to one echelon per connected component of "shares a degree"
+  (_independence_break), so no vector is ranked.
   """
   basis = hyperspecial_basis(ell, bound)
   mismatches = []

@@ -3,7 +3,10 @@ integral kernel and kept as the oracle for it: rows are divided by their
 pivot entry with Fraction or Gaussian arithmetic and each carries its
 coefficients over the input vectors.  ``independent`` picks the vectors
 that raise the rank, ``echelon_solver`` solves per target and ``inverse``
-is the Fraction inverse of a square matrix on top of it."""
+is the Fraction inverse of a square matrix on top of it.
+``smith_invariant_factors`` is the earlier Smith normal form, one pivot at
+a time with a row-addition restart while the block is not divisible by the
+pivot, kept as the oracle for ``linalg``'s diagonalise-then-gcd/lcm form."""
 
 from fractions import Fraction
 
@@ -91,3 +94,65 @@ def inverse(matrix):
     raise ValueError("matrix is singular") from None
   return tuple(tuple(Fraction(c) for c in solve(SparseVector.unit(k)))
                for k in range(n))
+
+
+def smith_invariant_factors(matrix):
+  """Invariant factors of an integer matrix, d_1 | d_2 | ..., for the
+  min(rows, cols) positions: each pivot is cleared from its row and column
+  and, while some entry of the block is not divisible by it, a row holding
+  one is added to the pivot row and the pivot step restarts."""
+  m = [list(map(int, row)) for row in matrix]
+  rows = len(m)
+  cols = len(m[0]) if rows else 0
+  out = []
+  top = 0
+  while top < rows and top < cols:
+    # find a nonzero entry of minimal absolute value in the working block
+    best = None
+    for r in range(top, rows):
+      for c in range(top, cols):
+        v = m[r][c]
+        if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
+          best = (r, c)
+    if best is None:
+      out.extend([0] * (min(rows, cols) - top))
+      return out
+    r0, c0 = best
+    m[top], m[r0] = m[r0], m[top]
+    for row in m:
+      row[top], row[c0] = row[c0], row[top]
+    piv = m[top][top]
+    done = True
+    for r in range(top + 1, rows):
+      if m[r][top] % piv:
+        done = False
+      q = m[r][top] // piv
+      if q:
+        m[r] = [a - q * b for a, b in zip(m[r], m[top])]
+    for c in range(top + 1, cols):
+      if m[top][c] % piv:
+        done = False
+      q = m[top][c] // piv
+      if q:
+        for r in range(rows):
+          m[r][c] -= q * m[r][top]
+    if not done:
+      continue
+    if any(m[r][top] for r in range(top + 1, rows)) or \
+       any(m[top][c] for c in range(top + 1, cols)):
+      continue
+    # ensure divisibility of the remaining block by the pivot
+    bad = None
+    for r in range(top + 1, rows):
+      for c in range(top + 1, cols):
+        if m[r][c] % piv:
+          bad = r
+          break
+      if bad is not None:
+        break
+    if bad is not None:
+      m[top] = [a + b for a, b in zip(m[top], m[bad])]
+      continue
+    out.append(abs(piv))
+    top += 1
+  return out

@@ -227,6 +227,49 @@ class TestNodeRange:
         HighestWeightComponent(t, hw)
 
 
+class TestTensorElement:
+  """A tensor element is one index per factor, each in that factor's range;
+  anything else is a ValueError in every public operator.  Each case below
+  used to give a wrong answer or an IndexError."""
+
+  @pytest.fixture
+  def t(self):
+    c = MinusculeCrystal(build("A", 3), 1)
+    return tensor_crystal(c, c)
+
+  def test_too_long_element_in_eps(self, t):
+    # used to return 0, reading only (0, 3)
+    with pytest.raises(ValueError, match="one entry per factor"):
+      t.eps((0, 3, 3), 1)
+
+  def test_out_of_range_entry_in_f(self, t):
+    # used to return (1, 0, 9)
+    with pytest.raises(ValueError, match="one entry per factor"):
+      t.f((0, 0, 9), 1)
+
+  def test_negative_entry_in_wt(self, t):
+    # used to return (1, 0, -1), the weight of (3, 0)
+    with pytest.raises(ValueError, match="one entry per factor"):
+      t.wt((-1, 0))
+
+  def test_too_short_element_in_eps(self, t):
+    # used to raise IndexError
+    with pytest.raises(ValueError, match="one entry per factor"):
+      t.eps((0,), 1)
+
+  def test_every_public_operator_checks(self, t):
+    for b in ((0,), (0, 0, 0), (4, 0), (0, -1), (0, 1.5)):
+      with pytest.raises(ValueError, match="one entry per factor"):
+        t.wt(b)
+      for op in (t.e, t.f, t.eps, t.phi):
+        with pytest.raises(ValueError, match="one entry per factor"):
+          op(b, 1)
+
+  def test_component_rejects_out_of_range_hw(self, t):
+    with pytest.raises(ValueError, match="one entry per factor"):
+      HighestWeightComponent(t, (0, 4))
+
+
 def comp_hw(t):
   for b in t.elements():
     if all(t.eps(b, i) == 0 for i in range(1, t.rank + 1)):

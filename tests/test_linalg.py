@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linalg_fixture import echelon_solver, independent, inverse
+from linalg_fixture import smith_invariant_factors as smith_oracle
 
 from twistedlie import linalg
 from twistedlie.folding import Folding
@@ -689,3 +690,79 @@ class TestSmithInvariantFactors:
     for matrix in ([[1, 2], [3]], [[1], [2, 3]]):
       with pytest.raises(ValueError, match="unequal length"):
         smith_invariant_factors(matrix)
+
+
+@st.composite
+def _integer_matrices(draw):
+  """0-7 x 0-7 integer matrices with entries in -20..20, often zero; a
+  matrix with no rows has no columns either."""
+  n_rows = draw(st.integers(min_value=0, max_value=7))
+  n_cols = draw(st.integers(min_value=0, max_value=7)) if n_rows else 0
+  entry = st.one_of(st.just(0), st.integers(min_value=-20, max_value=20))
+  return [draw(st.lists(entry, min_size=n_cols, max_size=n_cols))
+          for _ in range(n_rows)]
+
+
+@st.composite
+def _outer_products(draw):
+  """Sums of one or two integer outer products u v^T: rank at most 2, so
+  square ones from 3 x 3 up are singular."""
+  n_rows = draw(st.integers(min_value=1, max_value=7))
+  n_cols = draw(st.integers(min_value=1, max_value=7))
+  small = st.integers(min_value=-6, max_value=6)
+  m = [[0] * n_cols for _ in range(n_rows)]
+  for _ in range(draw(st.integers(min_value=1, max_value=2))):
+    u = draw(st.lists(small, min_size=n_rows, max_size=n_rows))
+    v = draw(st.lists(small, min_size=n_cols, max_size=n_cols))
+    m = [[x + a * b for x, b in zip(row, v)] for row, a in zip(m, u)]
+  return m
+
+
+def _folding_q_matrices():
+  """Q (``Folding._q``) of every folding datum of base rank at most 12, and
+  of A161/m2, D120/m2 and A160/m4."""
+  data = [(f, n, m) for f in "ADE" for n in range(1, 13) for m in (2, 3, 4)]
+  data += [("A", 161, 2), ("D", 120, 2), ("A", 160, 4)]
+  out = []
+  for key in data:
+    try:
+      out.append(pytest.param(Folding(*key)._q, id="%s%d/m%d" % key))
+    except ValueError:
+      pass
+  return out
+
+
+class TestSmithAgainstOracle:
+  """Diagonalise-then-gcd/lcm against the earlier pivot-and-restart Smith
+  form (tests/linalg_fixture.py)."""
+
+  @settings(max_examples=400, deadline=None)
+  @given(_integer_matrices())
+  def test_random_matrices(self, m):
+    assert smith_invariant_factors(m) == smith_oracle(m)
+
+  @settings(max_examples=200, deadline=None)
+  @given(_outer_products())
+  def test_rank_deficient_outer_products(self, m):
+    assert smith_invariant_factors(m) == smith_oracle(m)
+
+  @settings(max_examples=100, deadline=None)
+  @given(_integer_matrices())
+  def test_fraction_entries(self, m):
+    fractions = [[Fraction(v) for v in row] for row in m]
+    got = smith_invariant_factors(fractions)
+    assert got == smith_oracle(m)
+    assert all(type(d) is int for d in got)
+
+  @pytest.mark.parametrize("q", _folding_q_matrices())
+  def test_folding_q(self, q):
+    assert smith_invariant_factors(q) == smith_oracle(q)
+
+  def test_divisor_chain_and_zeros_last(self):
+    # diagonal entries out of divisor order, and a zero among them
+    assert smith_invariant_factors([[4, 0, 0], [0, 6, 0], [0, 0, 0]]) == [
+        2, 12, 0]
+    assert smith_invariant_factors([[0, 0], [0, 3]]) == [3, 0]
+    assert smith_invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_invariant_factors([]) == []
+    assert smith_invariant_factors([[], []]) == []

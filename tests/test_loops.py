@@ -340,21 +340,22 @@ class TestIndependenceWitness:
 class TestVerifierCost:
 
   def test_no_gaussian_rank(self, monkeypatch):
-    calls = {"all": 0, "gaussian": 0}
+    # the verifier ranks nothing: independence appends int rows to echelons
+    ranked = []
+    appended = []
+    real = loops._append_row
 
-    def counting(vectors):
-      vectors = list(vectors)
-      calls["all"] += 1
-      if any(isinstance(c, GaussianRational)
-             for v in vectors for _, c in v.items()):
-        calls["gaussian"] += 1
-      return rank(vectors)
+    def counting(rows, vec, b=None):
+      appended.append(vec)
+      return real(rows, vec, b)
 
-    monkeypatch.setattr(loops, "rank", counting)
+    monkeypatch.setattr(loops, "rank", lambda vectors: ranked.append(1))
+    monkeypatch.setattr(loops, "_append_row", counting)
     assert verify_hyperspecial(2, 6)["passed"]
     assert eta_bracket_check(2, 6, 50) == []
-    assert calls["all"] > 0
-    assert calls["gaussian"] == 0
+    assert ranked == []
+    assert appended
+    assert all(type(c) is int for v in appended for _, c in v.items())
 
   def test_each_pool_image_built_once(self, monkeypatch):
     basis = hyperspecial_basis(2, 4)
