@@ -23,13 +23,16 @@ witness is still printed), 2 is a usage error, whose reason is printed as an
 ``error: ...`` line on stderr.  Only a ValueError is a usage error: any
 other exception is a bug and propagates.
 
-``main(argv)`` may be called any number of times in one process.  The
-parser is built on the first call, not at import, and is reused: a parse
-leaves nothing on it, so the calls are independent.
+``main(argv)`` may be called any number of times in one process.  No
+parser is built at import.  The first call that names a subcommand builds
+a parser holding that subcommand alone, and later calls naming it reuse
+it; the first call naming another command, or none (``-h``, no arguments,
+an unknown word), builds the full parser once, and that serves every
+later call.  A parse leaves nothing on a parser, so the calls are
+independent, and every help, usage and error text is the full parser's.
 """
 
 import argparse
-import functools
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -229,8 +232,10 @@ def _cmd_levi_extremal(args):
 
 
 def _cmd_hyperspecial(args):
-  report = loops.verify_hyperspecial(args.ell, args.degree)
-  failures = loops.eta_bracket_check(args.ell, args.degree, args.trials)
+  basis = loops.hyperspecial_basis(args.ell, args.degree)
+  report = loops.verify_hyperspecial(args.ell, args.degree, basis)
+  failures = loops.eta_bracket_check(args.ell, args.degree, args.trials,
+                                     basis)
   payload = dict(report)
   payload["bracket_trials"] = args.trials
   payload["bracket_failures"] = [list(map(str, f)) for f in failures]
@@ -284,23 +289,43 @@ _COMMANDS = (
 _FORMAT = _flag("--format", choices=("json", "tsv"), default="json")
 
 
-@functools.cache
-def _parser():
-  """The argument parser, built from _COMMANDS on the first call and shared
-  by every later one: parse_args leaves no state on it."""
-  parser = argparse.ArgumentParser(prog="twistedlie",
-                                   description=__doc__.splitlines()[0])
-  sub = parser.add_subparsers(dest="command", required=True)
-  for name, help_text, handler, flags in _COMMANDS:
-    p = sub.add_parser(name, help=help_text)
-    for names, kwargs in flags + (_FORMAT,):
-      p.add_argument(*names, **kwargs)
-    p.set_defaults(func=handler)
+_NAMES = tuple(name for name, _, _, _ in _COMMANDS)
+# parsers by the command names they hold, built on first use: parse_args
+# leaves no state on them
+_PARSERS = {}
+
+
+def _parser(names):
+  """The argument parser holding the commands ``names`` of _COMMANDS.  One
+  that holds fewer than all of them names them all in its top-level usage
+  line, as the full parser does."""
+  parser = _PARSERS.get(names)
+  if parser is None:
+    parser = argparse.ArgumentParser(prog="twistedlie",
+                                     description=__doc__.splitlines()[0])
+    # the full parser derives this metavar itself; setting it there would
+    # change its missing and invalid command errors
+    extra = {} if names == _NAMES else {"metavar": "{%s}" % ",".join(_NAMES)}
+    sub = parser.add_subparsers(dest="command", required=True, **extra)
+    for name, help_text, handler, flags in _COMMANDS:
+      if name in names:
+        p = sub.add_parser(name, help=help_text)
+        for flag_names, kwargs in flags + (_FORMAT,):
+          p.add_argument(*flag_names, **kwargs)
+        p.set_defaults(func=handler)
+    _PARSERS[names] = parser
   return parser
 
 
 def main(argv=None):
-  args = _parser().parse_args(argv)
+  if argv is None:
+    argv = sys.argv[1:]
+  # the first command's parser alone, until another command or none asks
+  # for the full parser
+  names = tuple(argv[:1])
+  if not (names and names[0] in _NAMES and _PARSERS.keys() <= {names}):
+    names = _NAMES
+  args = _parser(names).parse_args(argv)
   try:
     return args.func(args)
   except ValueError as exc:

@@ -5,7 +5,8 @@ is f_i b, or None.  A finite crystal is its weights and its f columns; the
 e columns are their inverse, and eps_i / phi_i are the lengths of the
 i-strings walked up and down from an element when asked for, which is valid
 because such a crystal is closed under every e_i and f_i.  Every public
-operator takes a node i in 1..rank, else ValueError.
+operator takes a node i in 1..rank, and every public operator of a table
+crystal an element in range(len(crystal)), else ValueError.
 
 The crystal of a minuscule fundamental weight omega_r is the Weyl orbit of
 omega_r: f_i sends a weight mu to s_i mu = mu - alpha_i exactly when
@@ -28,12 +29,14 @@ class TableCrystal:
   are their inverse, built here; both are lists indexed [i - 1][b].  eps
   and phi are not tabulated: each call walks the i-string up or down from
   b, the true values for a crystal closed under every e_i and f_i, as the
-  subclasses are.  A node outside 1..rank raises ValueError."""
+  subclasses are.  A node outside 1..rank, or an element outside
+  range(len(self)), raises ValueError."""
 
   def __init__(self, rank, weights, f):
     self.rank = rank
     self.weights = weights
     self._f = f
+    self._indices = range(len(weights))
     self._e = [[None] * len(weights) for _ in f]
     for down, up in zip(f, self._e):
       for b, c in enumerate(down):
@@ -44,22 +47,31 @@ class TableCrystal:
     return len(self.weights)
 
   def indices(self):
-    return range(len(self.weights))
+    return self._indices
 
   def wt(self, b):
-    return self.weights[b]
+    return self.weights[_index(self, b)]
 
   def e(self, b, i):
-    return self._e[_node(self, i) - 1][b]
+    return self._e[_node(self, i) - 1][_index(self, b)]
 
   def f(self, b, i):
-    return self._f[_node(self, i) - 1][b]
+    return self._f[_node(self, i) - 1][_index(self, b)]
 
   def eps(self, b, i):
-    return _string_length(self._e[_node(self, i) - 1], b)
+    return _string_length(self._e[_node(self, i) - 1], _index(self, b))
 
   def phi(self, b, i):
-    return _string_length(self._f[_node(self, i) - 1], b)
+    return _string_length(self._f[_node(self, i) - 1], _index(self, b))
+
+
+def _index(crystal, b):
+  """b, for an element of a TableCrystal, in range(len(crystal)); else
+  ValueError."""
+  if b not in crystal._indices:
+    raise ValueError("element %r is not in range(%d)"
+                     % (b, len(crystal._indices)))
+  return b
 
 
 def _node(crystal, i):

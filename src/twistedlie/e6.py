@@ -287,19 +287,32 @@ class E6Suite:
   # -- the scorecard --------------------------------------------------------
 
   def scorecard(self):
+    """The suite's checks as one card.  A failed check is a field of the
+    card, not an exception: a vanished weight-zero vector has no orbit to
+    rank, and an orbit search that outgrows W(E6) is reported as
+    ``orbit_overflow``, the bound, with ``orbit_size`` the one vector past
+    it and ``rank`` 0."""
     vzero = self.build_vzero()
-    # a vanished weight-zero vector has no orbit to rank: the card says so
-    orbit = self.orbit_up_to_sign() if vzero else ()
+    try:
+      orbit = self.orbit_up_to_sign() if vzero else ()
+    except ArithmeticError as exc:
+      # only the bound's own exception is a witness; a ZeroDivisionError
+      # or OverflowError is a bug
+      if type(exc) is not ArithmeticError:
+        raise
+      orbit = None
     sweep = self.levi_extremal_sweep()
     poset_witness = poset_break()
     card = {
         "vzero_nonzero": bool(vzero),
-        "orbit_size": len(orbit),
-        "rank": self.orbit_rank() if vzero else 0,
+        "orbit_size": WEYL_ORDER + 1 if orbit is None else len(orbit),
+        "rank": self.orbit_rank() if orbit else 0,
         "levi_extremal_ok": sweep["all_levi_extremal"],
         "chain_ok": dominance_chain_check(),
         "poset_ok": poset_witness is None,
     }
+    if orbit is None:
+      card["orbit_overflow"] = WEYL_ORDER
     if not card["chain_ok"]:
       card["chain_break"] = chain_break()
     if poset_witness is not None:

@@ -39,12 +39,15 @@ degree matches the dimension of the sigma-fixed subspace.
 The verifier ranks no Gaussian vectors.  sigma sends each basis key to one
 key times a unit, so its eigenspace dimensions come from its cycles on the
 keys (the eigenvalue count of a weighted cyclic permutation; see
-_fixed_dimensions).  The images have int coefficients and images in
-different degrees have disjoint supports, so each connected component of
-"shares a degree" gets one echelon, its images appended in input order up
-to the first dependent one (see _independence_break).
+_fixed_dimensions).  Every image of a correct eta has one or two (key,
+degree) pairs, a half-edge or an edge of a gain graph over Q^x, so
+independence is one union-find pass over those pairs in basis order, up to
+the first dependent image (the frame matroid; see _independence_break).
+Only an image with three or more pairs, which a wrong eta gives, sends its
+component to an echelon.
 """
 
+from fractions import Fraction
 from sys import maxsize
 
 from .linalg import SparseVector, _append_row, i_power, rank
@@ -365,39 +368,99 @@ def _independence_break(images):
   """None if the images are linearly independent, else the index of the
   first one that depends on the images before it.
 
-  The support of an image lies in its degrees, so images that no chain of
-  shared degrees joins have disjoint supports, and an image depends on the
-  earlier images exactly when it depends on those of its own block, a
-  connected component of "shares a degree".  Each block's images are
-  appended in input order to one echelon (``linalg._append_row``) until
-  one does not append (a zero image never does); the least such index over
-  the blocks is the answer.  Blocks go one at a time, not interleaved as
-  the images are, so that one echelon is walked at a time.
+  One union-find pass in input order over the vertices, the (key, degree)
+  pairs.  An image with one key is a half-edge and one with two keys an
+  edge of a gain graph over Q^x, and their rank is that of its frame
+  matroid (Zaslavsky, "Biased graphs. II. The three matroids", J. Combin.
+  Theory Ser. B 51, 1991): a component has rank |V|, and is "full", once
+  it holds a half-edge or an unbalanced cycle, else |V| - 1.  A component
+  that is not full spans the vectors annihilated by one functional x, with
+  x_k = g_k x_root for the potential g_k of each vertex k, exact (an int
+  where integral, else a Fraction) and kept relative to the parent in the
+  union-find tree.  So
+  - a zero image is dependent;
+  - a half-edge is dependent iff its component is full, else makes it
+    full;
+  - an edge c1 e_k1 + c2 e_k2 inside a component is dependent iff the
+    component is full or c1 g_k1 + c2 g_k2 = 0, else makes it full;
+  - an edge across two components is dependent iff both are full, else
+    merges them, full if either was: the root of the one with fewer
+    images, root1, hangs under the other's with g_root1 = -c2 g_k2 /
+    (c1 g_k1), for k1 on root1's side.
+  An image with three or more keys is no edge.  Only a wrong eta gives one,
+  and it is then already an image-mismatch.  The component that holds it,
+  with every component it later meets, is ranked by one echelon instead:
+  the component's earlier images, then each new one, are appended to it
+  (``linalg._append_row``), and an image that does not append is the
+  dependent one.
   """
-  root = {}
+  up = {}     # vertex -> (parent, potential relative to the parent)
+  full = {}   # root -> whether its component has rank |V|
+  held = {}   # root -> the indices of its component's images
+  rows = {}   # root -> the echelon of a component that met a wide image
 
-  def find(deg):
-    while root[deg] != deg:
-      root[deg] = root[root[deg]]
-      deg = root[deg]
-    return deg
+  def find(v):
+    """The root of v and the potential of v relative to it."""
+    p, g = up[v]
+    if p == v:
+      return v, g
+    r, gp = find(p)
+    up[v] = (r, g * gp)
+    return r, g * gp
 
-  image_degrees = [degrees(img) for img in images]
-  for degs in image_degrees:
-    for deg in degs:
-      root.setdefault(deg, deg)
-    for deg in degs[1:]:
-      root[find(deg)] = find(degs[0])
-  blocks = {}
-  for n, degs in enumerate(image_degrees):
-    blocks.setdefault(find(degs[0]) if degs else None, []).append(n)
-  first = None
-  for block in blocks.values():
-    rows = []
-    n = next((n for n in block if not _append_row(rows, images[n])), None)
-    if n is not None and (first is None or n < first):
-      first = n
-  return first
+  def join(r1, r2, g):
+    """Hang the component of r1 under r2 with g_r1 = g."""
+    up[r1] = (r2, g)
+    full[r2] = full.pop(r1) or full[r2]
+    held[r2] += held.pop(r1)
+
+  for n, img in enumerate(images):
+    terms = []
+    for v, c in img.items():
+      if v not in up:
+        up[v] = (v, 1)
+        full[v] = False
+        held[v] = []
+      terms.append((c,) + find(v))
+    if not terms:
+      return n
+    if len(terms) > 2 or rows and any(t[1] in rows for t in terms):
+      # the largest component first, so that the others hang under it
+      roots = sorted({t[1] for t in terms}, key=lambda r: -len(held[r]))
+      r = roots[0]
+      echelon = []
+      for root in roots:
+        if root in rows:
+          echelon += rows.pop(root)
+        else:
+          for m in held[root]:
+            _append_row(echelon, images[m])
+      for root in roots[1:]:
+        join(root, r, 1)
+      if not _append_row(echelon, img):
+        return n
+      rows[r] = echelon
+    elif len(terms) == 1:
+      r = terms[0][1]
+      if full[r]:
+        return n
+      full[r] = True
+    else:
+      (c1, r1, g1), (c2, r, g2) = terms
+      if r1 == r:
+        if full[r] or c1 * g1 + c2 * g2 == 0:
+          return n
+        full[r] = True
+      else:
+        if full[r1] and full[r]:
+          return n
+        # the smaller component hangs under the larger
+        if len(held[r1]) > len(held[r]):
+          (c1, r1, g1), (c2, r, g2) = terms[::-1]
+        num, den = -c2 * g2, c1 * g1
+        join(r1, r, num // den if num % den == 0 else Fraction(num, den))
+    held[r].append(n)
+  return None
 
 
 def is_tau_fixed(ell, x):
@@ -427,7 +490,7 @@ def is_sigma_fixed(ell, x):
   return True
 
 
-def verify_hyperspecial(ell, bound):
+def verify_hyperspecial(ell, bound, basis=None):
   """Check the hyperspecial basis against the twisted polynomial loop
   algebra up to the given image degree bound.
 
@@ -440,12 +503,16 @@ def verify_hyperspecial(ell, bound):
   adds ``independence_break``: the family and descriptor of the first
   image, in basis order, that does not raise the rank of those before it.
 
-  The dimensions are counted on the cycles of sigma on the basis keys
-  (_fixed_dimensions), and independence appends the int images in basis
-  order to one echelon per connected component of "shares a degree"
-  (_independence_break), so no vector is ranked.
+  ``basis`` is ``hyperspecial_basis(ell, bound)``, built here when not
+  given.  The dimensions are counted on the cycles of sigma on the basis
+  keys (_fixed_dimensions), and independence is read off the gain graph of
+  the images' keys in one union-find pass in basis order
+  (_independence_break), so no vector is ranked: only an image with three
+  or more keys, which a correct eta never gives, is appended to an
+  echelon.
   """
-  basis = hyperspecial_basis(ell, bound)
+  if basis is None:
+    basis = hyperspecial_basis(ell, bound)
   mismatches = []
   images = []
   imaged = []
@@ -503,37 +570,41 @@ def verify_hyperspecial(ell, bound):
   return report
 
 
-def eta_bracket_check(ell, bound, trials):
+def eta_bracket_check(ell, bound, trials, basis=None):
   """Randomized Lie-map check: eta([x, y]) = [eta(x), eta(y)] for pairs of
   hyperspecial basis elements (brackets from the structure constants of
-  the basis keys), drawn by a fixed random.Random(0).  A pair with an
-  element that is not tau-fixed fails.  The eta-image of a pool element is
-  built on its first draw and reused; an element never drawn gets none."""
+  the basis keys), drawn from ``basis``, ``hyperspecial_basis(ell, bound)``
+  unless given, by a fixed random.Random(0).  A pair with an element that
+  is not tau-fixed fails.  Whether a pool element is tau-fixed, and its
+  eta-image, are found on its first draw and reused; an element never
+  drawn is not looked at."""
   import random
   if trials < 0:
     raise ValueError("trials must be nonnegative")
   if trials > maxsize:
     raise ValueError("trials %d does not fit in an index" % trials)
+  if basis is None:
+    basis = hyperspecial_basis(ell, bound)
   rng = random.Random(0)
-  # eta is defined only on tau-fixed elements
-  pool = [(n, desc, x, is_tau_fixed(ell, x))
-          for n, (_, desc, x) in enumerate(hyperspecial_basis(ell, bound))]
+  # choice over the indices draws what choice over the basis would
+  pool = range(len(basis))
   images = {}
 
-  def image(n, x):
+  def image(n):
+    """The eta-image of basis element n, or None where eta is undefined:
+    it is defined only on tau-fixed elements."""
     if n not in images:
-      images[n] = eta_apply(ell, x)
+      x = basis[n][2]
+      images[n] = eta_apply(ell, x) if is_tau_fixed(ell, x) else None
     return images[n]
 
   failures = []
   for _ in range(trials):
-    na, da, a, a_fixed = rng.choice(pool)
-    nb, db, b, b_fixed = rng.choice(pool)
-    if not (a_fixed and b_fixed):
-      failures.append((da, db))
-      continue
-    lhs = eta_apply(ell, bracket(a, b))
-    rhs = bracket(image(na, a), image(nb, b))
-    if lhs != rhs:
+    na = rng.choice(pool)
+    nb = rng.choice(pool)
+    (_, da, a), (_, db, b) = basis[na], basis[nb]
+    ia, ib = image(na), image(nb)
+    if ia is None or ib is None or eta_apply(ell, bracket(a, b)) != \
+        bracket(ia, ib):
       failures.append((da, db))
   return failures

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,29 @@ def test_vanished_vzero_is_a_witness(capsys, monkeypatch, suite):
   monkeypatch.setattr(suite, "_orbit", None)
   with pytest.raises(ValueError, match="vanished"):
     suite.orbit_up_to_sign()
+
+
+def test_runaway_orbit_is_a_witness(capsys, monkeypatch, suite):
+  # a key that never identifies two vectors makes the orbit search outgrow
+  # W(E6): exit 1 with the bound on stdout, not a traceback
+  primitive = e6._primitive
+  fresh = count()
+
+  def unique_key(c, num):
+    _, c, num = primitive(c, num)
+    return next(fresh), c, num
+
+  monkeypatch.setattr(e6, "_primitive", unique_key)
+  monkeypatch.setattr(suite, "_orbit", None)
+  monkeypatch.setattr(e6, "E6Suite", lambda progress: suite)
+  code = cli.main(["e6-duality"])
+  captured = capsys.readouterr()
+  assert code == 1
+  assert captured.err == ""
+  data = json.loads(captured.out)
+  assert data.pop("schema_version") == 1
+  assert data == {**TestE6Verdict.PASSING, "orbit_size": e6.WEYL_ORDER + 1,
+                  "rank": 0, "orbit_overflow": e6.WEYL_ORDER}
 
 
 def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -569,20 +593,55 @@ def _outcome(capsys, argv):
   return code, captured.out, captured.err
 
 
-def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch, suite):
-  # the valid and the malformed argvs interleaved through one parser give
-  # byte for byte what a freshly built parser gives on each alone
+# what argparse alone prints: the top-level and every subcommand help, the
+# missing and the unknown command, and one unrecognized argument per command
+_ARGPARSE_ONLY = ([], ["bogus"], ["-h"], ["--format", "tsv"]) + tuple(
+    argv for name in cli._NAMES
+    for argv in ([name, "-h"], [name, "--unknown-flag", "x"]))
+
+
+def test_one_command_parser_matches_full_parser(capsys, monkeypatch, suite):
+  # each argv as the first call of a process, which builds the parser of
+  # its command alone, gives byte for byte what the full parser gives
   monkeypatch.setattr(e6, "E6Suite", lambda progress: suite)
+  monkeypatch.setenv("COLUMNS", "80")
+  monkeypatch.setattr(cli, "_PARSERS", {})
+  argvs = (list(_VALID) + [argv for argv, _ in _MALFORMED]
+           + list(_ARGPARSE_ONLY))
+  for argv in argvs:
+    cli._PARSERS.clear()
+    first = _outcome(capsys, argv)
+    assert set(cli._PARSERS) <= {tuple(argv[:1]), cli._NAMES}
+    cli._PARSERS.clear()
+    cli._parser(cli._NAMES)
+    assert _outcome(capsys, argv) == first, argv
+    assert list(cli._PARSERS) == [cli._NAMES]
+  # a command argv builds only its own parser
+  cli._PARSERS.clear()
+  _outcome(capsys, ["rootsys", "--unknown-flag", "x"])
+  assert list(cli._PARSERS) == [("rootsys",)]
+  # the full parser names the command argument "command" in its errors
+  assert _outcome(capsys, [])[2].splitlines()[-1] == \
+      "twistedlie: error: the following arguments are required: command"
+  assert _outcome(capsys, ["bogus"])[2].splitlines()[-1].startswith(
+      "twistedlie: error: argument command: invalid choice: 'bogus' ")
+
+
+def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch, suite):
+  # the valid and the malformed argvs interleaved through the parsers of
+  # one process give byte for byte what a fresh process gives on each
+  monkeypatch.setattr(e6, "E6Suite", lambda progress: suite)
+  monkeypatch.setattr(cli, "_PARSERS", {})
   malformed = [argv for argv, _ in _MALFORMED]
   argvs = [argv for pair in zip(_VALID, malformed) for argv in pair]
   argvs += malformed[len(_VALID):]
   assert len(argvs) == len(_VALID) + len(_MALFORMED)
-  cli._parser.cache_clear()
   cached = [_outcome(capsys, argv) for argv in argvs]
-  assert cli._parser.cache_info().misses == 1
+  # the first command's parser and the full one, each built once
+  assert list(cli._PARSERS) == [(argvs[0][0],), cli._NAMES]
   fresh = []
   for argv in argvs:
-    cli._parser.cache_clear()
+    cli._PARSERS.clear()
     fresh.append(_outcome(capsys, argv))
   assert cached == fresh
   assert [code for code, _, _ in cached[:2 * len(_VALID):2]] == \
@@ -598,20 +657,24 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
     init(self, *args, **kwargs)
 
   monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-  cli._parser.cache_clear()
+  monkeypatch.setattr(cli, "_PARSERS", {})
+  # one command: one top-level parser and its one subcommand parser
+  for _ in range(3):
+    assert _outcome(capsys, _VALID[0])[0] == 0
+  assert built == ["twistedlie", "twistedlie rootsys"]
+  # more commands: the full parser, built once, with its eight subcommand
+  # parsers, for 18 calls
   for _ in range(3):
     for argv in _VALID[:4] + _VALID[-2:]:
       assert _outcome(capsys, argv)[0] == 0
-  # one top-level parser and its eight subcommand parsers, for 18 calls
-  assert built[0] == "twistedlie"
-  assert sorted(built[1:]) == sorted("twistedlie " + argv[0]
+  assert built[2] == "twistedlie"
+  assert sorted(built[3:]) == sorted("twistedlie " + argv[0]
                                      for argv in _VALID[::2])
 
 
 def test_parser_not_built_at_import():
   src = os.path.dirname(os.path.dirname(cli.__file__))
-  code = ("import twistedlie.cli as cli; "
-          "print(cli._parser.cache_info().currsize)")
+  code = "import twistedlie.cli as cli; print(len(cli._PARSERS))"
   out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True,
                        env=dict(os.environ, PYTHONPATH=src)).stdout

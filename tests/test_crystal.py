@@ -227,6 +227,43 @@ class TestNodeRange:
         HighestWeightComponent(t, hw)
 
 
+class TestTableElement:
+  """An element of a table crystal is an index in range(len(crystal));
+  anything else is a ValueError in every public operator, of a minuscule
+  crystal and of a highest weight component alike."""
+
+  @pytest.fixture(params=("minuscule", "component"))
+  def crys(self, request):
+    c = MinusculeCrystal(build("A", 3), 1)
+    if request.param == "minuscule":
+      return c
+    return highest_weight_component(tensor_crystal(c, c), (2, 0, 0))
+
+  def test_negative_index_in_wt(self, crys):
+    # used to return the weight of the last element, (0, 0, -1) on B(w1)
+    with pytest.raises(ValueError, match="not in range"):
+      crys.wt(-1)
+
+  def test_negative_index_in_f(self, crys):
+    # used to return f_1 of the last element, None
+    with pytest.raises(ValueError, match="not in range"):
+      crys.f(-1, 1)
+
+  def test_index_past_the_end_in_wt(self, crys):
+    # used to raise IndexError
+    with pytest.raises(ValueError, match="not in range"):
+      crys.wt(len(crys))
+
+  def test_every_public_operator_checks(self, crys):
+    assert crys.wt(len(crys) - 1) == crys.weights[-1]
+    for b in (-1, len(crys), len(crys) + 5, 1.5, None):
+      with pytest.raises(ValueError, match="not in range"):
+        crys.wt(b)
+      for op in (crys.e, crys.f, crys.eps, crys.phi):
+        with pytest.raises(ValueError, match="not in range"):
+          op(b, 1)
+
+
 class TestTensorElement:
   """A tensor element is one index per factor, each in that factor's range;
   anything else is a ValueError in every public operator.  Each case below

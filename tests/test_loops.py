@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loop_element_fixture as oracle
@@ -265,8 +265,8 @@ class TestCycleDimensions:
 
 
 class TestBlockRank:
-  """Independence ranked per connected block of shared degrees, against
-  one rank of all the images and one echelon in basis order."""
+  """Independence on the gain graph of the images' (key, degree) pairs,
+  against one rank of all the images and one echelon in basis order."""
 
   @staticmethod
   def _agree(images):
@@ -306,6 +306,96 @@ class TestBlockRank:
     assert self._agree(images + [SparseVector({})]) == len(images)
 
 
+_GAINS = {
+    "int": (1, -1, 2, -2, 3),
+    "fraction": (Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
+                 Fraction(-3, 2)),
+}
+_GAINS["mixed"] = _GAINS["int"] + _GAINS["fraction"]
+
+
+@st.composite
+def _key_vectors(draw, max_width):
+  """1-9 vectors on the keys 0..4 with int, Fraction or mixed coefficients
+  and at most ``max_width`` keys each.  A vector is fresh, or, half of the
+  time, a combination of two earlier ones that cancels a key they share,
+  which closes a balanced cycle: so that many sets are dependent."""
+  scalars = _GAINS[draw(st.sampled_from(sorted(_GAINS)))]
+  vectors = []
+  for _ in range(draw(st.integers(1, 9))):
+    if len(vectors) > 1 and draw(st.booleans()):
+      i, j = draw(st.lists(st.sampled_from(range(len(vectors))),
+                           min_size=2, max_size=2, unique=True))
+      u, w = vectors[i], vectors[j]
+      shared = sorted(u.keys() & w.keys())
+      if shared:
+        k = draw(st.sampled_from(shared))
+        v = u.scale(w.get(k)) - w.scale(u.get(k))
+        if len(v) <= max_width:
+          vectors.append(v)
+          continue
+    width = draw(st.integers(1, max_width))
+    keys = draw(st.lists(st.integers(0, 4), min_size=width, max_size=width,
+                         unique=True))
+    vectors.append(SparseVector({k: draw(st.sampled_from(scalars))
+                                 for k in keys}))
+  return vectors
+
+
+def _counting_append_row(monkeypatch):
+  """Record each vector ``loops._append_row`` is given."""
+  appended = []
+  real = loops._append_row
+
+  def counting(rows, vec, b=None):
+    appended.append(vec)
+    return real(rows, vec, b)
+
+  monkeypatch.setattr(loops, "_append_row", counting)
+  return appended
+
+
+class TestGainGraph:
+  """The first dependent index of the gain-graph pass against prefix ranks
+  of the oracle echelon."""
+
+  @settings(max_examples=300, deadline=None)
+  @given(_key_vectors(2))
+  # two full components joined by an edge: e0, e1, then e0 + e1
+  @example([SparseVector({0: 1}), SparseVector({1: 2}),
+            SparseVector({0: 1, 1: 1})])
+  def test_one_and_two_keys(self, vectors):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+      appended = _counting_append_row(monkeypatch)
+      assert _independence_break(vectors) == _first_dependent(vectors)
+    assert appended == []
+
+  @settings(max_examples=200, deadline=None)
+  @given(_key_vectors(4))
+  def test_wide_images_go_through_the_echelon(self, vectors):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+      appended = _counting_append_row(monkeypatch)
+      brk = _independence_break(vectors)
+    assert brk == _first_dependent(vectors)
+    wide = next((n for n, v in enumerate(vectors) if len(v) > 2), None)
+    if wide is not None and (brk is None or wide < brk):
+      assert vectors[wide] in appended
+
+  def test_echelon_meets_a_gain_component(self):
+    # a wide image, a path of two edges, an edge joining the two, then
+    # v0 - v3 + v1 and 4 e3 + e5 = 4 v1 + 2 v2, each in the earlier span
+    vectors = [SparseVector({0: 1, 1: 1, 2: 1}),
+               SparseVector({3: 1, 4: -1}),
+               SparseVector({4: 2, 5: Fraction(1, 2)}),
+               SparseVector({2: 1, 3: 1}),
+               SparseVector({0: 1, 1: 1, 4: -1}),
+               SparseVector({3: 4, 5: 1})]
+    assert _first_dependent(vectors) == 4
+    assert _independence_break(vectors) == 4
+    assert _independence_break(vectors[:4] + vectors[5:]) == 4
+    assert _first_dependent(vectors[:4] + vectors[5:]) == 4
+
+
 class TestIndependenceWitness:
 
   def test_no_witness_when_independent(self):
@@ -340,22 +430,30 @@ class TestIndependenceWitness:
 class TestVerifierCost:
 
   def test_no_gaussian_rank(self, monkeypatch):
-    # the verifier ranks nothing: independence appends int rows to echelons
+    # the verifier ranks nothing, and the images of a correct eta have one
+    # or two keys, so independence appends no row to an echelon either
     ranked = []
-    appended = []
-    real = loops._append_row
-
-    def counting(rows, vec, b=None):
-      appended.append(vec)
-      return real(rows, vec, b)
-
     monkeypatch.setattr(loops, "rank", lambda vectors: ranked.append(1))
-    monkeypatch.setattr(loops, "_append_row", counting)
+    appended = _counting_append_row(monkeypatch)
     assert verify_hyperspecial(2, 6)["passed"]
     assert eta_bracket_check(2, 6, 50) == []
+    assert ranked == [] and appended == []
+    # a tau-fixed element x + y whose image, in degree 10, has four keys is
+    # a mismatch, and its component's int rows go through the echelon;
+    # then y, after x, is the dependent one
+    basis = hyperspecial_basis(2, 6)
+    x, y = [b for b in hyperspecial_basis(2, 10) if b[0] == 1
+            and b[1][3] == 5]
+    wide = (x[0], x[1], x[2] + y[2])
+    report = verify_hyperspecial(2, 6, basis + [wide])
+    assert not report["passed"] and report["independent"]
+    assert report["mismatches"] == [{"family": 1, "descriptor": x[1],
+                                     "problems": ["image-mismatch"]}]
     assert ranked == []
-    assert appended
+    assert eta_apply(2, wide[2]) in appended
     assert all(type(c) is int for v in appended for _, c in v.items())
+    report = verify_hyperspecial(2, 6, basis + [wide, x, y])
+    assert report["independence_break"] == {"family": 1, "descriptor": y[1]}
 
   def test_each_pool_image_built_once(self, monkeypatch):
     basis = hyperspecial_basis(2, 4)
