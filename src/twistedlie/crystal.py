@@ -20,7 +20,7 @@ raising path recorded for every element.
 
 from itertools import product
 from math import prod
-from operator import add, contains, getitem
+from operator import add, contains, getitem, sub
 
 
 class TableCrystal:
@@ -220,7 +220,9 @@ class HighestWeightComponent(TableCrystal):
   The component is found level by level with one f_i per element and node,
   node by node: an element's canonical node is the least node with a
   preimage in the level above, and its first such preimage is its parent.
-  The f columns fill in index order and are mapped to indices once.
+  An element's weight is its parent's with the weight of the one factor
+  that f lowered swapped.  The f columns fill in index order and are
+  mapped to indices once.
   """
 
   def __init__(self, tensor, hw):
@@ -232,6 +234,8 @@ class HighestWeightComponent(TableCrystal):
     self.hw = hw
     self.elements = elements = [hw]
     self.paths = paths = [()]
+    weights = [tensor._wt(hw)]
+    factor_weights = tensor._weights
     step = tensor._step
     f = [[] for _ in range(rank)]
     start = 0
@@ -246,21 +250,31 @@ class HighestWeightComponent(TableCrystal):
             found[c] = (i, k)
       # found keeps (node, first parent) order, which is path order
       for c, (i, k) in found.items():
+        # c is its parent with one factor lowered: swap that factor's weight
+        parent = elements[k]
+        pos = 0
+        while parent[pos] == c[pos]:
+          pos += 1
+        fw = factor_weights[pos]
+        weights.append(tuple(map(add, map(sub, weights[k], fw[parent[pos]]),
+                                 fw[c[pos]])))
         elements.append(c)
         paths.append((i,) + paths[k])
       start = stop
     index = {b: k for k, b in enumerate(elements)}
-    super().__init__(rank, [tensor._wt(b) for b in elements],
+    super().__init__(rank, weights,
                      [list(map(index.get, column)) for column in f])
 
 
 def highest_weight_component(tensor, wt):
   """The component of the lexicographically least highest weight element of
   the given weight.  ``tensor.elements()`` comes in lexicographic order, so
-  that is the first one found."""
+  that is the first one found; eps is tested first, as few elements are
+  of highest weight."""
   target = tuple(wt)
+  nodes = range(1, tensor.rank + 1)
   for b in tensor.elements():
-    if tensor._wt(b) == target and \
-       not any(tensor._fold(b, i, False)[0] for i in range(1, tensor.rank + 1)):
+    if not any(tensor._fold(b, i, False)[0] for i in nodes) \
+       and tensor._wt(b) == target:
       return HighestWeightComponent(tensor, b)
   raise ValueError("no highest weight element of weight %r" % (wt,))

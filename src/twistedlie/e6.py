@@ -18,11 +18,13 @@ fills: C(27, 3) = 2925):
   * the numbers-game poset generator, checked against the published
     figure held here.
 
-Everything is exact; the suite takes under a second to build (0.6-0.9 s
-of process time with Python 3.11 on a 2-vCPU VM, most of it the exterior
-cube's E_i / F_i actions; each of the 1,063 weight fibers gets one exact
-integral inverse, and the 18,544 solves are sparse products with it) and
-callers are expected to cache it.
+Everything is exact; the suite takes about a third of a second to build
+(0.35 s of process time in a fresh Python 3.11 process on a quiet 2-vCPU
+VM, imports included, most of it the exterior cube's 35,106 E_i / F_i
+actions; each of the 1,063 weight fibers gets one exact integral inverse,
+and each of the 18,544 images that is not a path vector is one sparse
+product with it, inline; the module fills the cube, so every fiber is
+square and no residual is checked) and callers are expected to cache it.
 """
 
 from collections import Counter

@@ -7,10 +7,11 @@ echelon kernel, ``_reduce``, does all elimination on int rows: vectors are
 scaled to integral entries and rows kept primitive, so it divides only by a
 gcd.  ``rank`` counts its rows, and ranks Gaussian vectors by their real and
 imaginary parts; ``_pivot_inverse`` back-substitutes the rows into the
-inverse of a rational basis on its pivot keys, which ``span_solver``
-multiplies each target by and ``integer_inverse`` reads a matrix inverse
-off.  Smith invariant factors take two integer phases of their own: diagonalise
-against a least pivot, then make the diagonal a divisor chain by gcd/lcm.
+inverse of a rational basis on its pivot keys, which
+``reps.subrepresentation`` multiplies each fiber image by and
+``integer_inverse`` reads a matrix inverse off.  Smith invariant factors
+take two integer phases of their own: diagonalise against a least pivot,
+then make the diagonal a divisor chain by gcd/lcm.
 """
 
 from fractions import Fraction
@@ -354,68 +355,6 @@ def _pivot_inverse(basis):
   den = lcm(*(row[pivot] for pivot, row, _ in rows))
   return {pivot: tuple((b, c * (den // row[pivot])) for b, c in comb.items())
           for pivot, row, comb in rows}, den
-
-
-def _times_inverse(cols, n, target, strict=False):
-  """N times a target read at the pivot keys, as a list of n scalars; a
-  key outside the pivots is skipped, or gives None when strict."""
-  y = [0] * n
-  for k, x in target.items():
-    col = cols.get(k)
-    if col is not None:
-      for b, c in col:
-        y[b] += c * x
-    elif strict:
-      return None
-  return y
-
-
-def span_solver(basis):
-  """A solver for coordinates over linearly independent rational sparse
-  vectors.
-
-  Returns ``solve(target)``, which gives the list ``c`` with
-  ``sum(c[b] * basis[b]) == target``, or None when ``target`` lies outside
-  the span.  Raises ValueError when the basis is linearly dependent and
-  TypeError on a float or Gaussian scalar.  A target with a float or
-  Gaussian scalar raises TypeError too, unless it has a key outside the
-  keys of a square basis, which answers None first.
-
-  A target is answered by the exact sparse product of the basis inverse N
-  over D (``_pivot_inverse``) with its entries at the pivot keys, divided
-  by D: the only coordinates it can have.  When the basis has no support
-  key besides its n pivots, n independent vectors on n keys span every
-  vector on those keys, so a target with another key lies outside the span
-  and no other needs a check.  Otherwise the coordinates are returned only
-  if D * target == sum(D * c[b] * basis[b]) holds exactly.  Rational
-  coordinates are ints where integral and Fractions otherwise.
-  """
-  basis = list(basis)
-  _scalar_kinds(basis)
-  n = len(basis)
-  inverse = _pivot_inverse(basis)
-  if inverse is None:
-    raise ValueError("vectors are linearly dependent")
-  cols, den = inverse
-  square = len(set().union(*(v.keys() for v in basis))) == n
-
-  def solve(target):
-    if not square:
-      # a float target could pass the residual check by rounding
-      _scalar_kinds((target,))
-    y = _times_inverse(cols, n, target.entries, square)
-    if y is None:
-      return None
-    if not square:
-      acc = {k: den * x for k, x in target.items()}
-      for yb, vec in zip(y, basis):
-        if yb:
-          _add_scaled(acc, -yb, vec.entries)
-      if acc:
-        return None
-    return [normalize_scalar(yb, den) for yb in y]
-
-  return solve
 
 
 def integer_inverse(matrix):

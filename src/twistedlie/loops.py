@@ -192,6 +192,12 @@ def eta_k_apply(ell, x):
   """
   if not is_tau_fixed(ell, x):
     raise ValueError("eta_k needs a tau-fixed loop element")
+  return _eta_k(ell, x)
+
+
+def _eta_k(ell, x):
+  """eta_k without the tau test, for a caller that has made it on x or on
+  the element that eta_c sent to x: eta_c commutes with tau."""
   return SparseVector._raw({(bkey, 2 * deg + _adh_eigenvalue(ell, bkey)): c
                             for (bkey, deg), c in x.items()})
 
@@ -524,7 +530,7 @@ def verify_hyperspecial(ell, bound, basis=None):
                          "problems": ["not-tau-fixed"]})
       continue
     problems = []
-    img = eta_apply(ell, elt)
+    img = _eta_k(ell, eta_c_apply(elt))
     if any(deg < 0 for (_, deg) in img.keys()):
       problems.append("negative-degree-image")
     if not is_sigma_fixed(ell, img):
@@ -595,7 +601,8 @@ def eta_bracket_check(ell, bound, trials, basis=None):
     it is defined only on tau-fixed elements."""
     if n not in images:
       x = basis[n][2]
-      images[n] = eta_apply(ell, x) if is_tau_fixed(ell, x) else None
+      images[n] = (_eta_k(ell, eta_c_apply(x)) if is_tau_fixed(ell, x)
+                   else None)
     return images[n]
 
   failures = []

@@ -30,7 +30,8 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from math import factorial, lcm
 
-from .linalg import SparseVector, ZERO_VECTOR, span_solver
+from .linalg import (SparseVector, ZERO_VECTOR, _add_scaled, _pivot_inverse,
+                     _scalar_kinds, normalize_scalar)
 
 
 def _pairs(image):
@@ -436,7 +437,7 @@ def verify_representation_detailed(rep, cartan):
 
 def subrepresentation(ambient, hw_vec, component):
   """The subrepresentation generated by a highest weight vector, in the
-  basis of canonical-path vectors of a highest weight crystal component.
+  basis of canonical-path vectors of a ``HighestWeightComponent``.
 
   For each crystal element the basis vector is obtained by applying the
   lowering operators along its canonical path to hw_vec.  The vectors of
@@ -444,66 +445,68 @@ def subrepresentation(ambient, hw_vec, component):
   crystal fiber size); the E_i / F_i actions are re-expressed in this basis
   by exact solves, verifying invariance on the way.  Keys of the returned
   representation are the crystal element indices.
+
+  The component's own paths, weights and e / f columns are read as they
+  are: one loop builds the path vectors, each the F image of its canonical
+  parent's, and a second the E_i and F_i images of every element, node by
+  node, where the F_i image of an element's canonical parent is the
+  element's own path vector.  The ambient weight of an image's first key
+  picks its fiber.  Each fiber gets one exact inverse on its pivot keys, N
+  over D (``linalg._pivot_inverse``), when an image first lands in it, and
+  each image is the sparse product of N with its entries at the pivot
+  keys, over D.  A fiber with no support key besides its n pivots spans every
+  vector on those keys, so an image with another key leaves the span;
+  otherwise D * image must equal the combination exactly.  Coordinates are
+  ints where integral and Fractions otherwise.
   """
   rank = ambient.rank
-  hw_wt = component.wt(0)
-  if not highest_weight_check(ambient, hw_vec, hw_wt):
+  nodes = range(1, rank + 1)
+  weights, paths = component.weights, component.paths
+  up, down = component._e, component._f
+  if not highest_weight_check(ambient, hw_vec, weights[0]):
     raise ValueError("hw_vec is not a highest weight vector of the "
                      "component weight")
-  n_elts = len(component)
-  vecs = [None] * n_elts
-  vecs[0] = hw_vec
-  for b in range(1, n_elts):
-    path = component.paths[b]
-    parent = component.e(b, path[0])
-    vecs[b] = ambient.apply_f(path[0], vecs[parent])
-    if not vecs[b]:
+  act = ambient._act
+  vecs = [hw_vec.entries]
+  for b in range(1, len(weights)):
+    i = paths[b][0]
+    vec = act("f", i, vecs[up[i - 1][b]])
+    if not vec:
       raise ValueError("canonical path vector vanished at element %d" % b)
+    vecs.append(vec)
   fibers = {}
-  for b in range(n_elts):
-    fibers.setdefault(component.wt(b), []).append(b)
-  solvers = {}
+  for b, wt in enumerate(weights):
+    fibers.setdefault(wt, []).append(b)
+  # (fiber, cols, D, basis) by fiber weight; basis is None when the fiber
+  # is square
+  inverses = {}
+  # one object per value, and the coordinate of each pair (N, D) whose
+  # value is known: the tables repeat few values
   shared = {}
-
-  def scalar(c):
-    """c, one object per value: the tables repeat few values.  The solver's
-    coordinates are normalised already (ints where integral)."""
-    return shared.setdefault(c, c)
-
-  def solver_for(wt):
-    if wt not in solvers:
-      try:
-        solvers[wt] = span_solver([vecs[b] for b in fibers[wt]])
-      except ValueError:
-        raise ValueError("fiber vectors are linearly dependent") from None
-    return solvers[wt]
-
-  weights = {b: component.wt(b) for b in range(n_elts)}
+  coeffs = {}
   # the ambient grading picks the fiber of an image; images share keys
   ambient_weights = {}
-  e_act = {i: {} for i in range(1, rank + 1)}
-  f_act = {i: {} for i in range(1, rank + 1)}
+  e_act = {i: {} for i in nodes}
+  f_act = {i: {} for i in nodes}
   depth = 0
-  for b in range(n_elts):
+  for b, vec in enumerate(vecs):
     # The images of b lie one level above or below it, and elements come in
-    # order of depth, so when a level starts the solvers two levels up are
-    # done with; dropping them, and the exact inverses they hold, bounds
-    # the memory (a dropped solver is rebuilt if needed again).
-    if len(component.paths[b]) > depth:
-      depth = len(component.paths[b])
-      for done in [w for w in solvers
-                   if len(component.paths[fibers[w][0]]) < depth - 1]:
-        del solvers[done]
-    for i in range(1, rank + 1):
-      down = component.f(b, i)
-      for op, table in (("e", e_act), ("f", f_act)):
-        child = None
-        if op == "f" and down is not None and component.paths[down][0] == i:
-          # b is the canonical parent of down, so F_i vecs[b] is vecs[down]
-          child = down
-          img = vecs[down].entries
-        else:
-          img = ambient._act(op, i, vecs[b].entries)
+    # order of depth, so when a level starts the inverses two levels up are
+    # done with; dropping them bounds the memory (a dropped inverse is
+    # rebuilt if needed again).
+    if len(paths[b]) > depth:
+      depth = len(paths[b])
+      for done in [w for w in inverses
+                   if len(paths[fibers[w][0]]) < depth - 1]:
+        del inverses[done]
+    for i in nodes:
+      # the path vector of the element whose canonical parent is b through
+      # F_i: it is the F_i image of vecs[b]
+      child = down[i - 1][b]
+      own = vecs[child] if child is not None and paths[child][0] == i \
+          else None
+      for table, img in ((e_act[i], act("e", i, vec)),
+                         (f_act[i], own or act("f", i, vec))):
         if not img:
           continue
         key = next(iter(img))
@@ -512,19 +515,49 @@ def subrepresentation(ambient, hw_vec, component):
           img_wt = ambient_weights[key] = ambient.weight(key)
         if img_wt not in fibers:
           raise ValueError("action leaves the crystal weight support")
-        # built even when no solve follows: it checks that the fiber's
-        # vectors are independent
-        solve = solver_for(img_wt)
-        if child is not None and img_wt == weights[child]:
+        if img_wt not in inverses:
+          # built even when no solve follows: it checks that the fiber's
+          # vectors are independent
+          fiber = fibers[img_wt]
+          basis = [SparseVector._raw(vecs[bb]) for bb in fiber]
+          _scalar_kinds(basis)
+          pivots = _pivot_inverse(basis)
+          if pivots is None:
+            raise ValueError("fiber vectors are linearly dependent")
+          square = len(set().union(*(vecs[bb] for bb in fiber))) == len(fiber)
+          inverses[img_wt] = (fiber, *pivots, None if square else basis)
+        fiber, cols, den, basis = inverses[img_wt]
+        if img is own and img_wt == weights[child]:
           # a vector of the fiber basis has the unit coordinates of itself
-          table[i][b] = ((child, scalar(1)),)
+          table[b] = ((child, 1),)
           continue
-        coords = solve(SparseVector._raw(img))
-        if coords is None:
-          raise ValueError("action leaves the span of the fiber basis")
-        table[i][b] = tuple((bb, scalar(c))
-                            for c, bb in zip(coords, fibers[img_wt]) if c)
-  return TableRepresentation(rank, weights, e_act, f_act)
+        y = [0] * len(fiber)
+        for k, x in img.items():
+          col = cols.get(k)
+          if col is not None:
+            for bb, c in col:
+              y[bb] += c * x
+          elif basis is None:
+            raise ValueError("action leaves the span of the fiber basis")
+        if basis is not None:
+          # a float image could pass the residual check by rounding
+          _scalar_kinds((SparseVector._raw(img),))
+          acc = {k: den * x for k, x in img.items()}
+          for yb, v in zip(y, basis):
+            if yb:
+              _add_scaled(acc, -yb, v.entries)
+          if acc:
+            raise ValueError("action leaves the span of the fiber basis")
+        pairs = []
+        for bb, yb in enumerate(y):
+          if yb:
+            c = coeffs.get((yb, den))
+            if c is None:
+              c = normalize_scalar(yb, den)
+              c = coeffs[yb, den] = shared.setdefault(c, c)
+            pairs.append((fiber[bb], c))
+        table[b] = tuple(pairs)
+  return TableRepresentation(rank, enumerate(weights), e_act, f_act)
 
 
 # -- lowering operators for arbitrary positive roots -------------------------

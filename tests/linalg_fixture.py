@@ -2,14 +2,19 @@
 integral kernel and kept as the oracle for it: rows are divided by their
 pivot entry with Fraction or Gaussian arithmetic and each carries its
 coefficients over the input vectors.  ``independent`` picks the vectors
-that raise the rank, ``echelon_solver`` solves per target and ``inverse``
-is the Fraction inverse of a square matrix on top of it.
+that raise the rank, ``relations`` gives the combinations that vanish,
+``echelon_solver`` solves per target and ``inverse`` is the Fraction
+inverse of a square matrix on top of it.  ``span_solver`` is the solver
+that once answered the subrepresentation's fiber solves, one exact sparse
+product with ``linalg._pivot_inverse`` per target, kept as the oracle for
+the product that ``reps`` now inlines.
 ``smith_invariant_factors`` is the earlier Smith normal form, one pivot at
 a time with a row-addition restart while the block is not divisible by the
 pivot, kept as the oracle for ``linalg``'s diagonalise-then-gcd/lcm form."""
 
 from fractions import Fraction
 
+from twistedlie import linalg
 from twistedlie.linalg import GaussianRational, SparseVector
 
 
@@ -38,9 +43,10 @@ def _reduce(rows, cur, comb):
 
 
 def _echelon(vectors):
-  """The echelon of the vectors, in input order, and the indices of those
-  that raised its rank."""
-  rows, raised = [], []
+  """The echelon of the vectors, in input order, the indices of those
+  that raised its rank, and the combination {b: c} of the vectors that
+  vanishes for each of the others."""
+  rows, raised, vanishing = [], [], []
   for b, vec in enumerate(vectors):
     cur = {k: _exact(v) for k, v in vec.items()}
     comb = {b: Fraction(1)}
@@ -51,12 +57,21 @@ def _echelon(vectors):
       rows.append((pivot, {k: v * inv for k, v in cur.items()},
                    {k: v * inv for k, v in comb.items()}))
       raised.append(b)
-  return rows, raised
+    else:
+      vanishing.append(comb)
+  return rows, raised, vanishing
 
 
 def independent(vectors):
   """The indices of the vectors that raise the rank of those before them."""
   return _echelon(vectors)[1]
+
+
+def relations(vectors):
+  """A basis of the linear relations among the vectors: one vanishing
+  combination {b: c} for each vector that does not raise the rank of
+  those before it."""
+  return _echelon(vectors)[2]
 
 
 def echelon_solver(basis):
@@ -65,7 +80,7 @@ def echelon_solver(basis):
   ValueError when the basis is linearly dependent."""
   basis = list(basis)
   n = len(basis)
-  rows, raised = _echelon(basis)
+  rows, raised, _ = _echelon(basis)
   if len(raised) < n:
     raise ValueError("vectors are linearly dependent")
 
@@ -76,6 +91,67 @@ def echelon_solver(basis):
     if cur:
       return None
     return [-comb.get(b, 0) for b in range(n)]
+
+  return solve
+
+
+def _times_inverse(cols, n, target, strict=False):
+  """N times a target read at the pivot keys, as a list of n scalars; a
+  key outside the pivots is skipped, or gives None when strict."""
+  y = [0] * n
+  for k, x in target.items():
+    col = cols.get(k)
+    if col is not None:
+      for b, c in col:
+        y[b] += c * x
+    elif strict:
+      return None
+  return y
+
+
+def span_solver(basis):
+  """A solver for coordinates over linearly independent rational sparse
+  vectors.
+
+  Returns ``solve(target)``, which gives the list ``c`` with
+  ``sum(c[b] * basis[b]) == target``, or None when ``target`` lies outside
+  the span.  Raises ValueError when the basis is linearly dependent and
+  TypeError on a float or Gaussian scalar.  A target with a float or
+  Gaussian scalar raises TypeError too, unless it has a key outside the
+  keys of a square basis, which answers None first.
+
+  A target is answered by the exact sparse product of the basis inverse N
+  over D (``linalg._pivot_inverse``) with its entries at the pivot keys,
+  divided by D: the only coordinates it can have.  When the basis has no
+  support key besides its n pivots, a target with another key lies outside
+  the span and no other needs a check.  Otherwise the coordinates are
+  returned only if D * target == sum(D * c[b] * basis[b]) holds exactly.
+  Rational coordinates are ints where integral and Fractions otherwise.
+  """
+  basis = list(basis)
+  linalg._scalar_kinds(basis)
+  n = len(basis)
+  inverse = linalg._pivot_inverse(basis)
+  if inverse is None:
+    raise ValueError("vectors are linearly dependent")
+  cols, den = inverse
+  square = len(set().union(*(v.keys() for v in basis))) == n
+
+  def solve(target):
+    if not square:
+      # a float target could pass the residual check by rounding
+      linalg._scalar_kinds((target,))
+    y = _times_inverse(cols, n, target.entries, square)
+    if y is None:
+      return None
+    if not square:
+      acc = {k: den * x for k, x in target.items()}
+      for yb, vec in zip(y, basis):
+        if yb:
+          linalg._add_scaled(acc, -yb, vec.entries)
+      if acc:
+        return None
+    return [linalg.normalize_scalar(yb, den) for yb in y]
 
   return solve
 

@@ -593,6 +593,17 @@ def test_components_match_seed_builder(family, rank, node, copies):
     _assert_matches_seed_component(comp)
 
 
+@pytest.mark.parametrize("family,rank,node,copies", _QUICK_CRYSTALS)
+def test_component_weights_are_tensor_weights(family, rank, node, copies):
+  # each weight is built from the parent's, one factor weight swapped
+  factor = MinusculeCrystal(build(family, rank), node)
+  tensor = tensor_crystal(*[factor] * copies)
+  for hw in tensor.elements():
+    if all(tensor.eps(hw, i) == 0 for i in range(1, rank + 1)):
+      comp = HighestWeightComponent(tensor, hw)
+      assert comp.weights == [tensor.wt(b) for b in comp.elements]
+
+
 def test_e6_component_matches_seed_builder(suite):
   _assert_matches_seed_component(suite.component)
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import count, permutations
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +65,27 @@ class TestSuiteConstruction:
     _, _, oracle = tensor_oracle
     assert repr(suite.subrep._tables) == repr(oracle._tables)
     assert repr(suite.subrep._weights) == repr(oracle._weights)
+
+  def test_action_digest_matches_reference(self, suite):
+    # the e6.action_digest op of the benchmark harness: a sha256 over the
+    # E_i / F_i images of every unit vector, as the harness summarises it
+    rep = suite.subrep
+    h = hashlib.sha256()
+    nonzero = 0
+    for key in sorted(rep.keys()):
+      unit = SparseVector.unit(key)
+      for i in range(1, rep.rank + 1):
+        for op, apply in (("e", rep.apply_e), ("f", rep.apply_f)):
+          img = apply(i, unit)
+          nonzero += bool(img)
+          terms = ",".join("%s:%s" % (k, c) for k, c in sorted(img.items()))
+          h.update(("%s %d %s %s\n" % (key, i, op, terms)).encode())
+    summary = json.dumps({"digest": h.hexdigest(), "nonzero_images": nonzero},
+                         sort_keys=True, separators=(",", ":"))
+    reference = json.loads((Path(__file__).resolve().parent.parent
+                            / "perfbench" / "reference.json").read_text())
+    assert hashlib.sha256(summary.encode()).hexdigest() == \
+        reference["ops"]["e6.action_digest"]["sha256"]
 
   def test_component_size(self, suite):
     assert len(suite.component) == 2925

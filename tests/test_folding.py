@@ -342,7 +342,7 @@ class TestIntegerProjection:
                         or linalg.integer_inverse(mat))
     datum = Folding("A", 41, 2)
     assert calls == [datum._q]
-    monkeypatch.setattr(linalg, "span_solver", None)
+    monkeypatch.setattr(linalg, "_pivot_inverse", None)
     monkeypatch.setattr(folding, "integer_inverse", None)
     for i, coroot in _simple_coroots(datum):
       assert datum.project(coroot) == datum.gamma(datum.eta[i - 1])

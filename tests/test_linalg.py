@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linalg_fixture import echelon_solver, independent, inverse
+from linalg_fixture import echelon_solver, independent, inverse, span_solver
 from linalg_fixture import smith_invariant_factors as smith_oracle
 
 from twistedlie import linalg
 from twistedlie.folding import Folding
 from twistedlie.linalg import (GaussianRational, SparseVector,
                                ZERO_VECTOR, i_power, integer_inverse,
-                               normalize_scalar, rank, span_solver,
+                               normalize_scalar, rank,
                                smith_invariant_factors)
 from twistedlie.rootsystem import CartanType, cartan_matrix
 

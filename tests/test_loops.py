@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 import sys
@@ -460,20 +461,46 @@ class TestVerifierCost:
     pool_ids = {id(x) for _, _, x in basis}
     monkeypatch.setattr(loops, "hyperspecial_basis", lambda ell, bound: basis)
     built = []
-    real = loops.eta_apply
+    real = loops.eta_c_apply
 
-    def counting(ell, x):
+    def counting(x):
       if id(x) in pool_ids:
         built.append(id(x))
-      return real(ell, x)
+      return real(x)
 
-    monkeypatch.setattr(loops, "eta_apply", counting)
+    monkeypatch.setattr(loops, "eta_c_apply", counting)
     assert eta_bracket_check(2, 4, 300) == []
     assert built and len(built) == len(set(built))
     # an element never drawn gets no image: 3 trials draw at most 6
     built.clear()
     assert eta_bracket_check(2, 4, 3) == []
     assert 0 < len(built) <= 6
+
+  def test_tau_tested_once_per_element(self, monkeypatch):
+    # verify_hyperspecial tests each basis element once and builds its
+    # image without a second test; the bracket check tests each drawn pool
+    # element once, and each bracket inside eta_apply
+    basis = hyperspecial_basis(2, 6)
+    tested = collections.Counter()
+    real = loops.is_tau_fixed
+
+    def counting(ell, x):
+      tested[id(x)] += 1
+      return real(ell, x)
+
+    monkeypatch.setattr(loops, "is_tau_fixed", counting)
+    assert verify_hyperspecial(2, 6, basis)["passed"]
+    assert tested == collections.Counter(id(x) for _, _, x in basis)
+    tested.clear()
+    assert eta_bracket_check(2, 6, 50, basis) == []
+    pool = [tested[id(x)] for _, _, x in basis]
+    assert set(pool) <= {0, 1} and 1 in pool
+    assert sum(tested.values()) - sum(pool) == 50
+    # testing x in place of eta_c(x) is sound: eta_c commutes with tau
+    for _, _, x in basis + [(None, None, _elt(("E", 1, 2), 0))]:
+      assert is_tau_fixed(2, x) == is_tau_fixed(2, eta_c_apply(x))
+    x = basis[0][2]
+    assert loops._eta_k(2, eta_c_apply(x)) == eta_apply(2, x)
 
   def test_draws_cover_colliding_descriptors(self):
     # families (1) and (2) share descriptors (sign, i, j, k): an image

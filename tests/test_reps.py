@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -6,12 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linalg_fixture import relations
+from subrep_fixture import subrepresentation as oracle_subrepresentation
 from wedge_fixture import antisymmetrise
-from twistedlie.crystal import (MinusculeCrystal, highest_weight_component,
-                                tensor_crystal)
+from twistedlie.crystal import (HighestWeightComponent, MinusculeCrystal,
+                                highest_weight_component, tensor_crystal)
 from twistedlie import reps as reps_module
-from twistedlie.linalg import (GaussianRational, SparseVector, ZERO_VECTOR,
-                               span_solver)
+from twistedlie.linalg import GaussianRational, SparseVector, ZERO_VECTOR
 from twistedlie.reps import (ExteriorPower, OperatorWord,
                              ProductRepresentation, Representation,
                              TableRepresentation, _integer_tables, _pairs,
@@ -168,34 +170,32 @@ class TestSubrepresentation:
       calls[(op, i, frozenset(vec.items()))] += 1
       return act(op, i, vec)
 
-    solves = collections.Counter()
     built = collections.Counter()
+    pivot_inverse = reps_module._pivot_inverse
 
-    def counted_solver(basis):
+    def counted_inverse(basis):
       built[ambient.weight(next(iter(basis[0].keys())))] += 1
-      solve = span_solver(basis)
-
-      def counted_solve(target):
-        solves[target] += 1
-        return solve(target)
-      return counted_solve
+      return pivot_inverse(basis)
 
     ambient._act = counted
-    monkeypatch.setattr(reps_module, "span_solver", counted_solver)
+    monkeypatch.setattr(reps_module, "_pivot_inverse", counted_inverse)
     rep = subrepresentation(ambient, SparseVector.unit((0, 0, 0)), comp)
     assert verify_representation_detailed(rep, a2.cartan) == (True, None)
     # the highest weight check applies each E_i to the hw vector beforehand
     hw = frozenset({(0, 0, 0): 1}.items())
     calls.subtract({("e", i, hw): 1 for i in (1, 2)})
-    # one application per (op, i, element): the path vectors are distinct
+    # one application per (op, i, element): the path vectors are distinct,
+    # and the F_i image of each element's canonical parent is the element's
+    # own path vector, with its unit coordinates
     assert len(calls) == 2 * 2 * len(comp)
     assert set(calls.values()) == {1}
-    # one solve per nonzero image, except the F_i image of each element's
-    # canonical parent, which is the element's own path vector
-    images = sum(len(table) for table in rep._tables.values())
-    assert sum(solves.values()) == images - (len(comp) - 1)
-    # and every fiber's basis is checked for independence, once
+    for b in range(1, len(comp)):
+      parent = comp.e(b, comp.paths[b][0])
+      assert rep.table("f", comp.paths[b][0])[parent] == ((b, 1),)
+    # every fiber's basis is inverted, and so checked for independence, once
     assert built == collections.Counter(set(comp.weights))
+    assert rep._tables == oracle_subrepresentation(
+        ambient, SparseVector.unit((0, 0, 0)), comp)._tables
 
   def test_rejects_non_highest_vector(self, a2):
     c1 = MinusculeCrystal(a2, 1)
@@ -255,6 +255,30 @@ class TestSubrepresentation:
                                          "fiber basis"):
       subrepresentation(ambient, SparseVector.unit(0), comp)
 
+  def test_action_outside_a_wide_fiber_rejected(self, a2):
+    # inside V(omega_1) (x) V(omega_2) the weight-zero fiber has two path
+    # vectors on three keys, so its images are checked by their residual;
+    # an E_i image that gains a weight-zero term leaves its span
+    c1, c2 = MinusculeCrystal(a2, 1), MinusculeCrystal(a2, 2)
+    comp = highest_weight_component(tensor_crystal(c1, c2), (1, 1))
+    factors = [minuscule_representation(c1), minuscule_representation(c2)]
+    plain = ProductRepresentation(factors)
+    zero = sorted(k for k in plain.keys() if plain.weight(k) == (0, 0))
+    assert len(zero) == 3
+
+    class Strayed(ProductRepresentation):
+      def _act(self, op, i, vec):
+        img = super()._act(op, i, vec)
+        if op == "e" and img and self.weight(next(iter(img))) == (0, 0):
+          img[zero[0]] = img.get(zero[0], 0) + 1
+          img = {k: c for k, c in img.items() if c}
+        return img
+
+    ambient = Strayed(factors)
+    with pytest.raises(ValueError, match="action leaves the span of the "
+                                         "fiber basis"):
+      subrepresentation(ambient, SparseVector.unit((0, 0)), comp)
+
   def test_action_outside_fiber_span_rejected(self, a2):
     comp = self._adjoint_component(a2)
     low = next(b for b in comp.indices() if comp.wt(b) == (-2, 1))
@@ -265,6 +289,119 @@ class TestSubrepresentation:
     with pytest.raises(ValueError, match="action leaves the span of the "
                                          "fiber basis"):
       subrepresentation(ambient, SparseVector.unit(0), comp)
+
+
+#: (family, rank, minuscule node, power, k): the ambient V^(x)k ("tensor")
+#: or Lambda^k V ("wedge") of a minuscule module V.  Lambda^3 of the
+#: two-dimensional A1 module is zero, and the 1000-element cube of the A4
+#: omega_2 crystal is left to the square and the exterior powers.
+_SUBREP_CASES = tuple(
+    (family, rank, node, power, k)
+    for family, rank, node in (("A", 1, 1), ("A", 2, 1), ("A", 3, 1),
+                               ("A", 3, 2), ("A", 4, 1), ("A", 4, 2),
+                               ("D", 4, 1))
+    for power in ("tensor", "wedge") for k in (2, 3)
+    if (rank, power, k) != (1, "wedge", 3)
+    and (rank, node, power, k) != (4, 2, "tensor", 3)) + (
+        ("D", 5, 5, "tensor", 2), ("D", 5, 5, "wedge", 2),
+        ("D", 5, 5, "wedge", 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _subrep_case(family, rank, node, power, k):
+  """(ambient, [(component, highest weight vectors)]): a component for
+  every highest weight element of the k-th tensor power of the crystal,
+  with an int basis of the ambient's highest weight vectors of its weight
+  (none when that weight has none in an exterior power)."""
+  crys = MinusculeCrystal(build(family, rank), node)
+  v = minuscule_representation(crys)
+  ambient = (ProductRepresentation([v] * k) if power == "tensor"
+             else ExteriorPower(v, k))
+  nodes = range(1, rank + 1)
+  by_weight = {}
+  for key in ambient.keys():
+    by_weight.setdefault(ambient.weight(key), []).append(key)
+  spaces = {}
+  tensor = tensor_crystal(*[crys] * k)
+  components = []
+  for b in tensor.elements():
+    if any(tensor.eps(b, i) for i in nodes):
+      continue
+    wt = tensor.wt(b)
+    if wt not in spaces:
+      keys = by_weight.get(wt, [])
+      raising = [{(i, k2): c for i in nodes
+                  for k2, c in ambient.apply_e(i, SparseVector.unit(key))
+                  .items()} for key in keys]
+      # each relation scaled to integers
+      spaces[wt] = []
+      for rel in relations(raising):
+        d = math.lcm(*(c.denominator for c in rel.values()))
+        spaces[wt].append(SparseVector({keys[j]: int(c * d)
+                                        for j, c in rel.items()}))
+    components.append((HighestWeightComponent(tensor, b), spaces[wt]))
+  return ambient, components
+
+
+def _build_or_error(build_subrep, ambient, hw_vec, comp):
+  try:
+    return build_subrep(ambient, hw_vec, comp)
+  except ValueError as exc:
+    return str(exc)
+
+
+class TestSubrepresentationAgainstOracle:
+  """``subrepresentation`` against the per-solve build it replaced
+  (subrep_fixture), on tensor and exterior powers of minuscule modules,
+  for every highest weight element of the tensor power of the crystal and
+  a drawn highest weight vector of its weight: the same weights and pair
+  tables, in the same order and with the same coefficient types, or the
+  same ValueError."""
+
+  @pytest.mark.parametrize("case", _SUBREP_CASES,
+                           ids=lambda case: "%s%d-w%d-%s%d" % case)
+  @settings(max_examples=3, deadline=None)
+  @given(data=st.data())
+  def test_same_tables(self, case, data):
+    ambient, components = _subrep_case(*case)
+    built = 0
+    for comp, space in components:
+      if not space:
+        continue
+      coeffs = data.draw(st.lists(
+          st.sampled_from([-2, -1, 1, 2, Fraction(1, 3)]),
+          min_size=len(space), max_size=len(space)))
+      hw_vec = ZERO_VECTOR
+      for c, vec in zip(coeffs, space):
+        hw_vec = hw_vec + vec.scale(c)
+      new = _build_or_error(subrepresentation, ambient, hw_vec, comp)
+      old = _build_or_error(oracle_subrepresentation, ambient, hw_vec, comp)
+      if isinstance(old, str):
+        assert new == old
+        continue
+      assert not isinstance(new, str), new
+      built += 1
+      assert list(new._weights.items()) == list(old._weights.items())
+      assert list(new._tables) == list(old._tables)
+      for name, table in old._tables.items():
+        assert list(new._tables[name].items()) == list(table.items())
+        assert [type(c) for img in new._tables[name].values()
+                for _, c in img] == [type(c) for img in table.values()
+                                     for _, c in img]
+    # every case builds at least one component
+    assert built
+
+  def test_every_case_has_components(self):
+    for case in _SUBREP_CASES:
+      ambient, components = _subrep_case(*case)
+      assert any(space for _, space in components), case
+      if case[3] == "tensor":
+        # the highest weight space of a weight in a tensor power is as
+        # large as the number of crystal components of that weight
+        for comp, space in components:
+          assert len(space) == sum(
+              c.tensor.wt(c.hw) == comp.tensor.wt(comp.hw)
+              for c, _ in components)
 
 
 class TestRelationCheckerAgainstOracle:
