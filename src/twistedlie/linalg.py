@@ -5,8 +5,12 @@ for Q(i).  No floating point is used anywhere.  Vectors are sparse maps from
 opaque, totally ordered keys to nonzero scalars.  One fraction-free sparse
 echelon kernel, ``_reduce``, does all elimination on int rows: vectors are
 scaled to integral entries and rows kept primitive, so it divides only by a
-gcd.  ``rank`` counts its rows, and ranks Gaussian vectors by their real and
-imaginary parts; ``_pivot_inverse`` back-substitutes the rows into the
+gcd.  The echelon is indexed by pivot, and a vector is reduced only
+against the rows whose pivots it holds, in the order they were appended,
+so a sparse vector costs what its own entries cost, however many rows
+there are.  ``rank`` counts its rows, and ranks Gaussian vectors by their
+real and imaginary parts; ``loops`` appends the eta-images to it to test
+their independence; ``_pivot_inverse`` back-substitutes the rows into the
 inverse of a rational basis on its pivot keys, which
 ``reps.subrepresentation`` multiplies each fiber image by and
 ``integer_inverse`` reads a matrix inverse off.  Smith invariant factors
@@ -15,6 +19,7 @@ then make the diagonal a divisor chain by gcd/lcm.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 _RATIONAL_TYPES = (int, Fraction)
@@ -254,10 +259,11 @@ def normalize_scalar(x, den=1):
 
 
 # -- the echelon kernel ------------------------------------------------------
-# An echelon is a list of rows (pivot, row, comb).  Each row is a dict of
-# integers with no common factor; it is nonzero at its pivot, the smallest
-# key of its support, and 0 at the pivot of every earlier row.  comb is None
-# or the dict of its coefficients over the input vectors, scaled alike:
+# An echelon is a dict {pivot: (position, row, comb)} in insertion order,
+# position counting the rows before it.  Each row is a dict of integers
+# with no common factor; it is nonzero at its pivot, the smallest key of its
+# support, and 0 at the pivot of every earlier row.  comb is None or the
+# dict of its coefficients over the input vectors, scaled alike:
 # row = sum(comb[b] * input[b]).
 
 def _add_scaled(acc, c, vec, a=1):
@@ -273,14 +279,26 @@ def _add_scaled(acc, c, vec, a=1):
       del acc[k]
 
 
-def _reduce(rows, cur, comb):
-  """Reduce the integral dict ``cur`` in place against the echelon rows, in
-  order: cur = p * cur - c * row for a row with pivot entry p where cur
-  holds c, carrying the same steps over to ``comb`` unless it is None.
-  Then cur and comb are divided by the gcd of their integer parts."""
-  for pivot, row, row_comb in rows:
+def _reduce(rows, cur, comb, after=-1):
+  """Reduce the integral dict ``cur`` in place against the echelon rows
+  at positions after ``after``, in order: cur = p * cur - c * row for a row
+  with pivot entry p where cur holds c, carrying the same steps over to
+  ``comb`` unless it is None.  Then cur and comb are divided by the gcd of
+  their integer parts.
+
+  Only the rows whose pivot cur holds are visited, from a heap of their
+  positions: a row is 0 at every earlier pivot, so a step brings in only
+  later pivots, and they are pushed as they come in."""
+  heap = [(e[0], k) for k in cur if (e := rows.get(k)) and e[0] > after]
+  heapify(heap)
+  while heap:
+    _, pivot = heappop(heap)
     c = cur.get(pivot)
     if c:
+      _, row, row_comb = rows[pivot]
+      for k in row:
+        if k not in cur and (e := rows.get(k)):
+          heappush(heap, (e[0], k))
       p = row[pivot]
       _add_scaled(cur, -c, row, p)
       if comb is not None:
@@ -306,7 +324,7 @@ def _append_row(rows, vec, b=None):
   _reduce(rows, cur, comb)
   if not cur:
     return False
-  rows.append((min(cur), cur, comb))
+  rows[min(cur)] = (len(rows), cur, comb)
   return True
 
 
@@ -329,7 +347,7 @@ def rank(vectors):
                           for p in (((k, 0), c.re), ((k, 1), c.im))])
             for v in vecs for w in (v, v.scale(i_power(1)))]
   n_keys = len(set().union(*[v.keys() for v in vecs]))
-  rows = []
+  rows = {}
   for v in vecs:
     _append_row(rows, v)
     if len(rows) == n_keys:
@@ -345,16 +363,15 @@ def _pivot_inverse(basis):
   Back substitution against the later rows, which are 0 at every pivot but
   their own, leaves row r d_r at its pivot and 0 at every other, so
   N[b][pivot_r] is comb_r[b] * D / d_r with D the lcm of the d_r."""
-  rows = []
+  rows = {}
   for b, v in enumerate(basis):
     if not _append_row(rows, v, b):
       return None
-  for r in reversed(range(len(rows) - 1)):
-    _, row, comb = rows[r]
-    _reduce(rows[r + 1:], row, comb)
-  den = lcm(*(row[pivot] for pivot, row, _ in rows))
+  for pos, row, comb in list(rows.values())[-2::-1]:
+    _reduce(rows, row, comb, pos)
+  den = lcm(*(row[pivot] for pivot, (_, row, _) in rows.items()))
   return {pivot: tuple((b, c * (den // row[pivot])) for b, c in comb.items())
-          for pivot, row, comb in rows}, den
+          for pivot, (_, row, comb) in rows.items()}, den
 
 
 def integer_inverse(matrix):

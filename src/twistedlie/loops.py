@@ -39,15 +39,13 @@ degree matches the dimension of the sigma-fixed subspace.
 The verifier ranks no Gaussian vectors.  sigma sends each basis key to one
 key times a unit, so its eigenspace dimensions come from its cycles on the
 keys (the eigenvalue count of a weighted cyclic permutation; see
-_fixed_dimensions).  Every image of a correct eta has one or two (key,
-degree) pairs, a half-edge or an edge of a gain graph over Q^x, so
-independence is one union-find pass over those pairs in basis order, up to
-the first dependent image (the frame matroid; see _independence_break).
-Only an image with three or more pairs, which a wrong eta gives, sends its
-component to an echelon.
+_fixed_dimensions).  Independence appends the images, in basis order, to
+one echelon of the fraction-free kernel (``linalg._append_row``), up to
+the first that does not append (see _independence_break).  The images of
+a correct eta share no (key, degree) pair, and the kernel visits only the
+pivots a vector holds, so none of them takes an elimination step.
 """
 
-from fractions import Fraction
 from sys import maxsize
 
 from .linalg import SparseVector, _append_row, i_power, rank
@@ -372,100 +370,14 @@ def _fixed_dimensions(ell):
 
 def _independence_break(images):
   """None if the images are linearly independent, else the index of the
-  first one that depends on the images before it.
-
-  One union-find pass in input order over the vertices, the (key, degree)
-  pairs.  An image with one key is a half-edge and one with two keys an
-  edge of a gain graph over Q^x, and their rank is that of its frame
-  matroid (Zaslavsky, "Biased graphs. II. The three matroids", J. Combin.
-  Theory Ser. B 51, 1991): a component has rank |V|, and is "full", once
-  it holds a half-edge or an unbalanced cycle, else |V| - 1.  A component
-  that is not full spans the vectors annihilated by one functional x, with
-  x_k = g_k x_root for the potential g_k of each vertex k, exact (an int
-  where integral, else a Fraction) and kept relative to the parent in the
-  union-find tree.  So
-  - a zero image is dependent;
-  - a half-edge is dependent iff its component is full, else makes it
-    full;
-  - an edge c1 e_k1 + c2 e_k2 inside a component is dependent iff the
-    component is full or c1 g_k1 + c2 g_k2 = 0, else makes it full;
-  - an edge across two components is dependent iff both are full, else
-    merges them, full if either was: the root of the one with fewer
-    images, root1, hangs under the other's with g_root1 = -c2 g_k2 /
-    (c1 g_k1), for k1 on root1's side.
-  An image with three or more keys is no edge.  Only a wrong eta gives one,
-  and it is then already an image-mismatch.  The component that holds it,
-  with every component it later meets, is ranked by one echelon instead:
-  the component's earlier images, then each new one, are appended to it
-  (``linalg._append_row``), and an image that does not append is the
-  dependent one.
-  """
-  up = {}     # vertex -> (parent, potential relative to the parent)
-  full = {}   # root -> whether its component has rank |V|
-  held = {}   # root -> the indices of its component's images
-  rows = {}   # root -> the echelon of a component that met a wide image
-
-  def find(v):
-    """The root of v and the potential of v relative to it."""
-    p, g = up[v]
-    if p == v:
-      return v, g
-    r, gp = find(p)
-    up[v] = (r, g * gp)
-    return r, g * gp
-
-  def join(r1, r2, g):
-    """Hang the component of r1 under r2 with g_r1 = g."""
-    up[r1] = (r2, g)
-    full[r2] = full.pop(r1) or full[r2]
-    held[r2] += held.pop(r1)
-
+  first one that depends on the images before it: the first that
+  ``linalg._append_row`` does not append to one echelon of them all, in
+  input order.  The images of a correct eta share no (key, degree) pair,
+  so each is appended without an elimination step."""
+  rows = {}
   for n, img in enumerate(images):
-    terms = []
-    for v, c in img.items():
-      if v not in up:
-        up[v] = (v, 1)
-        full[v] = False
-        held[v] = []
-      terms.append((c,) + find(v))
-    if not terms:
+    if not _append_row(rows, img):
       return n
-    if len(terms) > 2 or rows and any(t[1] in rows for t in terms):
-      # the largest component first, so that the others hang under it
-      roots = sorted({t[1] for t in terms}, key=lambda r: -len(held[r]))
-      r = roots[0]
-      echelon = []
-      for root in roots:
-        if root in rows:
-          echelon += rows.pop(root)
-        else:
-          for m in held[root]:
-            _append_row(echelon, images[m])
-      for root in roots[1:]:
-        join(root, r, 1)
-      if not _append_row(echelon, img):
-        return n
-      rows[r] = echelon
-    elif len(terms) == 1:
-      r = terms[0][1]
-      if full[r]:
-        return n
-      full[r] = True
-    else:
-      (c1, r1, g1), (c2, r, g2) = terms
-      if r1 == r:
-        if full[r] or c1 * g1 + c2 * g2 == 0:
-          return n
-        full[r] = True
-      else:
-        if full[r1] and full[r]:
-          return n
-        # the smaller component hangs under the larger
-        if len(held[r1]) > len(held[r]):
-          (c1, r1, g1), (c2, r, g2) = terms[::-1]
-        num, den = -c2 * g2, c1 * g1
-        join(r1, r, num // den if num % den == 0 else Fraction(num, den))
-    held[r].append(n)
   return None
 
 
@@ -511,11 +423,10 @@ def verify_hyperspecial(ell, bound, basis=None):
 
   ``basis`` is ``hyperspecial_basis(ell, bound)``, built here when not
   given.  The dimensions are counted on the cycles of sigma on the basis
-  keys (_fixed_dimensions), and independence is read off the gain graph of
-  the images' keys in one union-find pass in basis order
-  (_independence_break), so no vector is ranked: only an image with three
-  or more keys, which a correct eta never gives, is appended to an
-  echelon.
+  keys (_fixed_dimensions), and independence appends the images to one
+  echelon in basis order (_independence_break), so no vector is ranked;
+  the images of a correct eta share no (key, degree) pair, and each is
+  appended without an elimination step.
   """
   if basis is None:
     basis = hyperspecial_basis(ell, bound)

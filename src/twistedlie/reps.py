@@ -160,7 +160,8 @@ class ProductRepresentation(Representation):
           head, tail = key[:pos], key[pos + 1:]
           for k2, c2 in img:
             full = head + (k2,) + tail
-            s = acc.get(full, 0) + c * c2
+            s = acc.get(full, 0) + (c if c2 == 1 and type(c2) is int
+                                    else c * c2)
             if s:
               acc[full] = s
             else:
@@ -197,8 +198,8 @@ class ExteriorPower(ProductRepresentation):
               continue
             at = bisect(rest, k2)
             full = rest[:at] + (k2,) + rest[at:]
-            s = acc.get(full, 0) + (c * c2 if (at - pos) % 2 == 0
-                                    else -c * c2)
+            t = c if c2 == 1 and type(c2) is int else c * c2
+            s = acc.get(full, 0) + (t if (at - pos) % 2 == 0 else -t)
             if s:
               acc[full] = s
             else:

@@ -10,9 +10,15 @@ product with ``linalg._pivot_inverse`` per target, kept as the oracle for
 the product that ``reps`` now inlines.
 ``smith_invariant_factors`` is the earlier Smith normal form, one pivot at
 a time with a row-addition restart while the block is not divisible by the
-pivot, kept as the oracle for ``linalg``'s diagonalise-then-gcd/lcm form."""
+pivot, kept as the oracle for ``linalg``'s diagonalise-then-gcd/lcm form.
+``scan_reduce``, ``scan_append_row``, ``scan_rank`` and
+``scan_pivot_inverse`` are ``linalg``'s fraction-free kernel as it stood
+with the echelon a list of (pivot, row, comb) scanned in full for each
+vector, kept as the oracle for the echelon that visits only the pivots a
+vector holds: they take the same steps in the same order."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from twistedlie import linalg
 from twistedlie.linalg import GaussianRational, SparseVector
@@ -154,6 +160,70 @@ def span_solver(basis):
     return [linalg.normalize_scalar(yb, den) for yb in y]
 
   return solve
+
+
+def scan_reduce(rows, cur, comb):
+  """Reduce the integral dict ``cur`` in place against every row of the
+  list echelon, in order: cur = p * cur - c * row where cur holds c at the
+  row's pivot and the row holds p, and ``comb`` alike unless it is None;
+  then divide both by the gcd of their entries."""
+  for pivot, row, row_comb in rows:
+    c = cur.get(pivot)
+    if c:
+      p = row[pivot]
+      linalg._add_scaled(cur, -c, row, p)
+      if comb is not None:
+        linalg._add_scaled(comb, -c, row_comb, p)
+  if not cur:
+    return
+  dicts = (cur,) if comb is None else (cur, comb)
+  g = gcd(*(v for d in dicts for v in d.values()))
+  if g > 1:
+    for d in dicts:
+      for k, v in d.items():
+        d[k] = v // g
+
+
+def scan_append_row(rows, vec, b=None):
+  """Append the rational ``vec``, scaled to integers, to the list echelon
+  unless it reduces to zero, with comb {b: scale} or None; returns whether
+  it was appended."""
+  s = lcm(*(v.denominator for v in vec.entries.values()))
+  cur = {k: v.numerator * (s // v.denominator) for k, v in vec.items()}
+  comb = None if b is None else {b: s}
+  scan_reduce(rows, cur, comb)
+  if not cur:
+    return False
+  rows.append((min(cur), cur, comb))
+  return True
+
+
+def scan_rank(vectors):
+  """The rank of rational vectors: rows of the list echelon, appended in
+  input order until there are as many as keys."""
+  vecs = [v for v in vectors if v]
+  n_keys = len(set().union(*(v.keys() for v in vecs)))
+  rows = []
+  for v in vecs:
+    scan_append_row(rows, v)
+    if len(rows) == n_keys:
+      break
+  return len(rows)
+
+
+def scan_pivot_inverse(basis):
+  """(cols, D) of ``linalg._pivot_inverse`` on the list echelon: each row
+  back-substituted against the slice of rows after it."""
+  rows = []
+  for b, v in enumerate(basis):
+    if not scan_append_row(rows, v, b):
+      return None
+  for r in reversed(range(len(rows) - 1)):
+    _, row, comb = rows[r]
+    scan_reduce(rows[r + 1:], row, comb)
+  den = lcm(*(row[pivot] for pivot, row, _ in rows))
+  return {pivot: tuple((b, c * (den // row[pivot])) for b, c in comb.items())
+          for pivot, row, comb in rows}, den
 
 
 def inverse(matrix):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linalg_fixture import echelon_solver, independent, inverse, span_solver
+from linalg_fixture import (echelon_solver, independent, inverse,
+                            scan_append_row, scan_pivot_inverse, scan_rank,
+                            span_solver)
 from linalg_fixture import smith_invariant_factors as smith_oracle
 
 from twistedlie import linalg
@@ -568,14 +570,16 @@ class TestEchelonKernel:
   @given(data=st.data())
   def test_rows_are_primitive_combinations(self, kind, data):
     vectors = data.draw(_matrices(kind))
-    rows, raised = [], []
+    rows, raised = {}, []
     for b, v in enumerate(vectors):
       if linalg._append_row(rows, v, b):
         raised.append(b)
     assert raised == independent(vectors)
-    for r, (pivot, row, comb) in enumerate(rows):
+    pivots = list(rows)
+    for r, (pivot, (pos, row, comb)) in enumerate(rows.items()):
+      assert pos == r
       assert pivot == min(row)
-      assert all(p not in row for p, _, _ in rows[:r])
+      assert all(p not in row for p in pivots[:r])
       values = [*row.values(), *comb.values()]
       assert all(type(x) is int for x in values)
       assert gcd(*values) == 1
@@ -597,6 +601,73 @@ class TestEchelonKernel:
 
     with mock.patch.object(linalg, "_append_row", rational_only):
       assert rank(vectors) == bareiss_rank(vectors)
+
+
+@st.composite
+def _echelon_inputs(draw, kind):
+  """1-10 vectors of one rational kind on the keys 0..11: sparse, with one
+  to three nonzero keys each, or dense, with every key drawn; and, unless
+  kept independent, with vectors that are combinations of earlier ones,
+  some of which cancel a key the two share."""
+  n_keys = draw(st.integers(1, 12))
+  dense = draw(st.booleans())
+  dependent = draw(st.booleans())
+  scalar = _SCALARS[kind]
+  nonzero = scalar.filter(bool)
+  vectors = []
+  for _ in range(draw(st.integers(1, 10))):
+    if dependent and len(vectors) > 1 and draw(st.booleans()):
+      u, w = draw(st.lists(st.sampled_from(vectors), min_size=2,
+                           max_size=2))
+      shared = sorted(u.keys() & w.keys())
+      if shared and draw(st.booleans()):
+        k = draw(st.sampled_from(shared))
+        vectors.append(u.scale(w.get(k)) - w.scale(u.get(k)))
+      else:
+        vectors.append(u.scale(draw(scalar)) + w.scale(draw(scalar)))
+    elif dense:
+      vectors.append(SparseVector(enumerate(
+          draw(st.lists(scalar, min_size=n_keys, max_size=n_keys)))))
+    else:
+      keys = draw(st.lists(st.integers(0, n_keys - 1), min_size=1,
+                           max_size=3, unique=True))
+      vectors.append(SparseVector({k: draw(nonzero) for k in keys}))
+  return vectors
+
+
+class TestEchelonAgainstScan:
+  """The echelon that visits only the pivots a vector holds against the
+  list echelon that scans every row (tests/linalg_fixture.py): the same
+  steps in the same order, so the same pivots, positions, rows and combs,
+  the same ``_pivot_inverse`` and the same ``rank``."""
+
+  @pytest.mark.parametrize("kind", _RATIONAL_KINDS)
+  @settings(max_examples=300, deadline=None)
+  @given(data=st.data())
+  def test_same_echelon_inverse_and_rank(self, kind, data):
+    vectors = data.draw(_echelon_inputs(kind))
+    for index in (True, False):
+      rows, scanned = {}, []
+      for b, v in enumerate(vectors):
+        b = b if index else None
+        assert linalg._append_row(rows, v, b) == \
+            scan_append_row(scanned, v, b)
+      assert [(pivot, pos, row, comb)
+              for pivot, (pos, row, comb) in rows.items()] == \
+          [(pivot, pos, row, comb)
+           for pos, (pivot, row, comb) in enumerate(scanned)]
+    basis = [vectors[b] for b in independent(vectors)]
+    for vecs in (vectors, basis):
+      assert linalg._pivot_inverse(vecs) == scan_pivot_inverse(vecs)
+      assert rank(vecs) == scan_rank(vecs)
+
+  def test_back_substitution_keeps_the_scan_order(self):
+    # a chain: each row brings in the pivot of the next, so back
+    # substitution visits the later rows in order from one pivot
+    basis = [SparseVector({k: 1, k + 1: k + 2}) for k in range(6)]
+    basis.append(SparseVector({6: 3, 0: 5}))
+    assert linalg._pivot_inverse(basis) == scan_pivot_inverse(basis)
+    assert rank(basis) == scan_rank(basis) == 7
 
 
 class TestSolverAgainstEchelon:

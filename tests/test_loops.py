@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import loop_element_fixture as oracle
 from linalg_fixture import independent
-from twistedlie import cli, loops
+from twistedlie import cli, linalg, loops
 from twistedlie.linalg import GaussianRational, SparseVector, i_power, rank
 from twistedlie.loops import (_all_basis_keys, _fixed_dimensions,
                               _independence_break, bracket, cartan_vector,
@@ -266,8 +266,9 @@ class TestCycleDimensions:
 
 
 class TestBlockRank:
-  """Independence on the gain graph of the images' (key, degree) pairs,
-  against one rank of all the images and one echelon in basis order."""
+  """Independence of the eta-images by one ``_append_row`` echelon in
+  basis order, against one rank of all the images and the oracle echelon
+  in basis order."""
 
   @staticmethod
   def _agree(images):
@@ -357,8 +358,9 @@ def _counting_append_row(monkeypatch):
 
 
 class TestGainGraph:
-  """The first dependent index of the gain-graph pass against prefix ranks
-  of the oracle echelon."""
+  """The first dependent index of ``_independence_break`` against prefix
+  ranks of the oracle echelon, on vectors with one or two keys, the edges
+  and half-edges of a gain graph, and on wider ones."""
 
   @settings(max_examples=300, deadline=None)
   @given(_key_vectors(2))
@@ -366,10 +368,7 @@ class TestGainGraph:
   @example([SparseVector({0: 1}), SparseVector({1: 2}),
             SparseVector({0: 1, 1: 1})])
   def test_one_and_two_keys(self, vectors):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-      appended = _counting_append_row(monkeypatch)
-      assert _independence_break(vectors) == _first_dependent(vectors)
-    assert appended == []
+    assert _independence_break(vectors) == _first_dependent(vectors)
 
   @settings(max_examples=200, deadline=None)
   @given(_key_vectors(4))
@@ -431,18 +430,30 @@ class TestIndependenceWitness:
 class TestVerifierCost:
 
   def test_no_gaussian_rank(self, monkeypatch):
-    # the verifier ranks nothing, and the images of a correct eta have one
-    # or two keys, so independence appends no row to an echelon either
+    # the verifier ranks nothing, and the images of a correct eta share no
+    # (key, degree) pair, so appending them to the echelon takes no
+    # elimination step; an injected duplicate takes exactly one
     ranked = []
     monkeypatch.setattr(loops, "rank", lambda vectors: ranked.append(1))
-    appended = _counting_append_row(monkeypatch)
+    steps = []
+    add_scaled = linalg._add_scaled
+
+    def counting(acc, c, vec, a=1):
+      steps.append(c)
+      add_scaled(acc, c, vec, a)
+
+    monkeypatch.setattr(linalg, "_add_scaled", counting)
     assert verify_hyperspecial(2, 6)["passed"]
     assert eta_bracket_check(2, 6, 50) == []
-    assert ranked == [] and appended == []
-    # a tau-fixed element x + y whose image, in degree 10, has four keys is
-    # a mismatch, and its component's int rows go through the echelon;
-    # then y, after x, is the dependent one
+    assert verify_hyperspecial(16, 6)["passed"]
+    assert ranked == [] and steps == []
     basis = hyperspecial_basis(2, 6)
+    report = verify_hyperspecial(2, 6, basis + [basis[7]])
+    assert not report["independent"] and len(steps) == 1
+    appended = _counting_append_row(monkeypatch)
+    # a tau-fixed element x + y whose image, in degree 10, has four keys is
+    # a mismatch, and its int image goes through the echelon; then y,
+    # after x, is the dependent one
     x, y = [b for b in hyperspecial_basis(2, 10) if b[0] == 1
             and b[1][3] == 5]
     wide = (x[0], x[1], x[2] + y[2])

@@ -63,6 +63,11 @@ class TestTensorProduct:
     key_down = next(iter(down.keys()))
     assert img.get((key_down, 0)) == 1
     assert img.get((0, key_down)) == 1
+    # a Fraction coefficient is carried through the int 1 of each factor
+    img = prod.apply_f(1, v.scale(Fraction(2, 3)))
+    assert dict(img.items()) == {(key_down, 0): Fraction(2, 3),
+                                 (0, key_down): Fraction(2, 3)}
+    assert all(type(c) is Fraction for _, c in img.items())
 
   def test_tensor_relations(self, a2, a2_v1):
     prod = ProductRepresentation([a2_v1, a2_v1])
@@ -940,6 +945,12 @@ class TestExteriorPower:
     assert wedge.apply_f(1, SparseVector.unit(((0, 0), (0, 2)))) == \
         SparseVector({((0, 2), (1, 0)): -1, ((0, 1), (0, 2)): 1,
                       ((0, 0), (1, 2)): 1})
+    # and a Fraction coefficient keeps its type, sign included
+    img = wedge.apply_f(1, SparseVector({((0, 0), (0, 2)): Fraction(1, 2)}))
+    assert dict(img.items()) == {((0, 2), (1, 0)): Fraction(-1, 2),
+                                 ((0, 1), (0, 2)): Fraction(1, 2),
+                                 ((0, 0), (1, 2)): Fraction(1, 2)}
+    assert all(type(c) is Fraction for _, c in img.items())
 
 
 def _searched_root_poset_path(sys, gamma):
