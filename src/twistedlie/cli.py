@@ -33,6 +33,7 @@ independent, and every help, usage and error text is the full parser's.
 """
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -289,6 +290,10 @@ _COMMANDS = (
 _FORMAT = _flag("--format", choices=("json", "tsv"), default="json")
 
 
+# the coordinate flag of each command that has one: argparse reads a value
+# such as -1,0,1 after it as an option, so main joins the two as FLAG=VALUE
+_COORD_FLAGS = {"rootsys": "--weight", "dominance": "--lambda",
+                "smooth-locus": "--lambda"}
 _NAMES = tuple(name for name, _, _, _ in _COMMANDS)
 # parsers by the command names they hold, built on first use: parse_args
 # leaves no state on them
@@ -325,7 +330,16 @@ def main(argv=None):
   names = tuple(argv[:1])
   if not (names and names[0] in _NAMES and _PARSERS.keys() <= {names}):
     names = _NAMES
-  args = _parser(names).parse_args(argv)
+  flag = _COORD_FLAGS.get(argv[0], "") if argv else ""
+  words = []
+  for word in argv:
+    # the flag or an abbreviation of it, then a value that begins with "-"
+    if (words and len(words[-1]) > 2 and flag.startswith(words[-1])
+        and re.match(r"-[\d.]", word)):
+      words[-1] += "=" + word
+    else:
+      words.append(word)
+  args = _parser(names).parse_args(words)
   try:
     return args.func(args)
   except ValueError as exc:

@@ -1,15 +1,14 @@
 """The E6 verification suite.
 
 Bundles the computations around the 2925-dimensional representation
-carrying the fourth fundamental weight of E6, realized inside the exterior
-cube of the 27-dimensional minuscule representation V(omega_1) (which it
-fills: C(27, 3) = 2925):
+V(omega_4) of E6 in its own basis: the wedges of the exterior cube of the
+27-dimensional V(omega_1), which its highest weight vector of weight
+omega_4 generates, as the Weyl dimension of omega_4 is C(27, 3) = 2925.
 
-  * construction of the highest weight vector and the subrepresentation in
-    the canonical-path basis,
   * the distinguished weight-zero vector obtained by two long lowering
-    operators, its Weyl orbit up to sign, and the rank of that orbit inside
-    the weight-zero fiber,
+    operators, its Weyl orbit up to sign (each simple reflection permutes
+    the weight-zero wedges up to sign, so the orbit vectors are int
+    vectors), and the rank of that orbit inside the weight-zero fiber,
   * the Levi-extremal sweep over all arrangements of the ten-letter
     lowering multiset, one suffix-sharing search that decides every word:
     a word it reaches without a split is decided by the words it reached
@@ -18,18 +17,15 @@ fills: C(27, 3) = 2925):
   * the numbers-game poset generator, checked against the published
     figure held here.
 
-Everything is exact; the suite takes about a third of a second to build
-(0.35 s of process time in a fresh Python 3.11 process on a quiet 2-vCPU
-VM, imports included, most of it the exterior cube's 35,106 E_i / F_i
-actions; each of the 1,063 weight fibers gets one exact integral inverse,
-and each of the 18,544 images that is not a path vector is one sparse
-product with it, inline; the module fills the cube, so every fiber is
-square and no residual is checked) and callers are expected to cache it.
+Everything is exact.  The suite takes about a third of a second to build
+(0.35 s of process time, imports included, in a fresh Python 3.11 process
+on a quiet 2-vCPU VM), most of it ``reps.subrepresentation``: the
+canonical-path basis that the relation check reads.  Callers are expected
+to cache it.
 """
 
 from collections import Counter
-from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 from operator import sub
 
 from .linalg import SparseVector, normalize_scalar, rank as matrix_rank
@@ -83,18 +79,12 @@ def _noop(msg):
   pass
 
 
-def _primitive(c, num):
-  """The nonzero vector c * num, c a Fraction and num an int dict, as
-  (key, c, num) with the entries of num made coprime; the vectors v and -v
-  have the same key."""
-  g = gcd(*num.values())
-  if g != 1:
-    num = {k: x // g for k, x in num.items()}
-    c *= g
-  key = sorted(num.items())
+def _up_to_sign(vec):
+  """The key that the nonzero dict vec shares with -vec alone."""
+  key = sorted(vec.items())
   if key[0][1] < 0:
     key = [(k, -x) for k, x in key]
-  return (tuple(key), abs(c)), c, num
+  return tuple(key)
 
 
 class E6Suite:
@@ -114,8 +104,8 @@ class E6Suite:
     progress("building the subrepresentation in the canonical-path basis")
     self.subrep = reps.subrepresentation(self.wedge3, self.hw_vec,
                                          self.component)
-    self.zero_fiber = tuple(b for b in range(len(self.component))
-                            if self.component.wt(b) == (0,) * 6)
+    self.zero_fiber = tuple(k for k in self.wedge3.keys()
+                            if self.wedge3.weight(k) == (0,) * 6)
     self.extremal_weights = self.sys.weyl_orbit(OMEGA4)
     self._vzero = None
     self._orbit = None
@@ -136,8 +126,7 @@ class E6Suite:
 
   def build_vzero(self):
     """Apply the lowering operators of the two long roots (first the root
-    of height ten, then the highest root) to the highest weight vector of
-    the subrepresentation."""
+    of height ten, then the highest root) to the highest weight vector."""
     if self._vzero is not None:
       return self._vzero
     beta = (1, 1, 2, 3, 2, 1)
@@ -145,67 +134,55 @@ class E6Suite:
     op_beta = reps.root_lowering_operator(self.sys, beta)
     op_theta = reps.root_lowering_operator(self.sys, theta)
     self.progress("applying the height-ten lowering operator")
-    v = op_beta.apply(self.subrep, SparseVector.unit(0))
+    v = op_beta.apply(self.wedge3, self.hw_vec)
     self.progress("applying the highest-root lowering operator")
-    v = op_theta.apply(self.subrep, v)
+    v = op_theta.apply(self.wedge3, v)
     self._vzero = v
     return v
 
   def zero_fiber_reflections(self):
     """The simple reflections s_1, ..., s_6 restricted to the weight-zero
-    fiber, which each of them preserves, as pair tables {b: image of b}
-    (see ``reps``); 270 ``weyl_act`` columns in all."""
-    return [{b: reps._pairs(reps.weyl_act(self.subrep, i,
-                                          SparseVector.unit(b)))
-             for b in self.zero_fiber} for i in range(1, 7)]
+    fiber, which each of them preserves, as pair tables {key: image of
+    key} (see ``reps``); 270 ``weyl_act`` columns, each one key times an
+    int +-1."""
+    return [{k: tuple((k2, normalize_scalar(c)) for k2, c in
+                      reps.weyl_act(self.wedge3, i,
+                                    SparseVector.unit(k)).items())
+             for k in self.zero_fiber} for i in range(1, 7)]
 
   def orbit_up_to_sign(self):
     """Weyl orbit of the weight-zero vector under the simple reflection
-    operators, with vectors identified up to global sign, in breadth-first
-    order.
-
-    The reflections act on the weight-zero fiber as integer matrices: each
-    table times the lcm L_i of its denominators, by
-    ``reps._integer_tables``.  An orbit vector is kept as c * num, num an
-    int dict whose entries have gcd 1, so s_i maps it to
-    (c / L_i) * (L_i s_i) num, and the vectors +-v share the key built from
-    num up to sign and |c|.  A search that holds more vectors than the Weyl
-    group has elements raises ArithmeticError: its key failed to identify
-    equal vectors."""
+    operators, with vectors identified up to global sign by
+    ``_up_to_sign``, in breadth-first order.  A search that holds more
+    vectors than the Weyl group has elements raises ArithmeticError: its
+    key failed to identify equal vectors."""
     if self._orbit is not None:
       return self._orbit
     v = self.build_vzero()
     if not v:
       raise ValueError("the weight-zero vector vanished")
-    scales, tables = reps._integer_tables(
-        dict(enumerate(self.zero_fiber_reflections())))
-    scaled = [(scales[t], tables[t]) for t in tables]
-    d = lcm(*(Fraction(c).denominator for c in v.entries.values()))
-    key0, c0, num0 = _primitive(Fraction(1, d),
-                                {k: int(x * d) for k, x in v.items()})
-    seen = {key0: (c0, num0)}
-    frontier = [(c0, num0)]
+    tables = self.zero_fiber_reflections()
+    seen = {_up_to_sign(v.entries): v.entries}
+    frontier = [v.entries]
     while frontier:
       self.progress("orbit size so far: %d" % len(seen))
       nxt = []
-      for c, num in frontier:
-        for scale, table in scaled:
-          key, c2, num2 = _primitive(c / scale, reps._apply(table, num))
+      for vec in frontier:
+        for table in tables:
+          img = reps._apply(table, vec)
+          key = _up_to_sign(img)
           if key not in seen:
-            seen[key] = (c2, num2)
-            nxt.append((c2, num2))
+            seen[key] = img
+            nxt.append(img)
             if len(seen) > WEYL_ORDER:
               raise ArithmeticError(
                   "orbit exceeds |W(E6)| = %d vectors" % WEYL_ORDER)
       frontier = nxt
-    self._orbit = [
-        SparseVector._raw({k: normalize_scalar(c * x) for k, x in num.items()})
-        for c, num in seen.values()]
+    self._orbit = [SparseVector._raw(vec) for vec in seen.values()]
     return self._orbit
 
   def orbit_rank(self):
-    """Rank of the orbit inside the weight-zero fiber of the
-    subrepresentation."""
+    """Rank of the orbit inside the weight-zero fiber."""
     return matrix_rank(self.orbit_up_to_sign())
 
   # -- the Levi-extremal sweep ---------------------------------------------
@@ -213,7 +190,7 @@ class E6Suite:
   def _is_extremal(self, vec):
     if not vec:
       return False
-    wt = self.subrep.weight(next(iter(vec.keys())))
+    wt = self.wedge3.weight(next(iter(vec.keys())))
     return wt in self.extremal_weights
 
   def _rearranges_outside(self, word, unaccepted):
@@ -270,10 +247,10 @@ class E6Suite:
         return
       for i in sorted(support):
         counts[i] -= 1
-        dfs(counts, self.subrep.apply_f(i, vec), (i,) + suffix)
+        dfs(counts, self.wedge3.apply_f(i, vec), (i,) + suffix)
         counts[i] += 1
 
-    dfs(Counter(SWEEP_LETTERS), SparseVector.unit(0), ())
+    dfs(Counter(SWEEP_LETTERS), self.hw_vec, ())
     unaccepted = set(reached)
     counterexamples = [w for w in reached
                        if not self._rearranges_outside(w, unaccepted)]

@@ -69,11 +69,11 @@ def _apply(table, vec):
 class Representation:
   """Interface: weight-graded basis with sparse E_i / F_i actions.
 
-  Subclasses provide ``keys``, ``weight`` and ``_act(op, i, vec)``, which
-  applies E_i (op "e") or F_i (op "f") to a plain {key: coeff} dict and
-  returns a new dict.  That dict should hold no zero coefficient: the
-  ``apply_*`` methods wrap it as a SparseVector unchecked.  ``table``
-  compiles an action, dropping zeros.
+  Subclasses provide ``rank``, ``keys``, ``weight`` and ``_act(op, i,
+  vec)``, which applies E_i (op "e") or F_i (op "f") to a plain {key:
+  coeff} dict, for any node i, and returns a new dict without zeros: the
+  ``apply_*`` methods check i in 1..rank (ValueError) and wrap that dict
+  as a SparseVector unchecked.  ``table`` compiles an action, dropping zeros.
   """
 
   def keys(self):
@@ -92,9 +92,13 @@ class Representation:
             if (img := _pairs(self._act(op, i, {key: 1})))}
 
   def apply_e(self, i, vec):
+    if not 1 <= i <= self.rank:
+      raise ValueError("node %r is not in 1..%d" % (i, self.rank))
     return SparseVector._raw(self._act("e", i, vec.entries))
 
   def apply_f(self, i, vec):
+    if not 1 <= i <= self.rank:
+      raise ValueError("node %r is not in 1..%d" % (i, self.rank))
     return SparseVector._raw(self._act("f", i, vec.entries))
 
 

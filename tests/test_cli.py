@@ -245,14 +245,8 @@ def test_vanished_vzero_is_a_witness(capsys, monkeypatch, suite):
 def test_runaway_orbit_is_a_witness(capsys, monkeypatch, suite):
   # a key that never identifies two vectors makes the orbit search outgrow
   # W(E6): exit 1 with the bound on stdout, not a traceback
-  primitive = e6._primitive
   fresh = count()
-
-  def unique_key(c, num):
-    _, c, num = primitive(c, num)
-    return next(fresh), c, num
-
-  monkeypatch.setattr(e6, "_primitive", unique_key)
+  monkeypatch.setattr(e6, "_up_to_sign", lambda vec: next(fresh))
   monkeypatch.setattr(suite, "_orbit", None)
   monkeypatch.setattr(e6, "E6Suite", lambda progress: suite)
   code = cli.main(["e6-duality"])
@@ -568,6 +562,31 @@ def test_coordinate_errors_name_their_flag(capsys, argv):
   lines = captured.err.splitlines()
   assert len(lines) == 1
   assert lines[0].startswith("error: %s %r " % tuple(argv[-2:])), lines[0]
+
+
+# a coordinate flag whose value has a negative first coordinate, per
+# command, and the exit code: rootsys asks for a dominant weight
+_SIGNED_COORDS = (
+    (["rootsys", "--type", "A", "--rank", "3"], "--weight", "-1,0,1", 2),
+    (["dominance", "--type", "A", "--rank", "3", "--m", "2"], "--lambda",
+     "-1,0,1", 0),
+    (["smooth-locus", "--type", "A", "--rank", "3", "--m", "2"], "--lambda",
+     "-1,0,1", 0),
+    (["dominance", "--type", "A", "--rank", "3", "--m", "2"], "--lam",
+     "-.5,0,1/2", 0),
+)
+
+
+@pytest.mark.parametrize("argv,flag,text,code", _SIGNED_COORDS,
+                         ids=[" ".join(a + [f, t])
+                              for a, f, t, _ in _SIGNED_COORDS])
+def test_negative_coordinate_is_a_value(capsys, argv, flag, text, code):
+  # "--flag -1,0,1" reads -1,0,1 as the flag's value, as "--flag=-1,0,1"
+  # does, and not as an option
+  spaced = _outcome(capsys, argv + [flag, text])
+  assert spaced == _outcome(capsys, argv + ["%s=%s" % (flag, text)])
+  assert spaced[0] == code
+  assert "expected one argument" not in spaced[2]
 
 
 # one valid argv per subcommand, each with the default json and with tsv

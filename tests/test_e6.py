@@ -4,12 +4,13 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import count, permutations
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
 
 import diagram_fixture
+from canonical_path_fixture import CanonicalPathSuite
 from wedge_fixture import antisymmetrise
 
 from twistedlie import cli, e6
@@ -30,6 +31,12 @@ def tensor_oracle(suite):
   cube = ProductRepresentation([suite.V1] * 3)
   hw_vec = antisymmetrise(suite.hw_vec)
   return cube, hw_vec, subrepresentation(cube, hw_vec, suite.component)
+
+
+@pytest.fixture(scope="module")
+def canonical_path(suite):
+  """The suite's checks in the canonical-path basis, as the oracle."""
+  return CanonicalPathSuite(suite)
 
 
 def _fraction_orbit(suite):
@@ -60,6 +67,10 @@ class TestSuiteConstruction:
     assert len(suite.hw_vec) == 1
     assert highest_weight_check(cube, tensor_hw, OMEGA4)
     assert len(tensor_hw) == 6
+    # the copy of V(omega_4) that hw_vec generates has the Weyl dimension,
+    # so it fills the cube, whose basis the scorecard reads
+    assert suite.sys.weyl_dimension(OMEGA4) == comb(27, 3) == \
+        len(list(suite.wedge3.keys()))
 
   def test_subrep_equals_tensor_cube_build(self, suite, tensor_oracle):
     _, _, oracle = tensor_oracle
@@ -111,7 +122,7 @@ class TestWeightZeroVector:
     v = suite.build_vzero()
     assert v
     for key in v.keys():
-      assert suite.subrep.weight(key) == (0, 0, 0, 0, 0, 0)
+      assert suite.wedge3.weight(key) == (0, 0, 0, 0, 0, 0)
 
   def test_orbit_up_to_sign(self, suite):
     assert len(suite.orbit_up_to_sign()) == 240
@@ -135,7 +146,7 @@ class TestWeightZeroVector:
       nxt = []
       for vec in frontier:
         for i in range(1, 7):
-          img = weyl_act(suite.subrep, i, vec)
+          img = weyl_act(suite.wedge3, i, vec)
           key = canon(img)
           if key not in seen:
             seen[key] = img
@@ -144,26 +155,20 @@ class TestWeightZeroVector:
     assert suite.orbit_up_to_sign() == list(seen.values())
 
   def test_primitive_key(self):
-    half = Fraction(1, 2)
-    key, c, num = e6._primitive(half, {3: 4, 0: -6})
-    assert (c, num) == (1, {3: 2, 0: -3})
-    # the same vector written with another numerator, and its negative
-    assert e6._primitive(Fraction(1), {3: 2, 0: -3})[0] == key
-    assert e6._primitive(-half, {3: 4, 0: -6})[0] == key
-    assert e6._primitive(half, {3: -4, 0: -6})[0] != key
-    assert e6._primitive(Fraction(1, 3), {3: 4, 0: -6})[0] != key
+    key = e6._up_to_sign({3: 2, 0: -3})
+    # the vector and its negative share the key, in any entry order
+    assert e6._up_to_sign({0: 3, 3: -2}) == key
+    assert e6._up_to_sign({3: -2, 0: 3}) == key
+    # distinct vectors do not: a sign, a multiple, another support
+    assert e6._up_to_sign({3: 2, 0: 3}) != key
+    assert e6._up_to_sign({3: 4, 0: -6}) != key
+    assert e6._up_to_sign({3: 2, 1: -3}) != key
 
   def test_orbit_search_is_bounded(self, suite, monkeypatch):
     # a key that never identifies two vectors makes the search grow without
     # end; it stops once it holds more vectors than W(E6) has elements
-    primitive = e6._primitive
     fresh = count()
-
-    def unique_key(c, num):
-      _, c, num = primitive(c, num)
-      return next(fresh), c, num
-
-    monkeypatch.setattr(e6, "_primitive", unique_key)
+    monkeypatch.setattr(e6, "_up_to_sign", lambda vec: next(fresh))
     monkeypatch.setattr(suite, "_orbit", None)
     with pytest.raises(ArithmeticError, match="51840"):
       suite.orbit_up_to_sign()
@@ -188,6 +193,21 @@ class TestWeightZeroVector:
 
   def test_orbit_rank_fills_zero_fiber(self, suite):
     assert suite.orbit_rank() == 45 == len(suite.zero_fiber)
+
+  def test_orbit_matches_canonical_path_orbit(self, suite, canonical_path):
+    # the integer-scaled search on the subrepresentation finds an orbit of
+    # the same size and rank; the bases differ, so the vectors do
+    assert len(canonical_path.zero_fiber) == len(suite.zero_fiber)
+    assert len(canonical_path.orbit_up_to_sign()) == \
+        len(suite.orbit_up_to_sign()) == e6.ORBIT_SIZE
+    assert canonical_path.orbit_rank() == suite.orbit_rank() == e6.ORBIT_RANK
+    assert any(type(c) is Fraction
+               for table in canonical_path.zero_fiber_reflections()
+               for img in table.values() for _, c in img)
+
+  def test_scorecard_matches_canonical_path_scorecard(self, suite,
+                                                       canonical_path):
+    assert canonical_path.scorecard() == suite.scorecard()
 
 
 # -- the vector-based sweep, as an oracle -------------------------------------
@@ -349,9 +369,10 @@ class TestLeviExtremal:
       if weight_test:
         assert len(list(vec.keys())) == 1
 
-  def test_sweep_matches_oracle(self, suite):
+  def test_sweep_matches_oracle(self, suite, canonical_path):
     report = suite.levi_extremal_sweep()
     assert report == _oracle_sweep(suite)
+    assert report == canonical_path.levi_extremal_sweep()
     assert report == {
         "total_words": 151200, "all_levi_extremal": True,
         "counterexamples": [], "search_nodes": 163,

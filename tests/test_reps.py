@@ -136,6 +136,25 @@ class TestExponentials:
     assert a2_v1.weight(key) == a2.reflect(1, a2_v1.weight(0))
 
 
+class TestNodeRange:
+  """A node outside 1..rank is a ValueError in apply_e and apply_f, and so
+  in weyl_act; it used to give the zero vector, or u unchanged."""
+
+  def test_operators_reject_node_outside_range(self, a2_v1, suite):
+    reps = [(a2_v1, 0), (ProductRepresentation([a2_v1, a2_v1]), (0, 1)),
+            (ExteriorPower(a2_v1, 2), (0, 1)), (suite.subrep, 0)]
+    for rep, key in reps:
+      u = SparseVector.unit(key)
+      assert any(op(i, u) for i in range(1, rep.rank + 1)
+                 for op in (rep.apply_e, rep.apply_f))
+      for i in (0, -1, rep.rank + 1):
+        for op in (rep.apply_e, rep.apply_f):
+          with pytest.raises(ValueError, match="node"):
+            op(i, u)
+    with pytest.raises(ValueError, match="node"):
+      weyl_act(a2_v1, 3, SparseVector.unit(0))
+
+
 class TestHighestWeightCheck:
 
   def test_accepts_and_rejects(self, a2_v1):
@@ -851,9 +870,13 @@ class TestCompiledLeibniz:
     self._check(self.E6_SQUARE, vec)
 
   def test_out_of_range_node_acts_by_zero(self):
+    # the unchecked kernel has no table for such a node; the public
+    # operators reject it (TestNodeRange)
     vec = SparseVector.unit((0, 0, 0))
-    assert not self.A2_CUBE.apply_e(3, vec)
-    assert not self.A2_CUBE.apply_f(0, vec)
+    assert self.A2_CUBE._act("e", 3, vec.entries) == {}
+    assert self.A2_CUBE._act("f", 0, vec.entries) == {}
+    with pytest.raises(ValueError, match="node"):
+      self.A2_CUBE.apply_e(3, vec)
 
 
 def _v1(family, rank):
@@ -1067,15 +1090,15 @@ class TestRootOperators:
   def test_apply_equals_per_term_loop_e6(self, suite):
     # the two long-root operators of the E6 suite, as build_vzero applies
     # them; each distinct nonzero suffix is applied once
-    counted = _CountedLowering(suite.subrep)
-    vec = SparseVector.unit(0)
+    counted = _CountedLowering(suite.wedge3)
+    vec = suite.hw_vec
     for gamma in ((1, 1, 2, 3, 2, 1), suite.sys.highest_root):
       word = root_lowering_operator(suite.sys, gamma)
       counted.calls = 0
       got = word.apply(counted, vec)
       suffixes = {w[k:] for _, w in word.terms for k in range(len(w))}
       assert counted.calls <= len(suffixes)
-      per_term = _CountedLowering(suite.subrep)
+      per_term = _CountedLowering(suite.wedge3)
       assert got == _oracle_word_apply(word, per_term, vec)
       assert counted.calls < per_term.calls
       vec = got
